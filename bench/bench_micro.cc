@@ -144,10 +144,11 @@ void BM_MetaPartitionApplyCreate(benchmark::State& state) {
   meta::MetaPartitionConfig cfg;
   cfg.id = 1;
   meta::MetaPartition mp(cfg, host);
-  std::string cmd = meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0);
+  Buffer cmd =
+      Buffer::FromString(meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
   raft::Index idx = 0;
   for (auto _ : state) {
-    mp.Apply(++idx, cmd);
+    mp.Apply(++idx, cmd, {});
     benchmark::DoNotOptimize(mp.TakeResult(idx));
   }
   state.SetItemsProcessed(state.iterations());

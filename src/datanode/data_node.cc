@@ -347,8 +347,8 @@ void DataNode::RegisterHandlers() {
           co_return OverwriteResp{Status::InvalidArgument("overwrite beyond extent end")};
         }
         auto idx = co_await rn->ProposeIndexed(
-            DataPartition::EncodeOverwrite(req.extent_id, req.offset, req.data.view()),
-            req.trace);
+            DataPartition::EncodeOverwriteHead(req.extent_id, req.offset, req.data.size()),
+            req.data, req.trace);
         if (!idx.ok()) co_return OverwriteResp{idx.status()};
         auto st = p->TakeResult(*idx);
         co_return OverwriteResp{st.value_or(Status::OK())};
@@ -403,7 +403,7 @@ void DataNode::RegisterHandlers() {
           co_return DeleteExtentResp{Status::NotLeader(std::to_string(rn->leader_hint()))};
         }
         auto idx = co_await rn->ProposeIndexed(DataPartition::EncodeDeleteExtent(req.extent_id),
-                                               req.trace);
+                                               {}, req.trace);
         if (!idx.ok()) co_return DeleteExtentResp{idx.status()};
         co_return DeleteExtentResp{p->TakeResult(*idx).value_or(Status::OK())};
       });
@@ -420,7 +420,8 @@ void DataNode::RegisterHandlers() {
           co_return PunchHoleResp{Status::NotLeader(std::to_string(rn->leader_hint()))};
         }
         auto idx = co_await rn->ProposeIndexed(
-            DataPartition::EncodePunchHole(req.extent_id, req.offset, req.len), req.trace);
+            DataPartition::EncodePunchHole(req.extent_id, req.offset, req.len), {},
+            req.trace);
         if (!idx.ok()) co_return PunchHoleResp{idx.status()};
         co_return PunchHoleResp{p->TakeResult(*idx).value_or(Status::OK())};
       });

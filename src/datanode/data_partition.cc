@@ -82,13 +82,13 @@ void DataPartition::TryDrainPending(storage::ExtentId extent) {
 
 // --- Raft command encoding ---------------------------------------------------
 
-std::string DataPartition::EncodeOverwrite(storage::ExtentId id, uint64_t offset,
-                                           std::string_view data) {
+std::string DataPartition::EncodeOverwriteHead(storage::ExtentId id, uint64_t offset,
+                                               uint64_t len) {
   Encoder enc;
   enc.PutU8(static_cast<uint8_t>(DataOp::kOverwrite));
   enc.PutVarint(id);
   enc.PutVarint(offset);
-  enc.PutString(data);
+  enc.PutVarint(len);
   return enc.Take();
 }
 
@@ -109,22 +109,26 @@ std::string DataPartition::EncodePunchHole(storage::ExtentId id, uint64_t offset
   return enc.Take();
 }
 
-void DataPartition::Apply(raft::Index index, std::string_view cmd) {
-  Decoder dec(cmd);
+void DataPartition::Apply(raft::Index index, const Buffer& head, const Buffer& payload) {
+  Decoder dec(head.view());
   uint8_t op = 0;
   Status st = dec.GetU8(&op);
   if (st.ok()) {
     switch (static_cast<DataOp>(op)) {
       case DataOp::kOverwrite: {
-        uint64_t id, offset;
-        // View into `cmd` (the log entry outlives the apply): overwrites are
-        // the raft hot path, and copying the payload out would double its
-        // memory traffic.
-        std::string_view data;
+        uint64_t id, offset, len;
         st = dec.GetVarint(&id);
         if (st.ok()) st = dec.GetVarint(&offset);
-        if (st.ok()) st = dec.GetStringView(&data);
-        if (st.ok()) st = store_->OverwriteSync(id, offset, data);
+        if (st.ok()) st = dec.GetVarint(&len);
+        if (!st.ok()) break;
+        // The proposer's Buffer arrives as `payload`; an entry recovered flat
+        // from the WAL carries the bytes after the head instead, and a slice
+        // of it shares the log entry's storage. Neither path copies.
+        Buffer data =
+            payload.empty() ? head.Slice(head.size() - dec.remaining(), len) : payload;
+        st = data.size() == len && dec.remaining() + payload.size() == len
+                 ? store_->OverwriteSync(id, offset, data)
+                 : Status::Corruption("overwrite length mismatch");
         break;
       }
       case DataOp::kDeleteExtent: {

@@ -96,7 +96,7 @@ class DataPartition : public raft::StateMachine {
                                      obs::TraceContext trace = {});
 
   // --- Raft state machine (overwrite/purge path) ---
-  void Apply(raft::Index index, std::string_view data) override;
+  void Apply(raft::Index index, const Buffer& head, const Buffer& payload) override;
   /// Extent contents are NOT snapshotted through raft (they are recovered by
   /// the primary-backup alignment phase first, §2.2.5); the snapshot is a
   /// marker carrying only the allocation high-water mark.
@@ -105,8 +105,10 @@ class DataPartition : public raft::StateMachine {
 
   std::optional<Status> TakeResult(raft::Index index);
 
-  static std::string EncodeOverwrite(storage::ExtentId id, uint64_t offset,
-                                     std::string_view data);
+  /// Head of an overwrite command: the payload's `len` bytes follow it
+  /// logically, passed to ProposeIndexed as a separate Buffer.
+  static std::string EncodeOverwriteHead(storage::ExtentId id, uint64_t offset,
+                                         uint64_t len);
   static std::string EncodeDeleteExtent(storage::ExtentId id);
   static std::string EncodePunchHole(storage::ExtentId id, uint64_t offset, uint64_t len);
 

@@ -90,10 +90,11 @@ sim::Task<Status> KvStore::Write(WriteBatch batch) {
   // charge the disk write afterwards.
   Encoder enc;
   EncodeBatch(&enc, batch);
-  storage_->Append(WalKey(), enc.data());
+  size_t bytes = enc.size();
+  storage_->Append(WalKey(), Buffer::FromString(enc.Take()));
   ApplyBatch(batch);
   wal_records_++;
-  CFS_CO_RETURN_IF_ERROR(co_await disk_->Write(enc.size()));
+  CFS_CO_RETURN_IF_ERROR(co_await disk_->Write(bytes));
   if (wal_records_ >= opts_.checkpoint_threshold && !checkpointing_) {
     CFS_CO_RETURN_IF_ERROR(co_await Checkpoint());
   }

@@ -113,7 +113,8 @@ class MasterState : public raft::StateMachine {
   explicit MasterState(kv::KvStore* kv) : kv_(kv) {}
 
   // raft::StateMachine
-  void Apply(raft::Index index, std::string_view data) override;
+  /// Master commands carry no bulk payload: the whole command is `cmd`.
+  void Apply(raft::Index index, const Buffer& cmd, const Buffer& payload) override;
   std::string TakeSnapshot() override;
   void Restore(std::string_view snapshot) override;
 

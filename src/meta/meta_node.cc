@@ -66,7 +66,7 @@ Task<ApplyResult> MetaNode::Execute(PartitionId pid, std::string cmd,
     res.status = Status::Unavailable("partition is read-only");
     co_return res;
   }
-  auto idx = co_await node->ProposeIndexed(std::move(cmd), trace);
+  auto idx = co_await node->ProposeIndexed(std::move(cmd), {}, trace);
   if (!idx.ok()) {
     res.status = idx.status();
     co_return res;

@@ -111,8 +111,8 @@ std::string MetaPartition::EncodeSetEnd(InodeId end) {
 
 // --- Apply -----------------------------------------------------------------
 
-void MetaPartition::Apply(raft::Index index, std::string_view data) {
-  Decoder dec(data);
+void MetaPartition::Apply(raft::Index index, const Buffer& cmd, const Buffer& /*payload*/) {
+  Decoder dec(cmd.view());
   uint8_t op = 0;
   ApplyResult res;
   if (!dec.GetU8(&op).ok()) {

@@ -82,7 +82,8 @@ class MetaPartition : public raft::StateMachine {
   static std::string EncodeSetEnd(InodeId end);
 
   // --- raft::StateMachine ---
-  void Apply(raft::Index index, std::string_view data) override;
+  /// Meta commands carry no bulk payload: the whole command is `cmd`.
+  void Apply(raft::Index index, const Buffer& cmd, const Buffer& payload) override;
   std::string TakeSnapshot() override;
   void Restore(std::string_view snapshot) override;
 

@@ -3,6 +3,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace cfs::raft {
 
@@ -26,6 +27,22 @@ Term TermAt(const ReplicaSnapshot& r, Index index) {
 const LogEntry* EntryAt(const ReplicaSnapshot& r, Index index) {
   if (index < r.first_index || index >= r.first_index + r.entries.size()) return nullptr;
   return &r.entries[index - r.first_index];
+}
+
+/// True iff both entries carry the same logical command `head || payload`,
+/// however each splits it: a replica recovered from the WAL holds flat
+/// entries while its peers hold head + payload ropes. Compares piecewise
+/// without materializing either command.
+bool SameCommand(const LogEntry& a, const LogEntry& b) {
+  if (a.size() != b.size()) return false;
+  // With `s` the entry whose head is shorter, `l.head` spans all of s.head
+  // and the first `split` bytes of s.payload; l.payload is the rest.
+  const LogEntry& s = a.head.size() <= b.head.size() ? a : b;
+  const LogEntry& l = &s == &a ? b : a;
+  const std::string_view sh = s.head.view(), sp = s.payload.view(), lh = l.head.view();
+  const size_t split = lh.size() - sh.size();
+  return lh.substr(0, sh.size()) == sh && lh.substr(sh.size()) == sp.substr(0, split) &&
+         sp.substr(split) == l.payload.view();
 }
 
 Index LastIndex(const ReplicaSnapshot& r) {
@@ -116,7 +133,7 @@ void CheckRaftGroup(const std::vector<ReplicaSnapshot>& replicas, InvariantRepor
         const LogEntry* ex = EntryAt(x, i);
         const LogEntry* ey = EntryAt(y, i);
         if (!ex || !ey) continue;
-        if (ex->term == ey->term && ex->data != ey->data) {
+        if (ex->term == ey->term && !SameCommand(*ex, *ey)) {
           report->Violation("raft", Where(label, x.node) + " and node " +
                                         std::to_string(y.node) +
                                         " disagree on data at index " + std::to_string(i) +

@@ -16,18 +16,44 @@ std::string LogStore::Key(const char* what) const {
   return "raft/" + std::to_string(gid_) + "/" + what;
 }
 
-void LogStore::EncodeEntry(Encoder* enc, const LogEntry& e) {
-  enc->PutU64(e.term);
-  enc->PutU64(e.index);
-  enc->PutString(e.data.view());
+namespace {
+/// Append `entries` to the WAL blob `key`, each as U64 term | U64 index |
+/// varint len | head || payload — the flat encoding Load() decodes. Fixed
+/// fields and heads accumulate in one encoder; each payload goes into the
+/// rope as its own shared chunk, so no payload byte is copied. Returns the
+/// bytes appended.
+template <typename Entries>
+size_t AppendEntries(sim::StableStorage* storage, const std::string& key,
+                     const Entries& entries) {
+  Encoder enc;
+  size_t bytes = 0;
+  auto flush = [&] {
+    if (enc.size() == 0) return;
+    bytes += enc.size();
+    storage->Append(key, Buffer::FromString(enc.Take()));
+    enc.Clear();
+  };
+  for (const LogEntry& e : entries) {
+    enc.PutU64(e.term);
+    enc.PutU64(e.index);
+    enc.PutVarint(e.size());
+    enc.PutBytes(e.head.data(), e.head.size());
+    if (e.payload.empty()) continue;
+    flush();
+    bytes += e.payload.size();
+    storage->Append(key, e.payload);
+  }
+  flush();
+  return bytes;
 }
+}  // namespace
 
 Status LogStore::DecodeEntry(Decoder* dec, LogEntry* e) {
   CFS_RETURN_IF_ERROR(dec->GetU64(&e->term));
   CFS_RETURN_IF_ERROR(dec->GetU64(&e->index));
-  std::string data;
-  CFS_RETURN_IF_ERROR(dec->GetString(&data));
-  e->data = Buffer::FromString(std::move(data));
+  std::string cmd;
+  CFS_RETURN_IF_ERROR(dec->GetString(&cmd));
+  e->head = Buffer::FromString(std::move(cmd));
   return Status::OK();
 }
 
@@ -89,14 +115,11 @@ Term LogStore::TermAt(Index index) const {
 
 sim::Task<Status> LogStore::Append(std::span<const LogEntry> entries,
                                    obs::TraceContext trace) {
-  Encoder enc;
   for (const auto& e : entries) {
     if (e.index != last_index() + 1) co_return Status::Corruption("append index gap");
-    EncodeEntry(&enc, e);
     entries_.push_back(e);
   }
-  size_t bytes = enc.size();
-  storage_->Append(key_log_, enc.data());
+  size_t bytes = AppendEntries(storage_, key_log_, entries);
   persisted_bytes_ += bytes;
   append_writes_++;
   appended_entries_ += entries.size();
@@ -110,10 +133,8 @@ sim::Task<Status> LogStore::TruncateFrom(Index from) {
 }
 
 sim::Task<Status> LogStore::RewriteLog() {
-  Encoder enc;
-  for (const auto& e : entries_) EncodeEntry(&enc, e);
-  size_t bytes = enc.size();
-  storage_->Put(key_log_, enc.Take());
+  storage_->Put(key_log_, {});
+  size_t bytes = AppendEntries(storage_, key_log_, entries_);
   persisted_bytes_ += bytes;
   co_return co_await disk_->Write(bytes + 64);
 }

@@ -77,7 +77,6 @@ class LogStore {
  private:
   std::string Key(const char* what) const;
   sim::Task<Status> RewriteLog();
-  static void EncodeEntry(Encoder* enc, const LogEntry& e);
   static Status DecodeEntry(Decoder* dec, LogEntry* e);
 
   sim::StableStorage* storage_;

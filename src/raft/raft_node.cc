@@ -83,7 +83,7 @@ void RaftNode::FailPendingProposals(const Status& status) {
 }
 
 void RaftNode::FailQueuedProposals(const Status& status) {
-  for (auto& [cmd, w] : propose_queue_) w->done.Set(status);
+  for (auto& q : propose_queue_) q.waiter->done.Set(status);
   propose_queue_.clear();
 }
 
@@ -198,11 +198,12 @@ void RaftNode::BecomeLeader() {
 // --- Proposals -----------------------------------------------------------
 
 Task<Status> RaftNode::Propose(std::string cmd, obs::TraceContext trace) {
-  auto r = co_await ProposeIndexed(std::move(cmd), trace);
+  auto r = co_await ProposeIndexed(std::move(cmd), {}, trace);
   co_return r.status();
 }
 
-Task<Result<Index>> RaftNode::ProposeIndexed(std::string cmd, obs::TraceContext trace) {
+Task<Result<Index>> RaftNode::ProposeIndexed(std::string head, Buffer payload,
+                                             obs::TraceContext trace) {
   if (!host_->up() || !running_) co_return Status::Unavailable("node down");
   if (role_ != Role::kLeader) {
     co_return Status::NotLeader(std::to_string(leader_));
@@ -216,7 +217,7 @@ Task<Result<Index>> RaftNode::ProposeIndexed(std::string cmd, obs::TraceContext 
     tracer.Note(propose_span, "queue_depth", static_cast<int64_t>(propose_queue_.size()));
     w->trace = propose_span.ctx;
   }
-  propose_queue_.emplace_back(Buffer::FromString(std::move(cmd)), w);
+  propose_queue_.push_back({Buffer::FromString(std::move(head)), std::move(payload), w});
   gc_stats_.queue_high_watermark =
       std::max<uint64_t>(gc_stats_.queue_high_watermark, propose_queue_.size());
   // Spawn runs the batcher synchronously up to its first await (the log
@@ -261,18 +262,19 @@ Task<void> RaftNode::BatcherLoop(uint64_t gen) {
     std::vector<WaiterPtr> waiters;
     size_t bytes = 0;
     while (!propose_queue_.empty() && waiters.size() < cap) {
-      auto& [cmd, w] = propose_queue_.front();
-      if (w->cancelled) {
+      QueuedProposal& q = propose_queue_.front();
+      if (q.waiter->cancelled) {
         propose_queue_.pop_front();
         continue;
       }
-      if (!entries.empty() && bytes + cmd.size() > opts_.max_batch_bytes) break;
+      size_t size = q.head.size() + q.payload.size();
+      if (!entries.empty() && bytes + size > opts_.max_batch_bytes) break;
       Index idx = log_.last_index() + entries.size() + 1;
-      bytes += cmd.size();
-      w->index = idx;
-      pending_.emplace(idx, std::make_pair(my_term, w));
-      waiters.push_back(w);
-      entries.push_back(LogEntry{my_term, idx, std::move(cmd)});
+      bytes += size;
+      q.waiter->index = idx;
+      pending_.emplace(idx, std::make_pair(my_term, q.waiter));
+      waiters.push_back(q.waiter);
+      entries.push_back(LogEntry{my_term, idx, std::move(q.head), std::move(q.payload)});
       propose_queue_.pop_front();
     }
     if (entries.empty()) continue;  // everything at the front was cancelled
@@ -447,8 +449,8 @@ Task<void> RaftNode::ApplyLoop(uint64_t gen) {
       }
       if (!log_.Has(idx)) break;  // should not happen; wait for entries
       const LogEntry& e = log_.At(idx);
-      if (!e.data.empty()) {
-        sm_->Apply(idx, e.data.view());
+      if (!e.head.empty()) {  // a payload never travels without a head
+        sm_->Apply(idx, e.head, e.payload);
       }
       applied_ = idx;
       obs::SpanRef apply_span;

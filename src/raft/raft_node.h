@@ -63,8 +63,11 @@ class RaftNode {
 
   /// Like Propose, but returns the log index the command committed at, so
   /// state machines can hand back per-command apply results (see
-  /// MetaPartition::TakeResult).
-  sim::Task<Result<Index>> ProposeIndexed(std::string cmd, obs::TraceContext trace = {});
+  /// MetaPartition::TakeResult). The command is `head || payload`: bulk bytes
+  /// passed as `payload` ride every log copy, replication leg and WAL chunk
+  /// by reference and reach StateMachine::Apply as the same Buffer.
+  sim::Task<Result<Index>> ProposeIndexed(std::string head, Buffer payload = {},
+                                          obs::TraceContext trace = {});
 
   // --- Observers ---
   GroupId gid() const { return gid_; }
@@ -157,10 +160,16 @@ class RaftNode {
   std::map<NodeId, Index> match_index_;
   std::map<NodeId, bool> pump_active_;
 
-  /// Leader-side group commit: commands awaiting a batch slot. Commands are
+  /// Leader-side group commit: commands awaiting a batch slot. Heads are
   /// adopted into shared Buffers at Propose(), so the batcher, log store and
-  /// every replication leg share one allocation per command.
-  std::deque<std::pair<Buffer, WaiterPtr>> propose_queue_;
+  /// every replication leg share one allocation per command (and the
+  /// proposer's payload Buffer itself).
+  struct QueuedProposal {
+    Buffer head;
+    Buffer payload;
+    WaiterPtr waiter;
+  };
+  std::deque<QueuedProposal> propose_queue_;
   bool batcher_running_ = false;
   GroupCommitStats gc_stats_;
 

@@ -23,15 +23,22 @@ using Term = uint64_t;
 using Index = uint64_t;
 using sim::NodeId;
 
+/// A log entry's command is logically `head || payload`. `head` is the small
+/// encoded part (opcode and arguments); `payload` carries bulk bytes by
+/// reference — the raft overwrite path passes the client's write Buffer here,
+/// so proposal, replication, WAL and apply never copy it. Entries decoded from
+/// the WAL at recovery are flat: the whole command sits in `head`. Both parts
+/// are shared immutable Buffers: copying an entry (into an AppendEntries
+/// batch, a peer catch-up, a ReplicaSnapshot) bumps refcounts.
 struct LogEntry {
   Term term = 0;
   Index index = 0;
-  /// Shared immutable payload: copying an entry (into an AppendEntries
-  /// batch, a peer catch-up, a ReplicaSnapshot) bumps a refcount instead of
-  /// duplicating the command bytes.
-  Buffer data;
+  Buffer head;
+  Buffer payload;
 
-  size_t WireBytes() const { return 24 + data.size(); }
+  /// Logical command length (`head || payload`).
+  size_t size() const { return head.size() + payload.size(); }
+  size_t WireBytes() const { return 24 + size(); }
 };
 
 /// Deterministic state machine replicated by a raft group. Applied exactly
@@ -39,8 +46,10 @@ struct LogEntry {
 class StateMachine {
  public:
   virtual ~StateMachine() = default;
-  /// Apply a committed command.
-  virtual void Apply(Index index, std::string_view data) = 0;
+  /// Apply the committed command `head || payload` (see LogEntry; `payload`
+  /// is empty for commands that carry no bulk bytes and for entries recovered
+  /// flat from the WAL).
+  virtual void Apply(Index index, const Buffer& head, const Buffer& payload) = 0;
   /// Serialize the complete state (for snapshots / log compaction).
   virtual std::string TakeSnapshot() = 0;
   /// Replace the state from a snapshot.

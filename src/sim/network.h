@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/flat_map.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -216,10 +217,11 @@ class EnvelopePool {
 /// the listing, and their scheduling order must not depend on hash layout.
 ///
 /// Blobs are ropes (base string + appended chunks): the raft WAL appends a
-/// few-KiB record per commit batch to a blob that grows to many MiB, and
-/// keeping it contiguous meant geometric reallocation copied the whole log
-/// over and over. Appends now push a chunk; Get() — recovery only —
-/// compacts the rope back into the base string.
+/// record per commit batch to a blob that grows to many MiB, and keeping it
+/// contiguous meant geometric reallocation copied the whole log over and
+/// over. Chunks are shared Buffers, so appending a raft overwrite payload
+/// stores a reference to the client's bytes, not a copy. Get() — recovery
+/// only — compacts the rope back into the base string.
 class StableStorage {
  public:
   void Put(const std::string& name, std::string data) {
@@ -228,10 +230,10 @@ class StableStorage {
     b.chunks.clear();
     b.size = b.base.size();
   }
-  void Append(const std::string& name, std::string_view data) {
+  void Append(const std::string& name, Buffer data) {
     Blob& b = blobs_[name];
-    b.chunks.emplace_back(data);
     b.size += data.size();
+    b.chunks.push_back(std::move(data));
   }
   bool Get(const std::string& name, std::string* out) const {
     auto it = blobs_.find(name);
@@ -260,12 +262,12 @@ class StableStorage {
     void Compact() const {
       if (chunks.empty()) return;
       base.reserve(size);
-      for (const std::string& c : chunks) base.append(c);
+      for (const Buffer& c : chunks) base.append(c.view());
       chunks.clear();
     }
     // Compaction is caching, not mutation: the logical value is unchanged.
     mutable std::string base;
-    mutable std::vector<std::string> chunks;
+    mutable std::vector<Buffer> chunks;
     size_t size = 0;
   };
   FlatMap<std::string, Blob> blobs_;

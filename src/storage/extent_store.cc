@@ -11,7 +11,7 @@ sim::Task<void> ChargeWrite(sim::Disk* disk, uint64_t bytes) {
 }
 }  // namespace
 
-Status ExtentStore::OverwriteSync(ExtentId id, uint64_t offset, std::string_view data) {
+Status ExtentStore::OverwriteSync(ExtentId id, uint64_t offset, const Buffer& data) {
   Extent* e = FindMutable(id);
   if (!e) return Status::NotFound("extent " + std::to_string(id));
   if (offset + data.size() > e->size) return Status::InvalidArgument("overwrite beyond end");
@@ -22,7 +22,7 @@ Status ExtentStore::OverwriteSync(ExtentId id, uint64_t offset, std::string_view
     e->data.replace(offset, data.size(), data.data(), data.size());
     e->crc = Crc32c(e->data);
   } else {
-    e->crc ^= Crc32c(data);
+    e->crc ^= data.Crc0();  // memoized: replicas share the proposer's Buffer
   }
   sim::Spawn(ChargeWrite(disk_, data.size()));
   return Status::OK();

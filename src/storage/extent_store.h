@@ -105,8 +105,10 @@ class ExtentStore {
 
   // --- Synchronous variants for raft Apply (§2.2.4 overwrite path) ---
   // Raft state machines apply commands synchronously; these validate and
-  // mutate inline and charge the disk time as a detached task.
-  Status OverwriteSync(ExtentId id, uint64_t offset, std::string_view data);
+  // mutate inline and charge the disk time as a detached task. Every replica
+  // applies the same payload Buffer, so in accounting mode the first one
+  // pays the CRC byte pass and the rest hit Buffer::Crc0's memo.
+  Status OverwriteSync(ExtentId id, uint64_t offset, const Buffer& data);
   Status DeleteExtentSync(ExtentId id);
   Status PunchHoleSync(ExtentId id, uint64_t offset, uint64_t len);
 

@@ -22,8 +22,8 @@ using sim::Task;
 /// Test state machine: an append-only list of applied commands.
 class ListSm : public StateMachine {
  public:
-  void Apply(Index index, std::string_view data) override {
-    applied.emplace_back(index, std::string(data));
+  void Apply(Index index, const Buffer& head, const Buffer& payload) override {
+    applied.emplace_back(index, head.ToString() + payload.ToString());
   }
   std::string TakeSnapshot() override {
     Encoder enc;

@@ -33,7 +33,7 @@ raft::ReplicaSnapshot MakeReplica(sim::NodeId node, raft::Term term,
     raft::LogEntry e;
     e.index = index++;
     e.term = t;
-    e.data = cfs::Buffer::CopyOf(data);
+    e.head = cfs::Buffer::CopyOf(data);
     r.entries.push_back(std::move(e));
   }
   return r;
@@ -68,6 +68,32 @@ TEST(RaftInvariants, LogMatchingViolationFires) {
   raft::CheckRaftGroup(group, &report);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.ToString().find("disagree on data at index 2"), std::string::npos)
+      << report.ToString();
+}
+
+// A replica recovered from its WAL holds flat entries (the whole command in
+// the head) while its peers hold head + payload ropes of the same command.
+TEST(RaftInvariants, RopeAndFlatEntriesWithEqualBytesPass) {
+  std::vector<raft::ReplicaSnapshot> group;
+  group.push_back(MakeReplica(1, 2, {{2, "HEAD:payload-bytes"}}, 1));
+  group.push_back(MakeReplica(2, 2, {{2, "HEAD:"}}, 1));
+  group.back().entries[0].payload = Buffer::CopyOf("payload-bytes");
+  group.push_back(MakeReplica(3, 2, {{2, "HEAD:pay"}}, 1));  // a different split
+  group.back().entries[0].payload = Buffer::CopyOf("load-bytes");
+  InvariantReport report;
+  raft::CheckRaftGroup(group, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+TEST(RaftInvariants, FlippedPayloadByteFires) {
+  std::vector<raft::ReplicaSnapshot> group;
+  group.push_back(MakeReplica(1, 2, {{2, "HEAD:payload-bytes"}}, 1));
+  group.push_back(MakeReplica(2, 2, {{2, "HEAD:"}}, 1));
+  group.back().entries[0].payload = Buffer::CopyOf("payload-bytez");
+  InvariantReport report;
+  raft::CheckRaftGroup(group, &report);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.ToString().find("disagree on data at index 1"), std::string::npos)
       << report.ToString();
 }
 
@@ -230,6 +256,10 @@ class MetaPartitionInvariants : public ::testing::Test {
     part_ = std::make_unique<meta::MetaPartition>(cfg, host_);
   }
 
+  void Apply(raft::Index index, std::string cmd) {
+    part_->Apply(index, Buffer::FromString(std::move(cmd)), {});
+  }
+
   sim::Scheduler sched_;
   sim::Network net_;
   sim::Host* host_;
@@ -237,16 +267,16 @@ class MetaPartitionInvariants : public ::testing::Test {
 };
 
 TEST_F(MetaPartitionInvariants, HealthyPartitionPasses) {
-  part_->Apply(1, meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
+  Apply(1, meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
   meta::Dentry d{kRootInode, "f", 2, meta::FileType::kFile};
-  part_->Apply(2, meta::MetaPartition::EncodeCreateDentry(d));
+  Apply(2, meta::MetaPartition::EncodeCreateDentry(d));
   InvariantReport report;
   part_->CheckInvariants(&report);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST_F(MetaPartitionInvariants, NlinkBelowFloorFires) {
-  part_->Apply(1, meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
+  Apply(1, meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
   meta::Inode* ino = part_->MutableInodeForTest(2);
   ASSERT_NE(ino, nullptr);
   ino->nlink = 0;  // live file with zero links and no delete mark
@@ -258,7 +288,7 @@ TEST_F(MetaPartitionInvariants, NlinkBelowFloorFires) {
 }
 
 TEST_F(MetaPartitionInvariants, DeletedInodeMissingFromFreeListFires) {
-  part_->Apply(1, meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
+  Apply(1, meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
   meta::Inode* ino = part_->MutableInodeForTest(2);
   ASSERT_NE(ino, nullptr);
   ino->flag |= meta::kInodeDeleteMark;  // marked deleted behind the op path
@@ -328,7 +358,8 @@ TEST_F(ClusterInvariants, DanglingDentryFires) {
   ASSERT_NE(leader, nullptr);
   meta::InodeId ghost = leader->config().start + 999;
   meta::Dentry d{kRootInode, "ghost", ghost, meta::FileType::kFile};
-  leader->Apply(1u << 20, meta::MetaPartition::EncodeCreateDentry(d));
+  leader->Apply(1u << 20, Buffer::FromString(meta::MetaPartition::EncodeCreateDentry(d)),
+                {});
   InvariantReport report = cluster_->CheckInvariants();
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.ToString().find("dangles"), std::string::npos) << report.ToString();

@@ -19,8 +19,8 @@ using sim::Task;
 /// Test state machine: an append-only list of applied commands.
 class ListSm : public StateMachine {
  public:
-  void Apply(Index index, std::string_view data) override {
-    applied.emplace_back(index, std::string(data));
+  void Apply(Index index, const Buffer& head, const Buffer& payload) override {
+    applied.emplace_back(index, head.ToString() + payload.ToString());
   }
   std::string TakeSnapshot() override {
     Encoder enc;
@@ -372,6 +372,74 @@ TEST_F(RaftCluster, ConcurrentProposalsAllCommit) {
   EXPECT_EQ(ok, 20);
   EXPECT_EQ(fail, 0);
   for (auto& sm : sms_) EXPECT_EQ(sm->applied.size(), 20u);
+}
+
+TEST_F(RaftCluster, ProposedPayloadIsSharedNotCopied) {
+  int leader = AwaitLeader();
+  ASSERT_GE(leader, 0);
+  Buffer payload = Buffer::Filled(64 * kKiB, 'p');
+  Result<Index> idx = Status::Retry("not finished");
+  Spawn([](RaftNode* n, Buffer payload, Result<Index>& idx) -> Task<void> {
+    idx = co_await n->ProposeIndexed("head:", std::move(payload));
+  }(nodes_[leader], payload, idx));
+  sched_->RunFor(2 * kSec);
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  for (int i = 0; i < kN; i++) {
+    // Every replica's log entry points at the proposer's bytes: replication
+    // and the WAL carried a reference, not a copy.
+    const LogEntry& e = nodes_[i]->log().At(*idx);
+    EXPECT_EQ(e.head, std::string_view("head:"));
+    EXPECT_EQ(e.payload.data(), payload.data()) << "replica " << i;
+    EXPECT_EQ(e.WireBytes(), 24 + 5 + payload.size());
+    ASSERT_FALSE(sms_[i]->applied.empty());
+    EXPECT_EQ(sms_[i]->applied.back().second, "head:" + payload.ToString());
+  }
+}
+
+TEST(LogStoreTest, RopeEntryPersistsInFlatEncoding) {
+  sim::Scheduler sched;
+  sim::Network net(&sched);
+  sim::Host* host = net.AddHost();
+  LogStore log(&host->storage(), host->disk(0), 7);
+  std::string payload(1000, 'x');
+  payload[123] = 'y';
+  std::vector<LogEntry> entries = {
+      {1, 1, Buffer::CopyOf("flat-command"), {}},
+      {1, 2, Buffer::CopyOf("head|"), Buffer::CopyOf(payload)},
+      {1, 3, {}, {}},  // leader no-op
+  };
+  Status st = Status::Retry("not finished");
+  Spawn([](LogStore* log, std::span<const LogEntry> entries, Status& st) -> Task<void> {
+    st = co_await log->Append(entries);
+  }(&log, entries, st));
+  sched.Run();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  // The WAL blob is U64 term | U64 index | varint len | command per entry,
+  // exactly as when commands were one flat string.
+  Encoder want;
+  for (const auto& [index, cmd] : std::vector<std::pair<Index, std::string>>{
+           {1, "flat-command"}, {2, "head|" + payload}, {3, ""}}) {
+    want.PutU64(1);
+    want.PutU64(index);
+    want.PutString(cmd);
+  }
+  std::string blob;
+  ASSERT_TRUE(host->storage().Get("raft/7/log", &blob));
+  EXPECT_EQ(blob, want.data());
+  EXPECT_EQ(log.persisted_bytes(), want.size());
+
+  // Recovery decodes flat entries: the whole command lands in the head.
+  LogStore recovered(&host->storage(), host->disk(0), 7);
+  st = Status::Retry("not finished");
+  Spawn([](LogStore* log, Status& st) -> Task<void> { st = co_await log->Load(); }(
+      &recovered, st));
+  sched.Run();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(recovered.last_index(), 3u);
+  EXPECT_EQ(recovered.At(2).head, "head|" + payload);
+  EXPECT_TRUE(recovered.At(2).payload.empty());
+  EXPECT_EQ(recovered.At(2).WireBytes(), entries[1].WireBytes());
 }
 
 }  // namespace

@@ -509,10 +509,17 @@ TEST_F(NetFixture, ConcurrentRpcsAllComplete) {
 TEST(StableStorageTest, PutGetDeleteList) {
   StableStorage st;
   st.Put("raft/1/log", "abc");
-  st.Append("raft/1/log", "def");
+  // Rope chunks are shared Buffers (slices included); Get flattens them.
+  Buffer payload = Buffer::FromString("xxdefghyy");
+  st.Append("raft/1/log", payload.Slice(2, 3));
+  st.Append("raft/1/log", payload.Slice(5, 2));
+  EXPECT_EQ(st.TotalBytes(), 8u);
   std::string v;
   ASSERT_TRUE(st.Get("raft/1/log", &v));
-  EXPECT_EQ(v, "abcdef");
+  EXPECT_EQ(v, "abcdefgh");
+  st.Append("raft/1/log", Buffer::FromString("!"));
+  ASSERT_TRUE(st.Get("raft/1/log", &v));
+  EXPECT_EQ(v, "abcdefgh!");
   st.Put("raft/2/log", "x");
   st.Put("extent/7", "y");
   EXPECT_EQ(st.List("raft/").size(), 2u);
