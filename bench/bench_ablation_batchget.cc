@@ -47,7 +47,7 @@ Sample Measure(Mode mode, int files, int scans) {
   }
   sched.RunFor(3 * kSec);  // cold caches at scan start
 
-  uint64_t rpcs0 = c->stats().meta_rpcs;
+  uint64_t rpcs0 = c->metrics().counter("client.meta_rpcs");
   SimTime t0 = sched.Now();
   uint64_t entries = 0;
   bool done = RunTaskVoid(sched, [](client::Client* c, uint64_t dir_ino, Mode mode,
@@ -71,7 +71,7 @@ Sample Measure(Mode mode, int files, int scans) {
   Sample s;
   SimDuration elapsed = sched.Now() - t0;
   s.iops = elapsed > 0 ? entries * 1.0e6 / static_cast<double>(elapsed) : 0;
-  s.rpcs_per_entry = entries ? static_cast<double>(c->stats().meta_rpcs - rpcs0) / entries : 0;
+  s.rpcs_per_entry = entries ? static_cast<double>(c->metrics().counter("client.meta_rpcs") - rpcs0) / entries : 0;
   return s;
 }
 

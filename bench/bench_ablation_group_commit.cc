@@ -68,8 +68,7 @@ CellResult RunCell(bool batching_on, int clients, int ops_per_client, uint64_t s
   }
 
   // Workload-only deltas: boot and volume admin also propose through raft.
-  raft::GroupCommitStats gc0 = cluster.group_commit_stats();
-  raft::RaftHost::LogWriteStats lw0 = cluster.log_write_stats();
+  const obs::Registry m0 = cluster.Metrics();
 
   std::vector<SimDuration> latencies;
   latencies.reserve(static_cast<size_t>(clients) * ops_per_client);
@@ -95,11 +94,11 @@ CellResult RunCell(bool batching_on, int clients, int ops_per_client, uint64_t s
   }
   double elapsed_sec = static_cast<double>(cluster.sched().Now() - start) / kSec;
 
-  raft::GroupCommitStats gc1 = cluster.group_commit_stats();
-  raft::RaftHost::LogWriteStats lw1 = cluster.log_write_stats();
-  uint64_t batches = gc1.batches - gc0.batches;
-  uint64_t proposals = gc1.proposals - gc0.proposals;
-  uint64_t writes = lw1.append_writes - lw0.append_writes;
+  const obs::Registry m1 = cluster.Metrics();
+  auto delta = [&](std::string_view k) { return m1.counter(k) - m0.counter(k); };
+  uint64_t batches = delta("raft.gc.batches");
+  uint64_t proposals = delta("raft.gc.proposals");
+  uint64_t writes = delta("raft.log.append_writes");
 
   CellResult r;
   r.creates_per_sec = elapsed_sec > 0 ? latencies.size() / elapsed_sec : 0;
@@ -109,7 +108,7 @@ CellResult RunCell(bool batching_on, int clients, int ops_per_client, uint64_t s
                    : static_cast<double>(latencies[latencies.size() / 2]) / kUsec;
   r.avg_batch = batches ? static_cast<double>(proposals) / batches : 0;
   r.writes_per_proposal = proposals ? static_cast<double>(writes) / proposals : 0;
-  r.queue_hwm = gc1.queue_high_watermark;
+  r.queue_hwm = static_cast<uint64_t>(m1.gauge("raft.gc.queue_high_watermark"));
   std::printf(
       "{\"bench\":\"group_commit\",\"batching\":%d,\"clients\":%d,"
       "\"ops\":%zu,\"creates_per_s\":%.1f,\"p50_usec\":%.1f,"

@@ -292,25 +292,11 @@ PhaseResult RunPhase(bool qos_on, uint64_t noisy_cap_mib, uint64_t seed,
 
   // Per-tenant observability: client-side throttle counters (token buckets)
   // and node-side weighted-fair admission queue totals.
-  uint64_t throttle_waits = 0, throttle_usec = 0;
-  std::vector<client::Client*> all_clients = noisy_cs;
-  all_clients.push_back(lat_c);
-  all_clients.push_back(bg_c);
-  for (client::Client* c : all_clients) {
-    for (const auto& [name, m] : c->mounts()) {
-      throttle_waits += m->mount_stats().throttle_waits;
-      throttle_usec += m->mount_stats().throttle_wait_usec;
-    }
-  }
-  uint64_t meta_queued = 0, data_queued = 0;
-  for (int i = 0; i < cluster.num_nodes(); i++) {
-    for (const auto& [t, s] : cluster.meta_node(i)->admission().tenant_stats()) {
-      meta_queued += s.queued;
-    }
-    for (const auto& [t, s] : cluster.data_node(i)->admission().tenant_stats()) {
-      data_queued += s.queued;
-    }
-  }
+  const obs::Registry m = cluster.Metrics();
+  const uint64_t throttle_waits = m.SumCounters("tenant.", ".throttle_waits");
+  const uint64_t throttle_usec = m.SumCounters("tenant.", ".throttle_wait_usec");
+  const uint64_t meta_queued = m.SumCounters("qos.meta.tenant.", ".queued");
+  const uint64_t data_queued = m.SumCounters("qos.data.tenant.", ".queued");
   std::printf(
       "{\"bench\":\"tenancy\",\"qos\":%d,\"bg_volumes\":%d,\"lat_ops\":%llu,"
       "\"lat_p50_usec\":%.1f,\"lat_p99_usec\":%.1f,\"noisy_mib_per_s\":%.1f,"

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       auto ops = FanOutAs<DataOps>(b.data_adapters, procs);
       BenchResult r = RunFio(&b.sched(), FioPattern::kSeqWrite, ops, params);
       double mibps = r.Iops() * kOpBytes / kMiB;
-      const client::ClientStats& st = b.clients[0]->stats();
+      const obs::Registry& st = b.clients[0]->metrics();
       std::printf(
           "{\"bench\":\"write_window\",\"window\":%d,\"procs\":%d,"
           "\"op_bytes\":%llu,\"ops\":%llu,\"iops\":%.1f,\"mib_per_s\":%.1f,"
@@ -52,12 +52,12 @@ int main(int argc, char** argv) {
           "\"suffix_resend_bytes\":%llu}\n",
           w, procs, static_cast<unsigned long long>(kOpBytes),
           static_cast<unsigned long long>(r.ops), r.Iops(), mibps,
-          static_cast<unsigned long long>(st.max_inflight_packets),
-          static_cast<unsigned long long>(st.window_stalls),
-          static_cast<unsigned long long>(st.resends),
-          static_cast<unsigned long long>(st.suffix_resend_bytes));
+          static_cast<unsigned long long>(st.gauge("client.max_inflight_packets")),
+          static_cast<unsigned long long>(st.counter("client.window_stalls")),
+          static_cast<unsigned long long>(st.counter("client.resends")),
+          static_cast<unsigned long long>(st.counter("client.suffix_resend_bytes")));
       mibps_row.push_back(mibps);
-      stall_row.push_back(static_cast<double>(st.window_stalls));
+      stall_row.push_back(static_cast<double>(st.counter("client.window_stalls")));
     }
     PrintHeader("seq write MiB/s (procs=" + std::to_string(procs) + ")", cols);
     PrintRow("CFS", mibps_row);

@@ -11,9 +11,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/cluster.h"
@@ -107,63 +109,42 @@ inline CephBench MakeCephBench(int num_clients, uint64_t seed = 1,
   return b;
 }
 
-/// Per-RPC metric accumulation across bench cells. Every cell constructs a
-/// fresh cluster, so its registries die with the cell: fold them into a
-/// main()-scoped registry before teardown, then dump once at the end.
-inline void AccumulateRpcMetrics(const CfsBench& b, rpc::MetricRegistry* into) {
-  into->MergeFrom(b.cluster->rpc_metrics());
-  for (client::Client* c : b.clients) into->MergeFrom(c->rpc_metrics());
-}
-
-inline void AccumulateRpcMetrics(const CephBench& b, rpc::MetricRegistry* into) {
-  into->MergeFrom(b.cluster->rpc_metrics());
-}
-
-/// One machine-readable line per system: `rpc_metrics <label> {json}`.
-inline void PrintRpcMetrics(const char* label, const rpc::MetricRegistry& reg) {
-  std::printf("rpc_metrics %s %s\n", label, reg.DumpJson().c_str());
-}
-
-/// Cluster-wide counters/gauges filtered to the "net." and "qos."
-/// namespaces, folded across bench cells (each cell tears down its own
-/// cluster, so fold before teardown). Surfaces the rpc-timeout watchdog
-/// accounting (net.rpc_timeout.{cancelled,fired}) and the per-tenant
-/// admission-queue counters/depths next to the latency_quantiles lines.
-inline void AccumulateClusterMetrics(CfsBench& b, obs::Registry* into) {
-  obs::Registry reg = b.cluster->Metrics();
-  for (const auto& [k, v] : reg.counters()) {
-    if (k.rfind("net.", 0) == 0 || k.rfind("qos.", 0) == 0) into->Add(k, v);
+/// Fold the metrics of `from` whose names start with one of `prefixes` into
+/// `into`. Every bench cell tears down its cluster, so main()-scoped
+/// registries accumulate the cells' Cluster::Metrics() (or, for the Ceph
+/// model, HostMetrics()) before teardown and are printed once at the end.
+inline void FoldPrefixes(const obs::Registry& from,
+                         std::initializer_list<std::string_view> prefixes, obs::Registry* into) {
+  auto wanted = [&](const std::string& k) {
+    for (std::string_view p : prefixes) {
+      if (k.rfind(p, 0) == 0) return true;
+    }
+    return false;
+  };
+  for (const auto& [k, v] : from.counters()) {
+    if (wanted(k)) into->Add(k, v);
   }
-  for (const auto& [k, v] : reg.gauges()) {
-    if (k.rfind("net.", 0) == 0 || k.rfind("qos.", 0) == 0) into->SetMax(k, v);
+  for (const auto& [k, v] : from.gauges()) {
+    if (wanted(k)) into->SetMax(k, v);
+  }
+  for (const auto& [k, h] : from.histograms()) {
+    if (wanted(k)) into->Hist(k).MergeFrom(h);
   }
 }
 
-/// One machine-readable line per bench: `cluster_metrics <label> {json}`.
-inline void PrintClusterMetrics(const char* label, const obs::Registry& reg) {
-  std::printf("cluster_metrics %s %s\n", label, reg.DumpJson().c_str());
+/// Every host registry of a simulated network, merged.
+inline obs::Registry HostMetrics(sim::Network& net) {
+  obs::Registry reg;
+  for (sim::NodeId id = 1; id <= net.num_hosts(); id++) reg.MergeFrom(net.host(id)->metrics());
+  return reg;
 }
 
-/// One machine-readable line with the cluster-wide group-commit counters
-/// (raft proposal batching) and leader log-write accounting: how many
-/// proposals shared each log flush, and what that did to WAL write counts.
-inline void PrintGroupCommitStats(const char* label, const harness::Cluster& cluster) {
-  raft::GroupCommitStats gc = cluster.group_commit_stats();
-  raft::RaftHost::LogWriteStats lw = cluster.log_write_stats();
-  double avg_batch = gc.batches ? static_cast<double>(gc.proposals) / gc.batches : 0.0;
-  std::printf(
-      "group_commit %s {\"batches\":%llu,\"proposals\":%llu,\"avg_batch\":%.2f,"
-      "\"max_batch\":%llu,\"queue_high_watermark\":%llu,\"batched_bytes\":%llu,"
-      "\"log_append_writes\":%llu,\"log_appended_entries\":%llu,"
-      "\"log_persisted_bytes\":%llu}\n",
-      label, static_cast<unsigned long long>(gc.batches),
-      static_cast<unsigned long long>(gc.proposals), avg_batch,
-      static_cast<unsigned long long>(gc.max_batch),
-      static_cast<unsigned long long>(gc.queue_high_watermark),
-      static_cast<unsigned long long>(gc.batched_bytes),
-      static_cast<unsigned long long>(lw.append_writes),
-      static_cast<unsigned long long>(lw.appended_entries),
-      static_cast<unsigned long long>(lw.persisted_bytes));
+/// One machine-readable line: `<kind> <label> {registry json}`. Kinds:
+/// rpc_metrics ("rpc.*"), group_commit ("raft.gc.*" + "raft.log.*"),
+/// cluster_metrics ("net.*" + "qos.*").
+inline void PrintMetricsLine(const char* kind, const std::string& label,
+                             const obs::Registry& reg) {
+  std::printf("%s %s %s\n", kind, label.c_str(), reg.DumpJson().c_str());
 }
 
 /// Simulator-throughput reporter: constructed at the top of a bench main, it

@@ -45,7 +45,7 @@ int main() {
         BenchResult r = RunSmallFiles(&b.sched(), test, kb * kKiB, meta, data, kFilesPerProc);
         cfs_row.push_back(r.Iops());
         cfs_lat.MergeFrom(r.latency);
-        AccumulateClusterMetrics(b, &cfs_cluster_metrics);
+        FoldPrefixes(b.cluster->Metrics(), {"net.", "qos."}, &cfs_cluster_metrics);
       }
       {
         CephBench b = MakeCephBench(kClients, /*seed=*/41 + kb, {}, /*nic_mib=*/1170);
@@ -66,7 +66,7 @@ int main() {
     PrintLatencyQuantiles(std::string("cfs:") + name, cfs_lat);
     PrintLatencyQuantiles(std::string("ceph:") + name, ceph_lat);
   }
-  PrintClusterMetrics("cfs", cfs_cluster_metrics);
+  PrintMetricsLine("cluster_metrics", "cfs", cfs_cluster_metrics);
   wallclock.Print();
   return 0;
 }

@@ -25,8 +25,7 @@ int main() {
   std::printf("(IOPS in simulated time; paper shape: Ceph ahead at 1 proc in most tests,\n");
   std::printf(" CFS catches up and passes as processes increase)\n");
 
-  rpc::MetricRegistry cfs_rpc_metrics, ceph_rpc_metrics;
-  obs::Registry cfs_cluster_metrics;
+  obs::Registry cfs_rpc_metrics, ceph_rpc_metrics, cfs_cluster_metrics;
   for (MdTest test : kTests) {
     PrintHeader(std::string(MdTestName(test)) + " (1 client)",
                 {"procs=1", "procs=4", "procs=16", "procs=64"});
@@ -42,8 +41,9 @@ int main() {
         BenchResult r = RunMdtest(&b.sched(), test, ops, params);
         cfs_row.push_back(r.Iops());
         cfs_lat.MergeFrom(r.latency);
-        AccumulateRpcMetrics(b, &cfs_rpc_metrics);
-        AccumulateClusterMetrics(b, &cfs_cluster_metrics);
+        const obs::Registry m = b.cluster->Metrics();
+        FoldPrefixes(m, {"rpc."}, &cfs_rpc_metrics);
+        FoldPrefixes(m, {"net.", "qos."}, &cfs_cluster_metrics);
       }
       {
         CephBench b = MakeCephBench(1, /*seed=*/7 + procs);
@@ -51,7 +51,7 @@ int main() {
         BenchResult r = RunMdtest(&b.sched(), test, ops, params);
         ceph_row.push_back(r.Iops());
         ceph_lat.MergeFrom(r.latency);
-        AccumulateRpcMetrics(b, &ceph_rpc_metrics);
+        FoldPrefixes(HostMetrics(*b.net), {"rpc."}, &ceph_rpc_metrics);
       }
     }
     PrintRow("CFS", cfs_row);
@@ -64,9 +64,9 @@ int main() {
     PrintLatencyQuantiles(std::string("cfs:") + MdTestName(test), cfs_lat);
     PrintLatencyQuantiles(std::string("ceph:") + MdTestName(test), ceph_lat);
   }
-  PrintRpcMetrics("cfs", cfs_rpc_metrics);
-  PrintRpcMetrics("ceph", ceph_rpc_metrics);
-  PrintClusterMetrics("cfs", cfs_cluster_metrics);
+  PrintMetricsLine("rpc_metrics", "cfs", cfs_rpc_metrics);
+  PrintMetricsLine("rpc_metrics", "ceph", ceph_rpc_metrics);
+  PrintMetricsLine("cluster_metrics", "cfs", cfs_cluster_metrics);
   wallclock.Print();
   return 0;
 }

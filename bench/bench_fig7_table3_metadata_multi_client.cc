@@ -62,10 +62,13 @@ int main() {
     // How much the meta-partition leaders batched under this client count
     // (proposal batching is the consensus-path lever behind the multi-client
     // mutation numbers; see bench_ablation_group_commit for the ablation).
-    PrintGroupCommitStats(("clients=" + std::to_string(clients)).c_str(), *cfs.cluster);
-    AccumulateClusterMetrics(cfs, &cfs_cluster_metrics);
+    const obs::Registry m = cfs.cluster->Metrics();
+    obs::Registry gc;
+    FoldPrefixes(m, {"raft.gc.", "raft.log."}, &gc);
+    PrintMetricsLine("group_commit", "clients=" + std::to_string(clients), gc);
+    FoldPrefixes(m, {"net.", "qos."}, &cfs_cluster_metrics);
   }
-  PrintClusterMetrics("cfs", cfs_cluster_metrics);
+  PrintMetricsLine("cluster_metrics", "cfs", cfs_cluster_metrics);
 
   std::vector<double> table3_cfs, table3_ceph;
   for (MdTest test : kTests) {

@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> cols;
   for (int p : kProcs) cols.push_back("p=" + std::to_string(p));
 
-  rpc::MetricRegistry cfs_rpc_metrics, ceph_rpc_metrics;
-  obs::Registry cfs_cluster_metrics;
+  obs::Registry cfs_rpc_metrics, ceph_rpc_metrics, cfs_cluster_metrics;
   for (FioPattern pattern : kPatterns) {
     PrintHeader(std::string(FioPatternName(pattern)) + " (1 client)", cols);
     bool rand = pattern == FioPattern::kRandWrite || pattern == FioPattern::kRandRead;
@@ -56,8 +55,9 @@ int main(int argc, char** argv) {
         BenchResult r = RunFio(&b.sched(), pattern, ops, params);
         cfs_row.push_back(r.Iops());
         cfs_lat.MergeFrom(r.latency);
-        AccumulateRpcMetrics(b, &cfs_rpc_metrics);
-        AccumulateClusterMetrics(b, &cfs_cluster_metrics);
+        const obs::Registry m = b.cluster->Metrics();
+        FoldPrefixes(m, {"rpc."}, &cfs_rpc_metrics);
+        FoldPrefixes(m, {"net.", "qos."}, &cfs_cluster_metrics);
       }
       {
         CephBench b = MakeCephBench(1, /*seed=*/23 + procs, {}, /*nic_mib=*/1170);
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
         BenchResult r = RunFio(&b.sched(), pattern, ops, params);
         ceph_row.push_back(r.Iops());
         ceph_lat.MergeFrom(r.latency);
-        AccumulateRpcMetrics(b, &ceph_rpc_metrics);
+        FoldPrefixes(HostMetrics(*b.net), {"rpc."}, &ceph_rpc_metrics);
       }
     }
     PrintRow("CFS", cfs_row);
@@ -78,9 +78,9 @@ int main(int argc, char** argv) {
     PrintLatencyQuantiles(std::string("cfs:") + FioPatternName(pattern), cfs_lat);
     PrintLatencyQuantiles(std::string("ceph:") + FioPatternName(pattern), ceph_lat);
   }
-  PrintRpcMetrics("cfs", cfs_rpc_metrics);
-  PrintRpcMetrics("ceph", ceph_rpc_metrics);
-  PrintClusterMetrics("cfs", cfs_cluster_metrics);
+  PrintMetricsLine("rpc_metrics", "cfs", cfs_rpc_metrics);
+  PrintMetricsLine("rpc_metrics", "ceph", ceph_rpc_metrics);
+  PrintMetricsLine("cluster_metrics", "cfs", cfs_cluster_metrics);
 
   // Traced 1 MiB append on a fresh (idle) cluster: the per-stage breakdown
   // of one end-to-end write through the sliding-window pipeline. Tracing is

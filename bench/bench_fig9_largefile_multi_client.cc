@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
         BenchResult r = RunFio(&b.sched(), pattern, ops, params);
         cfs_row.push_back(r.Iops());
         cfs_lat.MergeFrom(r.latency);
-        AccumulateClusterMetrics(b, &cfs_cluster_metrics);
+        FoldPrefixes(b.cluster->Metrics(), {"net.", "qos."}, &cfs_cluster_metrics);
       }
       if (!smoke) {
         CephBench b = MakeCephBench(clients, /*seed=*/31 + clients, {}, /*nic_mib=*/1170);
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
       PrintLatencyQuantiles(std::string("ceph:") + FioPatternName(pattern), ceph_lat);
     }
   }
-  PrintClusterMetrics("cfs", cfs_cluster_metrics);
+  PrintMetricsLine("cluster_metrics", "cfs", cfs_cluster_metrics);
   wallclock.Print();
   return 0;
 }

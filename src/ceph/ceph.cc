@@ -236,7 +236,7 @@ Task<MdsResp> Mds::Handle(MdsReq req) {
 // --- CephCluster ------------------------------------------------------------------
 
 CephCluster::CephCluster(sim::Scheduler* sched, sim::Network* net, const CephOptions& opts)
-    : sched_(sched), net_(net), opts_(opts), channel_(net, &rpc_metrics_) {
+    : sched_(sched), net_(net), opts_(opts), channel_(net) {
   for (int i = 0; i < opts_.num_nodes; i++) {
     sim::HostOptions ho;
     ho.num_disks = opts_.osds_per_node;

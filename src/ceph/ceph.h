@@ -31,7 +31,6 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "rpc/channel.h"
-#include "rpc/metrics.h"
 #include "sim/network.h"
 #include "sim/task.h"
 
@@ -218,9 +217,9 @@ class CephCluster {
   sim::Network* net() { return net_; }
   sim::Scheduler* sched() { return sched_; }
   /// Metered channel all Ceph-model RPC legs go through (MDS forwards, OSD
-  /// replication, client calls). One registry for the whole model cluster.
+  /// replication, client calls); each leg lands in its sending host's
+  /// registry.
   rpc::Channel* channel() { return &channel_; }
-  const rpc::MetricRegistry& rpc_metrics() const { return rpc_metrics_; }
 
   /// Authority MDS index for a directory (hash placement + rebalancing
   /// moves). Clients use this to route; stale routes get proxied.
@@ -248,7 +247,6 @@ class CephCluster {
   sim::Scheduler* sched_;
   sim::Network* net_;
   CephOptions opts_;
-  rpc::MetricRegistry rpc_metrics_;
   rpc::Channel channel_;
   std::vector<sim::Host*> hosts_;
   std::vector<std::unique_ptr<Mds>> mds_;

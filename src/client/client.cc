@@ -24,35 +24,38 @@ rpc::RetryPolicy WithTimeout(rpc::RetryPolicy p, SimDuration timeout) {
 
 MountContext::MountContext(sim::Network* net, sim::Host* host,
                            std::vector<sim::NodeId> masters, const ClientOptions* opts,
-                           ClientStats* stats, rpc::MetricRegistry* metrics,
                            rpc::Channel* channel, std::string volume_name)
     : net_(net),
       host_(host),
       opts_(opts),
-      stats_(stats),
       channel_(channel),
-      router_(net->scheduler(), std::move(masters)),
-      master_svc_(net, host->id(), &router_, metrics,
-                  WithTimeout(opts->control_policy, opts->rpc_timeout)),
-      meta_svc_(net, host->id(), &router_, metrics,
-                WithTimeout(opts->control_policy, opts->rpc_timeout)),
-      data_svc_(net, host->id(), &router_, metrics,
-                WithTimeout(opts->data_policy, opts->rpc_timeout)),
-      volume_name_(std::move(volume_name)) {
-  master_svc_.set_rpc_counter(&stats_->master_rpcs);
-  meta_svc_.set_rpc_counter(&stats_->meta_rpcs);
-  data_svc_.set_rpc_counter(&stats_->data_rpcs);
+      data_rpcs_(host->metrics().Counter("client.data_rpcs")),
+      cache_hits_(host->metrics().Counter("client.cache_hits")),
+      cache_misses_(host->metrics().Counter("client.cache_misses")),
+      resends_(host->metrics().Counter("client.resends")),
+      suffix_resend_bytes_(host->metrics().Counter("client.suffix_resend_bytes")),
+      orphans_created_(host->metrics().Counter("client.orphans_created")),
+      window_stalls_(host->metrics().Counter("client.window_stalls")),
+      max_inflight_packets_(host->metrics().Gauge("client.max_inflight_packets")),
+      parallel_read_fanouts_(host->metrics().Counter("client.parallel_read_fanouts")),
+      router_(net->scheduler(), std::move(masters), host->metrics()),
+      master_svc_(net, host->id(), &router_,
+                  WithTimeout(opts->control_policy, opts->rpc_timeout), "client.master_rpcs"),
+      meta_svc_(net, host->id(), &router_,
+                WithTimeout(opts->control_policy, opts->rpc_timeout), "client.meta_rpcs"),
+      data_svc_(net, host->id(), &router_, WithTimeout(opts->data_policy, opts->rpc_timeout),
+                "client.data_rpcs"),
+      volume_name_(std::move(volume_name)),
+      inode_cache_(host->metrics().Counter("client.inode_cache_evictions")),
+      readdir_cache_(host->metrics().Counter("client.readdir_cache_evictions")) {
   meta_svc_.set_refresh([this] { return RefreshVolume(); });
   data_svc_.set_refresh([this] { return RefreshVolume(); });
   meta_svc_.set_timeout_report(
       [this](PartitionId pid) { return ReportFailure(pid, /*is_meta=*/true); });
   data_svc_.set_timeout_report(
       [this](PartitionId pid) { return ReportFailure(pid, /*is_meta=*/false); });
-  router_.BindCounters(&stats_->leader_cache_hits, &stats_->leader_probes);
   inode_cache_.set_capacity(opts_->metadata_cache_max_entries);
-  inode_cache_.set_eviction_counter(&stats_->inode_cache_evictions);
   readdir_cache_.set_capacity(opts_->metadata_cache_max_entries);
-  readdir_cache_.set_eviction_counter(&stats_->readdir_cache_evictions);
 }
 
 // --- Volume views (non-persistent master connections, §2.5.2) ----------------
@@ -82,6 +85,12 @@ sim::Task<Status> MountContext::RefreshVolume() {
     master_svc_.set_tenant(tenant_);
     meta_svc_.set_tenant(tenant_);
     data_svc_.set_tenant(tenant_);
+    obs::Registry& reg = host_->metrics();
+    const std::string p = "tenant." + std::to_string(tenant_) + ".";
+    tenant_ops_ = &reg.Counter(p + "ops");
+    throttle_waits_ = &reg.Counter(p + "throttle_waits");
+    throttle_wait_usec_ = &reg.Counter(p + "throttle_wait_usec");
+    refresh_failures_ = &reg.Counter(p + "refresh_failures");
   }
   qos_ = r->qos;
   ApplyQos();
@@ -106,8 +115,8 @@ sim::Task<void> MountContext::Throttle(uint64_t bytes) {
   SimDuration d = iops_bucket_.Reserve(1, now);
   if (bytes > 0) d = std::max(d, bytes_bucket_.Reserve(bytes, now));
   if (d > 0) {
-    mstats_.throttle_waits++;
-    mstats_.throttle_wait_usec += static_cast<uint64_t>(d);
+    (*throttle_waits_)++;
+    *throttle_wait_usec_ += static_cast<uint64_t>(d);
     co_await sim::SleepFor{sched(), d};
   }
 }
@@ -127,7 +136,7 @@ Task<void> MountContext::RefreshLoop(uint64_t gen) {
     if (st.ok()) {
       backoff.Reset();
     } else {
-      mstats_.refresh_failures++;
+      (*refresh_failures_)++;
       (void)backoff.NextAttempt();
       co_await backoff.Delay();
     }
@@ -158,7 +167,7 @@ const Inode* MountContext::CachedInode(InodeId ino) {
 sim::Task<Result<Inode>> MountContext::Create(InodeId parent, std::string name,
                                               FileType type, std::string symlink_target) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  mstats_.ops++;
+  (*tenant_ops_)++;
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   const rpc::Deadline dl = OpDeadline();
@@ -247,7 +256,7 @@ sim::Task<Result<Inode>> MountContext::Create(InodeId parent, std::string name,
     (void)co_await MetaCall<meta::MetaUnlinkInodeReq, meta::MetaUnlinkInodeResp>(
         ino_pid, meta::MetaUnlinkInodeReq{ino_pid, inode.id}, dl, op.ctx());
     orphans_.emplace_back(ino_pid, inode.id);
-    stats_->orphans_created++;
+    orphans_created_++;
     co_return dstatus;
   }
   CacheInode(inode);
@@ -257,7 +266,7 @@ sim::Task<Result<Inode>> MountContext::Create(InodeId parent, std::string name,
 
 sim::Task<Status> MountContext::Link(InodeId parent, std::string name, InodeId ino) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  mstats_.ops++;
+  (*tenant_ops_)++;
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   const rpc::Deadline dl = OpDeadline();
@@ -312,7 +321,7 @@ sim::Task<Status> MountContext::Link(InodeId parent, std::string name, InodeId i
 
 sim::Task<Status> MountContext::Unlink(InodeId parent, std::string name) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  mstats_.ops++;
+  (*tenant_ops_)++;
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   const rpc::Deadline dl = OpDeadline();
@@ -369,7 +378,7 @@ sim::Task<Status> MountContext::Rename(InodeId old_parent, std::string old_name,
 
 sim::Task<Result<Dentry>> MountContext::Lookup(InodeId parent, std::string name) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  mstats_.ops++;
+  (*tenant_ops_)++;
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   // Serve from a fresh readdir cache when possible.
@@ -378,13 +387,13 @@ sim::Task<Result<Dentry>> MountContext::Lookup(InodeId parent, std::string name)
             readdir_cache_.Find(parent, sched().Now(), opts_->metadata_cache_ttl)) {
       for (const auto& d : *dents) {
         if (d.name == name) {
-          stats_->cache_hits++;
+          cache_hits_++;
           co_return d;
         }
       }
     }
   }
-  stats_->cache_misses++;
+  cache_misses_++;
   obs::SpanScope op = BeginOp("op:lookup");
   MetaPartitionView* pview = MetaViewForInode(parent);
   if (!pview) co_return Status::NotFound("parent partition");
@@ -398,14 +407,14 @@ sim::Task<Result<Dentry>> MountContext::Lookup(InodeId parent, std::string name)
 
 sim::Task<Result<Inode>> MountContext::GetInode(InodeId ino) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  mstats_.ops++;
+  (*tenant_ops_)++;
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   if (const Inode* cached = CachedInode(ino)) {
-    stats_->cache_hits++;
+    cache_hits_++;
     co_return *cached;
   }
-  stats_->cache_misses++;
+  cache_misses_++;
   obs::SpanScope op = BeginOp("op:getinode");
   MetaPartitionView* view = MetaViewForInode(ino);
   if (!view) co_return Status::NotFound("inode partition");
@@ -419,17 +428,17 @@ sim::Task<Result<Inode>> MountContext::GetInode(InodeId ino) {
 
 sim::Task<Result<std::vector<Dentry>>> MountContext::ReadDir(InodeId parent) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  mstats_.ops++;
+  (*tenant_ops_)++;
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   if (opts_->enable_metadata_cache) {
     if (const std::vector<Dentry>* dents =
             readdir_cache_.Find(parent, sched().Now(), opts_->metadata_cache_ttl)) {
-      stats_->cache_hits++;
+      cache_hits_++;
       co_return *dents;
     }
   }
-  stats_->cache_misses++;
+  cache_misses_++;
   obs::SpanScope op = BeginOp("op:readdir");
   MetaPartitionView* pview = MetaViewForInode(parent);
   if (!pview) co_return Status::NotFound("parent partition");
@@ -458,7 +467,7 @@ sim::Task<Result<std::vector<std::pair<Dentry, Inode>>>> MountContext::ReadDirPl
   for (const auto& d : *dentries) {
     by_ino[d.inode] = &d;
     if (const Inode* cached = CachedInode(d.inode)) {
-      stats_->cache_hits++;
+      cache_hits_++;
       out.emplace_back(d, *cached);
       continue;
     }
@@ -466,7 +475,7 @@ sim::Task<Result<std::vector<std::pair<Dentry, Inode>>>> MountContext::ReadDirPl
     if (view) missing[view->pid].push_back(d.inode);
   }
   for (auto& [pid, inos] : missing) {
-    stats_->cache_misses++;
+    cache_misses_++;
     meta::MetaBatchInodeGetReq req{pid, inos};
     auto r = co_await MetaCall<meta::MetaBatchInodeGetReq, meta::MetaBatchInodeGetResp>(
         pid, std::move(req), dl, op.ctx());
@@ -495,7 +504,7 @@ sim::Task<void> MountContext::EvictOrphans() {
 
 sim::Task<Status> MountContext::Open(InodeId ino) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  mstats_.ops++;
+  (*tenant_ops_)++;
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   // "When a file is opened for read/write, the client will force the cached
@@ -746,7 +755,7 @@ sim::Task<Status> MountContext::AppendData(OpenFile& of, uint64_t file_offset,
     int64_t packets = 0, session_stalls = 0, max_occupancy = 0;
     while (send_pos < data.size() && next_off < extent_limit && !ctl->failed) {
       if (co_await ctl->sem.Acquire()) {
-        stats_->window_stalls++;
+        window_stalls_++;
         session_stalls++;
       }
       if (ctl->failed) {
@@ -766,9 +775,9 @@ sim::Task<Status> MountContext::AppendData(OpenFile& of, uint64_t file_offset,
       ctl->inflight++;
       packets++;
       max_occupancy = std::max<int64_t>(max_occupancy, ctl->inflight);
-      stats_->max_inflight_packets =
-          std::max<uint64_t>(stats_->max_inflight_packets, ctl->inflight);
-      stats_->data_rpcs++;
+      max_inflight_packets_ =
+          std::max<int64_t>(max_inflight_packets_, static_cast<int64_t>(ctl->inflight));
+      data_rpcs_++;
       Spawn(SendWindowPacket(channel_, host_->id(), target,
                              dl.ClampTimeout(sched().Now(), opts_->rpc_timeout), ctl,
                              std::move(pkt), pkt_parent));
@@ -813,8 +822,8 @@ sim::Task<Status> MountContext::AppendData(OpenFile& of, uint64_t file_offset,
     if (ctl->failed) {
       // §2.2.5: "the client will resend a write request for the remaining
       // k−p MB data to the extents in different data partitions/nodes."
-      stats_->resends++;
-      stats_->suffix_resend_bytes += next_off - committed_end;
+      resends_++;
+      suffix_resend_bytes_ += next_off - committed_end;
       avoid_pid = of.append_pid;
       of.append_pid = 0;
       of.append_extent = 0;
@@ -857,7 +866,7 @@ sim::Task<Status> MountContext::OverwriteData(OpenFile& of, uint64_t offset,
 
 sim::Task<Status> MountContext::Write(InodeId ino, uint64_t offset, Buffer buf) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  mstats_.ops++;
+  (*tenant_ops_)++;
   if (ThrottleEnabled()) co_await Throttle(buf.size());
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   const rpc::Deadline dl = OpDeadline();
@@ -897,7 +906,7 @@ sim::Task<Status> MountContext::Write(InodeId ino, uint64_t offset, Buffer buf) 
 
 sim::Task<Result<Buffer>> MountContext::Read(InodeId ino, uint64_t offset, uint64_t len) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  mstats_.ops++;
+  (*tenant_ops_)++;
   if (ThrottleEnabled()) co_await Throttle(len);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   const rpc::Deadline dl = OpDeadline();
@@ -962,7 +971,7 @@ sim::Task<Result<Buffer>> MountContext::Read(InodeId ino, uint64_t offset, uint6
   // Multi-extent read: fan the per-extent ReadExtentReqs out concurrently and
   // stitch the pieces into `out` (alive across the join — this frame owns it).
   if (!pieces.empty()) {
-    stats_->parallel_read_fanouts++;
+    parallel_read_fanouts_++;
     op.Note("fanout", static_cast<int64_t>(pieces.size()));
     std::vector<Status> piece_status(pieces.size(), Status::OK());
     sim::Join join(&sched(), static_cast<int>(pieces.size()));
@@ -1009,7 +1018,7 @@ void MountContext::InjectPreparedFile(InodeId ino, std::vector<ExtentKey> keys,
 
 sim::Task<Status> MountContext::Truncate(InodeId ino, uint64_t new_size) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  mstats_.ops++;
+  (*tenant_ops_)++;
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   obs::SpanScope op = BeginOp("op:truncate");
@@ -1037,7 +1046,7 @@ Client::Client(sim::Network* net, sim::Host* host, std::vector<sim::NodeId> mast
       host_(host),
       masters_(std::move(masters)),
       opts_(opts),
-      channel_(net, &rpc_metrics_) {}
+      channel_(net) {}
 
 sim::Task<Status> Client::Mount(std::string volume) {
   return MountImpl(std::move(volume));
@@ -1060,8 +1069,7 @@ sim::Task<Result<MountContext*>> Client::MountVolumeImpl(std::string volume) {
     if (default_mount_ == nullptr) default_mount_ = existing;
     co_return existing;
   }
-  auto ctx = std::make_unique<MountContext>(net_, host_, masters_, &opts_, &stats_,
-                                            &rpc_metrics_, &channel_, volume);
+  auto ctx = std::make_unique<MountContext>(net_, host_, masters_, &opts_, &channel_, volume);
   MountContext* raw = ctx.get();
   Status st = co_await raw->Mount();
   if (!st.ok()) co_return st;
@@ -1095,11 +1103,6 @@ void Client::UnmountAll() {
 MountContext* Client::mount(const std::string& volume) {
   auto it = mounts_.find(volume);
   return it == mounts_.end() ? nullptr : it->second.get();
-}
-
-const rpc::RouterStats& Client::router_stats() const {
-  static const rpc::RouterStats kEmpty{};
-  return default_mount_ ? default_mount_->router_stats() : kEmpty;
 }
 
 // --- Default-mount delegation ---------------------------------------------------

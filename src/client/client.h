@@ -6,8 +6,9 @@
 // per-volume state — the volume view, partition/leader caches, metadata
 // caches, open files, orphan list, the refresh loop, and the QoS token
 // buckets — lives in an explicit MountContext. The Client itself keeps only
-// what is genuinely per-host: the metered channel, the per-RPC metric
-// registry, and the aggregate ClientStats. Mount/Unmount are first-class;
+// what is genuinely per-host: the metered channel. Every counter goes to the
+// client host's registry ("client.*", "rpc.*", "router.*", and the
+// per-mount "tenant.<id>.*" slice). Mount/Unmount are first-class;
 // unmounting stops the mount's refresh loop (its coroutine observes the
 // generation bump at the next wakeup) and retires the context — it stays
 // alive until the Client dies so detached coroutines started under it
@@ -22,7 +23,7 @@
 //
 // All RPC goes through the typed stubs in src/rpc: routing and leader
 // caching live in rpc::Router, retries/backoff in rpc::RetryPolicy, and
-// every leg is metered into a per-client rpc::MetricRegistry. The mount
+// every leg is metered into the client host's registry. The mount
 // context itself only keeps the workflow logic: what to call, in what
 // order, and how to compensate on failure.
 //
@@ -48,7 +49,6 @@
 #include "meta/messages.h"
 #include "qos/qos.h"
 #include "rpc/deadline.h"
-#include "rpc/metrics.h"
 #include "rpc/retry_policy.h"
 #include "rpc/router.h"
 #include "rpc/service.h"
@@ -103,43 +103,16 @@ struct ClientOptions {
   SimDuration client_cpu_per_op = 6;
 };
 
-struct ClientStats {
-  uint64_t meta_rpcs = 0;
-  uint64_t data_rpcs = 0;
-  uint64_t master_rpcs = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t inode_cache_evictions = 0;    // LRU-capacity evictions
-  uint64_t readdir_cache_evictions = 0;  // LRU-capacity evictions
-  uint64_t leader_cache_hits = 0;
-  uint64_t leader_probes = 0;
-  uint64_t resends = 0;           // §2.2.5 suffix resends
-  uint64_t orphans_created = 0;   // create workflows that failed after inode
-  // --- Write-pipeline observability ---
-  uint64_t window_stalls = 0;         // writer blocked on a full window
-  uint64_t max_inflight_packets = 0;  // high-watermark of in-flight packets
-  uint64_t suffix_resend_bytes = 0;   // bytes re-sent to a fresh extent (§2.2.5)
-  uint64_t parallel_read_fanouts = 0; // reads that fanned out to >1 extent
-};
-
-/// Per-mount counters, sliced out of the aggregate ClientStats so
-/// multi-tenant fairness is observable per volume.
-struct MountStats {
-  uint64_t ops = 0;                 // public operations issued on this mount
-  uint64_t throttle_waits = 0;      // ops delayed by the mount's token buckets
-  uint64_t throttle_wait_usec = 0;  // total virtual time spent throttled
-  uint64_t refresh_failures = 0;    // background view refreshes that failed
-};
-
 /// Bounded metadata cache: TTL on read plus an LRU capacity cap. Ordered
 /// containers only (determinism lint R2); recency is a monotonic sequence
-/// number, refreshed on Put and on hit. Capacity evictions bump an external
-/// counter (ClientStats) when one is attached.
+/// number, refreshed on Put and on hit. Capacity evictions bump `evictions`
+/// (a registry counter).
 template <typename K, typename V>
 class LruTtlCache {
  public:
+  explicit LruTtlCache(uint64_t& evictions) : evictions_(evictions) {}
+
   void set_capacity(size_t cap) { cap_ = cap; }
-  void set_eviction_counter(uint64_t* c) { eviction_counter_ = c; }
   size_t size() const { return map_.size(); }
 
   /// Insert or overwrite; evicts the least-recently-used entry when full.
@@ -191,22 +164,22 @@ class LruTtlCache {
     auto oldest = lru_.begin();
     map_.erase(oldest->second);
     lru_.erase(oldest);
-    if (eviction_counter_) (*eviction_counter_)++;
+    evictions_++;
   }
 
   size_t cap_ = 0;  // 0 = unbounded
   std::map<K, Entry> map_;
   std::map<uint64_t, K> lru_;  // seq -> key, oldest first
   uint64_t next_seq_ = 0;
-  uint64_t* eviction_counter_ = nullptr;
+  uint64_t& evictions_;
 };
 
 /// All state and workflow logic of ONE mounted volume. Owns the volume's
 /// Router (views + leader caches), typed service stubs (tenant-labeled once
 /// the mount resolves its VolumeId), metadata caches, open-file table,
 /// orphan list, refresh loop, and QoS token buckets. Shares the owning
-/// Client's ClientStats / MetricRegistry / raw channel, so aggregate
-/// per-client accounting is unchanged by the multi-mount refactor.
+/// Client's raw channel; its counters land in the client host's registry, so
+/// "client.*" stays a per-host aggregate over mounts.
 ///
 /// Lifetime: created by Client::MountVolume and owned by the Client until
 /// the Client dies — Unmount only deactivates it (stops the refresh loop,
@@ -216,9 +189,7 @@ class LruTtlCache {
 class MountContext {
  public:
   MountContext(sim::Network* net, sim::Host* host, std::vector<sim::NodeId> masters,
-               const ClientOptions* opts, ClientStats* stats,
-               rpc::MetricRegistry* metrics, rpc::Channel* channel,
-               std::string volume_name);
+               const ClientOptions* opts, rpc::Channel* channel, std::string volume_name);
 
   MountContext(const MountContext&) = delete;
   MountContext& operator=(const MountContext&) = delete;
@@ -234,8 +205,6 @@ class MountContext {
   /// Tenant label = VolumeId, resolved at mount (0 before the first view).
   uint64_t tenant() const { return tenant_; }
   const master::VolumeQos& qos() const { return qos_; }
-  const MountStats& mount_stats() const { return mstats_; }
-  const rpc::RouterStats& router_stats() const { return router_.stats(); }
 
   // --- Metadata operations (Fig. 3 workflows) ---
 
@@ -408,12 +377,23 @@ class MountContext {
   sim::Network* net_;
   sim::Host* host_;
   const ClientOptions* opts_;
-  ClientStats* stats_;    // shared with the owning Client (aggregate)
   rpc::Channel* channel_; // shared raw channel (window-packet path)
 
+  // Client workflow counters in the host registry, shared by every mount on
+  // this host. (Leg counts "client.{master,meta,data}_rpcs" are bumped by
+  // the stubs; cache evictions by the caches.)
+  uint64_t& data_rpcs_;              // window packets bypass the data stub
+  uint64_t& cache_hits_;
+  uint64_t& cache_misses_;
+  uint64_t& resends_;                // §2.2.5 suffix resends
+  uint64_t& suffix_resend_bytes_;    // bytes re-sent to a fresh extent
+  uint64_t& orphans_created_;        // create workflows that failed after inode
+  uint64_t& window_stalls_;          // writer blocked on a full window
+  int64_t& max_inflight_packets_;    // high-watermark of in-flight packets
+  uint64_t& parallel_read_fanouts_;  // reads that fanned out to >1 extent
+
   // RPC service layer of THIS mount: one Router (views + leader caches +
-  // writability marks) and typed stubs, metering into the client's shared
-  // registry.
+  // writability marks) and typed stubs.
   rpc::Router router_;
   rpc::MasterService master_svc_;
   rpc::MetaService meta_svc_;
@@ -429,7 +409,12 @@ class MountContext {
   master::VolumeQos qos_;
   qos::TokenBucket iops_bucket_;
   qos::TokenBucket bytes_bucket_;
-  MountStats mstats_;
+  // This mount's slice "tenant.<id>.*", resolved when the tenant id is
+  // first learned (before the mount serves any op).
+  uint64_t* tenant_ops_ = nullptr;
+  uint64_t* throttle_waits_ = nullptr;
+  uint64_t* throttle_wait_usec_ = nullptr;
+  uint64_t* refresh_failures_ = nullptr;
 
   LruTtlCache<InodeId, Inode> inode_cache_;
   LruTtlCache<InodeId, std::vector<Dentry>> readdir_cache_;
@@ -438,8 +423,8 @@ class MountContext {
   std::vector<std::pair<PartitionId, InodeId>> orphans_;
 };
 
-/// Multi-mount client shell. Holds per-host shared state (channel, metric
-/// registry, aggregate stats) plus a map of named MountContexts. The
+/// Multi-mount client shell. Holds per-host shared state (the channel; the
+/// host's registry has the counters) plus a map of named MountContexts. The
 /// single-volume API (Mount + ops without a mount handle) operates on the
 /// DEFAULT mount — the first volume mounted — and is bit-compatible with the
 /// pre-refactor single-volume client.
@@ -475,15 +460,11 @@ class Client {
   size_t num_mounts() const { return mounts_.size(); }
 
   bool mounted() const { return default_mount_ != nullptr && default_mount_->mounted(); }
-  const ClientStats& stats() const { return stats_; }
-  ClientStats& mutable_stats() { return stats_; }
   const ClientOptions& options() const { return opts_; }
 
-  /// Per-RPC outcome/latency metrics for every leg this client issued.
-  const rpc::MetricRegistry& rpc_metrics() const { return rpc_metrics_; }
-  /// Leader-cache behaviour of the default mount's Router (hits, probes,
-  /// invalidations, redirects).
-  const rpc::RouterStats& router_stats() const;
+  /// The client host's registry: "client.*" workflow counters, "rpc.*" legs,
+  /// "router.*" leader-cache behaviour and each mount's "tenant.<id>.*".
+  const obs::Registry& metrics() const { return host_->metrics(); }
 
   // --- Default-mount operation API (see MountContext for semantics) ---
 
@@ -541,9 +522,6 @@ class Client {
   sim::Host* host_;
   std::vector<sim::NodeId> masters_;
   ClientOptions opts_;
-  ClientStats stats_;
-
-  rpc::MetricRegistry rpc_metrics_;
   rpc::Channel channel_;
 
   std::map<std::string, std::unique_ptr<MountContext>> mounts_;

@@ -9,8 +9,8 @@ using sim::Task;
 
 DataNode::DataNode(sim::Network* net, sim::Host* host, raft::RaftHost* raft,
                    const DataNodeOptions& opts)
-    : net_(net), host_(host), raft_(raft), opts_(opts), channel_(net, &rpc_metrics_),
-      admission_(net->scheduler()) {
+    : net_(net), host_(host), raft_(raft), opts_(opts), channel_(net),
+      admission_(net->scheduler(), host->metrics(), "qos.data") {
   admission_.Configure(opts_.admission_slots);
   RegisterHandlers();
 }

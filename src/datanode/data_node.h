@@ -13,7 +13,6 @@
 #include "qos/qos.h"
 #include "raft/multiraft.h"
 #include "rpc/channel.h"
-#include "rpc/metrics.h"
 #include "sim/network.h"
 
 namespace cfs::data {
@@ -62,17 +61,10 @@ class DataNode {
 
   uint64_t ops_served() const { return ops_; }
 
-  /// Per-RPC metrics of node-issued legs (chain forwards, recovery aligns).
-  const rpc::MetricRegistry& rpc_metrics() const { return rpc_metrics_; }
-
   /// The channel carrying node-issued legs (chain forwards, recovery
   /// aligns) — exposed so the harness can attach its per-peer health
   /// observer (rpc::Channel::set_peer_observer).
   rpc::Channel& chain_channel() { return channel_; }
-
-  /// Per-tenant admission counters (weighted-fair queue in front of the
-  /// client-facing handlers). Weights arrive with each partition's config.
-  const qos::AdmissionQueue& admission() const { return admission_; }
 
  private:
   void RegisterHandlers();
@@ -99,8 +91,9 @@ class DataNode {
   sim::Host* host_;
   raft::RaftHost* raft_;
   DataNodeOptions opts_;
-  rpc::MetricRegistry rpc_metrics_;
   rpc::Channel channel_;
+  // Weighted-fair admission in front of the client-facing handlers; weights
+  // arrive with each partition's config.
   qos::AdmissionQueue admission_;
   std::map<PartitionId, std::unique_ptr<DataPartition>> partitions_;
   uint64_t next_disk_ = 0;  // round-robin tie-break for fresh disks

@@ -17,14 +17,14 @@ Cluster::Cluster(const ClusterOptions& opts) : opts_(opts), sched_(opts.seed), n
     sim::Host* h = net_.AddHost(opts_.host);
     master_hosts_.push_back(h);
     master_ids_.push_back(h->id());
-    raft_hosts_.push_back(std::make_unique<raft::RaftHost>(&net_, h, opts_.raft, &rpc_metrics_));
+    raft_hosts_.push_back(std::make_unique<raft::RaftHost>(&net_, h, opts_.raft));
   }
   for (int i = 0; i < opts_.num_nodes; i++) {
     sim::HostOptions ho = opts_.host;
     ho.disk.capacity_bytes = opts_.host.disk.capacity_bytes;
     sim::Host* h = net_.AddHost(ho);
     node_hosts_.push_back(h);
-    raft_hosts_.push_back(std::make_unique<raft::RaftHost>(&net_, h, opts_.raft, &rpc_metrics_));
+    raft_hosts_.push_back(std::make_unique<raft::RaftHost>(&net_, h, opts_.raft));
   }
   for (int i = 0; i < opts_.num_masters; i++) {
     masters_.push_back(std::make_unique<master::MasterNode>(
@@ -40,11 +40,13 @@ Cluster::Cluster(const ClusterOptions& opts) : opts_(opts), sched_(opts.seed), n
         std::make_unique<data::DataNode>(&net_, node_hosts_[i], rh, dopts));
     meta_nodes_.back()->set_extent_purger(MakePurger(i));
   }
-  router_ = std::make_unique<rpc::Router>(&sched_, master_ids_);
-  channel_ = std::make_unique<rpc::Channel>(&net_, &rpc_metrics_);
+  // The shared admin/GC router counts on the first master host, where
+  // volume administration is issued from.
+  router_ = std::make_unique<rpc::Router>(&sched_, master_ids_, master_hosts_[0]->metrics());
+  channel_ = std::make_unique<rpc::Channel>(&net_);
   for (int i = 0; i < opts_.num_nodes; i++) {
-    purge_svcs_.push_back(std::make_unique<rpc::DataService>(
-        &net_, node_hosts_[i]->id(), router_.get(), &rpc_metrics_));
+    purge_svcs_.push_back(
+        std::make_unique<rpc::DataService>(&net_, node_hosts_[i]->id(), router_.get()));
   }
   if (opts_.health) WireHealth();
 }
@@ -164,7 +166,7 @@ Task<Status> Cluster::Start() {
   // The MasterService handles leader probing, NotLeader redirects and
   // backoff; each node registers from its own host id.
   for (int i = 0; i < opts_.num_nodes; i++) {
-    rpc::MasterService svc(&net_, node_hosts_[i]->id(), router_.get(), &rpc_metrics_);
+    rpc::MasterService svc(&net_, node_hosts_[i]->id(), router_.get());
     auto r = co_await svc.Call<master::RegisterNodeReq, master::RegisterNodeResp>(
         master::RegisterNodeReq{node_hosts_[i]->id(), true, true});
     CFS_CO_RETURN_IF_ERROR(r.ok() ? r->status : r.status());
@@ -216,7 +218,7 @@ Task<Status> Cluster::CreateVolume(std::string name, uint32_t meta_partitions,
   // admin call rides a long per-leg timeout.
   rpc::RetryPolicy admin_policy = rpc::RetryPolicy::Control();
   admin_policy.rpc_timeout = 10 * kSec;
-  rpc::MasterService svc(&net_, master_hosts_[0]->id(), router_.get(), &rpc_metrics_);
+  rpc::MasterService svc(&net_, master_hosts_[0]->id(), router_.get());
   auto r = co_await svc.Call<master::CreateVolumeReq, master::CreateVolumeResp>(
       std::move(req), rpc::CallOptions{{}, &admin_policy});
   if (!r.ok()) co_return r.status();
@@ -541,49 +543,9 @@ Task<Status> Cluster::PurgeInodeContent(int node_index, meta::Inode inode) {
 
 obs::Registry Cluster::Metrics() {
   obs::Registry reg;
+  for (sim::NodeId id = 1; id <= net_.num_hosts(); id++) reg.MergeFrom(net_.host(id)->metrics());
 
-  // Per-RPC outcome counters and latency histograms from every registry in
-  // the cluster, merged into the shared "rpc." namespace: the harness/raft
-  // registry, each master's admin channel, each data node's chain channel,
-  // and each client's service stubs.
-  rpc_metrics_.ExportTo(&reg);
-  for (const auto& m : masters_) m->rpc_metrics().ExportTo(&reg);
-  for (const auto& d : data_nodes_) d->rpc_metrics().ExportTo(&reg);
-  for (const auto& c : clients_) c->rpc_metrics().ExportTo(&reg);
-
-  const raft::GroupCommitStats gc = group_commit_stats();
-  reg.Add("raft.gc.batches", gc.batches);
-  reg.Add("raft.gc.proposals", gc.proposals);
-  reg.Add("raft.gc.batched_bytes", gc.batched_bytes);
-  reg.SetMax("raft.gc.max_batch", static_cast<int64_t>(gc.max_batch));
-  reg.SetMax("raft.gc.queue_high_watermark",
-             static_cast<int64_t>(gc.queue_high_watermark));
-
-  const raft::RaftHost::LogWriteStats lw = log_write_stats();
-  reg.Add("raft.log.append_writes", lw.append_writes);
-  reg.Add("raft.log.appended_entries", lw.appended_entries);
-  reg.Add("raft.log.persisted_bytes", lw.persisted_bytes);
-
-  for (const auto& c : clients_) {
-    const client::ClientStats& s = c->stats();
-    reg.Add("client.meta_rpcs", s.meta_rpcs);
-    reg.Add("client.data_rpcs", s.data_rpcs);
-    reg.Add("client.master_rpcs", s.master_rpcs);
-    reg.Add("client.cache_hits", s.cache_hits);
-    reg.Add("client.cache_misses", s.cache_misses);
-    reg.Add("client.inode_cache_evictions", s.inode_cache_evictions);
-    reg.Add("client.readdir_cache_evictions", s.readdir_cache_evictions);
-    reg.Add("client.leader_cache_hits", s.leader_cache_hits);
-    reg.Add("client.leader_probes", s.leader_probes);
-    reg.Add("client.resends", s.resends);
-    reg.Add("client.orphans_created", s.orphans_created);
-    reg.Add("client.window_stalls", s.window_stalls);
-    reg.SetMax("client.max_inflight_packets",
-               static_cast<int64_t>(s.max_inflight_packets));
-    reg.Add("client.suffix_resend_bytes", s.suffix_resend_bytes);
-    reg.Add("client.parallel_read_fanouts", s.parallel_read_fanouts);
-  }
-
+  // Device and wire accounting is read from the simulator itself.
   auto fold_disks = [&reg](sim::Host* h) {
     for (int i = 0; i < h->num_disks(); i++) {
       sim::Disk* d = h->disk(i);
@@ -597,23 +559,6 @@ obs::Registry Cluster::Metrics() {
   };
   for (sim::Host* h : master_hosts_) fold_disks(h);
   for (sim::Host* h : node_hosts_) fold_disks(h);
-
-  // Per-tenant slices (tenant = VolumeId): client-side mount counters and
-  // the node-side weighted-fair admission queues.
-  for (const auto& c : clients_) {
-    for (const auto& [name, m] : c->mounts()) {
-      if (m->tenant() == 0) continue;
-      const client::MountStats& ms = m->mount_stats();
-      const std::string p = "tenant." + std::to_string(m->tenant()) + ".";
-      reg.Add(p + "ops", ms.ops);
-      reg.Add(p + "throttle_waits", ms.throttle_waits);
-      reg.Add(p + "throttle_wait_usec", ms.throttle_wait_usec);
-      reg.Add(p + "refresh_failures", ms.refresh_failures);
-    }
-  }
-  for (const auto& m : meta_nodes_) m->admission().ExportTo(&reg, "qos.meta");
-  for (const auto& d : data_nodes_) d->admission().ExportTo(&reg, "qos.data");
-
   reg.Add("net.messages_sent", net_.messages_sent());
   reg.Add("net.bytes_sent", net_.bytes_sent());
   // Watchdog accounting: cancelled = replies beat their timeout (the healthy

@@ -18,7 +18,6 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "raft/multiraft.h"
-#include "rpc/metrics.h"
 #include "rpc/router.h"
 #include "rpc/service.h"
 #include "sim/network.h"
@@ -120,12 +119,6 @@ class Cluster {
   /// Leader check scoped to one volume's partitions (CreateVolume's wait).
   bool VolumePartitionsHaveLeaders(master::VolumeId volume);
 
-  /// Per-RPC metrics of every harness-issued leg (registration, heartbeats,
-  /// volume admin, the GC purge path) and — since the consensus transport
-  /// routes through rpc::Channel — every raft leg of every RaftHost. Client
-  /// legs live in each client's own registry (client->rpc_metrics()).
-  const rpc::MetricRegistry& rpc_metrics() const { return rpc_metrics_; }
-
   /// The scheduler-owned span tracer (enabled iff ClusterOptions.trace).
   obs::Tracer& tracer() { return sched_.tracer(); }
 
@@ -147,33 +140,14 @@ class Cluster {
   /// targets carry the node prefix, so lines are self-describing).
   std::string HealthEventsJsonl() const;
 
-  /// Unified cluster-wide metric registry (DESIGN.md "Observability"): every
-  /// per-node RPC registry (harness/raft, masters, data nodes, clients)
-  /// exported into the shared "rpc." namespace, raft group-commit and WAL
-  /// accounting under "raft.", summed client workflow stats under "client.",
-  /// disk and network accounting under "disk." / "net.". Counters sum,
-  /// gauges merge as high-watermarks, histograms merge bucket-wise.
+  /// Cluster-wide metrics (DESIGN.md "Unified metric registry"): the merge
+  /// of every host's registry ("rpc.*" legs, "raft.*", "client.*",
+  /// "router.*", "qos.*", "tenant.*") plus device and wire accounting read
+  /// from the simulator ("disk.*" over master and storage hosts, "net.*",
+  /// "obs.spans"). Counters sum, gauges merge as high-watermarks,
+  /// histograms merge bucket-wise.
   obs::Registry Metrics();
   std::string MetricsJson() { return Metrics().DumpJson(); }
-
-  /// Group-commit counters summed across every RaftHost (masters + nodes).
-  raft::GroupCommitStats group_commit_stats() const {
-    raft::GroupCommitStats s;
-    for (const auto& rh : raft_hosts_) s.MergeFrom(rh->group_commit_stats());
-    return s;
-  }
-
-  /// Raft log Append() write accounting summed across every RaftHost.
-  raft::RaftHost::LogWriteStats log_write_stats() const {
-    raft::RaftHost::LogWriteStats s;
-    for (const auto& rh : raft_hosts_) {
-      raft::RaftHost::LogWriteStats h = rh->log_write_stats();
-      s.append_writes += h.append_writes;
-      s.appended_entries += h.appended_entries;
-      s.persisted_bytes += h.persisted_bytes;
-    }
-    return s;
-  }
 
   /// Deep check of every machine-checkable invariant in the cluster (see
   /// common/check.h and DESIGN.md "Invariant catalog"): per-group raft
@@ -211,7 +185,6 @@ class Cluster {
   // Harness-side rpc service layer: one Router shared by the admin/GC paths
   // (master leader cache + purge-path partition views) and one DataService
   // per storage node (the purger sends from that node's host).
-  rpc::MetricRegistry rpc_metrics_;
   std::unique_ptr<rpc::Router> router_;
   std::unique_ptr<rpc::Channel> channel_;
   std::vector<std::unique_ptr<rpc::DataService>> purge_svcs_;

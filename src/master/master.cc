@@ -428,7 +428,7 @@ MasterNode::MasterNode(sim::Network* net, sim::Host* host, raft::RaftHost* raft,
       host_(host),
       raft_(raft),
       opts_(opts),
-      admin_channel_(net, &rpc_metrics_),
+      admin_channel_(net),
       kv_(&host->storage(), host->disk(0), "master"),
       state_(&kv_) {
   Spawn([](kv::KvStore* kv) -> Task<void> { (void)co_await kv->Open(); }(&kv_));

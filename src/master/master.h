@@ -22,7 +22,6 @@
 #include "master/messages.h"
 #include "raft/multiraft.h"
 #include "rpc/channel.h"
-#include "rpc/metrics.h"
 #include "sim/network.h"
 
 namespace cfs::master {
@@ -189,10 +188,6 @@ class MasterNode {
   // state. Returns empty when not enough candidate nodes exist.
   std::vector<sim::NodeId> PickReplicas(bool for_meta, uint32_t n, uint64_t salt);
 
-  /// Per-RPC metrics of this master's admin fan-outs (partition install,
-  /// split sync).
-  const rpc::MetricRegistry& rpc_metrics() const { return rpc_metrics_; }
-
   /// Cluster-wide health view from heartbeat-piggybacked summaries plus the
   /// master's own liveness judgment: {"time":t,"nodes":{id:{"alive":b,
   /// "last_heartbeat":t,"health":{...}}}} — byte-stable (ordered map, all
@@ -222,7 +217,6 @@ class MasterNode {
   sim::Host* host_;
   raft::RaftHost* raft_;
   MasterOptions opts_;
-  rpc::MetricRegistry rpc_metrics_;
   rpc::Channel admin_channel_;
   kv::KvStore kv_;
   MasterState state_;

@@ -9,7 +9,7 @@ using sim::Task;
 
 MetaNode::MetaNode(sim::Network* net, sim::Host* host, raft::RaftHost* raft,
                    const MetaNodeOptions& opts)
-    : net_(net), host_(host), raft_(raft), opts_(opts), admission_(net->scheduler()) {
+    : net_(net), host_(host), raft_(raft), opts_(opts), admission_(net->scheduler(), host->metrics(), "qos.meta") {
   admission_.Configure(opts_.admission_slots);
   RegisterHandlers();
   Spawn(PurgeLoop());

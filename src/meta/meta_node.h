@@ -77,10 +77,6 @@ class MetaNode {
 
   uint64_t ops_served() const { return ops_; }
 
-  /// Per-tenant admission counters (weighted-fair queue in front of the
-  /// client-facing handlers). Weights arrive with each partition's config.
-  const qos::AdmissionQueue& admission() const { return admission_; }
-
   /// Meta partition raft groups live in a distinct gid namespace.
   static raft::GroupId RaftGid(PartitionId pid) { return 0x4D00000000000000ull | pid; }
 
@@ -100,6 +96,8 @@ class MetaNode {
   sim::Host* host_;
   raft::RaftHost* raft_;
   MetaNodeOptions opts_;
+  // Weighted-fair admission in front of the client-facing handlers; weights
+  // arrive with each partition's config.
   qos::AdmissionQueue admission_;
   std::map<PartitionId, std::unique_ptr<MetaPartition>> partitions_;
   ExtentPurger purger_;

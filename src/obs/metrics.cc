@@ -74,23 +74,21 @@ std::string Histogram::DumpJson() const {
   return out;
 }
 
-void Registry::Add(std::string_view name, uint64_t delta) {
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    counters_.emplace(std::string(name), delta);
-  } else {
-    it->second += delta;
-  }
+namespace {
+
+// Transparent find first: the hit path must not materialize a std::string.
+template <typename Map>
+typename Map::mapped_type& FindOrInsert(Map& m, std::string_view name) {
+  auto it = m.find(name);
+  if (it == m.end()) it = m.emplace(std::string(name), typename Map::mapped_type{}).first;
+  return it->second;
 }
 
-void Registry::Set(std::string_view name, int64_t value) {
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    gauges_.emplace(std::string(name), value);
-  } else {
-    it->second = value;
-  }
-}
+}  // namespace
+
+uint64_t& Registry::Counter(std::string_view name) { return FindOrInsert(counters_, name); }
+int64_t& Registry::Gauge(std::string_view name) { return FindOrInsert(gauges_, name); }
+Histogram& Registry::Hist(std::string_view name) { return FindOrInsert(hists_, name); }
 
 void Registry::SetMax(std::string_view name, int64_t value) {
   auto it = gauges_.find(name);
@@ -101,21 +99,19 @@ void Registry::SetMax(std::string_view name, int64_t value) {
   }
 }
 
-void Registry::Observe(std::string_view name, SimDuration value) {
-  auto it = hists_.find(name);
-  if (it == hists_.end()) it = hists_.emplace(std::string(name), Histogram{}).first;
-  it->second.Add(value);
-}
-
-void Registry::MergeHistogram(std::string_view name, const Histogram& h) {
-  auto it = hists_.find(name);
-  if (it == hists_.end()) it = hists_.emplace(std::string(name), Histogram{}).first;
-  it->second.MergeFrom(h);
-}
-
 uint64_t Registry::counter(std::string_view name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
+}
+
+uint64_t Registry::SumCounters(std::string_view prefix, std::string_view suffix) const {
+  uint64_t n = 0;
+  for (auto it = counters_.lower_bound(prefix); it != counters_.end(); ++it) {
+    const std::string& k = it->first;
+    if (!k.starts_with(prefix)) break;
+    if (k.size() >= prefix.size() + suffix.size() && k.ends_with(suffix)) n += it->second;
+  }
+  return n;
 }
 
 int64_t Registry::gauge(std::string_view name) const {
@@ -131,13 +127,7 @@ const Histogram* Registry::FindHistogram(std::string_view name) const {
 void Registry::MergeFrom(const Registry& other) {
   for (const auto& [k, v] : other.counters_) Add(k, v);
   for (const auto& [k, v] : other.gauges_) SetMax(k, v);
-  for (const auto& [k, h] : other.hists_) MergeHistogram(k, h);
-}
-
-void Registry::Clear() {
-  counters_.clear();
-  gauges_.clear();
-  hists_.clear();
+  for (const auto& [k, h] : other.hists_) Hist(k).MergeFrom(h);
 }
 
 std::string Registry::DumpJson() const {

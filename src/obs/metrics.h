@@ -1,17 +1,17 @@
 // Unified metric primitives: counters, gauges, and fixed-bucket histograms
 // in one Registry with deterministic (std::map) iteration, dumpable as JSON.
 //
-// The Histogram here is the generalization of the former
-// rpc::LatencyHistogram (which is now an alias); rpc::MetricRegistry keeps
-// its per-RPC outcome semantics but exports into an obs::Registry so
-// harness::Cluster can merge every per-node source — RPC registries, raft
-// group-commit counters, client stats, disk and network accounting — behind
-// one DumpJson().
+// Every sim::Host owns one Registry, and every component running on that
+// host (RPC channels and stubs, raft, admission queues, the client) writes
+// into it directly; harness::Cluster::Metrics() merges the host registries
+// (DESIGN.md "Unified metric registry"). Hot paths resolve a metric once
+// through Counter()/Gauge()/Hist() and keep the reference: std::map nodes
+// never move, so the reference stays valid across later inserts and merges.
 //
-// Naming convention (DESIGN.md "Observability"): dot-separated
-// "<subsystem>.<metric>", e.g. "raft.gc.batches", "client.cache_hits",
-// "disk.write_bytes", "rpc.WritePacket.ok". Counters are monotonic sums,
-// gauges merge by taking the max (cluster-wide high-watermark semantics).
+// Naming convention: dot-separated "<subsystem>.<metric>", e.g.
+// "raft.gc.batches", "client.cache_hits", "rpc.WritePacket.ok". Counters are
+// monotonic sums, gauges merge by taking the max (cluster-wide
+// high-watermark semantics).
 #pragma once
 
 #include <cstdint>
@@ -69,18 +69,25 @@ struct Histogram {
 /// DumpJson() is byte-stable across same-seed runs.
 class Registry {
  public:
+  /// Stable references, created (zeroed) on first use: resolve once, then
+  /// update in place. Valid for the registry's lifetime.
+  uint64_t& Counter(std::string_view name);
+  int64_t& Gauge(std::string_view name);
+  Histogram& Hist(std::string_view name);
+
   /// Increment counter `name` by `delta`.
-  void Add(std::string_view name, uint64_t delta = 1);
+  void Add(std::string_view name, uint64_t delta = 1) { Counter(name) += delta; }
   /// Set gauge `name` (last-write-wins locally; merges take the max).
-  void Set(std::string_view name, int64_t value);
+  void Set(std::string_view name, int64_t value) { Gauge(name) = value; }
   /// Raise gauge `name` to at least `value` (high-watermark).
   void SetMax(std::string_view name, int64_t value);
   /// Add one sample to histogram `name`.
-  void Observe(std::string_view name, SimDuration value);
-  /// Fold a pre-aggregated histogram into histogram `name`.
-  void MergeHistogram(std::string_view name, const Histogram& h);
+  void Observe(std::string_view name, SimDuration value) { Hist(name).Add(value); }
 
   uint64_t counter(std::string_view name) const;
+  /// Sum of the counters named "<prefix>...<suffix>", e.g. every RPC type's
+  /// timeouts: SumCounters("rpc.", ".timeout").
+  uint64_t SumCounters(std::string_view prefix, std::string_view suffix) const;
   int64_t gauge(std::string_view name) const;
   const Histogram* FindHistogram(std::string_view name) const;
 
@@ -90,7 +97,6 @@ class Registry {
 
   /// Counters sum, gauges max, histograms bucket-wise sum.
   void MergeFrom(const Registry& other);
-  void Clear();
 
   /// {"counters":{...},"gauges":{...},"histograms":{...}} — stable key order.
   std::string DumpJson() const;

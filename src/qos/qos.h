@@ -22,6 +22,7 @@
 // themselves are part of the seed/config, not of wall-clock state).
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -79,7 +80,15 @@ class TokenBucket {
 /// admits without suspending and the returned guard is inert.
 class AdmissionQueue {
  public:
-  explicit AdmissionQueue(sim::Scheduler* sched) : sched_(sched) {}
+  /// Counters go to `metrics` as "<prefix>.tenant.<id>.{admitted,queued,
+  /// wait_usec}" plus the gauge "<prefix>.max_depth", which is always
+  /// present (a disabled queue reports depth 0, so bench metric lines keep a
+  /// stable schema).
+  AdmissionQueue(sim::Scheduler* sched, obs::Registry& metrics, std::string prefix)
+      : sched_(sched),
+        metrics_(metrics),
+        prefix_(std::move(prefix)),
+        max_depth_(metrics.Gauge(prefix_ + ".max_depth")) {}
 
   AdmissionQueue(const AdmissionQueue&) = delete;
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
@@ -151,27 +160,6 @@ class AdmissionQueue {
     return Awaiter{this, tenant, cost};
   }
 
-  /// Export per-tenant admission counters as
-  /// "<prefix>.tenant.<id>.{admitted,queued,wait_usec}".
-  void ExportTo(obs::Registry* reg, const std::string& prefix) const {
-    for (const auto& [t, s] : stats_) {
-      const std::string base = prefix + ".tenant." + std::to_string(t) + ".";
-      reg->Add(base + "admitted", s.admitted);
-      reg->Add(base + "queued", s.queued);
-      reg->Add(base + "wait_usec", s.wait_usec);
-    }
-    // Unconditional: a disabled queue reports depth 0, so the metric key is
-    // always present and fig-bench metric lines keep a stable schema.
-    reg->SetMax(prefix + ".max_depth", static_cast<int64_t>(max_depth_));
-  }
-
-  struct TenantStats {
-    uint64_t admitted = 0;   // total requests granted a slot
-    uint64_t queued = 0;     // requests that had to wait
-    uint64_t wait_usec = 0;  // total virtual time spent queued
-  };
-  const std::map<TenantId, TenantStats>& tenant_stats() const { return stats_; }
-
  private:
   friend class Guard;
 
@@ -180,6 +168,26 @@ class AdmissionQueue {
     uint64_t vfinish = 0;
     SimTime enq_time = 0;
   };
+
+  /// One tenant's counters in the registry, resolved on its first request.
+  struct TenantCounters {
+    uint64_t& admitted;   // requests granted a slot
+    uint64_t& queued;     // requests that had to wait
+    uint64_t& wait_usec;  // virtual time spent queued
+  };
+
+  TenantCounters& CountersOf(TenantId tenant) {
+    auto it = tenants_.find(tenant);
+    if (it == tenants_.end()) {
+      const std::string base = prefix_ + ".tenant." + std::to_string(tenant) + ".";
+      it = tenants_
+               .emplace(tenant, TenantCounters{metrics_.Counter(base + "admitted"),
+                                               metrics_.Counter(base + "queued"),
+                                               metrics_.Counter(base + "wait_usec")})
+               .first;
+    }
+    return it->second;
+  }
 
   bool QueuesEmpty() const {
     for (const auto& [t, q] : queues_) {
@@ -195,7 +203,7 @@ class AdmissionQueue {
 
   void Admit(TenantId tenant, SimDuration waited) {
     in_service_++;
-    TenantStats& s = stats_[tenant];
+    TenantCounters& s = CountersOf(tenant);
     s.admitted++;
     if (waited > 0) s.wait_usec += static_cast<uint64_t>(waited);
   }
@@ -208,9 +216,8 @@ class AdmissionQueue {
     const uint64_t vfinish = start + (cost > 0 ? cost : 1) * kVScale / WeightOf(tenant);
     last = vfinish;
     queues_[tenant].push_back(Waiter{h, vfinish, sched_->Now()});
-    stats_[tenant].queued++;
-    size_t depth = queued();
-    if (depth > max_depth_) max_depth_ = depth;
+    CountersOf(tenant).queued++;
+    max_depth_ = std::max(max_depth_, static_cast<int64_t>(queued()));
   }
 
   void Leave() {
@@ -243,14 +250,16 @@ class AdmissionQueue {
   static constexpr uint64_t kVScale = 1024;  // tag resolution per unit cost
 
   sim::Scheduler* sched_;
+  obs::Registry& metrics_;
+  const std::string prefix_;
+  int64_t& max_depth_;  // deepest the queues got
   uint64_t slots_ = 0;  // 0 = disabled (admit everything synchronously)
   uint64_t in_service_ = 0;
   uint64_t vtime_ = 0;  // WFQ virtual clock, advances to each dispatched tag
-  size_t max_depth_ = 0;
   std::map<TenantId, uint32_t> weights_;
   std::map<TenantId, std::deque<Waiter>> queues_;
   std::map<TenantId, uint64_t> last_finish_;
-  std::map<TenantId, TenantStats> stats_;
+  std::map<TenantId, TenantCounters> tenants_;
 };
 
 }  // namespace cfs::qos

@@ -2,15 +2,18 @@
 
 namespace cfs::raft {
 
-LogStore::LogStore(sim::StableStorage* storage, sim::Disk* disk, GroupId gid)
-    : storage_(storage),
+LogStore::LogStore(sim::Host* host, sim::Disk* disk, GroupId gid)
+    : storage_(&host->storage()),
       disk_(disk),
       gid_(gid),
       // Blob names are fixed for the store's lifetime; building them once
       // keeps the per-batch WAL append free of string concatenation.
       key_hs_(Key("hs")),
       key_snap_(Key("snap")),
-      key_log_(Key("log")) {}
+      key_log_(Key("log")),
+      persisted_bytes_(host->metrics().Counter("raft.log.persisted_bytes")),
+      append_writes_(host->metrics().Counter("raft.log.append_writes")),
+      appended_entries_(host->metrics().Counter("raft.log.appended_entries")) {}
 
 std::string LogStore::Key(const char* what) const {
   return "raft/" + std::to_string(gid_) + "/" + what;

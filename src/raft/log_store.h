@@ -22,7 +22,9 @@ namespace cfs::raft {
 
 class LogStore {
  public:
-  LogStore(sim::StableStorage* storage, sim::Disk* disk, GroupId gid);
+  /// The log lives in `host`'s stable storage and counts its writes in the
+  /// host's registry ("raft.log.*", summed over the host's groups).
+  LogStore(sim::Host* host, sim::Disk* disk, GroupId gid);
 
   /// Load hard state, snapshot metadata and log entries from stable storage
   /// (crash recovery). Charges a disk read for the bytes scanned.
@@ -67,13 +69,6 @@ class LogStore {
   /// the whole log is discarded.
   sim::Task<Status> InstallSnapshot(Index index, Term term, std::string data);
 
-  uint64_t persisted_bytes() const { return persisted_bytes_; }
-  /// Group-commit observability: disk writes issued by Append() and entries
-  /// persisted across them. appended_entries / append_writes is the realized
-  /// WAL coalescing factor (1.0 = one write per entry, no batching).
-  uint64_t append_writes() const { return append_writes_; }
-  uint64_t appended_entries() const { return appended_entries_; }
-
  private:
   std::string Key(const char* what) const;
   sim::Task<Status> RewriteLog();
@@ -94,9 +89,12 @@ class LogStore {
   std::string snap_data_;
 
   std::deque<LogEntry> entries_;  // entries_[i] has index snap_index_ + 1 + i
-  uint64_t persisted_bytes_ = 0;
-  uint64_t append_writes_ = 0;
-  uint64_t appended_entries_ = 0;
+  // Host registry counters. Every persisted byte counts; Append() writes
+  // and the entries they carry give the realized WAL coalescing factor
+  // (appended_entries / append_writes; 1.0 = no batching).
+  uint64_t& persisted_bytes_;
+  uint64_t& append_writes_;
+  uint64_t& appended_entries_;
 };
 
 }  // namespace cfs::raft

@@ -7,9 +7,9 @@
 //
 // All raft traffic (votes, appends, snapshots, coalesced heartbeats) issues
 // through one rpc::Channel per host, so per-RPC outcome/latency metrics
-// cover the consensus path like every other subsystem. Pass a shared
-// MetricRegistry to fold raft legs into a cluster-wide registry; without
-// one, the host owns a private registry.
+// cover the consensus path like every other subsystem; they land in the
+// host's registry next to the groups' "raft.gc.*" and "raft.log.*"
+// counters.
 #pragma once
 
 #include <map>
@@ -19,7 +19,6 @@
 #include "raft/raft_node.h"
 #include "raft/types.h"
 #include "rpc/channel.h"
-#include "rpc/metrics.h"
 #include "sim/network.h"
 #include "sim/task.h"
 
@@ -27,13 +26,8 @@ namespace cfs::raft {
 
 class RaftHost {
  public:
-  RaftHost(sim::Network* net, sim::Host* host, const RaftOptions& opts = {},
-           rpc::MetricRegistry* metrics = nullptr)
-      : net_(net),
-        host_(host),
-        opts_(opts),
-        owned_metrics_(metrics ? nullptr : std::make_unique<rpc::MetricRegistry>()),
-        channel_(net, metrics ? metrics : owned_metrics_.get()) {
+  RaftHost(sim::Network* net, sim::Host* host, const RaftOptions& opts = {})
+      : net_(net), host_(host), opts_(opts), channel_(net) {
     RegisterHandlers();
     sim::Spawn(HeartbeatLoop());
   }
@@ -43,7 +37,6 @@ class RaftHost {
 
   sim::Host* host() { return host_; }
   const RaftOptions& options() const { return opts_; }
-  rpc::MetricRegistry* metrics() { return channel_.metrics(); }
 
   /// Create a replica of group `gid` on this host. The caller retains
   /// ownership of the state machine and must call Start() (fresh group) or
@@ -90,31 +83,6 @@ class RaftHost {
       if (it == groups_.end()) continue;
       (void)co_await it->second->Recover();
     }
-  }
-
-  /// Group-commit counters summed over every group replica on this host
-  /// (only groups this host has led contribute).
-  GroupCommitStats group_commit_stats() const {
-    GroupCommitStats s;
-    for (const auto& [gid, node] : groups_) s.MergeFrom(node->group_commit_stats());
-    return s;
-  }
-
-  /// Log-write accounting summed over this host's groups: Append() disk
-  /// writes, entries persisted by them, and total persisted bytes.
-  struct LogWriteStats {
-    uint64_t append_writes = 0;
-    uint64_t appended_entries = 0;
-    uint64_t persisted_bytes = 0;
-  };
-  LogWriteStats log_write_stats() const {
-    LogWriteStats s;
-    for (const auto& [gid, node] : groups_) {
-      s.append_writes += node->log().append_writes();
-      s.appended_entries += node->log().appended_entries();
-      s.persisted_bytes += node->log().persisted_bytes();
-    }
-    return s;
   }
 
   /// Ablation knob: when false, one heartbeat message is sent per group
@@ -201,7 +169,6 @@ class RaftHost {
   sim::Network* net_;
   sim::Host* host_;
   RaftOptions opts_;
-  std::unique_ptr<rpc::MetricRegistry> owned_metrics_;
   rpc::Channel channel_;
   std::map<GroupId, std::unique_ptr<RaftNode>> groups_;
   bool coalesce_ = true;

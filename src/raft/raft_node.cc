@@ -33,7 +33,14 @@ RaftNode::RaftNode(const RaftOptions& opts, GroupId gid, NodeId self, std::vecto
       host_(host),
       sm_(sm),
       channel_(channel),
-      log_(&host->storage(), disk, gid),
+      log_(host, disk, gid),
+      gc_batches_(host->metrics().Counter("raft.gc.batches")),
+      gc_proposals_(host->metrics().Counter("raft.gc.proposals")),
+      gc_batched_bytes_(host->metrics().Counter("raft.gc.batched_bytes")),
+      gc_max_batch_(host->metrics().Gauge("raft.gc.max_batch")),
+      gc_queue_high_watermark_(host->metrics().Gauge("raft.gc.queue_high_watermark")),
+      gc_batch_entries_(host->metrics().Hist("raft.gc.batch_entries")),
+      gc_batch_bytes_(host->metrics().Hist("raft.gc.batch_bytes")),
       apply_notifier_(net->scheduler()) {}
 
 SimDuration RaftNode::RandomElectionTimeout() {
@@ -218,8 +225,8 @@ Task<Result<Index>> RaftNode::ProposeIndexed(std::string head, Buffer payload,
     w->trace = propose_span.ctx;
   }
   propose_queue_.push_back({Buffer::FromString(std::move(head)), std::move(payload), w});
-  gc_stats_.queue_high_watermark =
-      std::max<uint64_t>(gc_stats_.queue_high_watermark, propose_queue_.size());
+  gc_queue_high_watermark_ =
+      std::max<int64_t>(gc_queue_high_watermark_, static_cast<int64_t>(propose_queue_.size()));
   // Spawn runs the batcher synchronously up to its first await (the log
   // disk write), so an uncontended proposal persists immediately — same
   // latency as the unbatched path.
@@ -279,16 +286,14 @@ Task<void> RaftNode::BatcherLoop(uint64_t gen) {
     }
     if (entries.empty()) continue;  // everything at the front was cancelled
 
-    gc_stats_.batches++;
-    gc_stats_.proposals += entries.size();
-    gc_stats_.batched_bytes += bytes;
-    gc_stats_.max_batch = std::max<uint64_t>(gc_stats_.max_batch, entries.size());
-    // Batch shape histograms ride the registry's latency field: count =
-    // batches, sum/count = mean batch size (entries) / write size (bytes).
-    channel_->metrics()->RecordLeg("RaftBatchEntries", rpc::Outcome::kOk,
-                                   static_cast<SimDuration>(entries.size()));
-    channel_->metrics()->RecordLeg("RaftBatchBytes", rpc::Outcome::kOk,
-                                   static_cast<SimDuration>(bytes));
+    gc_batches_++;
+    gc_proposals_ += entries.size();
+    gc_batched_bytes_ += bytes;
+    gc_max_batch_ = std::max<int64_t>(gc_max_batch_, static_cast<int64_t>(entries.size()));
+    // Batch shapes: count = batches, sum/count = mean batch size (entries)
+    // and mean WAL write (bytes).
+    gc_batch_entries_.Add(static_cast<SimDuration>(entries.size()));
+    gc_batch_bytes_.Add(static_cast<SimDuration>(bytes));
 
     // The batch's WAL flush runs under a "raft:batch" span chained to the
     // first traced proposer (one span per batch, annotated with its shape).

@@ -35,7 +35,7 @@ class RaftNode {
  public:
   /// `peers` lists every replica of the group including `self`. `channel`
   /// (owned by RaftHost) meters every raft RPC leg into the host's
-  /// MetricRegistry.
+  /// registry; group-commit counters go there too ("raft.gc.*").
   RaftNode(const RaftOptions& opts, GroupId gid, NodeId self, std::vector<NodeId> peers,
            sim::Network* net, sim::Host* host, sim::Disk* disk, StateMachine* sm,
            rpc::Channel* channel);
@@ -82,7 +82,6 @@ class RaftNode {
   Role role() const { return role_; }
   LogStore& log() { return log_; }
   const LogStore& log() const { return log_; }
-  const GroupCommitStats& group_commit_stats() const { return gc_stats_; }
 
   // --- Transport entry points (called by RaftHost) ---
   sim::Task<VoteResp> OnVote(VoteReq req);
@@ -171,7 +170,17 @@ class RaftNode {
   };
   std::deque<QueuedProposal> propose_queue_;
   bool batcher_running_ = false;
-  GroupCommitStats gc_stats_;
+  // Leader-side group-commit accounting in the host registry, shared by
+  // every group this host leads: batches (one log write each), proposals
+  // and payload bytes folded into them, the largest batch, the deepest
+  // propose queue, and per-batch shape histograms.
+  uint64_t& gc_batches_;
+  uint64_t& gc_proposals_;
+  uint64_t& gc_batched_bytes_;
+  int64_t& gc_max_batch_;
+  int64_t& gc_queue_high_watermark_;
+  obs::Histogram& gc_batch_entries_;
+  obs::Histogram& gc_batch_bytes_;
 
   /// index -> (term at proposal, waiter). Batch-atomic: the batcher
   /// registers a whole batch before its single Append await.

@@ -7,7 +7,6 @@
 // same subset of nodes.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -161,24 +160,6 @@ struct RaftOptions {
   /// batch forms while the previous log write is in flight, so an
   /// uncontended proposal is never delayed.
   SimDuration batch_linger = 0;
-};
-
-/// Leader-side group-commit counters, one set per RaftNode (aggregated
-/// across a host's groups by RaftHost::group_commit_stats()).
-struct GroupCommitStats {
-  uint64_t batches = 0;          ///< proposal-batch log writes
-  uint64_t proposals = 0;        ///< proposals folded into those writes
-  uint64_t batched_bytes = 0;    ///< payload bytes across those writes
-  uint64_t max_batch = 0;        ///< largest single batch (proposals)
-  uint64_t queue_high_watermark = 0;  ///< deepest the propose queue got
-
-  void MergeFrom(const GroupCommitStats& o) {
-    batches += o.batches;
-    proposals += o.proposals;
-    batched_bytes += o.batched_bytes;
-    max_batch = std::max(max_batch, o.max_batch);
-    queue_high_watermark = std::max(queue_high_watermark, o.queue_high_watermark);
-  }
 };
 
 }  // namespace cfs::raft

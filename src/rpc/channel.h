@@ -1,7 +1,8 @@
 // Channel: the one place in the codebase that issues a raw Network::Call.
-// Every leg is metered into a MetricRegistry (outcome + latency, keyed by
-// the request's kRpcName). Call sites outside src/rpc/ must go through a
-// Channel or a service stub — tools/lint.py rule R4 (raw-rpc) enforces it.
+// Every leg is metered into the sending host's registry (outcome + latency
+// under "rpc.<kRpcName>.", see sim::RpcMeter). Call sites outside src/rpc/
+// must go through a Channel or a service stub — the analyzer's rule R4
+// (raw-rpc, `python3 -m tools.analyze`) enforces it.
 #pragma once
 
 #include <functional>
@@ -9,20 +10,9 @@
 #include <utility>
 
 #include "common/status.h"
-#include "rpc/metrics.h"
 #include "sim/network.h"
 
 namespace cfs::rpc {
-
-/// Request structs name themselves for the metric key; anything without a
-/// kRpcName falls back to the (mangled, but stable-within-a-build) RTTI name.
-template <typename T>
-concept HasRpcName = sim::HasMsgName<T>;
-
-template <typename T>
-const char* RpcNameOf() {
-  return sim::MsgNameOf<T>();
-}
 
 /// Responses carrying an application-level Status get NotLeader legs metered
 /// separately; protocol responses without one (the raft wire messages encode
@@ -43,10 +33,15 @@ concept HasTenantField = requires(T& t) {
 
 class Channel {
  public:
-  Channel(sim::Network* net, MetricRegistry* metrics) : net_(net), metrics_(metrics) {}
+  explicit Channel(sim::Network* net) : net_(net) {}
 
   sim::Network* net() const { return net_; }
-  MetricRegistry* metrics() const { return metrics_; }
+
+  /// Host `from`'s metrics for request type Req ("rpc.<kRpcName>.*").
+  template <typename Req>
+  sim::RpcMeter& meter(sim::NodeId from) const {
+    return net_->host(from)->rpc_meter(sim::MsgTypeIdOf<Req>());
+  }
 
   /// Bind a tenant label (= VolumeId); every subsequent request whose struct
   /// has a `tenant` field and hasn't set one gets it stamped on send.
@@ -78,7 +73,6 @@ class Channel {
   sim::Task<Result<Resp>> UnaryImpl(sim::NodeId from, sim::NodeId to, Req req,
                                     SimDuration timeout, obs::TraceContext parent) {
     sim::Scheduler* sched = net_->scheduler();
-    const char* name = RpcNameOf<Req>();
     obs::Tracer& tracer = sched->tracer();
     obs::SpanRef leg;
     if (tracer.enabled() && parent.valid()) {
@@ -94,18 +88,20 @@ class Channel {
     const SimTime start = sched->Now();
     auto r = co_await net_->Call<Req, Resp>(from, to, std::move(req), timeout);  // lint:allow(raw-rpc)
     const SimDuration latency = sched->Now() - start;
+    sim::RpcMeter& m = meter<Req>(from);
+    m.latency.Add(latency);
     if (!r.ok()) {
-      metrics_->RecordLeg(name, Outcome::kTimeout, latency);
+      m.timeout++;
       tracer.Note(leg, "ok", 0);
     } else if constexpr (HasStatusField<Resp>) {
       if (r->status.IsNotLeader()) {
-        metrics_->RecordLeg(name, Outcome::kNotLeader, latency);
+        m.not_leader++;
         tracer.Note(leg, "not_leader", 1);
       } else {
-        metrics_->RecordLeg(name, Outcome::kOk, latency);
+        m.ok++;
       }
     } else {
-      metrics_->RecordLeg(name, Outcome::kOk, latency);
+      m.ok++;
     }
     if (peer_observer_) peer_observer_(to, r.ok(), latency, parent.trace_id);
     tracer.End(leg);
@@ -113,7 +109,6 @@ class Channel {
   }
 
   sim::Network* net_;
-  MetricRegistry* metrics_;
   uint64_t tenant_ = 0;
   PeerObserver peer_observer_;
 };

@@ -119,7 +119,7 @@ bool Router::ApplyMasterRedirect(const Status& not_leader) {
   sim::NodeId hint = ParseLeaderHint(not_leader);
   if (hint != sim::kInvalidNode) {
     master_leader_ = hint;
-    stats_.redirects++;
+    redirects_++;
     return true;
   }
   master_leader_ = sim::kInvalidNode;
@@ -127,17 +127,11 @@ bool Router::ApplyMasterRedirect(const Status& not_leader) {
 }
 
 sim::NodeId Router::PartitionTarget(bool is_meta, PartitionId pid, int attempt) {
-  if (attempt > 0) {
-    stats_.leader_probes++;
-    if (ext_probes_) (*ext_probes_)++;
-  }
+  if (attempt > 0) leader_probes_++;
   const auto& cache = is_meta ? meta_leaders_ : data_leaders_;
   auto it = cache.find(pid);
   if (it != cache.end()) {
-    if (attempt == 0) {
-      stats_.leader_cache_hits++;
-      if (ext_cache_hits_) (*ext_cache_hits_)++;
-    }
+    if (attempt == 0) leader_cache_hits_++;
     return it->second;
   }
   if (is_meta) {
@@ -157,7 +151,7 @@ void Router::LegFailed(bool is_meta, PartitionId pid, sim::NodeId target) {
   auto it = cache.find(pid);
   if (it != cache.end() && it->second == target) {
     cache.erase(it);
-    stats_.invalidations++;
+    invalidations_++;
   }
   if (is_meta) {
     if (auto* v = MetaView(pid); v && v->leader_hint == target) {
@@ -175,7 +169,7 @@ bool Router::ApplyRedirect(bool is_meta, PartitionId pid, const Status& not_lead
   sim::NodeId hint = ParseLeaderHint(not_leader);
   if (hint != sim::kInvalidNode) {
     cache[pid] = hint;
-    stats_.redirects++;
+    redirects_++;
     return true;
   }
   // Election in progress: forget the stale leader and let the caller back

@@ -9,9 +9,10 @@
 // Probe policy per logical call: attempt 0 goes to the cached leader if one
 // is known, else the view's leader hint, else replica[0]; later attempts
 // round-robin the replica list. A failed leg against the cached leader
-// invalidates the cache exactly once (stats().invalidations); a NotLeader
-// response carrying a hint repoints the cache (stats().redirects) and the
-// stub retries the hinted node immediately.
+// invalidates the cache exactly once ("router.invalidations"); a NotLeader
+// response carrying a hint repoints the cache ("router.redirects") and the
+// stub retries the hinted node immediately. Counters go to the registry the
+// owner passes in (a client mount passes its host's).
 #pragma once
 
 #include <string>
@@ -20,6 +21,7 @@
 #include "common/flat_map.h"
 #include "common/status.h"
 #include "master/messages.h"
+#include "obs/metrics.h"
 #include "sim/network.h"
 
 namespace cfs::rpc {
@@ -27,17 +29,15 @@ namespace cfs::rpc {
 using meta::InodeId;
 using meta::PartitionId;
 
-struct RouterStats {
-  uint64_t leader_cache_hits = 0;  // attempt-0 targets served from the cache
-  uint64_t leader_probes = 0;      // legs beyond the first of a logical call
-  uint64_t invalidations = 0;      // cached leaders dropped after a failed leg
-  uint64_t redirects = 0;          // NotLeader hints applied to the cache
-};
-
 class Router {
  public:
-  Router(sim::Scheduler* sched, std::vector<sim::NodeId> masters)
-      : sched_(sched), masters_(std::move(masters)) {}
+  Router(sim::Scheduler* sched, std::vector<sim::NodeId> masters, obs::Registry& metrics)
+      : sched_(sched),
+        masters_(std::move(masters)),
+        leader_cache_hits_(metrics.Counter("router.leader_cache_hits")),
+        leader_probes_(metrics.Counter("router.leader_probes")),
+        invalidations_(metrics.Counter("router.invalidations")),
+        redirects_(metrics.Counter("router.redirects")) {}
 
   // --- Views (installed from GetVolumeResp or upserted piecemeal) ---------
 
@@ -87,15 +87,6 @@ class Router {
   void Confirmed(bool is_meta, PartitionId pid, sim::NodeId target);
   sim::NodeId CachedLeader(bool is_meta, PartitionId pid) const;
 
-  const RouterStats& stats() const { return stats_; }
-
-  /// Mirror cache-hit / probe counts into external counters (the client's
-  /// ClientStats keeps its historical fields live this way).
-  void BindCounters(uint64_t* cache_hits, uint64_t* probes) {
-    ext_cache_hits_ = cache_hits;
-    ext_probes_ = probes;
-  }
-
  private:
   static sim::NodeId ParseLeaderHint(const Status& not_leader);
 
@@ -110,9 +101,10 @@ class Router {
   FlatMap<PartitionId, sim::NodeId> data_leaders_;
   FlatMap<PartitionId, SimTime> unwritable_until_;
 
-  RouterStats stats_;
-  uint64_t* ext_cache_hits_ = nullptr;
-  uint64_t* ext_probes_ = nullptr;
+  uint64_t& leader_cache_hits_;  // attempt-0 targets served from the cache
+  uint64_t& leader_probes_;      // legs beyond the first of a logical call
+  uint64_t& invalidations_;      // cached leaders dropped after a failed leg
+  uint64_t& redirects_;          // NotLeader hints applied to the cache
 };
 
 }  // namespace cfs::rpc

@@ -1,7 +1,8 @@
 // Typed service stubs: call sites say WHAT they want (partition + request);
 // the stub decides WHERE (Router: cached leader, hint, replica probe) and
 // HOW OFTEN (RetryPolicy budget + backoff, bounded by a propagated
-// Deadline), and meters every leg (MetricRegistry via Channel).
+// Deadline), and meters every leg into the calling host's registry (via
+// Channel), plus retries and failed logical calls.
 //
 //   MasterService — resource-manager RPCs, probing the master replica group.
 //   MetaService   — meta-partition RPCs with §2.4 leader caching and the
@@ -30,7 +31,6 @@
 #include "obs/trace.h"
 #include "rpc/channel.h"
 #include "rpc/deadline.h"
-#include "rpc/metrics.h"
 #include "rpc/retry_policy.h"
 #include "rpc/router.h"
 
@@ -41,6 +41,12 @@ struct CallOptions {
   const RetryPolicy* policy = nullptr; // default: the service's policy
   obs::TraceContext trace;             // parent span for this logical call
 };
+
+/// Counter of legs issued by one stub, in the calling host's registry
+/// (e.g. "client.meta_rpcs"); null when `name` is empty.
+inline uint64_t* LegCounter(sim::Network* net, sim::NodeId self, std::string_view name) {
+  return name.empty() ? nullptr : &net->host(self)->metrics().Counter(name);
+}
 
 /// Network-level failures on this many legs of one logical call trigger the
 /// timeout-report hook (§2.3.3). One lost message is noise; a repeatedly
@@ -62,12 +68,15 @@ inline obs::SpanScope BeginCallSpan(sim::Scheduler* sched, std::string_view span
 
 class MasterService {
  public:
+  /// `leg_counter` names a counter bumped per leg issued (see LegCounter).
   MasterService(sim::Network* net, sim::NodeId self, Router* router,
-                MetricRegistry* metrics, RetryPolicy policy = RetryPolicy::Control())
-      : channel_(net, metrics), self_(self), router_(router), policy_(policy) {}
+                RetryPolicy policy = RetryPolicy::Control(), std::string_view leg_counter = {})
+      : channel_(net),
+        self_(self),
+        router_(router),
+        policy_(policy),
+        legs_(LegCounter(net, self, leg_counter)) {}
 
-  /// Mirror per-leg issue counts into an external counter (ClientStats).
-  void set_rpc_counter(uint64_t* c) { rpc_counter_ = c; }
   /// Bind the mount's tenant label onto every outgoing request (Channel).
   void set_tenant(uint64_t tenant) { channel_.set_tenant(tenant); }
   const RetryPolicy& policy() const { return policy_; }
@@ -89,14 +98,14 @@ class MasterService {
     Status last;
     while (backoff.NextAttempt()) {
       if (opts.deadline.Expired(sched->Now())) {
-        channel_.metrics()->RecordCallOutcome(RpcNameOf<Req>(), Outcome::kDeadlineExceeded);
+        channel_.meter<Req>(self_).deadline_exceeded++;
         co_return Status::TimedOut("deadline exceeded calling master");
       }
       sim::NodeId target = router_->MasterTarget(backoff.attempt());
       if (target == sim::kInvalidNode) break;
-      if (rpc_counter_) (*rpc_counter_)++;
+      if (legs_) (*legs_)++;
       if (backoff.attempt() > 0) {
-        channel_.metrics()->RecordRetry(RpcNameOf<Req>());
+        channel_.meter<Req>(self_).retries++;
         call.Note("retry", backoff.attempt());
       }
       auto r = co_await channel_.Unary<Req, Resp>(
@@ -116,7 +125,7 @@ class MasterService {
       router_->MasterConfirmed(target);
       co_return std::move(*r);
     }
-    channel_.metrics()->RecordCallOutcome(RpcNameOf<Req>(), Outcome::kRetryExhausted);
+    channel_.meter<Req>(self_).retry_exhausted++;
     if (last.ok()) last = Status::TimedOut("no master leader reachable");
     co_return last;
   }
@@ -125,7 +134,7 @@ class MasterService {
   sim::NodeId self_;
   Router* router_;
   RetryPolicy policy_;
-  uint64_t* rpc_counter_ = nullptr;
+  uint64_t* legs_;
 };
 
 /// Common engine of MetaService / DataService: leader-probing partition
@@ -142,19 +151,19 @@ class PartitionService {
   /// repeated network-level failures, so the owner can report the partition
   /// to the master.
   void set_timeout_report(ReportFn f) { report_ = std::move(f); }
-  void set_rpc_counter(uint64_t* c) { rpc_counter_ = c; }
   /// Bind the mount's tenant label onto every outgoing request (Channel).
   void set_tenant(uint64_t tenant) { channel_.set_tenant(tenant); }
   const RetryPolicy& policy() const { return policy_; }
 
  protected:
   PartitionService(bool is_meta, sim::Network* net, sim::NodeId self, Router* router,
-                   MetricRegistry* metrics, RetryPolicy policy)
-      : channel_(net, metrics),
+                   RetryPolicy policy, std::string_view leg_counter)
+      : channel_(net),
         self_(self),
         router_(router),
         policy_(policy),
-        is_meta_(is_meta) {}
+        is_meta_(is_meta),
+        legs_(LegCounter(net, self, leg_counter)) {}
 
   template <typename Req, typename Resp>
   sim::Task<Result<Resp>> PartitionCallImpl(PartitionId pid, Req req, CallOptions opts) {
@@ -169,15 +178,15 @@ class PartitionService {
     Status last;
     while (backoff.NextAttempt()) {
       if (opts.deadline.Expired(sched->Now())) {
-        channel_.metrics()->RecordCallOutcome(RpcNameOf<Req>(), Outcome::kDeadlineExceeded);
+        channel_.meter<Req>(self_).deadline_exceeded++;
         MaybeReport(pid, rpc_failures);
         co_return Status::TimedOut("deadline exceeded on " + PartitionName(pid));
       }
       sim::NodeId target = router_->PartitionTarget(is_meta_, pid, backoff.attempt());
       if (target == sim::kInvalidNode) break;
-      if (rpc_counter_) (*rpc_counter_)++;
+      if (legs_) (*legs_)++;
       if (backoff.attempt() > 0) {
-        channel_.metrics()->RecordRetry(RpcNameOf<Req>());
+        channel_.meter<Req>(self_).retries++;
         call.Note("retry", backoff.attempt());
       }
       auto r = co_await channel_.Unary<Req, Resp>(
@@ -198,7 +207,7 @@ class PartitionService {
       router_->Confirmed(is_meta_, pid, target);
       co_return std::move(*r);
     }
-    channel_.metrics()->RecordCallOutcome(RpcNameOf<Req>(), Outcome::kRetryExhausted);
+    channel_.meter<Req>(self_).retry_exhausted++;
     MaybeReport(pid, rpc_failures);
     if (last.ok()) last = Status::TimedOut(PartitionName(pid) + " unreachable");
     co_return last;
@@ -217,9 +226,9 @@ class PartitionService {
   Router* router_;
   RetryPolicy policy_;
   bool is_meta_;
+  uint64_t* legs_;
   RefreshFn refresh_;
   ReportFn report_;
-  uint64_t* rpc_counter_ = nullptr;
 
  private:
   sim::Task<Status> EnsureViewImpl(PartitionId pid) {
@@ -244,9 +253,9 @@ class PartitionService {
 
 class MetaService : public PartitionService {
  public:
-  MetaService(sim::Network* net, sim::NodeId self, Router* router, MetricRegistry* metrics,
-              RetryPolicy policy = RetryPolicy::Control())
-      : PartitionService(true, net, self, router, metrics, policy) {}
+  MetaService(sim::Network* net, sim::NodeId self, Router* router,
+              RetryPolicy policy = RetryPolicy::Control(), std::string_view leg_counter = {})
+      : PartitionService(true, net, self, router, policy, leg_counter) {}
 
   /// Meta RPC to the partition's raft leader with NotLeader redirect +
   /// retry; keeps the leader cache current (§2.4).
@@ -258,9 +267,9 @@ class MetaService : public PartitionService {
 
 class DataService : public PartitionService {
  public:
-  DataService(sim::Network* net, sim::NodeId self, Router* router, MetricRegistry* metrics,
-              RetryPolicy policy = RetryPolicy::Data())
-      : PartitionService(false, net, self, router, metrics, policy) {}
+  DataService(sim::Network* net, sim::NodeId self, Router* router,
+              RetryPolicy policy = RetryPolicy::Data(), std::string_view leg_counter = {})
+      : PartitionService(false, net, self, router, policy, leg_counter) {}
 
   /// Data RPC to the partition's raft leader, probing replicas one by one
   /// and caching the last identified leader (§2.4).
@@ -286,10 +295,10 @@ class DataService : public PartitionService {
     master::DataPartitionView* view = router_->DataView(pid);
     if (!view || view->replicas.empty()) co_return Status::NotFound(PartitionName(pid));
     if (opts.deadline.Expired(sched->Now())) {
-      channel_.metrics()->RecordCallOutcome(RpcNameOf<Req>(), Outcome::kDeadlineExceeded);
+      channel_.meter<Req>(self_).deadline_exceeded++;
       co_return Status::TimedOut("deadline exceeded on " + PartitionName(pid));
     }
-    if (rpc_counter_) (*rpc_counter_)++;
+    if (legs_) (*legs_)++;
     auto r = co_await channel_.Unary<Req, Resp>(
         self_, view->replicas[0], std::move(req),
         opts.deadline.ClampTimeout(sched->Now(), policy.rpc_timeout), opts.trace);

@@ -27,6 +27,7 @@
 #include <deque>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -36,6 +37,7 @@
 #include "common/flat_map.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/disk.h"
 #include "sim/msg_type.h"
@@ -282,6 +284,30 @@ struct HostOptions {
 
 class Network;
 
+/// One message type's RPC metrics in one host's registry, under
+/// "rpc.<name>.": leg outcomes (ok / timeout / not_leader), logical-call
+/// terminations (retry_exhausted / deadline_exceeded), retry legs, and the
+/// leg latency histogram (latency_usec). rpc::Channel and the service stubs
+/// meter into the sending host's meter for the request type.
+struct RpcMeter {
+  RpcMeter(obs::Registry& r, const std::string& prefix)
+      : ok(r.Counter(prefix + "ok")),
+        timeout(r.Counter(prefix + "timeout")),
+        not_leader(r.Counter(prefix + "not_leader")),
+        retry_exhausted(r.Counter(prefix + "retry_exhausted")),
+        deadline_exceeded(r.Counter(prefix + "deadline_exceeded")),
+        retries(r.Counter(prefix + "retries")),
+        latency(r.Hist(prefix + "latency_usec")) {}
+
+  uint64_t& ok;
+  uint64_t& timeout;
+  uint64_t& not_leader;
+  uint64_t& retry_exhausted;
+  uint64_t& deadline_exceeded;
+  uint64_t& retries;
+  obs::Histogram& latency;
+};
+
 /// The caller's claim on a pending-call slot, handed to the handler side so
 /// the reply can find its way back. A 16-byte POD — replaces the per-call
 /// heap-allocated std::function reply closure of the boxing transport.
@@ -424,6 +450,23 @@ class Host {
   StableStorage& storage() { return storage_; }
   const HostOptions& options() const { return opts_; }
 
+  /// This host's metric registry: every component running here writes its
+  /// counters, gauges and histograms into it (harness::Cluster::Metrics()
+  /// merges them).
+  obs::Registry& metrics() { return metrics_; }
+  const obs::Registry& metrics() const { return metrics_; }
+
+  /// RPC metrics of message type `t`, resolved in the registry on the first
+  /// use per (host, type); later calls index a flat table, no lookup.
+  RpcMeter& rpc_meter(MsgTypeId t) {
+    if (t >= rpc_meters_.size()) rpc_meters_.resize(t + 1);
+    std::optional<RpcMeter>& m = rpc_meters_[t];
+    if (!m) {
+      m.emplace(metrics_, std::string("rpc.") + MsgTypeRegistry::Instance().info(t).name + ".");
+    }
+    return *m;
+  }
+
   /// Tracked memory use (meta partitions report in; drives utilization-based
   /// placement, §2.3.1).
   uint64_t memory_used() const { return memory_used_; }
@@ -500,6 +543,8 @@ class Host {
   std::vector<std::unique_ptr<Disk>> disks_;
   StableStorage storage_;
   uint64_t memory_used_ = 0;
+  obs::Registry metrics_;
+  std::vector<std::optional<RpcMeter>> rpc_meters_;  // indexed by MsgTypeId
   /// Flat handler table indexed by MsgTypeId. Ids are first-use-ordered and
   /// never iterated here — only point-indexed — so the (build-dependent)
   /// assignment order can't leak into scheduling decisions.

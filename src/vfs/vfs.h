@@ -87,10 +87,6 @@ class FileSystem {
   Client* client() { return client_; }
   size_t open_fds() const { return fds_.size(); }
 
-  /// Per-RPC metrics of the mounted client (every meta/data/master leg this
-  /// file system issued); see rpc/metrics.h.
-  const rpc::MetricRegistry& rpc_metrics() const { return client_->rpc_metrics(); }
-
  private:
   struct FdState {
     InodeId ino = 0;

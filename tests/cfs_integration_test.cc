@@ -114,7 +114,7 @@ TEST_F(CfsCluster, DuplicateCreateFails) {
   EXPECT_FALSE(second.ok());
   EXPECT_TRUE(second.status().IsAlreadyExists());
   // The orphaned inode from the failed create is tracked and evictable.
-  EXPECT_EQ(client_->stats().orphans_created, 1u);
+  EXPECT_EQ(client_->metrics().counter("client.orphans_created"), 1u);
   EXPECT_EQ(client_->orphan_count(), 1u);
   Run([](Client* c) -> Task<bool> {
     co_await c->EvictOrphans();
@@ -301,18 +301,18 @@ TEST_F(CfsCluster, ReadDirPlusBatchesAndCaches) {
   for (int i = 0; i < 20; i++) {
     ASSERT_TRUE(Run(client_->Create(kRootInode, "e" + std::to_string(i), FileType::kFile)).ok());
   }
-  client_->mutable_stats() = {};
+  const uint64_t rpcs0 = client_->metrics().counter("client.meta_rpcs");
   auto first = Run(client_->ReadDirPlus(kRootInode));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->size(), 20u);
-  uint64_t rpcs_after_first = client_->stats().meta_rpcs;
+  uint64_t rpcs_after_first = client_->metrics().counter("client.meta_rpcs") - rpcs0;
   // One readdir + at most one batch get per meta partition — far fewer than
   // one RPC per inode (the Ceph model's behaviour).
   EXPECT_LE(rpcs_after_first, 1 + 3u);
   // Second call inside the TTL: served from the client cache (§4.2).
   auto second = Run(client_->ReadDirPlus(kRootInode));
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(client_->stats().meta_rpcs, rpcs_after_first);
+  EXPECT_EQ(client_->metrics().counter("client.meta_rpcs") - rpcs0, rpcs_after_first);
 }
 
 TEST_F(CfsCluster, SymlinkStoresTarget) {
@@ -500,6 +500,84 @@ TEST_F(CfsCluster, UtilizationPlacementPrefersEmptyNodes) {
     EXPECT_NE(node, cluster_->node_host(1)->id());
     EXPECT_NE(node, cluster_->node_host(2)->id());
   }
+}
+
+// --- One metrics path: per-host registries ----------------------------------
+
+class Metrics : public CfsCluster {};
+
+TEST_F(Metrics, PerHostRegistriesSumToClusterView) {
+  Boot();
+  auto f = Run(client_->Create(kRootInode, "chain.bin", FileType::kFile));
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  ASSERT_TRUE(Run(client_->Open(f->id)).ok());
+  ASSERT_TRUE(Run(client_->Write(f->id, 0, std::string(512 * kKiB, 'c'))).ok());
+  const meta::PartitionId pid = client_->append_partition(f->id);
+  ASSERT_NE(pid, 0u);
+  ASSERT_TRUE(Run(client_->Close(f->id)).ok());
+
+  sim::Network& net = cluster_->net();
+  obs::Registry hosts;
+  for (sim::NodeId id = 1; id <= net.num_hosts(); id++) hosts.MergeFrom(net.host(id)->metrics());
+
+  // The cluster view is exactly the merged host registries plus the device
+  // and wire accounting it reads from the simulator.
+  const obs::Registry view = cluster_->Metrics();
+  auto simulator_read = [](const std::string& k) {
+    return k.starts_with("disk.") || k.starts_with("net.") || k.starts_with("obs.");
+  };
+  obs::Registry from_registries;
+  for (const auto& [k, v] : view.counters()) {
+    if (!simulator_read(k)) from_registries.Add(k, v);
+  }
+  for (const auto& [k, v] : view.gauges()) {
+    if (!simulator_read(k)) from_registries.Set(k, v);
+  }
+  for (const auto& [k, h] : view.histograms()) from_registries.Hist(k).MergeFrom(h);
+  EXPECT_EQ(from_registries.DumpJson(), hosts.DumpJson());
+  EXPECT_GT(view.counter("disk.write_bytes"), 0u);
+
+  // Legs land on the host that sent them: the client sends WritePacket to
+  // the chain leader, which forwards ChainAppend down the chain.
+  const sim::NodeId chain_leader = cluster_->DataPartitionReplicas(pid).at(0);
+  EXPECT_GT(net.host(chain_leader)->metrics().counter("rpc.ChainAppend.ok"), 0u);
+  EXPECT_GT(client_->metrics().counter("rpc.WritePacket.ok"), 0u);
+  EXPECT_EQ(client_->metrics().counter("rpc.ChainAppend.ok"), 0u);
+
+  // Client workflow counters live on the client host only.
+  EXPECT_GT(client_->metrics().counter("client.data_rpcs"), 0u);
+  EXPECT_EQ(client_->metrics().counter("client.data_rpcs"), view.counter("client.data_rpcs"));
+  for (sim::NodeId id = 1; id <= net.num_hosts(); id++) {
+    if (id == client_->node()) continue;
+    for (const auto& [k, v] : net.host(id)->metrics().counters()) {
+      EXPECT_FALSE(k.starts_with("client.")) << k << " on host " << id;
+    }
+  }
+}
+
+// Every leg the rpc layer meters is one transport call, whose timeout
+// watchdog was either cancelled by the reply or fired. Raft group-commit
+// batch shapes are histograms of their own, not legs.
+TEST_F(Metrics, RpcLegsMatchTransportWatchdogs) {
+  Boot();
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(Run(client_->Create(kRootInode, "f" + std::to_string(i), FileType::kFile)).ok());
+  }
+  auto f = Run(client_->Create(kRootInode, "data.bin", FileType::kFile));
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  ASSERT_TRUE(Run(client_->Write(f->id, 0, std::string(256 * kKiB, 'd'))).ok());
+  ASSERT_TRUE(Run(client_->Fsync(f->id)).ok());
+  // Stop between events with no call pending, so every issued call has been
+  // metered and its watchdog resolved.
+  while (cluster_->net().rpc_slots_in_use() > 0) ASSERT_TRUE(cluster_->sched().RunOne());
+
+  const obs::Registry m = cluster_->Metrics();
+  const uint64_t legs = m.SumCounters("rpc.", ".ok") + m.SumCounters("rpc.", ".timeout") +
+                        m.SumCounters("rpc.", ".not_leader");
+  EXPECT_GT(legs, 0u);
+  EXPECT_EQ(legs, m.counter("net.rpc_timeout.cancelled") + m.counter("net.rpc_timeout.fired"));
+  EXPECT_GT(m.FindHistogram("raft.gc.batch_entries")->count, 0u);
+  EXPECT_EQ(m.FindHistogram("raft.gc.batch_entries")->count, m.counter("raft.gc.batches"));
 }
 
 }  // namespace

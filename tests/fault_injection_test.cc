@@ -184,12 +184,13 @@ TEST_F(FaultFixture, WindowedAppendSurvivesChainReplicaCrash) {
     ASSERT_TRUE(read.ok()) << read.status().ToString();
     ASSERT_EQ(read->size(), content.size());
     EXPECT_EQ(*read, content);
-    EXPECT_GE(client_->stats().resends, 1u);
-    EXPECT_GT(client_->stats().suffix_resend_bytes, 0u);
+    const obs::Registry& m = client_->metrics();
+    EXPECT_GE(m.counter("client.resends"), 1u);
+    EXPECT_GT(m.counter("client.suffix_resend_bytes"), 0u);
     if (w > 1) {
-      EXPECT_GT(client_->stats().max_inflight_packets, 1u);
+      EXPECT_GT(m.gauge("client.max_inflight_packets"), 1);
     } else {
-      EXPECT_EQ(client_->stats().max_inflight_packets, 1u);
+      EXPECT_EQ(m.gauge("client.max_inflight_packets"), 1);
     }
   }
 }

@@ -111,6 +111,15 @@ class GroupCommit : public ::testing::Test {
     return results;
   }
 
+  /// Group-commit and WAL counters of replica `i`'s host ("raft.gc.*",
+  /// "raft.log.*"); each host here carries exactly one group.
+  uint64_t Counter(int i, std::string_view name) const {
+    return hosts_[i]->metrics().counter(name);
+  }
+  uint64_t MaxBatch(int i) const {
+    return static_cast<uint64_t>(hosts_[i]->metrics().gauge("raft.gc.max_batch"));
+  }
+
   uint64_t seed_ = 42;
   std::unique_ptr<sim::Scheduler> sched_;
   std::unique_ptr<sim::Network> net_;
@@ -125,19 +134,18 @@ TEST_F(GroupCommit, ConcurrentProposalsShareLogWrites) {
   ASSERT_GE(leader, 0);
   sched_->RunFor(500 * kMsec);  // settle so no election interferes
 
-  uint64_t writes_before = nodes_[leader]->log().append_writes();
+  uint64_t writes_before = Counter(leader, "raft.log.append_writes");
   auto results = ProposeConcurrent(leader, 16, "cmd-");
   for (const auto& s : results) EXPECT_TRUE(s.ok()) << s.ToString();
 
   // 16 concurrent proposals must coalesce: the first forms a batch of one
   // (it reaches the disk with an empty queue), the rest pile up behind its
   // log write and share flushes.
-  const GroupCommitStats& gc = nodes_[leader]->group_commit_stats();
-  EXPECT_EQ(gc.proposals, 16u);
-  EXPECT_LT(gc.batches, 16u);
-  EXPECT_GE(gc.max_batch, 2u);
-  uint64_t write_delta = nodes_[leader]->log().append_writes() - writes_before;
-  EXPECT_EQ(write_delta, gc.batches);
+  EXPECT_EQ(Counter(leader, "raft.gc.proposals"), 16u);
+  EXPECT_LT(Counter(leader, "raft.gc.batches"), 16u);
+  EXPECT_GE(MaxBatch(leader), 2u);
+  uint64_t write_delta = Counter(leader, "raft.log.append_writes") - writes_before;
+  EXPECT_EQ(write_delta, Counter(leader, "raft.gc.batches"));
   EXPECT_LT(write_delta, 16u);
 
   // Every replica applied all 16 commands, in identical order.
@@ -163,10 +171,10 @@ TEST_F(GroupCommit, MaxBatchProposalsCapsBatchSize) {
 
   auto results = ProposeConcurrent(leader, 20, "cap-");
   for (const auto& s : results) EXPECT_TRUE(s.ok()) << s.ToString();
-  const GroupCommitStats& gc = nodes_[leader]->group_commit_stats();
-  EXPECT_EQ(gc.proposals, 20u);
-  EXPECT_LE(gc.max_batch, 4u);
-  EXPECT_GE(gc.batches, 5u);  // 20 proposals cannot fit in fewer than 5 batches
+  EXPECT_EQ(Counter(leader, "raft.gc.proposals"), 20u);
+  EXPECT_LE(MaxBatch(leader), 4u);
+  // 20 proposals cannot fit in fewer than 5 batches.
+  EXPECT_GE(Counter(leader, "raft.gc.batches"), 5u);
 }
 
 TEST_F(GroupCommit, BatchSizeOneMatchesUnbatchedWriteCount) {
@@ -177,14 +185,13 @@ TEST_F(GroupCommit, BatchSizeOneMatchesUnbatchedWriteCount) {
   ASSERT_GE(leader, 0);
   sched_->RunFor(500 * kMsec);
 
-  uint64_t writes_before = nodes_[leader]->log().append_writes();
+  uint64_t writes_before = Counter(leader, "raft.log.append_writes");
   auto results = ProposeConcurrent(leader, 10, "solo-");
   for (const auto& s : results) EXPECT_TRUE(s.ok()) << s.ToString();
-  const GroupCommitStats& gc = nodes_[leader]->group_commit_stats();
-  EXPECT_EQ(gc.proposals, 10u);
-  EXPECT_EQ(gc.batches, 10u);
-  EXPECT_EQ(gc.max_batch, 1u);
-  EXPECT_EQ(nodes_[leader]->log().append_writes() - writes_before, 10u);
+  EXPECT_EQ(Counter(leader, "raft.gc.proposals"), 10u);
+  EXPECT_EQ(Counter(leader, "raft.gc.batches"), 10u);
+  EXPECT_EQ(MaxBatch(leader), 1u);
+  EXPECT_EQ(Counter(leader, "raft.log.append_writes") - writes_before, 10u);
 }
 
 TEST_F(GroupCommit, MaxBatchBytesSplitsAndOversizedCommandStillShips) {
@@ -198,14 +205,13 @@ TEST_F(GroupCommit, MaxBatchBytesSplitsAndOversizedCommandStillShips) {
   // 12 proposals of 100 bytes: at most two fit under the 256-byte cap.
   auto results = ProposeConcurrent(leader, 12, "byte-", 100);
   for (const auto& s : results) EXPECT_TRUE(s.ok()) << s.ToString();
-  const GroupCommitStats& gc = nodes_[leader]->group_commit_stats();
-  EXPECT_EQ(gc.proposals, 12u);
-  EXPECT_LE(gc.max_batch, 2u);
+  EXPECT_EQ(Counter(leader, "raft.gc.proposals"), 12u);
+  EXPECT_LE(MaxBatch(leader), 2u);
 
   // A single command larger than the cap ships anyway, as a batch of one.
   auto big = ProposeConcurrent(leader, 1, "big-", 1000);
   EXPECT_TRUE(big[0].ok()) << big[0].ToString();
-  EXPECT_EQ(nodes_[leader]->group_commit_stats().proposals, 13u);
+  EXPECT_EQ(Counter(leader, "raft.gc.proposals"), 13u);
   sched_->RunFor(1 * kSec);
   EXPECT_EQ(sms_[leader]->applied.size(), 13u);
 }
@@ -222,10 +228,9 @@ TEST_F(GroupCommit, LingerCoalescesIntoFewerBatches) {
   for (const auto& s : results) EXPECT_TRUE(s.ok()) << s.ToString();
   // The linger holds the first drain until all 16 spawned proposals are
   // queued, so the whole burst shares one log write.
-  const GroupCommitStats& gc = nodes_[leader]->group_commit_stats();
-  EXPECT_EQ(gc.proposals, 16u);
-  EXPECT_EQ(gc.batches, 1u);
-  EXPECT_EQ(gc.max_batch, 16u);
+  EXPECT_EQ(Counter(leader, "raft.gc.proposals"), 16u);
+  EXPECT_EQ(Counter(leader, "raft.gc.batches"), 1u);
+  EXPECT_EQ(MaxBatch(leader), 16u);
 }
 
 TEST_F(GroupCommit, LeaderCrashMidBatchKeepsGroupConsistent) {

@@ -168,6 +168,52 @@ TEST(Registry, DumpJsonIsByteStableAndSorted) {
   EXPECT_NE(once.find("\"histograms\""), std::string::npos);
 }
 
+// Hot paths resolve a metric once and keep the reference; later inserts and
+// merges must neither move it nor detach it from the registry.
+TEST(Registry, ReferencesSurviveInsertsAndMerge) {
+  Registry r;
+  uint64_t& c = r.Counter("m.count");
+  int64_t& g = r.Gauge("m.gauge");
+  Histogram& h = r.Hist("m.hist");
+  c += 2;
+  g = 5;
+  h.Add(300);
+  for (int i = 0; i < 1000; i++) {
+    const std::string k = std::to_string(i);
+    r.Add("a." + k);
+    r.Set("m." + k, i);
+    r.Observe("z." + k, i);
+  }
+  Registry other;
+  other.Add("m.count", 3);
+  other.SetMax("m.gauge", 9);
+  other.Observe("m.hist", 7000);
+  other.Add("new.key", 1);
+  r.MergeFrom(other);
+
+  EXPECT_EQ(&r.Counter("m.count"), &c);
+  EXPECT_EQ(&r.Gauge("m.gauge"), &g);
+  EXPECT_EQ(&r.Hist("m.hist"), &h);
+  c++;  // writes through the old reference land in the registry
+  EXPECT_EQ(r.counter("m.count"), 6u);
+  EXPECT_EQ(r.gauge("m.gauge"), 9);
+  ASSERT_NE(r.FindHistogram("m.hist"), nullptr);
+  EXPECT_EQ(r.FindHistogram("m.hist")->count, 2u);
+  EXPECT_EQ(r.counter("new.key"), 1u);
+}
+
+TEST(Registry, SumCountersMatchesPrefixAndSuffix) {
+  Registry r;
+  r.Add("rpc.A.ok", 2);
+  r.Add("rpc.B.ok", 3);
+  r.Add("rpc.B.timeout", 7);
+  r.Add("rpcx.C.ok", 100);  // different prefix
+  r.Add("zzz.ok", 100);
+  EXPECT_EQ(r.SumCounters("rpc.", ".ok"), 5u);
+  EXPECT_EQ(r.SumCounters("rpc.", ".timeout"), 7u);
+  EXPECT_EQ(r.SumCounters("rpc.", ".missing"), 0u);
+}
+
 // --- Tracer ------------------------------------------------------------------
 
 TEST(Tracer, DisabledMintsNothing) {

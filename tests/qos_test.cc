@@ -87,7 +87,8 @@ sim::Task<void> Hog(sim::Scheduler* sched, AdmissionQueue* q, TenantId t,
 
 TEST(AdmissionQueue, DisabledAdmitsSynchronously) {
   sim::Scheduler sched(1);
-  AdmissionQueue q(&sched);  // slots 0 = disabled
+  obs::Registry reg;
+  AdmissionQueue q(&sched, reg, "qos.test");  // slots 0 = disabled
   bool done = false;
   sim::Spawn([](AdmissionQueue* q, bool* done) -> sim::Task<void> {
     auto g = co_await q->Enter(7, 100);
@@ -97,13 +98,14 @@ TEST(AdmissionQueue, DisabledAdmitsSynchronously) {
   EXPECT_TRUE(done);
   EXPECT_EQ(q.queued(), 0u);
   EXPECT_EQ(q.in_service(), 0u);
-  // Disabled queues keep no per-tenant state: nothing to export, no events.
-  EXPECT_TRUE(q.tenant_stats().empty());
+  // Disabled queues keep no per-tenant state: no tenant counters, no events.
+  EXPECT_TRUE(reg.counters().empty());
 }
 
 TEST(AdmissionQueue, WeightedShareUnderSaturation) {
   sim::Scheduler sched(1);
-  AdmissionQueue q(&sched);
+  obs::Registry reg;
+  AdmissionQueue q(&sched, reg, "qos.test");
   q.Configure(/*slots=*/1);
   q.SetWeight(1, 4);
   q.SetWeight(2, 1);
@@ -117,15 +119,16 @@ TEST(AdmissionQueue, WeightedShareUnderSaturation) {
   sched.RunFor(2 * kSec);
   stop = true;
   sched.RunFor(1 * kSec);  // drain
-  const auto& stats = q.tenant_stats();
-  ASSERT_TRUE(stats.count(1) && stats.count(2));
-  const double ratio = static_cast<double>(stats.at(1).admitted) /
-                       static_cast<double>(stats.at(2).admitted);
-  EXPECT_GT(ratio, 3.4) << "t1=" << stats.at(1).admitted << " t2=" << stats.at(2).admitted;
-  EXPECT_LT(ratio, 4.6) << "t1=" << stats.at(1).admitted << " t2=" << stats.at(2).admitted;
+  const uint64_t t1 = reg.counter("qos.test.tenant.1.admitted");
+  const uint64_t t2 = reg.counter("qos.test.tenant.2.admitted");
+  ASSERT_TRUE(t1 > 0 && t2 > 0);
+  const double ratio = static_cast<double>(t1) / static_cast<double>(t2);
+  EXPECT_GT(ratio, 3.4) << "t1=" << t1 << " t2=" << t2;
+  EXPECT_LT(ratio, 4.6) << "t1=" << t1 << " t2=" << t2;
   // Saturation bookkeeping: waiters actually queued and waited.
-  EXPECT_GT(stats.at(2).queued, 0u);
-  EXPECT_GT(stats.at(2).wait_usec, 0u);
+  EXPECT_GT(reg.counter("qos.test.tenant.2.queued"), 0u);
+  EXPECT_GT(reg.counter("qos.test.tenant.2.wait_usec"), 0u);
+  EXPECT_GT(reg.gauge("qos.test.max_depth"), 0);
 }
 
 /// Records its admission order, then releases immediately.
@@ -137,7 +140,8 @@ sim::Task<void> Waiter(AdmissionQueue* q, TenantId t, uint64_t cost, int idx,
 
 TEST(AdmissionQueue, PerTenantFifoAndCrossTenantPriority) {
   sim::Scheduler sched(1);
-  AdmissionQueue q(&sched);
+  obs::Registry reg;
+  AdmissionQueue q(&sched, reg, "qos.test");
   q.Configure(/*slots=*/1);
   q.SetWeight(9, 100);
   bool stop = false;
@@ -211,7 +215,7 @@ TEST(MultiMount, LifecycleAndInvariants) {
   auto fb = harness::RunTask(cluster.sched(),
                              mb->Create(meta::kRootInode, "b.txt", meta::FileType::kFile));
   ASSERT_TRUE(fb.has_value() && fb->ok());
-  EXPECT_GT(ma->mount_stats().ops, 0u);
+  EXPECT_GT(c->metrics().counter("tenant." + std::to_string(ma->tenant()) + ".ops"), 0u);
   EXPECT_TRUE(cluster.CheckInvariants().ok());
 
   // Unmount one volume: its context is retired (ops fail fast), the other

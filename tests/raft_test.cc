@@ -400,7 +400,7 @@ TEST(LogStoreTest, RopeEntryPersistsInFlatEncoding) {
   sim::Scheduler sched;
   sim::Network net(&sched);
   sim::Host* host = net.AddHost();
-  LogStore log(&host->storage(), host->disk(0), 7);
+  LogStore log(host, host->disk(0), 7);
   std::string payload(1000, 'x');
   payload[123] = 'y';
   std::vector<LogEntry> entries = {
@@ -427,10 +427,10 @@ TEST(LogStoreTest, RopeEntryPersistsInFlatEncoding) {
   std::string blob;
   ASSERT_TRUE(host->storage().Get("raft/7/log", &blob));
   EXPECT_EQ(blob, want.data());
-  EXPECT_EQ(log.persisted_bytes(), want.size());
+  EXPECT_EQ(host->metrics().counter("raft.log.persisted_bytes"), want.size());
 
   // Recovery decodes flat entries: the whole command lands in the head.
-  LogStore recovered(&host->storage(), host->disk(0), 7);
+  LogStore recovered(host, host->disk(0), 7);
   st = Status::Retry("not finished");
   Spawn([](LogStore* log, Status& st) -> Task<void> { st = co_await log->Load(); }(
       &recovered, st));

@@ -126,7 +126,7 @@ TEST(Deadline, BoundsNestedWriteWorkflowUnderTotalLoss) {
   // sleep per nesting level, never by a full per-stage retry budget.
   EXPECT_LE(elapsed, 2500 * kMsec) << "deadline did not propagate";
   // Every failed leg was metered by the channel.
-  EXPECT_GE(client->rpc_metrics().TotalCount(rpc::Outcome::kTimeout), 2u);
+  EXPECT_GE(client->metrics().SumCounters("rpc.", ".timeout"), 2u);
 
   // A metadata op under the same loss terminates inside the retrying stub,
   // which records the deadline-exceeded call outcome.
@@ -136,8 +136,7 @@ TEST(Deadline, BoundsNestedWriteWorkflowUnderTotalLoss) {
   ASSERT_TRUE(cr.has_value()) << "create hung";
   EXPECT_FALSE(cr->ok());
   EXPECT_LE(cluster.sched().Now() - start, 2500 * kMsec);
-  EXPECT_GE(client->rpc_metrics().TotalCount(rpc::Outcome::kDeadlineExceeded),
-            1u);
+  EXPECT_GE(client->metrics().SumCounters("rpc.", ".deadline_exceeded"), 1u);
   cluster.net().SetDropProbability(0);
 }
 
@@ -199,23 +198,25 @@ TEST(Router, MetaLeaderCrashInvalidatesCacheOnceThenRedirects) {
   }));
   cluster.sched().RunFor(500 * kMsec);
 
-  const rpc::RouterStats before = client->router_stats();
+  // The mount's Router counts into the client host's registry.
+  const obs::Registry before = client->metrics();
 
   // The next call's first leg hits the dead cached leader: exactly one cache
   // invalidation, then one probe lands on a live replica which either IS the
   // new leader or redirects to it.
   auto g = RunTask(cluster.sched(), client->GetInode(kRootInode), 200'000'000);
   ASSERT_TRUE(g.has_value() && g->ok()) << "op did not survive leader crash";
-  const rpc::RouterStats after = client->router_stats();
-  EXPECT_EQ(after.invalidations, before.invalidations + 1);
-  EXPECT_GE(after.leader_probes, before.leader_probes + 1);
+  const obs::Registry after = client->metrics();
+  EXPECT_EQ(after.counter("router.invalidations"), before.counter("router.invalidations") + 1);
+  EXPECT_GE(after.counter("router.leader_probes"), before.counter("router.leader_probes") + 1);
 
   // The repointed cache serves the follow-up call with no extra probing.
   ASSERT_TRUE(RunTask(cluster.sched(), client->GetInode(kRootInode))->ok());
-  const rpc::RouterStats again = client->router_stats();
-  EXPECT_EQ(again.invalidations, after.invalidations);
-  EXPECT_EQ(again.leader_cache_hits, after.leader_cache_hits + 1);
-  EXPECT_EQ(again.leader_probes, after.leader_probes);
+  const obs::Registry& again = client->metrics();
+  EXPECT_EQ(again.counter("router.invalidations"), after.counter("router.invalidations"));
+  EXPECT_EQ(again.counter("router.leader_cache_hits"),
+            after.counter("router.leader_cache_hits") + 1);
+  EXPECT_EQ(again.counter("router.leader_probes"), after.counter("router.leader_probes"));
 }
 
 }  // namespace
