@@ -14,10 +14,9 @@
 // dense MsgTypeId (sim/msg_type.h) instead of probing a type_index map, and
 // the caller's pending-call state lives in a generation-checked RpcSlot
 // slab instead of a shared_ptr promise. The reply path cancels the timeout
-// watchdog through Scheduler::CancelAudited, which keeps the cancelled
-// timer's (time, seq) in the audited event stream — same-seed schedule
-// hashes are byte-identical to the boxing transport this replaced
-// (tests/schedule_hash_test.cc, tests/network_test.cc).
+// watchdog, so a call that is answered in time leaves no event behind
+// (golden schedule hashes: tests/schedule_hash_test.cc,
+// tests/network_test.cc).
 #pragma once
 
 #include <algorithm>
@@ -592,8 +591,7 @@ class Network {
   uint64_t bytes_sent() const { return bytes_sent_; }
 
   /// Timeout-watchdog accounting: replies delivered in time cancel their
-  /// watchdog (audited — the phantom keeps the schedule hash intact); only
-  /// genuinely lost/late calls let it fire.
+  /// watchdog; only genuinely lost/late calls let it fire.
   uint64_t rpc_timeouts_cancelled() const { return rpc_timeouts_cancelled_; }
   uint64_t rpc_timeouts_fired() const { return rpc_timeouts_fired_; }
 
@@ -760,10 +758,9 @@ class Network {
     }
     s.resp = resp;
     s.delivered = true;
-    // The watchdog leaves the wheel now (its closure is released, its node
-    // recycled) but stays in the audited stream as a phantom — the schedule
-    // hash and executed-event count are unchanged.
-    if (sched_->CancelAudited(s.timer)) rpc_timeouts_cancelled_++;
+    // The watchdog leaves the wheel now: its closure is released and it
+    // never executes.
+    if (sched_->Cancel(s.timer)) rpc_timeouts_cancelled_++;
     s.timer = {};
     // Resume via the scheduler at the current timestamp to bound recursion —
     // the same two-event delivery (store + resume) the promise path used.

