@@ -623,8 +623,9 @@ class Network {
   /// This is the transport primitive, not the application API: service code
   /// goes through the rpc layer (src/rpc/ — rpc::Channel and the typed
   /// stubs), which adds deadlines, retry policy, leader routing and per-RPC
-  /// metrics on top. lint.py R4 flags direct Call<> use outside src/rpc/;
-  /// only the raft transport opts out site-by-site.
+  /// metrics on top. Analyzer rule R4 (`python3 -m tools.analyze`) flags
+  /// direct Call<> use outside src/rpc/; the only raw call is
+  /// rpc::Channel::Unary.
   ///
   /// Deliberately NOT a coroutine: gcc 12 double-destroys braced-init
   /// temporary arguments passed to coroutine parameters (observed with

@@ -2,9 +2,9 @@
 
 A multi-pass analyzer over a real C++ token stream (lexer.py), a
 brace/scope tracker and function-body walker (scopes.py) — no libclang.
-It supersedes the regex lint (tools/lint.py is now a shim over rules.py)
-and adds the suspension-point hazard checks a cooperative-coroutine
-codebase needs (checks.py):
+Run it as `python3 -m tools.analyze`. It supersedes the old regex lint
+(its rules live on in rules.py) and adds the suspension-point hazard
+checks a cooperative-coroutine codebase needs (checks.py):
 
   A1  reference/iterator/pointer into a mutable container held live
       across a suspension point (co_await, or capture into a deferred
