@@ -148,7 +148,7 @@ void BM_MetaPartitionApplyCreate(benchmark::State& state) {
       Buffer::FromString(meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
   raft::Index idx = 0;
   for (auto _ : state) {
-    mp.Apply(++idx, cmd, {});
+    mp.Apply(++idx, cmd, {}, /*waited=*/true);
     benchmark::DoNotOptimize(mp.TakeResult(idx));
   }
   state.SetItemsProcessed(state.iterations());

@@ -38,6 +38,8 @@
 // the uncommitted suffix to a new extent on a different partition (§2.2.5).
 #pragma once
 
+#include <iterator>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -104,9 +106,10 @@ struct ClientOptions {
 };
 
 /// Bounded metadata cache: TTL on read plus an LRU capacity cap. Ordered
-/// containers only (determinism lint R2); recency is a monotonic sequence
-/// number, refreshed on Put and on hit. Capacity evictions bump `evictions`
-/// (a registry counter).
+/// containers only (determinism lint R2): one key -> entry map, plus a
+/// recency list (oldest first) whose node each entry points at, so a hit
+/// or an overwrite splices that node to the back without allocating.
+/// Capacity evictions bump `evictions` (a registry counter).
 template <typename K, typename V>
 class LruTtlCache {
  public:
@@ -115,18 +118,19 @@ class LruTtlCache {
   void set_capacity(size_t cap) { cap_ = cap; }
   size_t size() const { return map_.size(); }
 
-  /// Insert or overwrite; evicts the least-recently-used entry when full.
+  /// Insert or overwrite (refreshing recency and the TTL anchor); evicts the
+  /// least-recently-used entry when full.
   void Put(const K& k, V v, SimTime now) {
     auto it = map_.find(k);
     if (it != map_.end()) {
-      lru_.erase(it->second.seq);
-      it->second = Entry{std::move(v), now, next_seq_};
-    } else {
-      if (cap_ > 0 && map_.size() >= cap_) EvictOldest();
-      map_.emplace(k, Entry{std::move(v), now, next_seq_});
+      it->second.value = std::move(v);
+      it->second.at = now;
+      Touch(it->second);
+      return;
     }
-    lru_.emplace(next_seq_, k);
-    next_seq_++;
+    if (cap_ > 0 && map_.size() >= cap_) EvictOldest();
+    lru_.push_back(k);
+    map_.emplace(k, Entry{std::move(v), now, std::prev(lru_.end())});
   }
 
   /// nullptr on miss or TTL expiry (an expired entry is dropped). A hit
@@ -135,42 +139,40 @@ class LruTtlCache {
     auto it = map_.find(k);
     if (it == map_.end()) return nullptr;
     if (now - it->second.at > ttl) {
-      lru_.erase(it->second.seq);
+      lru_.erase(it->second.pos);
       map_.erase(it);
       return nullptr;
     }
-    lru_.erase(it->second.seq);
-    it->second.seq = next_seq_;
-    lru_.emplace(next_seq_, k);
-    next_seq_++;
+    Touch(it->second);
     return &it->second.value;
   }
 
   void Erase(const K& k) {
     auto it = map_.find(k);
     if (it == map_.end()) return;
-    lru_.erase(it->second.seq);
+    lru_.erase(it->second.pos);
     map_.erase(it);
   }
 
  private:
   struct Entry {
     V value;
-    SimTime at = 0;    // insertion time; TTL anchor
-    uint64_t seq = 0;  // recency; larger = more recent
+    SimTime at = 0;                      // insertion time; TTL anchor
+    typename std::list<K>::iterator pos;  // this key's node in lru_
   };
 
+  /// Mark most recently used.
+  void Touch(const Entry& e) { lru_.splice(lru_.end(), lru_, e.pos); }
+
   void EvictOldest() {
-    auto oldest = lru_.begin();
-    map_.erase(oldest->second);
-    lru_.erase(oldest);
+    map_.erase(lru_.front());
+    lru_.pop_front();
     evictions_++;
   }
 
   size_t cap_ = 0;  // 0 = unbounded
   std::map<K, Entry> map_;
-  std::map<uint64_t, K> lru_;  // seq -> key, oldest first
-  uint64_t next_seq_ = 0;
+  std::list<K> lru_;  // keys, least recently used first
   uint64_t& evictions_;
 };
 

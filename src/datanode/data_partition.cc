@@ -109,7 +109,8 @@ std::string DataPartition::EncodePunchHole(storage::ExtentId id, uint64_t offset
   return enc.Take();
 }
 
-void DataPartition::Apply(raft::Index index, const Buffer& head, const Buffer& payload) {
+void DataPartition::Apply(raft::Index index, const Buffer& head, const Buffer& payload,
+                          bool /*waited*/) {
   Decoder dec(head.view());
   uint8_t op = 0;
   Status st = dec.GetU8(&op);

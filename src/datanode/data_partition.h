@@ -96,7 +96,10 @@ class DataPartition : public raft::StateMachine {
                                      obs::TraceContext trace = {});
 
   // --- Raft state machine (overwrite/purge path) ---
-  void Apply(raft::Index index, const Buffer& head, const Buffer& payload) override;
+  /// Records every outcome, waited or not: a Status is small, and tests read
+  /// follower outcomes.
+  void Apply(raft::Index index, const Buffer& head, const Buffer& payload,
+             bool waited) override;
   /// Extent contents are NOT snapshotted through raft (they are recovered by
   /// the primary-backup alignment phase first, §2.2.5); the snapshot is a
   /// marker carrying only the allocation high-water mark.

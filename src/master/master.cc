@@ -104,7 +104,8 @@ void MasterState::Persist(const char* kind, uint64_t id, std::string value) {
   }(kv_, std::move(key), std::move(value)));
 }
 
-void MasterState::Apply(raft::Index index, const Buffer& cmd, const Buffer& /*payload*/) {
+void MasterState::Apply(raft::Index index, const Buffer& cmd, const Buffer& /*payload*/,
+                        bool /*waited*/) {
   Decoder dec(cmd.view());
   uint8_t op = 0;
   ApplyOutcome out;

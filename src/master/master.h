@@ -113,7 +113,8 @@ class MasterState : public raft::StateMachine {
 
   // raft::StateMachine
   /// Master commands carry no bulk payload: the whole command is `cmd`.
-  void Apply(raft::Index index, const Buffer& cmd, const Buffer& payload) override;
+  void Apply(raft::Index index, const Buffer& cmd, const Buffer& payload,
+             bool waited) override;
   std::string TakeSnapshot() override;
   void Restore(std::string_view snapshot) override;
 

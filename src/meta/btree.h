@@ -2,6 +2,11 @@
 // (§2.1.1). Classic CLRS structure with configurable minimum degree;
 // supports point lookup, insert, delete with rebalancing, and ordered range
 // scans (ReadDir walks all dentries sharing a parent inode id).
+//
+// Leaves memoize the encoding of their values so a snapshot re-encodes only
+// what changed since the last one (EncodeValues). Every path that changes a
+// node's values marks that node dirty; a clean leaf's memo always equals a
+// fresh encode of its values (MetaPartition::CheckInvariants verifies it).
 #pragma once
 
 #include <algorithm>
@@ -9,8 +14,11 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "common/codec.h"
 
 namespace cfs::meta {
 
@@ -25,7 +33,7 @@ class BTree {
   bool empty() const { return size_ == 0; }
 
   void Clear() {
-    root_ = std::make_unique<Node>();
+    root_ = std::make_unique<Node>();  // fresh nodes start dirty
     size_ = 0;
   }
 
@@ -53,17 +61,18 @@ class BTree {
   }
 
   const V* Find(const K& key) const {
-    const Node* n = root_.get();
-    while (n) {
-      size_t i = LowerBound(n, key);
-      if (i < n->keys.size() && !less_(key, n->keys[i])) return &n->vals[i];
-      if (n->leaf()) return nullptr;
-      n = n->kids[i].get();
-    }
-    return nullptr;
+    auto [n, i] = Locate(key);
+    return n ? &n->vals[i] : nullptr;
   }
 
-  V* FindMutable(const K& key) { return const_cast<V*>(Find(key)); }
+  /// Mutable lookup; the caller may change the value, so its node's memo
+  /// is invalidated.
+  V* FindMutable(const K& key) {
+    auto [n, i] = Locate(key);
+    if (!n) return nullptr;
+    n->dirty = true;
+    return &n->vals[i];
+  }
 
   bool Contains(const K& key) const { return Find(key) != nullptr; }
 
@@ -93,6 +102,25 @@ class BTree {
     VisitAll(root_.get(), fn, &keep_going);
   }
 
+  /// Append `encode(value, enc)` for every value in key order, byte-identical
+  /// to doing so through Ascend. A clean leaf appends its memo; a dirty leaf
+  /// is encoded and its memo refreshed. Internal nodes hold ~1/MinDegree of
+  /// the values and are encoded fresh. The memo is a cache (hence const), so
+  /// every caller must pass the same `encode`.
+  template <typename F>
+  void EncodeValues(Encoder* enc, F encode) const {
+    EncodeNode(root_.get(), enc, encode);
+  }
+
+  /// Negative-test hook: leave the leftmost leaf's memo out of step with its
+  /// values, as a missed invalidation would.
+  void CorruptLeafMemoForTest() {
+    Node* n = root_.get();
+    while (!n->leaf()) n = n->kids.front().get();
+    n->memo.push_back('\x7f');
+    n->dirty = false;
+  }
+
   /// Structural invariant check (tests): every node except the root has at
   /// least MinDegree-1 keys, keys are ordered, leaves at equal depth.
   bool CheckInvariants() const {
@@ -108,8 +136,44 @@ class BTree {
     std::vector<K> keys;
     std::vector<V> vals;
     std::vector<std::unique_ptr<Node>> kids;  // empty for leaves
+    // Leaves only: the encoding of `vals`, valid while !dirty. Mutating
+    // paths set `dirty` on every node whose values they change.
+    mutable std::string memo;
+    mutable bool dirty = true;
     bool leaf() const { return kids.empty(); }
   };
+
+  template <typename F>
+  void EncodeNode(const Node* n, Encoder* enc, F& encode) const {
+    if (n->leaf()) {
+      if (!n->dirty) {
+        enc->PutBytes(n->memo.data(), n->memo.size());
+        return;
+      }
+      size_t start = enc->size();
+      for (const V& v : n->vals) encode(v, enc);
+      n->memo.assign(enc->data(), start);
+      n->dirty = false;
+      return;
+    }
+    for (size_t i = 0; i < n->vals.size(); i++) {
+      EncodeNode(n->kids[i].get(), enc, encode);
+      encode(n->vals[i], enc);
+    }
+    EncodeNode(n->kids.back().get(), enc, encode);
+  }
+
+  /// The node holding `key` and its slot, or {nullptr, 0}.
+  std::pair<Node*, size_t> Locate(const K& key) const {
+    Node* n = root_.get();
+    while (n) {
+      size_t i = LowerBound(n, key);
+      if (i < n->keys.size() && !less_(key, n->keys[i])) return {n, i};
+      if (n->leaf()) break;
+      n = n->kids[i].get();
+    }
+    return {nullptr, 0};
+  }
 
   size_t LowerBound(const Node* n, const K& key) const {
     size_t lo = 0, hi = n->keys.size();
@@ -144,6 +208,7 @@ class BTree {
     parent->keys.insert(parent->keys.begin() + i, std::move(mid_key));
     parent->vals.insert(parent->vals.begin() + i, std::move(mid_val));
     parent->kids.insert(parent->kids.begin() + i + 1, std::move(right));
+    child->dirty = parent->dirty = true;  // `right` is new, hence dirty
   }
 
   void InsertNonFull(Node* n, K key, V value) {
@@ -152,6 +217,7 @@ class BTree {
       if (n->leaf()) {
         n->keys.insert(n->keys.begin() + i, std::move(key));
         n->vals.insert(n->vals.begin() + i, std::move(value));
+        n->dirty = true;
         return;
       }
       if (n->kids[i]->keys.size() == kMaxKeys) {
@@ -160,22 +226,6 @@ class BTree {
       }
       n = n->kids[i].get();
     }
-  }
-
-  std::pair<K, V> TakeMax(Node* n) {
-    while (!n->leaf()) n = n->kids.back().get();
-    std::pair<K, V> kv(std::move(n->keys.back()), std::move(n->vals.back()));
-    n->keys.pop_back();
-    n->vals.pop_back();
-    return kv;
-  }
-
-  std::pair<K, V> TakeMin(Node* n) {
-    while (!n->leaf()) n = n->kids.front().get();
-    std::pair<K, V> kv(std::move(n->keys.front()), std::move(n->vals.front()));
-    n->keys.erase(n->keys.begin());
-    n->vals.erase(n->vals.begin());
-    return kv;
   }
 
   /// Merge kids[i], keys[i] and kids[i+1] into kids[i].
@@ -190,6 +240,7 @@ class BTree {
     n->keys.erase(n->keys.begin() + i);
     n->vals.erase(n->vals.begin() + i);
     n->kids.erase(n->kids.begin() + i + 1);
+    left->dirty = n->dirty = true;
   }
 
   /// Ensure kids[i] has at least MinDegree keys before descending into it.
@@ -210,6 +261,7 @@ class BTree {
         child->kids.insert(child->kids.begin(), std::move(left->kids.back()));
         left->kids.pop_back();
       }
+      child->dirty = left->dirty = n->dirty = true;
       return i;
     }
     if (i + 1 < n->kids.size() && n->kids[i + 1]->keys.size() >= MinDegree) {
@@ -226,6 +278,7 @@ class BTree {
         child->kids.push_back(std::move(right->kids.front()));
         right->kids.erase(right->kids.begin());
       }
+      child->dirty = right->dirty = n->dirty = true;
       return i;
     }
     // Merge with a sibling.
@@ -243,16 +296,15 @@ class BTree {
       if (n->leaf()) {
         n->keys.erase(n->keys.begin() + i);
         n->vals.erase(n->vals.begin() + i);
+        n->dirty = true;
         return;
       }
       if (n->kids[i]->keys.size() >= MinDegree) {
-        auto kv = ReplaceWithPredecessor(n, i);
-        (void)kv;
+        ReplaceWithPredecessor(n, i);
         return;
       }
       if (n->kids[i + 1]->keys.size() >= MinDegree) {
-        auto kv = TakeMinBalanced(n, i);
-        (void)kv;
+        ReplaceWithSuccessor(n, i);
         return;
       }
       MergeChildren(n, i);
@@ -273,24 +325,21 @@ class BTree {
 
   /// Delete-by-predecessor: kids[i] has >= MinDegree keys. The predecessor
   /// must be removed along a balanced path, so descend with FixChild.
-  int ReplaceWithPredecessor(Node* n, size_t i) {
-    // Simple and correct: extract max of left subtree along a pre-balanced
-    // path.
+  void ReplaceWithPredecessor(Node* n, size_t i) {
     Node* cur = n->kids[i].get();
-    // Descend ensuring every visited node has >= MinDegree keys.
     while (!cur->leaf()) {
-      size_t last = cur->kids.size() - 1;
-      last = FixChild(cur, last);
+      size_t last = FixChild(cur, cur->kids.size() - 1);
       cur = cur->kids[last].get();
     }
     n->keys[i] = cur->keys.back();
     n->vals[i] = std::move(cur->vals.back());
     cur->keys.pop_back();
     cur->vals.pop_back();
-    return 0;
+    cur->dirty = n->dirty = true;
   }
 
-  int TakeMinBalanced(Node* n, size_t i) {
+  /// Mirror of ReplaceWithPredecessor: kids[i+1] has >= MinDegree keys.
+  void ReplaceWithSuccessor(Node* n, size_t i) {
     Node* cur = n->kids[i + 1].get();
     while (!cur->leaf()) {
       size_t first = FixChild(cur, 0);
@@ -300,7 +349,7 @@ class BTree {
     n->vals[i] = std::move(cur->vals.front());
     cur->keys.erase(cur->keys.begin());
     cur->vals.erase(cur->vals.begin());
-    return 0;
+    cur->dirty = n->dirty = true;
   }
 
   template <typename F>

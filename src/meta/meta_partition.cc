@@ -111,7 +111,8 @@ std::string MetaPartition::EncodeSetEnd(InodeId end) {
 
 // --- Apply -----------------------------------------------------------------
 
-void MetaPartition::Apply(raft::Index index, const Buffer& cmd, const Buffer& /*payload*/) {
+void MetaPartition::Apply(raft::Index index, const Buffer& cmd, const Buffer& /*payload*/,
+                          bool waited) {
   Decoder dec(cmd.view());
   uint8_t op = 0;
   ApplyResult res;
@@ -132,6 +133,8 @@ void MetaPartition::Apply(raft::Index index, const Buffer& cmd, const Buffer& /*
       default: res.status = Status::Corruption("unknown meta op"); break;
     }
   }
+  // Only a local proposer ever takes a result, so followers keep none.
+  if (!waited) return;
   results_.emplace(index, std::move(res));
   while (results_.size() > kMaxResults) results_.erase(results_.begin());
 }
@@ -464,6 +467,10 @@ void MetaPartition::CheckInvariants(InvariantReport* report,
                                   " != recomputed footprint " +
                                   std::to_string(footprint));
   }
+  // A missed memo invalidation would ship stale bytes in the next snapshot.
+  if (EncodeSnapshot(/*memoized=*/true) != EncodeSnapshot(/*memoized=*/false)) {
+    report->Violation("meta", prefix + ": memoized snapshot differs from a fresh encode");
+  }
   // Free list <-> delete mark agreement, both directions, no duplicates.
   std::set<InodeId> freed;
   for (InodeId id : free_list_) {
@@ -507,26 +514,42 @@ std::vector<InodeId> MetaPartition::FindOrphanInodes() const {
 
 // --- Snapshot --------------------------------------------------------------
 
-std::string MetaPartition::TakeSnapshot() {
+namespace {
+/// A tree's item count and values in key order, from the leaf memos
+/// (`memoized`) or by a fresh walk; both yield the same bytes.
+template <typename Tree>
+void PutTree(const Tree& tree, bool memoized, Encoder* enc) {
+  enc->PutVarint(tree.size());
+  if (memoized) {
+    tree.EncodeValues(enc, [](const auto& v, Encoder* e) { v.Encode(e); });
+    return;
+  }
+  tree.Ascend([&](const auto&, const auto& v) {
+    v.Encode(enc);
+    return true;
+  });
+}
+}  // namespace
+
+std::string MetaPartition::EncodeSnapshot(bool memoized) const {
   Encoder enc;
   enc.PutVarint(config_.id);
   enc.PutVarint(config_.volume);
   enc.PutVarint(config_.start);
   enc.PutVarint(config_.end);
   enc.PutVarint(next_inode_);
-  enc.PutVarint(inode_tree_.size());
-  inode_tree_.Ascend([&](const InodeId&, const Inode& ino) {
-    ino.Encode(&enc);
-    return true;
-  });
-  enc.PutVarint(dentry_tree_.size());
-  dentry_tree_.Ascend([&](const DentryKey&, const Dentry& d) {
-    d.Encode(&enc);
-    return true;
-  });
+  PutTree(inode_tree_, memoized, &enc);
+  PutTree(dentry_tree_, memoized, &enc);
   enc.PutVarint(free_list_.size());
   for (InodeId id : free_list_) enc.PutVarint(id);
   return enc.Take();
+}
+
+std::string MetaPartition::TakeSnapshot() { return EncodeSnapshot(/*memoized=*/true); }
+
+void MetaPartition::CorruptSnapshotMemoForTest() {
+  (void)EncodeSnapshot(/*memoized=*/true);  // every leaf memo clean
+  inode_tree_.CorruptLeafMemoForTest();
 }
 
 void MetaPartition::Restore(std::string_view snapshot) {

@@ -82,13 +82,19 @@ class MetaPartition : public raft::StateMachine {
   static std::string EncodeSetEnd(InodeId end);
 
   // --- raft::StateMachine ---
-  /// Meta commands carry no bulk payload: the whole command is `cmd`.
-  void Apply(raft::Index index, const Buffer& cmd, const Buffer& payload) override;
+  /// Meta commands carry no bulk payload: the whole command is `cmd`. The
+  /// outcome is kept for TakeResult only when `waited`.
+  void Apply(raft::Index index, const Buffer& cmd, const Buffer& payload,
+             bool waited) override;
+  /// Re-encodes only the B-tree leaves changed since the last snapshot.
   std::string TakeSnapshot() override;
   void Restore(std::string_view snapshot) override;
 
-  /// Fetch (and erase) the apply outcome at `index`; nullopt if pruned.
+  /// Fetch (and erase) the apply outcome at `index`; nullopt if it was not
+  /// waited on or was pruned.
   std::optional<ApplyResult> TakeResult(raft::Index index);
+  /// Apply outcomes not yet taken.
+  size_t result_count() const { return results_.size(); }
 
   // --- Leader reads (no consensus; §2.7.4 reads happen at the leader) ---
   const Inode* GetInode(InodeId ino) const { return inode_tree_.Find(ino); }
@@ -138,11 +144,15 @@ class MetaPartition : public raft::StateMachine {
   /// deliberate corruption (bad nlink, wrong id) and assert CheckInvariants
   /// fires. Not for production paths.
   Inode* MutableInodeForTest(InodeId id) { return inode_tree_.FindMutable(id); }
+  /// Negative-test hook: desynchronise an inodeTree leaf memo from its
+  /// values so the snapshot deep check fires.
+  void CorruptSnapshotMemoForTest();
 
   /// Deep check (see common/check.h): B-tree structure of both trees, inode
   /// ids within the partition's allocated range, dentry key/value agreement,
   /// memory accounting, free-list <-> delete-mark agreement, and local nlink
-  /// floors (live dirs >= 2, live files/symlinks >= 1). Cross-partition
+  /// floors (live dirs >= 2, live files/symlinks >= 1), and the memoized
+  /// snapshot against a fresh encode. Cross-partition
   /// dentry->inode referential integrity lives in
   /// harness::Cluster::CheckInvariants, because a file's dentry and inode may
   /// sit on different partitions (§2.6). Violations are tagged "meta" and
@@ -162,6 +172,8 @@ class MetaPartition : public raft::StateMachine {
   void ApplySetEnd(Decoder* dec, ApplyResult* res);
 
   void AccountMemory(int64_t delta);
+  /// The snapshot bytes, from the B-tree leaf memos or by a fresh walk.
+  std::string EncodeSnapshot(bool memoized) const;
 
   MetaPartitionConfig config_;
   sim::Host* host_;
@@ -173,6 +185,8 @@ class MetaPartition : public raft::StateMachine {
   uint64_t memory_bytes_ = 0;
   bool read_only_ = false;
 
+  // Outcomes of waited-on commands until their proposer takes them; the cap
+  // bounds what abandoned proposals can leave behind.
   std::map<raft::Index, ApplyResult> results_;
   static constexpr size_t kMaxResults = 4096;
 };

@@ -77,7 +77,7 @@ sim::Task<Status> LogStore::Load() {
     CFS_CO_RETURN_IF_ERROR(dec.GetU64(&snap_index_));
     CFS_CO_RETURN_IF_ERROR(dec.GetU64(&snap_term_));
     CFS_CO_RETURN_IF_ERROR(dec.GetString(&data));
-    snap_data_ = std::move(data);
+    snap_data_ = Buffer::FromString(std::move(data));
   }
   entries_.clear();
   std::string log;
@@ -142,7 +142,7 @@ sim::Task<Status> LogStore::RewriteLog() {
   co_return co_await disk_->Write(bytes + 64);
 }
 
-sim::Task<Status> LogStore::SaveSnapshot(Index index, Term term, std::string data) {
+sim::Task<Status> LogStore::SaveSnapshot(Index index, Term term, Buffer data) {
   if (index <= snap_index_) co_return Status::OK();  // stale snapshot request
   if (index > last_index()) co_return Status::InvalidArgument("snapshot beyond log");
   // Drop the compacted prefix.
@@ -150,30 +150,28 @@ sim::Task<Status> LogStore::SaveSnapshot(Index index, Term term, std::string dat
   snap_index_ = index;
   snap_term_ = term;
   snap_data_ = std::move(data);
-
-  Encoder enc;
-  enc.PutU64(snap_index_);
-  enc.PutU64(snap_term_);
-  enc.PutString(snap_data_);
-  size_t bytes = enc.size();
-  storage_->Put(key_snap_, enc.Take());
-  persisted_bytes_ += bytes;
-  CFS_CO_RETURN_IF_ERROR(co_await disk_->Write(bytes));
-  co_return co_await RewriteLog();
+  co_return co_await PersistSnapshot();
 }
 
-sim::Task<Status> LogStore::InstallSnapshot(Index index, Term term, std::string data) {
+sim::Task<Status> LogStore::InstallSnapshot(Index index, Term term, Buffer data) {
   entries_.clear();
   snap_index_ = index;
   snap_term_ = term;
   snap_data_ = std::move(data);
+  co_return co_await PersistSnapshot();
+}
 
+/// Store the snapshot blob as U64 index | U64 term | varint len | data —
+/// the encoding Load() decodes — as a rope of the small header and the
+/// shared snapshot Buffer, then rewrite the (compacted) log.
+sim::Task<Status> LogStore::PersistSnapshot() {
   Encoder enc;
   enc.PutU64(snap_index_);
   enc.PutU64(snap_term_);
-  enc.PutString(snap_data_);
-  size_t bytes = enc.size();
+  enc.PutVarint(snap_data_.size());
+  size_t bytes = enc.size() + snap_data_.size();
   storage_->Put(key_snap_, enc.Take());
+  storage_->Append(key_snap_, snap_data_);
   persisted_bytes_ += bytes;
   CFS_CO_RETURN_IF_ERROR(co_await disk_->Write(bytes));
   co_return co_await RewriteLog();

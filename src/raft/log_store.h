@@ -59,19 +59,21 @@ class LogStore {
   // --- Snapshot ---
   Index snapshot_index() const { return snap_index_; }
   Term snapshot_term() const { return snap_term_; }
-  const std::string& snapshot_data() const { return snap_data_; }
+  const Buffer& snapshot_data() const { return snap_data_; }
   bool has_snapshot() const { return snap_index_ > 0 || !snap_data_.empty(); }
 
   /// Persist a snapshot at `index` and compact the log prefix up to it.
-  sim::Task<Status> SaveSnapshot(Index index, Term term, std::string data);
+  /// `data` is kept by reference, here and in stable storage.
+  sim::Task<Status> SaveSnapshot(Index index, Term term, Buffer data);
 
   /// Install a snapshot that is ahead of the log (follower catching up):
   /// the whole log is discarded.
-  sim::Task<Status> InstallSnapshot(Index index, Term term, std::string data);
+  sim::Task<Status> InstallSnapshot(Index index, Term term, Buffer data);
 
  private:
   std::string Key(const char* what) const;
   sim::Task<Status> RewriteLog();
+  sim::Task<Status> PersistSnapshot();
   static Status DecodeEntry(Decoder* dec, LogEntry* e);
 
   sim::StableStorage* storage_;
@@ -86,7 +88,7 @@ class LogStore {
 
   Index snap_index_ = 0;
   Term snap_term_ = 0;
-  std::string snap_data_;
+  Buffer snap_data_;
 
   std::deque<LogEntry> entries_;  // entries_[i] has index snap_index_ + 1 + i
   // Host registry counters. Every persisted byte counts; Append() writes

@@ -73,7 +73,7 @@ sim::Task<Status> RaftNode::Recover() {
   leader_ = sim::kInvalidNode;
   CFS_CO_RETURN_IF_ERROR(co_await log_.Load());
   if (log_.has_snapshot()) {
-    sm_->Restore(log_.snapshot_data());
+    sm_->Restore(log_.snapshot_data().view());
   }
   // Volatile indices restart at the snapshot boundary; commit is re-learned
   // from the current leader.
@@ -454,19 +454,21 @@ Task<void> RaftNode::ApplyLoop(uint64_t gen) {
       }
       if (!log_.Has(idx)) break;  // should not happen; wait for entries
       const LogEntry& e = log_.At(idx);
+      // A proposer whose term still matches collects the outcome; tell the
+      // state machine so replicas nobody waits on keep no result.
+      auto it = pending_.find(idx);
+      bool waited = it != pending_.end() && it->second.first == e.term;
       if (!e.head.empty()) {  // a payload never travels without a head
-        sm_->Apply(idx, e.head, e.payload);
+        sm_->Apply(idx, e.head, e.payload, waited);
       }
       applied_ = idx;
       obs::SpanRef apply_span;
-      auto it = pending_.find(idx);
       if (it != pending_.end()) {
         obs::Tracer& tracer = sched().tracer();
         apply_span = tracer.BeginSpan("raft:apply", it->second.second->trace, self_);
         tracer.Note(apply_span, "index", static_cast<int64_t>(idx));
-        Status st = it->second.first == e.term
-                        ? Status::OK()
-                        : Status::NotLeader("entry overwritten by new leader");
+        Status st = waited ? Status::OK()
+                           : Status::NotLeader("entry overwritten by new leader");
         it->second.second->done.Set(st);
         pending_.erase(it);
       }
@@ -490,7 +492,8 @@ Task<void> RaftNode::MaybeCompact() {
   compacting_ = true;
   Index snap_at = applied_;
   Term snap_term = log_.TermAt(snap_at);
-  std::string snap = sm_->TakeSnapshot();  // synchronous: consistent at applied_
+  // Synchronous: consistent at applied_.
+  Buffer snap = Buffer::FromString(sm_->TakeSnapshot());
   (void)co_await log_.SaveSnapshot(snap_at, snap_term, std::move(snap));
   compacting_ = false;
 }
@@ -619,7 +622,7 @@ Task<InstallSnapshotResp> RaftNode::OnInstallSnapshot(InstallSnapshotReq req) {
     resp.ok = true;  // already have it
     co_return resp;
   }
-  sm_->Restore(req.data);
+  sm_->Restore(req.data.view());
   (void)co_await log_.InstallSnapshot(req.snap_index, req.snap_term, std::move(req.data));
   applied_ = std::max(applied_, log_.snapshot_index());
   commit_ = std::max(commit_, log_.snapshot_index());

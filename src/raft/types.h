@@ -47,9 +47,13 @@ class StateMachine {
   virtual ~StateMachine() = default;
   /// Apply the committed command `head || payload` (see LogEntry; `payload`
   /// is empty for commands that carry no bulk bytes and for entries recovered
-  /// flat from the WAL).
-  virtual void Apply(Index index, const Buffer& head, const Buffer& payload) = 0;
-  /// Serialize the complete state (for snapshots / log compaction).
+  /// flat from the WAL). `waited` is true when a proposer on this replica
+  /// waits on `index` and will collect its outcome; false on followers.
+  virtual void Apply(Index index, const Buffer& head, const Buffer& payload,
+                     bool waited) = 0;
+  /// Serialize the complete state (for snapshots / log compaction). The
+  /// raft node wraps the result in a Buffer that its log store, stable
+  /// storage and every InstallSnapshot leg share without copying.
   virtual std::string TakeSnapshot() = 0;
   /// Replace the state from a snapshot.
   virtual void Restore(std::string_view snapshot) = 0;
@@ -103,7 +107,7 @@ struct InstallSnapshotReq {
   NodeId leader = 0;
   Index snap_index = 0;
   Term snap_term = 0;
-  std::string data;
+  Buffer data;  // shares the leader's snapshot storage
 
   size_t WireBytes() const { return 64 + data.size(); }
 };

@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "meta/btree.h"
 
@@ -131,34 +132,71 @@ TEST(BTreeTest, StringKeysWithRangeScan) {
   EXPECT_EQ(parent2, (std::vector<int>{3, 4}));
 }
 
-class BTreePropertyTest : public ::testing::TestWithParam<int> {};
+// The leaf-memoized encoding (what snapshots ship) against a fresh in-order
+// encode of the same values.
+template <typename Tree>
+::testing::AssertionResult MemoMatchesFresh(const Tree& tree) {
+  auto encode = [](uint64_t v, Encoder* e) { e->PutVarint(v); };
+  Encoder memo, fresh;
+  tree.EncodeValues(&memo, encode);
+  tree.Ascend([&](const uint64_t&, const uint64_t& v) {
+    encode(v, &fresh);
+    return true;
+  });
+  if (memo.data() == fresh.data()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "memoized encoding (" << memo.size() << " B) differs from a fresh one ("
+         << fresh.size() << " B)";
+}
 
-TEST_P(BTreePropertyTest, MatchesStdMapUnderRandomOps) {
-  Rng rng(GetParam());
-  BTree<uint64_t, uint64_t, std::less<uint64_t>, 3> tree;
+// Drives `tree` and a std::map model through the same random inserts,
+// erases, finds, FindMutable edits, upserts and periodic clears, and checks
+// every op's result against the model. The memo is checked after every step,
+// so any path that changes a node's values (splits, merges, borrows from
+// either sibling, predecessor/successor takes) without invalidating the
+// node's memo fails at the step that did it.
+template <typename Tree>
+void ChurnAgainstModel(Tree& tree, uint64_t seed, uint64_t key_space, int steps,
+                       int clear_every) {
+  Rng rng(seed);
   std::map<uint64_t, uint64_t> model;
-  const uint64_t key_space = 500;
-  for (int step = 0; step < 20000; step++) {
+  for (int step = 1; step <= steps; step++) {
     uint64_t key = rng.Uniform(key_space);
-    switch (rng.Uniform(3)) {
-      case 0: {  // insert
-        bool inserted = tree.Insert(key, step);
-        bool model_inserted = model.emplace(key, step).second;
+    uint64_t value = static_cast<uint64_t>(step);
+    switch (rng.Uniform(10)) {
+      case 0: case 1: case 2: case 3: {  // insert
+        bool inserted = tree.Insert(key, value);
+        bool model_inserted = model.emplace(key, value).second;
         ASSERT_EQ(inserted, model_inserted) << "step " << step;
         break;
       }
-      case 1: {  // erase
+      case 4: case 5: case 6:  // erase
         ASSERT_EQ(tree.Erase(key), model.erase(key) > 0) << "step " << step;
         break;
-      }
-      case 2: {  // find
+      case 7: {  // find
         const uint64_t* v = tree.Find(key);
         auto it = model.find(key);
         ASSERT_EQ(v != nullptr, it != model.end()) << "step " << step;
         if (v) ASSERT_EQ(*v, it->second);
         break;
       }
+      case 8: {  // in-place edit
+        uint64_t* v = tree.FindMutable(key);
+        auto it = model.find(key);
+        ASSERT_EQ(v != nullptr, it != model.end()) << "step " << step;
+        if (v) *v = it->second = value;
+        break;
+      }
+      case 9:  // upsert
+        tree.Upsert(key, value);
+        model[key] = value;
+        break;
     }
+    if (step % clear_every == 0) {
+      tree.Clear();
+      model.clear();
+    }
+    ASSERT_TRUE(MemoMatchesFresh(tree)) << "step " << step;
     if (step % 2000 == 0) {
       ASSERT_TRUE(tree.CheckInvariants()) << "step " << step;
       ASSERT_EQ(tree.size(), model.size());
@@ -181,24 +219,19 @@ TEST_P(BTreePropertyTest, MatchesStdMapUnderRandomOps) {
   EXPECT_EQ(it, model.end());
 }
 
+class BTreePropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BTreePropertyTest, MatchesStdMapUnderRandomOps) {
+  BTree<uint64_t, uint64_t, std::less<uint64_t>, 3> tree;  // small degree: deep tree
+  ChurnAgainstModel(tree, GetParam(), /*key_space=*/500, /*steps=*/20000,
+                    /*clear_every=*/7000);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreePropertyTest, ::testing::Values(1, 2, 3, 7, 13, 99));
 
 TEST(BTreePropertyTest, LargeDegreeRandomChurn) {
-  Rng rng(4242);
   BTree<uint64_t, uint64_t> tree;  // default degree 16
-  std::map<uint64_t, uint64_t> model;
-  for (int step = 0; step < 30000; step++) {
-    uint64_t key = rng.Uniform(2000);
-    if (rng.Chance(0.6)) {
-      tree.Insert(key, step);
-      model.emplace(key, step);
-    } else {
-      tree.Erase(key);
-      model.erase(key);
-    }
-  }
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_EQ(tree.size(), model.size());
+  ChurnAgainstModel(tree, 4242, /*key_space=*/2000, /*steps=*/30000, /*clear_every=*/12000);
 }
 
 }  // namespace

@@ -482,6 +482,31 @@ TEST_F(CfsCluster, MetaPartitionSplitsUnderLoad) {
   }
 }
 
+TEST_F(CfsCluster, ApplyResultsKeptOnlyForWaitingProposers) {
+  Boot();
+  for (int i = 0; i < 40; i++) {
+    std::string name = "churn" + std::to_string(i);
+    ASSERT_TRUE(Run(client_->Create(kRootInode, name, FileType::kFile)).ok());
+    if (i % 2 == 0) ASSERT_TRUE(Run(client_->Unlink(kRootInode, name)).ok());
+  }
+  cluster_->sched().RunFor(2 * kSec);  // followers learn the final commit index
+  int leaders = 0, followers = 0;
+  for (int n = 0; n < cluster_->num_nodes(); n++) {
+    meta::MetaNode* node = cluster_->meta_node(n);
+    for (meta::PartitionId pid : node->PartitionIds()) {
+      raft::RaftNode* rn = node->GetRaft(pid);
+      ASSERT_NE(rn, nullptr);
+      EXPECT_GT(rn->applied_index(), 0u) << "partition " << pid << " on node " << n;
+      // Followers record none; the leader's proposers took every result.
+      EXPECT_EQ(node->GetPartition(pid)->result_count(), 0u)
+          << "partition " << pid << " on node " << n << (rn->IsLeader() ? " (leader)" : "");
+      (rn->IsLeader() ? leaders : followers)++;
+    }
+  }
+  EXPECT_EQ(leaders, 3);
+  EXPECT_EQ(followers, 6);
+}
+
 TEST_F(CfsCluster, UtilizationPlacementPrefersEmptyNodes) {
   ClusterOptions opts;
   opts.num_nodes = 8;  // enough empty nodes to place 3 replicas off the hot ones

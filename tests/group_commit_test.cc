@@ -22,7 +22,7 @@ using sim::Task;
 /// Test state machine: an append-only list of applied commands.
 class ListSm : public StateMachine {
  public:
-  void Apply(Index index, const Buffer& head, const Buffer& payload) override {
+  void Apply(Index index, const Buffer& head, const Buffer& payload, bool) override {
     applied.emplace_back(index, head.ToString() + payload.ToString());
   }
   std::string TakeSnapshot() override {

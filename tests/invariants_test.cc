@@ -257,7 +257,7 @@ class MetaPartitionInvariants : public ::testing::Test {
   }
 
   void Apply(raft::Index index, std::string cmd) {
-    part_->Apply(index, Buffer::FromString(std::move(cmd)), {});
+    part_->Apply(index, Buffer::FromString(std::move(cmd)), {}, /*waited=*/true);
   }
 
   sim::Scheduler sched_;
@@ -296,6 +296,20 @@ TEST_F(MetaPartitionInvariants, DeletedInodeMissingFromFreeListFires) {
   part_->CheckInvariants(&report);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.ToString().find("missing from the free list"), std::string::npos)
+      << report.ToString();
+}
+
+TEST_F(MetaPartitionInvariants, StaleSnapshotMemoFires) {
+  Apply(1, meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
+  InvariantReport healthy;
+  part_->CheckInvariants(&healthy);
+  ASSERT_TRUE(healthy.ok()) << healthy.ToString();
+  part_->CorruptSnapshotMemoForTest();  // a leaf memo no longer matches its values
+  InvariantReport report;
+  part_->CheckInvariants(&report);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.ToString().find("memoized snapshot differs from a fresh encode"),
+            std::string::npos)
       << report.ToString();
 }
 
@@ -359,7 +373,7 @@ TEST_F(ClusterInvariants, DanglingDentryFires) {
   meta::InodeId ghost = leader->config().start + 999;
   meta::Dentry d{kRootInode, "ghost", ghost, meta::FileType::kFile};
   leader->Apply(1u << 20, Buffer::FromString(meta::MetaPartition::EncodeCreateDentry(d)),
-                {});
+                {}, /*waited=*/false);
   InvariantReport report = cluster_->CheckInvariants();
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.ToString().find("dangles"), std::string::npos) << report.ToString();

@@ -21,7 +21,7 @@ class MetaPartitionFixture : public ::testing::Test {
   }
 
   ApplyResult Apply(std::string cmd) {
-    mp_->Apply(++index_, Buffer::FromString(std::move(cmd)), {});
+    mp_->Apply(++index_, Buffer::FromString(std::move(cmd)), {}, /*waited=*/true);
     auto res = mp_->TakeResult(index_);
     EXPECT_TRUE(res.has_value());
     return res.value_or(ApplyResult{});
@@ -219,7 +219,8 @@ TEST_F(MetaPartitionFixture, SnapshotRoundTripPreservesEverything) {
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->inode, 8u);
   // New allocations continue after the snapshot's maxInodeID.
-  copy.Apply(1, Buffer::FromString(MetaPartition::EncodeCreateInode(FileType::kFile, "", 0)), {});
+  copy.Apply(1, Buffer::FromString(MetaPartition::EncodeCreateInode(FileType::kFile, "", 0)), {},
+             /*waited=*/true);
   auto res = copy.TakeResult(1);
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->inode.id, 21u);
@@ -248,7 +249,7 @@ TEST_F(MetaPartitionFixture, ResultsPrunedBeyondCapacity) {
   for (int i = 0; i < 5000; i++) {
     mp_->Apply(++index_,
                Buffer::FromString(MetaPartition::EncodeCreateInode(FileType::kFile, "", 0)),
-               {});
+               {}, /*waited=*/true);
   }
   EXPECT_FALSE(mp_->TakeResult(1).has_value());         // pruned
   EXPECT_TRUE(mp_->TakeResult(index_).has_value());     // recent
