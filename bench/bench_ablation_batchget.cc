@@ -33,7 +33,7 @@ Sample Measure(Mode mode, int files, int scans) {
   if (!RunTask(cluster.sched(), cluster.CreateVolume("v", 8, 8))->ok()) std::abort();
   auto mounted = RunTask(cluster.sched(), cluster.MountClient("v"));
   if (!mounted || !mounted->ok()) std::abort();
-  client::Client* c = **mounted;
+  client::MountContext* c = (**mounted)->default_mount();
   auto& sched = cluster.sched();
 
   const int kFiles = files;
@@ -50,7 +50,7 @@ Sample Measure(Mode mode, int files, int scans) {
   uint64_t rpcs0 = c->metrics().counter("client.meta_rpcs");
   SimTime t0 = sched.Now();
   uint64_t entries = 0;
-  bool done = RunTaskVoid(sched, [](client::Client* c, uint64_t dir_ino, Mode mode,
+  bool done = RunTaskVoid(sched, [](client::MountContext* c, uint64_t dir_ino, Mode mode,
                                     int scans, uint64_t& entries) -> Task<void> {
     for (int s = 0; s < scans; s++) {
       if (mode == Mode::kPerInode) {

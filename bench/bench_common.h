@@ -26,7 +26,7 @@ namespace cfs::bench {
 
 struct CfsBench {
   std::unique_ptr<harness::Cluster> cluster;
-  std::vector<client::Client*> clients;
+  std::vector<client::MountContext*> clients;
   std::vector<std::unique_ptr<CfsMetaOps>> meta_adapters;
   std::vector<std::unique_ptr<CfsDataOps>> data_adapters;
 
@@ -71,10 +71,10 @@ inline CfsBench MakeCfsBench(int num_clients, uint64_t seed = 1,
       std::fprintf(stderr, "CFS mount failed\n");
       std::abort();
     }
-    b.clients.push_back(**c);
-    b.meta_adapters.push_back(std::make_unique<CfsMetaOps>(**c));
-    b.data_adapters.push_back(std::make_unique<CfsDataOps>(
-        b.cluster.get(), **c, 128 * kKiB));
+    client::MountContext* m = (**c)->default_mount();
+    b.clients.push_back(m);
+    b.meta_adapters.push_back(std::make_unique<CfsMetaOps>(m));
+    b.data_adapters.push_back(std::make_unique<CfsDataOps>(b.cluster.get(), m, 128 * kKiB));
   }
   return b;
 }

@@ -104,9 +104,9 @@ int main() {
   // metadata mutation (meta RPC -> raft propose/batch/apply -> WAL write).
   {
     CfsBench b = MakeCfsBench(1, /*seed=*/99, 30, 40, 0, std::nullopt, /*trace=*/true);
-    client::Client* c = b.clients[0];
+    client::MountContext* c = b.clients[0];
     auto st = harness::RunTask(
-        b.sched(), [](client::Client* c) -> sim::Task<Status> {
+        b.sched(), [](client::MountContext* c) -> sim::Task<Status> {
           auto created = co_await c->Create(meta::kRootInode, "traced", meta::FileType::kFile);
           co_return created.status();
         }(c));

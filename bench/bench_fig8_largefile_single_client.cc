@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   {
     CfsBench b = MakeCfsBench(1, /*seed=*/97, 30, 40, /*nic_mib=*/1170, std::nullopt,
                               /*trace=*/true);
-    client::Client* c = b.clients[0];
+    client::MountContext* c = b.clients[0];
     auto traced = [&]() -> sim::Task<Status> {
       auto created = co_await c->Create(meta::kRootInode, "trace-1mb", meta::FileType::kFile);
       if (!created.ok()) co_return created.status();

@@ -148,8 +148,9 @@ void BM_MetaPartitionApplyCreate(benchmark::State& state) {
       Buffer::FromString(meta::MetaPartition::EncodeCreateInode(meta::FileType::kFile, "", 0));
   raft::Index idx = 0;
   for (auto _ : state) {
-    mp.Apply(++idx, cmd, {}, /*waited=*/true);
-    benchmark::DoNotOptimize(mp.TakeResult(idx));
+    meta::ApplyResult res;
+    mp.Apply(++idx, cmd, {}, &res);
+    benchmark::DoNotOptimize(res);
   }
   state.SetItemsProcessed(state.iterations());
 }

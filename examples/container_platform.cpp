@@ -32,7 +32,7 @@ int main() {
   std::vector<vfs::FileSystem*> containers;
   std::vector<std::unique_ptr<vfs::FileSystem>> owned;
   for (int i = 0; i < kContainers; i++) {
-    client::Client* c = *run(cluster.MountClient("shared"));
+    client::MountContext* c = (*run(cluster.MountClient("shared")))->default_mount();
     owned.push_back(std::make_unique<vfs::FileSystem>(c));
     containers.push_back(owned.back().get());
   }
@@ -72,7 +72,7 @@ int main() {
 
   // "Reschedule": a brand-new container (fresh client) takes over container
   // 2's log — the data survived the container.
-  client::Client* fresh = *run(cluster.MountClient("shared"));
+  client::MountContext* fresh = (*run(cluster.MountClient("shared")))->default_mount();
   vfs::FileSystem fs_new(fresh);
   auto attr = *run(fs_new.Stat("/logs/container-2.log"));
   std::printf("rescheduled container sees container-2.log: %llu bytes (nlink=%u)\n",

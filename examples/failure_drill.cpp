@@ -28,8 +28,8 @@ int main() {
   if (!run(cluster.Start()).ok() || !run(cluster.CreateVolume("drill", 3, 8)).ok()) {
     return 1;
   }
-  client::Client* client = *run(cluster.MountClient("drill"));
-  vfs::FileSystem fs(client);
+  client::MountContext* mount = (*run(cluster.MountClient("drill")))->default_mount();
+  vfs::FileSystem fs(mount);
 
   // 1. Write a 512 KiB file (several 128 KiB packets through the chain).
   std::string payload;

@@ -39,8 +39,8 @@ int main() {
   std::printf("volume 'quickstart' created\n");
 
   // 3. A client with a FUSE-like POSIX facade.
-  client::Client* client = *run(cluster.MountClient("quickstart"));
-  vfs::FileSystem fs(client);
+  client::MountContext* mount = (*run(cluster.MountClient("quickstart")))->default_mount();
+  vfs::FileSystem fs(mount);
 
   // 4. Files and directories.
   (void)run(fs.Mkdir("/app"));

@@ -50,8 +50,8 @@ int main() {
   if (!run(cluster.Start()).ok() || !run(cluster.CreateVolume("images", 3, 8)).ok()) {
     return 1;
   }
-  client::Client* client = *run(cluster.MountClient("images"));
-  vfs::FileSystem fs(client);
+  client::MountContext* mount = (*run(cluster.MountClient("images")))->default_mount();
+  vfs::FileSystem fs(mount);
   (void)run(fs.Mkdir("/products"));
 
   // Upload a catalog of small images (4-96 KB).

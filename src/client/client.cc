@@ -168,10 +168,10 @@ sim::Task<Result<Inode>> MountContext::Create(InodeId parent, std::string name,
                                               FileType type, std::string symlink_target) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
   (*tenant_ops_)++;
+  obs::SpanScope op = BeginOp("op:create");
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   const rpc::Deadline dl = OpDeadline();
-  obs::SpanScope op = BeginOp("op:create");
   // Step 1: create the inode on an available (randomly chosen) partition.
   // Placement retries ride the same backoff clock as the stubs.
   Inode inode;
@@ -267,10 +267,10 @@ sim::Task<Result<Inode>> MountContext::Create(InodeId parent, std::string name,
 sim::Task<Status> MountContext::Link(InodeId parent, std::string name, InodeId ino) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
   (*tenant_ops_)++;
+  obs::SpanScope op = BeginOp("op:link");
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   const rpc::Deadline dl = OpDeadline();
-  obs::SpanScope op = BeginOp("op:link");
   MetaPartitionView* iview = MetaViewForInode(ino);
   if (!iview) co_return Status::NotFound("inode partition");
   // Fig. 3b: nlink++ first...
@@ -322,10 +322,10 @@ sim::Task<Status> MountContext::Link(InodeId parent, std::string name, InodeId i
 sim::Task<Status> MountContext::Unlink(InodeId parent, std::string name) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
   (*tenant_ops_)++;
+  obs::SpanScope op = BeginOp("op:unlink");
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   const rpc::Deadline dl = OpDeadline();
-  obs::SpanScope op = BeginOp("op:unlink");
   MetaPartitionView* pview = MetaViewForInode(parent);
   if (!pview) co_return Status::NotFound("parent partition");
   // Fig. 3c: delete the dentry first; a dentry must always point at a live
@@ -341,9 +341,8 @@ sim::Task<Status> MountContext::Unlink(InodeId parent, std::string name) {
 
   // Then decrement nlink with retries; if every retry fails the inode
   // becomes an orphan for fsck/the administrator (§2.6.3). The decrement is
-  // asynchronous by default (§2.7.3: deletes are async once the dentry is
-  // gone, so the name disappears immediately and content reclamation
-  // trails behind).
+  // asynchronous (§2.7.3: deletes are async once the dentry is gone, so the
+  // name disappears immediately and content reclamation trails behind).
   MetaPartitionView* iview = MetaViewForInode(ino);
   if (!iview) co_return Status::OK();
   PartitionId ipid = iview->pid;
@@ -360,11 +359,7 @@ sim::Task<Status> MountContext::Unlink(InodeId parent, std::string name) {
     }
     LOG_WARN("unlink of inode ", ino, " failed after retries; inode is now an orphan");
   };
-  if (opts_->async_unlink) {
-    Spawn(decrement(this, ipid, ino));
-    co_return Status::OK();
-  }
-  co_await decrement(this, ipid, ino);
+  Spawn(decrement(this, ipid, ino));
   co_return Status::OK();
 }
 
@@ -379,6 +374,7 @@ sim::Task<Status> MountContext::Rename(InodeId old_parent, std::string old_name,
 sim::Task<Result<Dentry>> MountContext::Lookup(InodeId parent, std::string name) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
   (*tenant_ops_)++;
+  obs::SpanScope op = BeginOp("op:lookup");
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   // Serve from a fresh readdir cache when possible.
@@ -394,7 +390,6 @@ sim::Task<Result<Dentry>> MountContext::Lookup(InodeId parent, std::string name)
     }
   }
   cache_misses_++;
-  obs::SpanScope op = BeginOp("op:lookup");
   MetaPartitionView* pview = MetaViewForInode(parent);
   if (!pview) co_return Status::NotFound("parent partition");
   meta::MetaLookupReq req{pview->pid, parent, name};
@@ -408,6 +403,7 @@ sim::Task<Result<Dentry>> MountContext::Lookup(InodeId parent, std::string name)
 sim::Task<Result<Inode>> MountContext::GetInode(InodeId ino) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
   (*tenant_ops_)++;
+  obs::SpanScope op = BeginOp("op:getinode");
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   if (const Inode* cached = CachedInode(ino)) {
@@ -415,7 +411,6 @@ sim::Task<Result<Inode>> MountContext::GetInode(InodeId ino) {
     co_return *cached;
   }
   cache_misses_++;
-  obs::SpanScope op = BeginOp("op:getinode");
   MetaPartitionView* view = MetaViewForInode(ino);
   if (!view) co_return Status::NotFound("inode partition");
   auto r = co_await MetaCall<meta::MetaGetInodeReq, meta::MetaGetInodeResp>(
@@ -429,6 +424,7 @@ sim::Task<Result<Inode>> MountContext::GetInode(InodeId ino) {
 sim::Task<Result<std::vector<Dentry>>> MountContext::ReadDir(InodeId parent) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
   (*tenant_ops_)++;
+  obs::SpanScope op = BeginOp("op:readdir");
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   if (opts_->enable_metadata_cache) {
@@ -439,7 +435,6 @@ sim::Task<Result<std::vector<Dentry>>> MountContext::ReadDir(InodeId parent) {
     }
   }
   cache_misses_++;
-  obs::SpanScope op = BeginOp("op:readdir");
   MetaPartitionView* pview = MetaViewForInode(parent);
   if (!pview) co_return Status::NotFound("parent partition");
   auto r = co_await MetaCall<meta::MetaReadDirReq, meta::MetaReadDirResp>(
@@ -867,6 +862,7 @@ sim::Task<Status> MountContext::OverwriteData(OpenFile& of, uint64_t offset,
 sim::Task<Status> MountContext::Write(InodeId ino, uint64_t offset, Buffer buf) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
   (*tenant_ops_)++;
+  obs::SpanScope op = BeginOp("op:write");
   if (ThrottleEnabled()) co_await Throttle(buf.size());
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   const rpc::Deadline dl = OpDeadline();
@@ -875,7 +871,6 @@ sim::Task<Status> MountContext::Write(InodeId ino, uint64_t offset, Buffer buf) 
     CFS_CO_RETURN_IF_ERROR(co_await Open(ino));
     it = open_files_.find(ino);
   }
-  obs::SpanScope op = BeginOp("op:write");
   op.Note("bytes", static_cast<int64_t>(buf.size()));
   uint64_t size = it->second.pending_size;
   if (offset > size) co_return Status::InvalidArgument("write beyond EOF (no holes)");
@@ -907,10 +902,10 @@ sim::Task<Status> MountContext::Write(InodeId ino, uint64_t offset, Buffer buf) 
 sim::Task<Result<Buffer>> MountContext::Read(InodeId ino, uint64_t offset, uint64_t len) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
   (*tenant_ops_)++;
+  obs::SpanScope op = BeginOp("op:read");
   if (ThrottleEnabled()) co_await Throttle(len);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
   const rpc::Deadline dl = OpDeadline();
-  obs::SpanScope op = BeginOp("op:read");
   op.Note("bytes", static_cast<int64_t>(len));
   // Use open-file state if present (read-your-own-writes), else the cached
   // or fetched inode.
@@ -1019,9 +1014,9 @@ void MountContext::InjectPreparedFile(InodeId ino, std::vector<ExtentKey> keys,
 sim::Task<Status> MountContext::Truncate(InodeId ino, uint64_t new_size) {
   if (!mounted_) co_return Status::Unavailable("volume unmounted");
   (*tenant_ops_)++;
+  obs::SpanScope op = BeginOp("op:truncate");
   if (ThrottleEnabled()) co_await Throttle(0);
   co_await host_->cpu().Use(opts_->client_cpu_per_op);
-  obs::SpanScope op = BeginOp("op:truncate");
   MetaPartitionView* view = MetaViewForInode(ino);
   if (!view) co_return Status::NotFound("inode partition");
   auto r = co_await MetaCall<meta::MetaTruncateReq, meta::MetaTruncateResp>(
@@ -1048,20 +1043,7 @@ Client::Client(sim::Network* net, sim::Host* host, std::vector<sim::NodeId> mast
       opts_(opts),
       channel_(net) {}
 
-sim::Task<Status> Client::Mount(std::string volume) {
-  return MountImpl(std::move(volume));
-}
-
-sim::Task<Status> Client::MountImpl(std::string volume) {
-  auto r = co_await MountVolumeImpl(std::move(volume));
-  co_return r.ok() ? Status::OK() : r.status();
-}
-
 sim::Task<Result<MountContext*>> Client::MountVolume(std::string volume) {
-  return MountVolumeImpl(std::move(volume));
-}
-
-sim::Task<Result<MountContext*>> Client::MountVolumeImpl(std::string volume) {
   auto it = mounts_.find(volume);
   if (it != mounts_.end()) {
     // Idempotent: mounting a volume twice hands back the live context.
@@ -1103,116 +1085,6 @@ void Client::UnmountAll() {
 MountContext* Client::mount(const std::string& volume) {
   auto it = mounts_.find(volume);
   return it == mounts_.end() ? nullptr : it->second.get();
-}
-
-// --- Default-mount delegation ---------------------------------------------------
-
-sim::Task<Result<Inode>> Client::Create(InodeId parent, std::string name, FileType type,
-                                        std::string symlink_target) {
-  if (!default_mount_) return FailWith<Result<Inode>>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Create(parent, std::move(name), type, std::move(symlink_target));
-}
-
-sim::Task<Status> Client::Link(InodeId parent, std::string name, InodeId ino) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Link(parent, std::move(name), ino);
-}
-
-sim::Task<Status> Client::Unlink(InodeId parent, std::string name) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Unlink(parent, std::move(name));
-}
-
-sim::Task<Status> Client::Rename(InodeId old_parent, std::string old_name,
-                                 InodeId new_parent, std::string new_name) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Rename(old_parent, std::move(old_name), new_parent,
-                                std::move(new_name));
-}
-
-sim::Task<Result<Dentry>> Client::Lookup(InodeId parent, std::string name) {
-  if (!default_mount_) return FailWith<Result<Dentry>>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Lookup(parent, std::move(name));
-}
-
-sim::Task<Result<Inode>> Client::GetInode(InodeId ino) {
-  if (!default_mount_) return FailWith<Result<Inode>>(Status::Unavailable("no mounted volume"));
-  return default_mount_->GetInode(ino);
-}
-
-sim::Task<Result<std::vector<Dentry>>> Client::ReadDir(InodeId parent) {
-  if (!default_mount_) {
-    return FailWith<Result<std::vector<Dentry>>>(Status::Unavailable("no mounted volume"));
-  }
-  return default_mount_->ReadDir(parent);
-}
-
-sim::Task<Result<std::vector<std::pair<Dentry, Inode>>>> Client::ReadDirPlus(InodeId parent) {
-  if (!default_mount_) {
-    return FailWith<Result<std::vector<std::pair<Dentry, Inode>>>>(
-        Status::Unavailable("no mounted volume"));
-  }
-  return default_mount_->ReadDirPlus(parent);
-}
-
-sim::Task<Status> Client::Open(InodeId ino) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Open(ino);
-}
-
-sim::Task<Status> Client::Close(InodeId ino) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Close(ino);
-}
-
-sim::Task<Status> Client::Write(InodeId ino, uint64_t offset, Buffer data) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Write(ino, offset, std::move(data));
-}
-
-sim::Task<Result<Buffer>> Client::Read(InodeId ino, uint64_t offset, uint64_t len) {
-  if (!default_mount_) return FailWith<Result<Buffer>>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Read(ino, offset, len);
-}
-
-sim::Task<Status> Client::Fsync(InodeId ino) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Fsync(ino);
-}
-
-sim::Task<Status> Client::Truncate(InodeId ino, uint64_t new_size) {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->Truncate(ino, new_size);
-}
-
-sim::Task<void> Client::EvictOrphans() {
-  return EvictOrphansImpl();
-}
-
-sim::Task<void> Client::EvictOrphansImpl() {
-  // Snapshot the context pointers: mounts_ can gain/lose entries while this
-  // coroutine is suspended, and retirement keeps every pointer alive for the
-  // Client's lifetime, so the frame-local copy stays safe to walk.
-  std::vector<MountContext*> targets;
-  for (const auto& [name, ctx] : mounts_) targets.push_back(ctx.get());
-  for (MountContext* m : targets) {
-    co_await m->EvictOrphans();
-  }
-}
-
-size_t Client::orphan_count() const {
-  size_t n = 0;
-  for (const auto& [name, ctx] : mounts_) n += ctx->orphan_count();
-  return n;
-}
-
-sim::Task<Status> Client::RefreshVolume() {
-  if (!default_mount_) return FailWith<Status>(Status::Unavailable("no mounted volume"));
-  return default_mount_->RefreshVolume();
-}
-
-void Client::InjectPreparedFile(InodeId ino, std::vector<ExtentKey> keys, uint64_t size) {
-  if (default_mount_) default_mount_->InjectPreparedFile(ino, std::move(keys), size);
 }
 
 }  // namespace cfs::client

@@ -8,7 +8,7 @@
 // buckets — lives in an explicit MountContext. The Client itself keeps only
 // what is genuinely per-host: the metered channel. Every counter goes to the
 // client host's registry ("client.*", "rpc.*", "router.*", and the
-// per-mount "tenant.<id>.*" slice). Mount/Unmount are first-class;
+// per-mount "tenant.<id>.*" slice). MountVolume/Unmount are first-class;
 // unmounting stops the mount's refresh loop (its coroutine observes the
 // generation bump at the next wakeup) and retires the context — it stays
 // alive until the Client dies so detached coroutines started under it
@@ -97,10 +97,6 @@ struct ClientOptions {
   /// TTL alone only evicts on lookup, so a client scanning a large namespace
   /// would grow its caches without bound. 0 = unbounded.
   size_t metadata_cache_max_entries = 4096;
-  /// §2.7.3: "the delete operation is asynchronous" — the unlink returns
-  /// once the dentry is gone; the nlink decrement (and the content purge it
-  /// triggers) completes in the background. Disable for strict tests.
-  bool async_unlink = true;
   /// CPU charged on the client host per operation (FUSE + client path).
   SimDuration client_cpu_per_op = 6;
 };
@@ -261,12 +257,6 @@ class MountContext {
 
   sim::Task<Status> Truncate(InodeId ino, uint64_t new_size);
 
-  /// Delete = unlink; content removal is asynchronous on the meta node
-  /// (§2.7.3).
-  sim::Task<Status> Delete(InodeId parent, std::string name) {
-    return Unlink(parent, std::move(name));
-  }
-
   /// Drain the local orphan list: send evict for inodes whose create
   /// workflow failed (§2.6.1).
   sim::Task<void> EvictOrphans();
@@ -288,6 +278,8 @@ class MountContext {
   void InjectPreparedFile(InodeId ino, std::vector<ExtentKey> keys, uint64_t size);
 
   sim::NodeId node() const { return host_->id(); }
+  /// The client host's registry, shared by every mount on the host.
+  const obs::Registry& metrics() const { return host_->metrics(); }
 
  private:
   sim::Scheduler& sched() { return *net_->scheduler(); }
@@ -426,10 +418,9 @@ class MountContext {
 };
 
 /// Multi-mount client shell. Holds per-host shared state (the channel; the
-/// host's registry has the counters) plus a map of named MountContexts. The
-/// single-volume API (Mount + ops without a mount handle) operates on the
-/// DEFAULT mount — the first volume mounted — and is bit-compatible with the
-/// pre-refactor single-volume client.
+/// host's registry has the counters) plus a map of named MountContexts. Every
+/// file and metadata op goes through a MountContext; the default mount is
+/// the first volume mounted.
 class Client {
  public:
   Client(sim::Network* net, sim::Host* host, std::vector<sim::NodeId> masters,
@@ -438,12 +429,9 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Fetch the volume view and start the periodic refresh loop. The first
-  /// mounted volume becomes the default mount for the mountless op API.
-  sim::Task<Status> Mount(std::string volume);
-
-  /// First-class multi-volume mount: returns the (new or existing, if still
-  /// mounted) context for `volume`.
+  /// Fetch the volume view and start the periodic refresh loop; returns the
+  /// (new or existing, if still mounted) context for `volume`. The first
+  /// mounted volume becomes the default mount.
   sim::Task<Result<MountContext*>> MountVolume(std::string volume);
 
   /// Deactivate `volume`'s mount: its refresh loop stops at the next wakeup
@@ -459,67 +447,12 @@ class Client {
   const std::map<std::string, std::unique_ptr<MountContext>>& mounts() const {
     return mounts_;
   }
-  size_t num_mounts() const { return mounts_.size(); }
-
-  bool mounted() const { return default_mount_ != nullptr && default_mount_->mounted(); }
-  const ClientOptions& options() const { return opts_; }
 
   /// The client host's registry: "client.*" workflow counters, "rpc.*" legs,
   /// "router.*" leader-cache behaviour and each mount's "tenant.<id>.*".
   const obs::Registry& metrics() const { return host_->metrics(); }
 
-  // --- Default-mount operation API (see MountContext for semantics) ---
-
-  sim::Task<Result<Inode>> Create(InodeId parent, std::string name, FileType type,
-                                  std::string symlink_target = "");
-  sim::Task<Status> Link(InodeId parent, std::string name, InodeId ino);
-  sim::Task<Status> Unlink(InodeId parent, std::string name);
-  sim::Task<Status> Rename(InodeId old_parent, std::string old_name,
-                           InodeId new_parent, std::string new_name);
-  sim::Task<Result<Dentry>> Lookup(InodeId parent, std::string name);
-  sim::Task<Result<Inode>> GetInode(InodeId ino);
-  sim::Task<Result<std::vector<Dentry>>> ReadDir(InodeId parent);
-  sim::Task<Result<std::vector<std::pair<Dentry, Inode>>>> ReadDirPlus(InodeId parent);
-  sim::Task<Status> Open(InodeId ino);
-  sim::Task<Status> Close(InodeId ino);
-  sim::Task<Status> Write(InodeId ino, uint64_t offset, Buffer data);
-  sim::Task<Status> Write(InodeId ino, uint64_t offset, std::string data) {
-    return Write(ino, offset, Buffer::FromString(std::move(data)));
-  }
-  sim::Task<Result<Buffer>> Read(InodeId ino, uint64_t offset, uint64_t len);
-  sim::Task<Status> Fsync(InodeId ino);
-  sim::Task<Status> Truncate(InodeId ino, uint64_t new_size);
-  sim::Task<Status> Delete(InodeId parent, std::string name) {
-    return Unlink(parent, std::move(name));
-  }
-
-  /// Drain the orphan lists of every active mount.
-  sim::Task<void> EvictOrphans();
-  /// Orphans across every active mount.
-  size_t orphan_count() const;
-
-  /// Force-refresh the default mount's partition views now.
-  sim::Task<Status> RefreshVolume();
-
-  PartitionId append_partition(InodeId ino) const {
-    return default_mount_ ? default_mount_->append_partition(ino) : 0;
-  }
-  void InjectPreparedFile(InodeId ino, std::vector<ExtentKey> keys, uint64_t size);
-
-  sim::NodeId node() const { return host_->id(); }
-
  private:
-  sim::Task<Status> MountImpl(std::string volume);
-  sim::Task<Result<MountContext*>> MountVolumeImpl(std::string volume);
-  sim::Task<void> EvictOrphansImpl();
-
-  /// Error task for ops issued with no active default mount. T must be
-  /// constructible from Status (Status itself or any Result<V>).
-  template <typename T>
-  static sim::Task<T> FailWith(Status st) {
-    co_return st;
-  }
-
   sim::Network* net_;
   sim::Host* host_;
   std::vector<sim::NodeId> masters_;

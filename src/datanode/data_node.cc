@@ -346,12 +346,11 @@ void DataNode::RegisterHandlers() {
         if (req.offset + req.data.size() > e->size) {
           co_return OverwriteResp{Status::InvalidArgument("overwrite beyond extent end")};
         }
-        auto idx = co_await rn->ProposeIndexed(
+        raft::ApplyOutcome out;
+        Status st = co_await rn->Propose(
             DataPartition::EncodeOverwriteHead(req.extent_id, req.offset, req.data.size()),
-            req.data, req.trace);
-        if (!idx.ok()) co_return OverwriteResp{idx.status()};
-        auto st = p->TakeResult(*idx);
-        co_return OverwriteResp{st.value_or(Status::OK())};
+            req.data, req.trace, &out);
+        co_return OverwriteResp{st.ok() ? out.status : st};
       });
 
   // Read at the raft leader (§2.7.4), bounded by the committed offset.
@@ -402,10 +401,10 @@ void DataNode::RegisterHandlers() {
         if (!rn->IsLeader()) {
           co_return DeleteExtentResp{Status::NotLeader(std::to_string(rn->leader_hint()))};
         }
-        auto idx = co_await rn->ProposeIndexed(DataPartition::EncodeDeleteExtent(req.extent_id),
-                                               {}, req.trace);
-        if (!idx.ok()) co_return DeleteExtentResp{idx.status()};
-        co_return DeleteExtentResp{p->TakeResult(*idx).value_or(Status::OK())};
+        raft::ApplyOutcome out;
+        Status st = co_await rn->Propose(DataPartition::EncodeDeleteExtent(req.extent_id), {},
+                                         req.trace, &out);
+        co_return DeleteExtentResp{st.ok() ? out.status : st};
       });
 
   host_->Register<PunchHoleReq, PunchHoleResp>(
@@ -419,11 +418,11 @@ void DataNode::RegisterHandlers() {
         if (!rn->IsLeader()) {
           co_return PunchHoleResp{Status::NotLeader(std::to_string(rn->leader_hint()))};
         }
-        auto idx = co_await rn->ProposeIndexed(
-            DataPartition::EncodePunchHole(req.extent_id, req.offset, req.len), {},
-            req.trace);
-        if (!idx.ok()) co_return PunchHoleResp{idx.status()};
-        co_return PunchHoleResp{p->TakeResult(*idx).value_or(Status::OK())};
+        raft::ApplyOutcome out;
+        Status st = co_await rn->Propose(
+            DataPartition::EncodePunchHole(req.extent_id, req.offset, req.len), {}, req.trace,
+            &out);
+        co_return PunchHoleResp{st.ok() ? out.status : st};
       });
 
   // --- Recovery helpers ---

@@ -109,8 +109,8 @@ std::string DataPartition::EncodePunchHole(storage::ExtentId id, uint64_t offset
   return enc.Take();
 }
 
-void DataPartition::Apply(raft::Index index, const Buffer& head, const Buffer& payload,
-                          bool /*waited*/) {
+void DataPartition::Apply(raft::Index /*index*/, const Buffer& head, const Buffer& payload,
+                          raft::ApplyOutcome* out) {
   Decoder dec(head.view());
   uint8_t op = 0;
   Status st = dec.GetU8(&op);
@@ -154,16 +154,7 @@ void DataPartition::Apply(raft::Index index, const Buffer& head, const Buffer& p
         st = Status::Corruption("unknown data op");
     }
   }
-  results_.emplace(index, std::move(st));
-  while (results_.size() > kMaxResults) results_.erase(results_.begin());
-}
-
-std::optional<Status> DataPartition::TakeResult(raft::Index index) {
-  auto it = results_.find(index);
-  if (it == results_.end()) return std::nullopt;
-  Status st = std::move(it->second);
-  results_.erase(it);
-  return st;
+  if (out) out->status = std::move(st);
 }
 
 std::string DataPartition::TakeSnapshot() {

@@ -96,20 +96,17 @@ class DataPartition : public raft::StateMachine {
                                      obs::TraceContext trace = {});
 
   // --- Raft state machine (overwrite/purge path) ---
-  /// Records every outcome, waited or not: a Status is small, and tests read
-  /// follower outcomes.
+  /// Fills only `out->status`.
   void Apply(raft::Index index, const Buffer& head, const Buffer& payload,
-             bool waited) override;
+             raft::ApplyOutcome* out) override;
   /// Extent contents are NOT snapshotted through raft (they are recovered by
   /// the primary-backup alignment phase first, §2.2.5); the snapshot is a
   /// marker carrying only the allocation high-water mark.
   std::string TakeSnapshot() override;
   void Restore(std::string_view snapshot) override;
 
-  std::optional<Status> TakeResult(raft::Index index);
-
   /// Head of an overwrite command: the payload's `len` bytes follow it
-  /// logically, passed to ProposeIndexed as a separate Buffer.
+  /// logically, passed to RaftNode::Propose as a separate Buffer.
   static std::string EncodeOverwriteHead(storage::ExtentId id, uint64_t offset,
                                          uint64_t len);
   static std::string EncodeDeleteExtent(storage::ExtentId id);
@@ -148,9 +145,6 @@ class DataPartition : public raft::StateMachine {
   /// extent -> offset -> payload: buffered until contiguous (refcounted, so
   /// parking an out-of-order arrival shares the sender's bytes).
   std::map<storage::ExtentId, std::map<uint64_t, Buffer>> pending_;
-
-  std::map<raft::Index, Status> results_;
-  static constexpr size_t kMaxResults = 4096;
 };
 
 }  // namespace cfs::data

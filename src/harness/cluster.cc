@@ -295,7 +295,8 @@ Task<Result<client::Client*>> Cluster::MountClient(std::vector<std::string> volu
   clients_.push_back(std::move(c));
   // Index loop over the frame-local list: the mounts suspend on master RPCs.
   for (size_t i = 0; i < volumes.size(); i++) {
-    CFS_CO_RETURN_IF_ERROR(co_await ptr->Mount(volumes[i]));
+    auto m = co_await ptr->MountVolume(volumes[i]);
+    if (!m.ok()) co_return m.status();
   }
   co_return ptr;
 }

@@ -104,11 +104,12 @@ void MasterState::Persist(const char* kind, uint64_t id, std::string value) {
   }(kv_, std::move(key), std::move(value)));
 }
 
-void MasterState::Apply(raft::Index index, const Buffer& cmd, const Buffer& /*payload*/,
-                        bool /*waited*/) {
+void MasterState::Apply(raft::Index /*index*/, const Buffer& cmd, const Buffer& /*payload*/,
+                        raft::ApplyOutcome* slot) {
   Decoder dec(cmd.view());
   uint8_t op = 0;
-  ApplyOutcome out;
+  raft::ApplyOutcome scratch;  // nobody waits: the outcome goes nowhere
+  raft::ApplyOutcome& out = slot ? *slot : scratch;
   Status st = dec.GetU8(&op);
   if (!st.ok()) {
     out.status = st;
@@ -253,16 +254,6 @@ void MasterState::Apply(raft::Index index, const Buffer& cmd, const Buffer& /*pa
         out.status = Status::Corruption("unknown master op");
     }
   }
-  results_.emplace(index, std::move(out));
-  while (results_.size() > kMaxResults) results_.erase(results_.begin());
-}
-
-std::optional<MasterState::ApplyOutcome> MasterState::TakeResult(raft::Index index) {
-  auto it = results_.find(index);
-  if (it == results_.end()) return std::nullopt;
-  ApplyOutcome out = std::move(it->second);
-  results_.erase(it);
-  return out;
 }
 
 const VolumeRecord* MasterState::FindVolume(const std::string& name) const {
@@ -335,7 +326,6 @@ void MasterState::Restore(std::string_view snapshot) {
   volume_by_name_.clear();
   meta_partitions_.clear();
   data_partitions_.clear();
-  results_.clear();
   next_volume_ = 1;
   next_partition_ = 1;
   if (snapshot.empty()) return;
@@ -445,19 +435,11 @@ sim::Task<Status> MasterNode::Recover() {
   co_return co_await raft_node_->Recover();
 }
 
-Task<MasterState::ApplyOutcome> MasterNode::Propose(std::string cmd) {
-  MasterState::ApplyOutcome out;
-  auto idx = co_await raft_node_->ProposeIndexed(std::move(cmd));
-  if (!idx.ok()) {
-    out.status = idx.status();
-    co_return out;
-  }
-  auto taken = state_.TakeResult(*idx);
-  if (!taken) {
-    out.status = Status::Retry("apply result pruned");
-    co_return out;
-  }
-  co_return std::move(*taken);
+Task<raft::ApplyOutcome> MasterNode::Propose(std::string cmd) {
+  raft::ApplyOutcome out;
+  Status st = co_await raft_node_->Propose(std::move(cmd), {}, {}, &out);
+  if (!st.ok()) out.status = st;
+  co_return out;
 }
 
 std::vector<sim::NodeId> MasterNode::PickReplicas(bool for_meta, uint32_t n, uint64_t salt) {

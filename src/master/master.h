@@ -104,21 +104,15 @@ class MasterState : public raft::StateMachine {
     kSetPartitionReadOnly = 6,
   };
 
-  struct ApplyOutcome {
-    Status status;
-    uint64_t value = 0;  // allocated volume/partition id
-  };
-
   explicit MasterState(kv::KvStore* kv) : kv_(kv) {}
 
   // raft::StateMachine
   /// Master commands carry no bulk payload: the whole command is `cmd`.
+  /// `out->value` carries the allocated volume/partition id.
   void Apply(raft::Index index, const Buffer& cmd, const Buffer& payload,
-             bool waited) override;
+             raft::ApplyOutcome* out) override;
   std::string TakeSnapshot() override;
   void Restore(std::string_view snapshot) override;
-
-  std::optional<ApplyOutcome> TakeResult(raft::Index index);
 
   // Command encoders.
   static std::string EncodeRegisterNode(sim::NodeId node, bool is_meta, bool is_data,
@@ -156,9 +150,6 @@ class MasterState : public raft::StateMachine {
   std::map<PartitionId, DataPartitionRecord> data_partitions_;
   VolumeId next_volume_ = 1;
   PartitionId next_partition_ = 1;
-
-  std::map<raft::Index, ApplyOutcome> results_;
-  static constexpr size_t kMaxResults = 4096;
 };
 
 /// One resource-manager replica (service + raft + admin loops).
@@ -198,7 +189,7 @@ class MasterNode {
 
  private:
   void RegisterHandlers();
-  sim::Task<MasterState::ApplyOutcome> Propose(std::string cmd);
+  sim::Task<raft::ApplyOutcome> Propose(std::string cmd);
   sim::Task<void> AdminLoop();
   sim::Task<void> CheckLiveness();
   sim::Task<void> MaybeSplitMetaPartitions();

@@ -66,20 +66,15 @@ Task<ApplyResult> MetaNode::Execute(PartitionId pid, std::string cmd,
     res.status = Status::Unavailable("partition is read-only");
     co_return res;
   }
-  auto idx = co_await node->ProposeIndexed(std::move(cmd), {}, trace);
-  if (!idx.ok()) {
-    res.status = idx.status();
-    co_return res;
-  }
-  auto taken = mp->TakeResult(*idx);
-  if (!taken) {
-    res.status = Status::Retry("apply result pruned");
+  Status st = co_await node->Propose(std::move(cmd), {}, trace, &res);
+  if (!st.ok()) {
+    res.status = st;
     co_return res;
   }
   if (exec_observer_) {
     exec_observer_(net_->scheduler()->Now() - exec_start, trace.trace_id);
   }
-  co_return std::move(*taken);
+  co_return res;
 }
 
 std::vector<MetaPartitionReport> MetaNode::Reports() const {

@@ -111,40 +111,29 @@ std::string MetaPartition::EncodeSetEnd(InodeId end) {
 
 // --- Apply -----------------------------------------------------------------
 
-void MetaPartition::Apply(raft::Index index, const Buffer& cmd, const Buffer& /*payload*/,
-                          bool waited) {
+void MetaPartition::Apply(raft::Index /*index*/, const Buffer& cmd, const Buffer& /*payload*/,
+                          raft::ApplyOutcome* out) {
   Decoder dec(cmd.view());
   uint8_t op = 0;
-  ApplyResult res;
+  ApplyResult scratch;  // nobody waits: the outcome goes nowhere
+  ApplyResult* res = out ? static_cast<ApplyResult*>(out) : &scratch;
   if (!dec.GetU8(&op).ok()) {
-    res.status = Status::Corruption("empty meta command");
+    res->status = Status::Corruption("empty meta command");
   } else {
     switch (static_cast<MetaOp>(op)) {
-      case MetaOp::kCreateInode: ApplyCreateInode(&dec, &res); break;
-      case MetaOp::kUnlinkInode: ApplyUnlinkInode(&dec, &res); break;
-      case MetaOp::kLinkInode: ApplyLinkInode(&dec, &res); break;
-      case MetaOp::kEvictInode: ApplyEvictInode(&dec, &res); break;
-      case MetaOp::kCreateDentry: ApplyCreateDentry(&dec, &res); break;
-      case MetaOp::kDeleteDentry: ApplyDeleteDentry(&dec, &res); break;
-      case MetaOp::kAppendExtent: ApplyAppendExtent(&dec, &res); break;
-      case MetaOp::kSetAttr: ApplySetAttr(&dec, &res); break;
-      case MetaOp::kTruncate: ApplyTruncate(&dec, &res); break;
-      case MetaOp::kSetEnd: ApplySetEnd(&dec, &res); break;
-      default: res.status = Status::Corruption("unknown meta op"); break;
+      case MetaOp::kCreateInode: ApplyCreateInode(&dec, res); break;
+      case MetaOp::kUnlinkInode: ApplyUnlinkInode(&dec, res); break;
+      case MetaOp::kLinkInode: ApplyLinkInode(&dec, res); break;
+      case MetaOp::kEvictInode: ApplyEvictInode(&dec, res); break;
+      case MetaOp::kCreateDentry: ApplyCreateDentry(&dec, res); break;
+      case MetaOp::kDeleteDentry: ApplyDeleteDentry(&dec, res); break;
+      case MetaOp::kAppendExtent: ApplyAppendExtent(&dec, res); break;
+      case MetaOp::kSetAttr: ApplySetAttr(&dec, res); break;
+      case MetaOp::kTruncate: ApplyTruncate(&dec, res); break;
+      case MetaOp::kSetEnd: ApplySetEnd(&dec, res); break;
+      default: res->status = Status::Corruption("unknown meta op"); break;
     }
   }
-  // Only a local proposer ever takes a result, so followers keep none.
-  if (!waited) return;
-  results_.emplace(index, std::move(res));
-  while (results_.size() > kMaxResults) results_.erase(results_.begin());
-}
-
-std::optional<ApplyResult> MetaPartition::TakeResult(raft::Index index) {
-  auto it = results_.find(index);
-  if (it == results_.end()) return std::nullopt;
-  ApplyResult res = std::move(it->second);
-  results_.erase(it);
-  return res;
 }
 
 void MetaPartition::ApplyCreateInode(Decoder* dec, ApplyResult* res) {
@@ -557,7 +546,6 @@ void MetaPartition::Restore(std::string_view snapshot) {
   inode_tree_.Clear();
   dentry_tree_.Clear();
   free_list_.clear();
-  results_.clear();
   if (snapshot.empty()) {
     next_inode_ = config_.start;
     InitRoot();

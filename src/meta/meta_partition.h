@@ -10,8 +10,6 @@
 #pragma once
 
 #include <deque>
-#include <map>
-#include <optional>
 #include <set>
 
 #include "common/check.h"
@@ -36,13 +34,11 @@ enum class MetaOp : uint8_t {
   kSetEnd = 10,       // Algorithm 1: cut off the inode id range at `end`
 };
 
-/// Outcome of applying a command, retrievable by the proposing coroutine at
-/// the commit index.
-struct ApplyResult {
-  Status status;
-  Inode inode;       // for inode-returning ops
-  Dentry dentry;     // for dentry-returning ops
-  uint64_t value = 0;  // nlink after unlink, etc.
+/// Outcome of applying a meta command, written into the proposer's slot
+/// (`value`: nlink after unlink, etc.).
+struct ApplyResult : raft::ApplyOutcome {
+  Inode inode;    // for inode-returning ops
+  Dentry dentry;  // for dentry-returning ops
 };
 
 struct MetaPartitionConfig {
@@ -82,19 +78,13 @@ class MetaPartition : public raft::StateMachine {
   static std::string EncodeSetEnd(InodeId end);
 
   // --- raft::StateMachine ---
-  /// Meta commands carry no bulk payload: the whole command is `cmd`. The
-  /// outcome is kept for TakeResult only when `waited`.
+  /// Meta commands carry no bulk payload: the whole command is `cmd`. A
+  /// non-null `out` is an ApplyResult (MetaNode::Execute proposes with one).
   void Apply(raft::Index index, const Buffer& cmd, const Buffer& payload,
-             bool waited) override;
+             raft::ApplyOutcome* out) override;
   /// Re-encodes only the B-tree leaves changed since the last snapshot.
   std::string TakeSnapshot() override;
   void Restore(std::string_view snapshot) override;
-
-  /// Fetch (and erase) the apply outcome at `index`; nullopt if it was not
-  /// waited on or was pruned.
-  std::optional<ApplyResult> TakeResult(raft::Index index);
-  /// Apply outcomes not yet taken.
-  size_t result_count() const { return results_.size(); }
 
   // --- Leader reads (no consensus; §2.7.4 reads happen at the leader) ---
   const Inode* GetInode(InodeId ino) const { return inode_tree_.Find(ino); }
@@ -184,11 +174,6 @@ class MetaPartition : public raft::StateMachine {
   std::deque<InodeId> free_list_;
   uint64_t memory_bytes_ = 0;
   bool read_only_ = false;
-
-  // Outcomes of waited-on commands until their proposer takes them; the cap
-  // bounds what abandoned proposals can leave behind.
-  std::map<raft::Index, ApplyResult> results_;
-  static constexpr size_t kMaxResults = 4096;
 };
 
 }  // namespace cfs::meta

@@ -204,18 +204,14 @@ void RaftNode::BecomeLeader() {
 
 // --- Proposals -----------------------------------------------------------
 
-Task<Status> RaftNode::Propose(std::string cmd, obs::TraceContext trace) {
-  auto r = co_await ProposeIndexed(std::move(cmd), {}, trace);
-  co_return r.status();
-}
-
-Task<Result<Index>> RaftNode::ProposeIndexed(std::string head, Buffer payload,
-                                             obs::TraceContext trace) {
+Task<Status> RaftNode::Propose(std::string head, Buffer payload, obs::TraceContext trace,
+                               ApplyOutcome* out) {
   if (!host_->up() || !running_) co_return Status::Unavailable("node down");
   if (role_ != Role::kLeader) {
     co_return Status::NotLeader(std::to_string(leader_));
   }
   auto w = std::make_shared<ProposeWaiter>(&sched());
+  w->out = out;
   obs::Tracer& tracer = sched().tracer();
   obs::SpanRef propose_span;
   if (tracer.enabled() && trace.valid()) {
@@ -235,15 +231,17 @@ Task<Result<Index>> RaftNode::ProposeIndexed(std::string head, Buffer payload,
   auto st = co_await w->done.future().WithTimeout(opts_.propose_timeout);
   tracer.End(propose_span);  // covers enqueue -> commit+apply (or failure)
   if (!st) {
+    // The caller's outcome slot dies with its frame: a late apply must not
+    // write into it.
     w->cancelled = true;
+    w->out = nullptr;
     auto it = pending_.find(w->index);
     if (w->index != 0 && it != pending_.end() && it->second.second == w) {
       pending_.erase(it);
     }
     co_return Status::TimedOut("propose not committed in time");
   }
-  if (!st->ok()) co_return *st;
-  co_return w->index;
+  co_return *st;
 }
 
 void RaftNode::KickBatcher() {
@@ -454,12 +452,12 @@ Task<void> RaftNode::ApplyLoop(uint64_t gen) {
       }
       if (!log_.Has(idx)) break;  // should not happen; wait for entries
       const LogEntry& e = log_.At(idx);
-      // A proposer whose term still matches collects the outcome; tell the
-      // state machine so replicas nobody waits on keep no result.
+      // A proposer whose term still matches gets the outcome written
+      // straight into its slot; everyone else's apply writes nowhere.
       auto it = pending_.find(idx);
-      bool waited = it != pending_.end() && it->second.first == e.term;
+      bool same_term = it != pending_.end() && it->second.first == e.term;
       if (!e.head.empty()) {  // a payload never travels without a head
-        sm_->Apply(idx, e.head, e.payload, waited);
+        sm_->Apply(idx, e.head, e.payload, same_term ? it->second.second->out : nullptr);
       }
       applied_ = idx;
       obs::SpanRef apply_span;
@@ -467,8 +465,8 @@ Task<void> RaftNode::ApplyLoop(uint64_t gen) {
         obs::Tracer& tracer = sched().tracer();
         apply_span = tracer.BeginSpan("raft:apply", it->second.second->trace, self_);
         tracer.Note(apply_span, "index", static_cast<int64_t>(idx));
-        Status st = waited ? Status::OK()
-                           : Status::NotLeader("entry overwritten by new leader");
+        Status st = same_term ? Status::OK()
+                              : Status::NotLeader("entry overwritten by new leader");
         it->second.second->done.Set(st);
         pending_.erase(it);
       }

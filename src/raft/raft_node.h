@@ -54,20 +54,17 @@ class RaftNode {
   /// Stop participating (node decommissioned or test teardown).
   void Stop();
 
-  /// Replicate a command; resolves once the command is committed AND applied
-  /// on this replica. Returns NotLeader (with leader_hint) when this replica
-  /// is not the leader. A traced caller passes its span context: the whole
-  /// consensus round runs under a "raft:propose" span with "raft:batch"
-  /// (group-commit WAL flush) and "raft:apply" children.
-  sim::Task<Status> Propose(std::string cmd, obs::TraceContext trace = {});
-
-  /// Like Propose, but returns the log index the command committed at, so
-  /// state machines can hand back per-command apply results (see
-  /// MetaPartition::TakeResult). The command is `head || payload`: bulk bytes
-  /// passed as `payload` ride every log copy, replication leg and WAL chunk
-  /// by reference and reach StateMachine::Apply as the same Buffer.
-  sim::Task<Result<Index>> ProposeIndexed(std::string head, Buffer payload = {},
-                                          obs::TraceContext trace = {});
+  /// Replicate the command `head || payload`; resolves once it is committed
+  /// AND applied on this replica, after StateMachine::Apply wrote its outcome
+  /// into `*out` (when given; `out` must outlive the await). Returns
+  /// NotLeader (with leader_hint) when this replica is not the leader. Bulk
+  /// bytes passed as `payload` ride every log copy, replication leg and WAL
+  /// chunk by reference and reach Apply as the same Buffer. A traced caller
+  /// passes its span context: the whole consensus round runs under a
+  /// "raft:propose" span with "raft:batch" (group-commit WAL flush) and
+  /// "raft:apply" children.
+  sim::Task<Status> Propose(std::string head, Buffer payload = {},
+                            obs::TraceContext trace = {}, ApplyOutcome* out = nullptr);
 
   // --- Observers ---
   GroupId gid() const { return gid_; }
@@ -106,6 +103,7 @@ class RaftNode {
     sim::Promise<Status> done;
     Index index = 0;        // 0 until the batcher assigns one
     bool cancelled = false; // proposer timed out; skip if still queued
+    ApplyOutcome* out = nullptr;  // proposer's slot; nulled when it gives up
     obs::TraceContext trace;  // propose-span context; batch/apply spans chain here
   };
   using WaiterPtr = std::shared_ptr<ProposeWaiter>;

@@ -40,6 +40,13 @@ struct LogEntry {
   size_t WireBytes() const { return 24 + size(); }
 };
 
+/// What applying one command produced, handed straight to its proposer.
+/// State machines whose commands return more (meta's ApplyResult) extend it.
+struct ApplyOutcome {
+  Status status;
+  uint64_t value = 0;  // e.g. an allocated id
+};
+
 /// Deterministic state machine replicated by a raft group. Applied exactly
 /// once per replica in log order.
 class StateMachine {
@@ -47,10 +54,12 @@ class StateMachine {
   virtual ~StateMachine() = default;
   /// Apply the committed command `head || payload` (see LogEntry; `payload`
   /// is empty for commands that carry no bulk bytes and for entries recovered
-  /// flat from the WAL). `waited` is true when a proposer on this replica
-  /// waits on `index` and will collect its outcome; false on followers.
+  /// flat from the WAL). `out` is the outcome slot of the proposer on this
+  /// replica that waits on `index`, of the type it passed to
+  /// RaftNode::Propose; null on followers, after a leader change, and once
+  /// the proposer gave up.
   virtual void Apply(Index index, const Buffer& head, const Buffer& payload,
-                     bool waited) = 0;
+                     ApplyOutcome* out) = 0;
   /// Serialize the complete state (for snapshots / log compaction). The
   /// raft node wraps the result in a Buffer that its log store, stable
   /// storage and every InstallSnapshot leg share without copying.

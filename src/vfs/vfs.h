@@ -1,10 +1,10 @@
-// POSIX-like file-system facade over the CFS client: the in-process stand-in
-// for the FUSE integration (§2.4). Provides path resolution, a file
-// descriptor table, and the usual operations (open/read/write/mkdir/readdir/
-// unlink/rename/symlink/stat) with CFS's relaxed consistency semantics
-// (§2.7): sequential consistency, no leases, and no atomicity guarantee
-// between the inode and dentry of one file beyond "a dentry always points at
-// a live inode".
+// POSIX-like file-system facade over one CFS mount (client::MountContext):
+// the in-process stand-in for the FUSE integration (§2.4). Provides path
+// resolution, a file descriptor table, and the usual operations
+// (open/read/write/mkdir/readdir/unlink/rename/symlink/stat) with CFS's
+// relaxed consistency semantics (§2.7): sequential consistency, no leases,
+// and no atomicity guarantee between the inode and dentry of one file beyond
+// "a dentry always points at a live inode".
 #pragma once
 
 #include <map>
@@ -15,7 +15,7 @@
 
 namespace cfs::vfs {
 
-using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::InodeId;
 
@@ -46,7 +46,7 @@ using Fd = int;
 
 class FileSystem {
  public:
-  explicit FileSystem(Client* client) : client_(client) {}
+  explicit FileSystem(MountContext* mount) : mount_(mount) {}
 
   FileSystem(const FileSystem&) = delete;
   FileSystem& operator=(const FileSystem&) = delete;
@@ -84,7 +84,7 @@ class FileSystem {
   sim::Task<Result<Attr>> Stat(std::string path);
   sim::Task<Result<bool>> Exists(std::string path);
 
-  Client* client() { return client_; }
+  MountContext* mount() { return mount_; }
   size_t open_fds() const { return fds_.size(); }
 
  private:
@@ -105,7 +105,7 @@ class FileSystem {
 
   static Attr ToAttr(const meta::Inode& ino);
 
-  Client* client_;
+  MountContext* mount_;
   std::map<Fd, FdState> fds_;
   Fd next_fd_ = 3;  // 0-2 reserved, as tradition demands
 };

@@ -8,7 +8,7 @@
 namespace cfs::harness {
 namespace {
 
-using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::kRootInode;
 using sim::Task;
@@ -26,7 +26,7 @@ class CfsCluster : public ::testing::Test {
     ASSERT_TRUE(st.has_value() && st->ok()) << (st ? st->ToString() : "hung");
     auto c = RunTask(cluster_->sched(), cluster_->MountClient("vol"));
     ASSERT_TRUE(c.has_value() && c->ok()) << (c ? c->status().ToString() : "hung");
-    client_ = **c;
+    client_ = (**c)->default_mount();
   }
 
   /// Run a client coroutine to completion.
@@ -49,7 +49,7 @@ class CfsCluster : public ::testing::Test {
   void TearDown() override { ExpectInvariantsHold("at test end"); }
 
   std::unique_ptr<Cluster> cluster_;
-  Client* client_ = nullptr;
+  MountContext* client_ = nullptr;
 };
 
 TEST_F(CfsCluster, VolumeViewHasPartitions) {
@@ -116,7 +116,7 @@ TEST_F(CfsCluster, DuplicateCreateFails) {
   // The orphaned inode from the failed create is tracked and evictable.
   EXPECT_EQ(client_->metrics().counter("client.orphans_created"), 1u);
   EXPECT_EQ(client_->orphan_count(), 1u);
-  Run([](Client* c) -> Task<bool> {
+  Run([](MountContext* c) -> Task<bool> {
     co_await c->EvictOrphans();
     co_return true;
   }(client_));
@@ -344,7 +344,7 @@ TEST_F(CfsCluster, TwoClientsShareVolume) {
   Boot();
   auto c2r = RunTask(cluster_->sched(), cluster_->MountClient("vol"));
   ASSERT_TRUE(c2r.has_value() && c2r->ok());
-  Client* c2 = **c2r;
+  MountContext* c2 = (**c2r)->default_mount();
   auto f = Run(client_->Create(kRootInode, "shared.txt", FileType::kFile));
   ASSERT_TRUE(f.ok());
   std::string content(64 * kKiB, 's');
@@ -482,29 +482,66 @@ TEST_F(CfsCluster, MetaPartitionSplitsUnderLoad) {
   }
 }
 
-TEST_F(CfsCluster, ApplyResultsKeptOnlyForWaitingProposers) {
+TEST_F(CfsCluster, RaftDeleteAndPunchOfMissingExtentReturnApplyStatus) {
   Boot();
-  for (int i = 0; i < 40; i++) {
-    std::string name = "churn" + std::to_string(i);
-    ASSERT_TRUE(Run(client_->Create(kRootInode, name, FileType::kFile)).ok());
-    if (i % 2 == 0) ASSERT_TRUE(Run(client_->Unlink(kRootInode, name)).ok());
-  }
-  cluster_->sched().RunFor(2 * kSec);  // followers learn the final commit index
-  int leaders = 0, followers = 0;
-  for (int n = 0; n < cluster_->num_nodes(); n++) {
-    meta::MetaNode* node = cluster_->meta_node(n);
-    for (meta::PartitionId pid : node->PartitionIds()) {
-      raft::RaftNode* rn = node->GetRaft(pid);
-      ASSERT_NE(rn, nullptr);
-      EXPECT_GT(rn->applied_index(), 0u) << "partition " << pid << " on node " << n;
-      // Followers record none; the leader's proposers took every result.
-      EXPECT_EQ(node->GetPartition(pid)->result_count(), 0u)
-          << "partition " << pid << " on node " << n << (rn->IsLeader() ? " (leader)" : "");
-      (rn->IsLeader() ? leaders : followers)++;
+  // The data partition leader validates nothing before proposing a delete or
+  // a punch: the NotFound comes from the apply, handed back to the handler.
+  int leader = -1;
+  data::PartitionId pid = 0;
+  for (int i = 0; i < cluster_->num_nodes() && leader < 0; i++) {
+    for (data::PartitionId p : cluster_->data_node(i)->PartitionIds()) {
+      if (cluster_->data_node(i)->GetPartition(p)->raft_node()->IsLeader()) {
+        leader = i;
+        pid = p;
+        break;
+      }
     }
   }
-  EXPECT_EQ(leaders, 3);
-  EXPECT_EQ(followers, 6);
+  ASSERT_GE(leader, 0);
+  const sim::NodeId from = client_->node();
+  const sim::NodeId to = cluster_->node_host(leader)->id();
+  raft::RaftNode* rn = cluster_->data_node(leader)->GetPartition(pid)->raft_node();
+  const raft::Index applied = rn->applied_index();
+  rpc::Channel ch(&cluster_->net());
+  auto del = Run(ch.Unary<data::DeleteExtentReq, data::DeleteExtentResp>(
+      from, to, data::DeleteExtentReq{pid, /*extent_id=*/999999}));
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  EXPECT_TRUE(del->status.IsNotFound()) << del->status.ToString();
+  auto punch = Run(ch.Unary<data::PunchHoleReq, data::PunchHoleResp>(
+      from, to, data::PunchHoleReq{pid, /*extent_id=*/999999, 0, 4096}));
+  ASSERT_TRUE(punch.ok()) << punch.status().ToString();
+  EXPECT_TRUE(punch->status.IsNotFound()) << punch->status.ToString();
+  EXPECT_GE(rn->applied_index(), applied + 2);  // both went through consensus
+}
+
+TEST_F(CfsCluster, OpRootSpanCarriesClientCpu) {
+  ClusterOptions opts;
+  opts.trace = true;
+  Boot(opts);
+  auto f = Run(client_->Create(kRootInode, "traced", FileType::kFile));
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  const std::vector<obs::Span>& spans = cluster_->tracer().spans();
+  const obs::Span* root = nullptr;
+  for (const obs::Span& s : spans) {
+    if (s.name == "op:create" && s.parent_id == 0) root = &s;
+  }
+  ASSERT_NE(root, nullptr);
+  // Self time: the root's duration not covered by any child span.
+  std::vector<std::pair<SimTime, SimTime>> kids;
+  for (const obs::Span& s : spans) {
+    if (s.parent_id == root->span_id) kids.emplace_back(s.start, s.end);
+  }
+  ASSERT_FALSE(kids.empty());
+  std::sort(kids.begin(), kids.end());
+  SimDuration covered = 0;
+  SimTime reach = root->start;
+  for (auto [start, end] : kids) {
+    start = std::max(start, reach);
+    if (end > start) covered += end - start;
+    reach = std::max(reach, end);
+  }
+  const SimDuration self = (root->end - root->start) - covered;
+  EXPECT_GE(self, cluster_->options().client.client_cpu_per_op);
 }
 
 TEST_F(CfsCluster, UtilizationPlacementPrefersEmptyNodes) {

@@ -12,7 +12,7 @@
 namespace cfs::harness {
 namespace {
 
-using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::kRootInode;
 using sim::Task;
@@ -25,21 +25,21 @@ ClusterOptions SmallCluster(uint64_t seed) {
   return opts;
 }
 
-/// Boot + mount, returning the client (nullptr on failure, which the
+/// Boot + mount, returning the mount (nullptr on failure, which the
 /// scenario surfaces as a hash of the failed run — still deterministic).
-Client* BootAndMount(Cluster& cluster) {
+MountContext* BootAndMount(Cluster& cluster) {
   auto st = RunTask(cluster.sched(), cluster.Start());
   if (!st || !st->ok()) return nullptr;
   st = RunTask(cluster.sched(), cluster.CreateVolume("v", 3, 8));
   if (!st || !st->ok()) return nullptr;
   auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
   if (!c || !c->ok()) return nullptr;
-  return **c;
+  return (**c)->default_mount();
 }
 
 TEST(Determinism, MetadataAndDataWorkloadReplaysIdentically) {
   auto scenario = [](Cluster& cluster) {
-    Client* client = BootAndMount(cluster);
+    MountContext* client = BootAndMount(cluster);
     ASSERT_NE(client, nullptr);
     for (int i = 0; i < 8; i++) {
       auto f = RunTask(cluster.sched(),
@@ -61,7 +61,7 @@ TEST(Determinism, MetadataAndDataWorkloadReplaysIdentically) {
 
 TEST(Determinism, CrashAndRestartReplaysIdentically) {
   auto scenario = [](Cluster& cluster) {
-    Client* client = BootAndMount(cluster);
+    MountContext* client = BootAndMount(cluster);
     ASSERT_NE(client, nullptr);
     auto f = RunTask(cluster.sched(),
                      client->Create(kRootInode, "crashy.bin", FileType::kFile));
@@ -85,7 +85,7 @@ TEST(Determinism, CrashAndRestartReplaysIdentically) {
 TEST(Determinism, MessageLossReplaysIdentically) {
   // Drops draw from the seeded RNG, so even lossy runs must replay exactly.
   auto scenario = [](Cluster& cluster) {
-    Client* client = BootAndMount(cluster);
+    MountContext* client = BootAndMount(cluster);
     ASSERT_NE(client, nullptr);
     cluster.net().SetDropProbability(0.05);
     for (int i = 0; i < 10; i++) {
@@ -102,7 +102,7 @@ TEST(Determinism, MessageLossReplaysIdentically) {
 
 /// A mixed metadata + data workload used by the tracing audits below.
 void TracedScenario(Cluster& cluster) {
-  Client* client = BootAndMount(cluster);
+  MountContext* client = BootAndMount(cluster);
   ASSERT_NE(client, nullptr);
   for (int i = 0; i < 4; i++) {
     auto f = RunTask(cluster.sched(),
@@ -202,7 +202,7 @@ TEST(Determinism, DifferentSeedsDiverge) {
   // Sanity check on the auditor's sensitivity: the same scenario under a
   // different seed takes a different event path (timers, jitter, drops).
   auto scenario = [](Cluster& cluster) {
-    Client* client = BootAndMount(cluster);
+    MountContext* client = BootAndMount(cluster);
     ASSERT_NE(client, nullptr);
     (void)RunTask(cluster.sched(),
                   client->Create(kRootInode, "seeded", FileType::kFile));

@@ -11,7 +11,7 @@
 namespace cfs::harness {
 namespace {
 
-using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::kRootInode;
 using sim::Task;
@@ -28,7 +28,7 @@ class FaultFixture : public ::testing::Test {
     ASSERT_TRUE(RunTask(cluster_->sched(), cluster_->CreateVolume("v", 3, 8))->ok());
     auto c = RunTask(cluster_->sched(), cluster_->MountClient("v"));
     ASSERT_TRUE(c->ok());
-    client_ = **c;
+    client_ = (**c)->default_mount();
   }
 
   template <typename T>
@@ -51,7 +51,7 @@ class FaultFixture : public ::testing::Test {
   void TearDown() override { ExpectInvariantsHold("at test end"); }
 
   std::unique_ptr<Cluster> cluster_;
-  Client* client_ = nullptr;
+  MountContext* client_ = nullptr;
 };
 
 TEST_F(FaultFixture, MetadataOpsSurviveFivePercentMessageLoss) {
@@ -144,7 +144,7 @@ TEST_F(FaultFixture, WindowedAppendSurvivesChainReplicaCrash) {
     ASSERT_TRUE(RunTask(cluster_->sched(), cluster_->CreateVolume("v", 3, 8))->ok());
     auto c = RunTask(cluster_->sched(), cluster_->MountClient("v"));
     ASSERT_TRUE(c->ok());
-    client_ = **c;
+    client_ = (**c)->default_mount();
 
     auto f = Run(client_->Create(kRootInode, "windowed.bin", FileType::kFile));
     ASSERT_TRUE(f.ok());
@@ -261,7 +261,6 @@ TEST_F(FaultFixture, RaftOverwritesReapplyFromFlatWalAfterRecovery) {
   for (raft::Index i = log.first_index(); i <= log.last_index(); i++) {
     if (log.At(i).payload.empty()) continue;
     overwrites.push_back(i);
-    ASSERT_TRUE(part(follower)->TakeResult(i).has_value());  // drain the first apply
   }
   ASSERT_EQ(overwrites.size(), 3u);
 
@@ -275,13 +274,11 @@ TEST_F(FaultFixture, RaftOverwritesReapplyFromFlatWalAfterRecovery) {
   cluster_->sched().RunFor(2 * kSec);
 
   data::DataPartition* p = part(follower);
+  ASSERT_GE(p->raft_node()->applied_index(), overwrites.back()) << "overwrites not re-applied";
   for (raft::Index i : overwrites) {
     const raft::LogEntry& entry = p->raft_node()->log().At(i);
     EXPECT_TRUE(entry.payload.empty()) << "index " << i << " not decoded flat";
     EXPECT_GT(entry.head.size(), patch.size());
-    auto st = p->TakeResult(i);
-    ASSERT_TRUE(st.has_value()) << "index " << i << " not re-applied";
-    EXPECT_TRUE(st->ok()) << st->ToString();
   }
   const storage::Extent* mine = p->store().Find(key.extent_id);
   const storage::Extent* theirs = part(leader)->store().Find(key.extent_id);
@@ -300,7 +297,7 @@ TEST_F(FaultFixture, MetaPartitionRecoversFromSnapshotAfterChurn) {
   ASSERT_TRUE(RunTask(cluster_->sched(), cluster_->CreateVolume("v", 2, 6))->ok());
   auto c = RunTask(cluster_->sched(), cluster_->MountClient("v"));
   ASSERT_TRUE(c->ok());
-  client_ = **c;
+  client_ = (**c)->default_mount();
 
   for (int i = 0; i < 120; i++) {
     ASSERT_TRUE(Run(client_->Create(kRootInode, "c" + std::to_string(i), FileType::kFile)).ok());
@@ -324,7 +321,7 @@ TEST_F(FaultFixture, OrphanInodesFromInjectedCreateFailuresAreEvictable) {
   // Force dentry-create failures by racing duplicate names from two clients.
   auto c2r = RunTask(cluster_->sched(), cluster_->MountClient("v"));
   ASSERT_TRUE(c2r->ok());
-  Client* c2 = **c2r;
+  MountContext* c2 = (**c2r)->default_mount();
   int conflicts = 0;
   for (int i = 0; i < 10; i++) {
     std::string name = "race" + std::to_string(i);
@@ -334,7 +331,7 @@ TEST_F(FaultFixture, OrphanInodesFromInjectedCreateFailuresAreEvictable) {
   }
   EXPECT_EQ(conflicts, 10);
   EXPECT_EQ(c2->orphan_count(), 10u);  // Fig. 3a failure path
-  Run([](Client* c) -> Task<bool> {
+  Run([](MountContext* c) -> Task<bool> {
     co_await c->EvictOrphans();
     co_return true;
   }(c2));

@@ -22,7 +22,7 @@ using sim::Task;
 /// Test state machine: an append-only list of applied commands.
 class ListSm : public StateMachine {
  public:
-  void Apply(Index index, const Buffer& head, const Buffer& payload, bool) override {
+  void Apply(Index index, const Buffer& head, const Buffer& payload, ApplyOutcome*) override {
     applied.emplace_back(index, head.ToString() + payload.ToString());
   }
   std::string TakeSnapshot() override {
@@ -301,7 +301,7 @@ TEST_F(GroupCommit, LeaderCrashMidBatchKeepsGroupConsistent) {
 namespace cfs::harness {
 namespace {
 
-using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::kRootInode;
 using sim::Spawn;
@@ -317,17 +317,17 @@ TEST(GroupCommitDeterminism, BatchedClientBurstReplaysIdentically) {
     ASSERT_TRUE(st && st->ok());
     st = RunTask(cluster.sched(), cluster.CreateVolume("v", 2, 4));
     ASSERT_TRUE(st && st->ok());
-    std::vector<Client*> clients;
+    std::vector<MountContext*> clients;
     for (int i = 0; i < 32; i++) {
       auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
       ASSERT_TRUE(c && c->ok());
-      clients.push_back(**c);
+      clients.push_back((**c)->default_mount());
     }
     // All 32 clients create concurrently: their proposals pile into the
     // meta partitions' leader batch queues.
     int done = 0;
     for (int i = 0; i < 32; i++) {
-      Spawn([](Client* c, int i, int& done) -> Task<void> {
+      Spawn([](MountContext* c, int i, int& done) -> Task<void> {
         (void)co_await c->Create(kRootInode, "burst" + std::to_string(i),
                                  FileType::kFile);
         (void)co_await c->Create(kRootInode, "burst2-" + std::to_string(i),

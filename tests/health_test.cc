@@ -265,7 +265,7 @@ TEST(ClusterHealth, ObserversFeedSeriesScorerAndMasterView) {
   ASSERT_TRUE(st && st->ok());
   auto c = harness::RunTask(cluster.sched(), cluster.MountClient("v"));
   ASSERT_TRUE(c && c->ok());
-  client::Client* client = **c;
+  client::MountContext* client = (**c)->default_mount();
   for (int i = 0; i < 4; i++) {
     auto f = harness::RunTask(
         cluster.sched(),
@@ -314,7 +314,7 @@ TEST(ClusterHealth, SlowDiskDetectedAgainstCrossNodeCohort) {
   ASSERT_TRUE(st && st->ok());
   auto c = harness::RunTask(cluster.sched(), cluster.MountClient("v"));
   ASSERT_TRUE(c && c->ok());
-  client::Client* client = **c;
+  client::MountContext* client = (**c)->default_mount();
   auto f = harness::RunTask(
       cluster.sched(), client->Create(meta::kRootInode, "load", meta::FileType::kFile));
   ASSERT_TRUE(f && f->ok());
@@ -322,7 +322,7 @@ TEST(ClusterHealth, SlowDiskDetectedAgainstCrossNodeCohort) {
   // Steady writer: one 128 KiB overwrite per 50 ms keeps every raft WAL
   // (disk 0 on each node) busy enough to be latency-scorable each window.
   bool stop = false;
-  sim::Spawn([](harness::Cluster* cl, client::Client* cli, uint64_t ino,
+  sim::Spawn([](harness::Cluster* cl, client::MountContext* cli, uint64_t ino,
                 bool* stop) -> sim::Task<void> {
     uint64_t i = 0;
     while (!*stop) {

@@ -257,7 +257,8 @@ class MetaPartitionInvariants : public ::testing::Test {
   }
 
   void Apply(raft::Index index, std::string cmd) {
-    part_->Apply(index, Buffer::FromString(std::move(cmd)), {}, /*waited=*/true);
+    meta::ApplyResult res;
+    part_->Apply(index, Buffer::FromString(std::move(cmd)), {}, &res);
   }
 
   sim::Scheduler sched_;
@@ -326,7 +327,7 @@ class ClusterInvariants : public ::testing::Test {
         harness::RunTask(cluster_->sched(), cluster_->CreateVolume("v", 3, 8))->ok());
     auto c = harness::RunTask(cluster_->sched(), cluster_->MountClient("v"));
     ASSERT_TRUE(c->ok());
-    client_ = **c;
+    client_ = (**c)->default_mount();
   }
 
   template <typename T>
@@ -337,7 +338,7 @@ class ClusterInvariants : public ::testing::Test {
   }
 
   std::unique_ptr<harness::Cluster> cluster_;
-  client::Client* client_ = nullptr;
+  client::MountContext* client_ = nullptr;
 };
 
 TEST_F(ClusterInvariants, HealthyClusterWithTrafficPasses) {
@@ -373,7 +374,7 @@ TEST_F(ClusterInvariants, DanglingDentryFires) {
   meta::InodeId ghost = leader->config().start + 999;
   meta::Dentry d{kRootInode, "ghost", ghost, meta::FileType::kFile};
   leader->Apply(1u << 20, Buffer::FromString(meta::MetaPartition::EncodeCreateDentry(d)),
-                {}, /*waited=*/false);
+                {}, /*out=*/nullptr);
   InvariantReport report = cluster_->CheckInvariants();
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.ToString().find("dangles"), std::string::npos) << report.ToString();

@@ -21,10 +21,9 @@ class MetaPartitionFixture : public ::testing::Test {
   }
 
   ApplyResult Apply(std::string cmd) {
-    mp_->Apply(++index_, Buffer::FromString(std::move(cmd)), {}, /*waited=*/true);
-    auto res = mp_->TakeResult(index_);
-    EXPECT_TRUE(res.has_value());
-    return res.value_or(ApplyResult{});
+    ApplyResult res;
+    mp_->Apply(++index_, Buffer::FromString(std::move(cmd)), {}, &res);
+    return res;
   }
 
   Inode CreateFile() {
@@ -219,11 +218,10 @@ TEST_F(MetaPartitionFixture, SnapshotRoundTripPreservesEverything) {
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->inode, 8u);
   // New allocations continue after the snapshot's maxInodeID.
+  ApplyResult res;
   copy.Apply(1, Buffer::FromString(MetaPartition::EncodeCreateInode(FileType::kFile, "", 0)), {},
-             /*waited=*/true);
-  auto res = copy.TakeResult(1);
-  ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->inode.id, 21u);
+             &res);
+  EXPECT_EQ(res.inode.id, 21u);
 }
 
 TEST_F(MetaPartitionFixture, MemoryAccountingTracksHostUsage) {
@@ -243,16 +241,6 @@ TEST_F(MetaPartitionFixture, FsckFindsOrphanInodes) {
   auto orphans = mp_->FindOrphanInodes();
   ASSERT_EQ(orphans.size(), 1u);
   EXPECT_EQ(orphans[0], orphan.id);
-}
-
-TEST_F(MetaPartitionFixture, ResultsPrunedBeyondCapacity) {
-  for (int i = 0; i < 5000; i++) {
-    mp_->Apply(++index_,
-               Buffer::FromString(MetaPartition::EncodeCreateInode(FileType::kFile, "", 0)),
-               {}, /*waited=*/true);
-  }
-  EXPECT_FALSE(mp_->TakeResult(1).has_value());         // pruned
-  EXPECT_TRUE(mp_->TakeResult(index_).has_value());     // recent
 }
 
 }  // namespace

@@ -233,10 +233,11 @@ TEST(MultiMount, LifecycleAndInvariants) {
 
   // Remount: a fresh context under the same name serves traffic again; the
   // retired pointer stays valid (detached-coroutine safety) but keeps failing.
-  auto re = harness::RunTask(cluster.sched(), c->Mount("alpha"));
+  auto re = harness::RunTask(cluster.sched(), c->MountVolume("alpha"));
   ASSERT_TRUE(re.has_value() && re->ok());
-  client::MountContext* ma2 = c->mount("alpha");
-  ASSERT_NE(ma2, nullptr);
+  client::MountContext* ma2 = **re;
+  ASSERT_EQ(c->mount("alpha"), ma2);
+  ASSERT_NE(ma2, ma);
   auto fresh = harness::RunTask(cluster.sched(),
                                 ma2->Create(meta::kRootInode, "a3", meta::FileType::kFile));
   ASSERT_TRUE(fresh.has_value() && fresh->ok());

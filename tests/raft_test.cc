@@ -16,11 +16,18 @@ using sim::NodeId;
 using sim::Spawn;
 using sim::Task;
 
-/// Test state machine: an append-only list of applied commands.
+/// Test state machine: an append-only list of applied commands. It hands
+/// the applied index to a waiting proposer as the outcome value and records
+/// which applies had a proposer's slot.
 class ListSm : public StateMachine {
  public:
-  void Apply(Index index, const Buffer& head, const Buffer& payload, bool) override {
+  void Apply(Index index, const Buffer& head, const Buffer& payload,
+             ApplyOutcome* out) override {
     applied.emplace_back(index, head.ToString() + payload.ToString());
+    if (out) {
+      out->value = index;
+      slotted.push_back(index);
+    }
   }
   std::string TakeSnapshot() override {
     Encoder enc;
@@ -45,6 +52,7 @@ class ListSm : public StateMachine {
     }
   }
   std::vector<std::pair<Index, std::string>> applied;
+  std::vector<Index> slotted;  // indices applied with a proposer's slot
 };
 
 class RaftCluster : public ::testing::Test {
@@ -378,22 +386,103 @@ TEST_F(RaftCluster, ProposedPayloadIsSharedNotCopied) {
   int leader = AwaitLeader();
   ASSERT_GE(leader, 0);
   Buffer payload = Buffer::Filled(64 * kKiB, 'p');
-  Result<Index> idx = Status::Retry("not finished");
-  Spawn([](RaftNode* n, Buffer payload, Result<Index>& idx) -> Task<void> {
-    idx = co_await n->ProposeIndexed("head:", std::move(payload));
-  }(nodes_[leader], payload, idx));
+  Status st = Status::Retry("not finished");
+  ApplyOutcome out;
+  Spawn([](RaftNode* n, Buffer payload, Status& st, ApplyOutcome* out) -> Task<void> {
+    st = co_await n->Propose("head:", std::move(payload), {}, out);
+  }(nodes_[leader], payload, st, &out));
   sched_->RunFor(2 * kSec);
-  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  ASSERT_TRUE(st.ok()) << st.ToString();
   for (int i = 0; i < kN; i++) {
     // Every replica's log entry points at the proposer's bytes: replication
     // and the WAL carried a reference, not a copy.
-    const LogEntry& e = nodes_[i]->log().At(*idx);
+    const LogEntry& e = nodes_[i]->log().At(out.value);
     EXPECT_EQ(e.head, std::string_view("head:"));
     EXPECT_EQ(e.payload.data(), payload.data()) << "replica " << i;
     EXPECT_EQ(e.WireBytes(), 24 + 5 + payload.size());
     ASSERT_FALSE(sms_[i]->applied.empty());
     EXPECT_EQ(sms_[i]->applied.back().second, "head:" + payload.ToString());
   }
+}
+
+TEST_F(RaftCluster, OutcomeReachesOnlyTheWaitingProposer) {
+  RaftOptions opts;
+  opts.propose_timeout = 30 * kSec;  // the stale proposer below must still wait at heal
+  Build(kN, opts);
+  int leader = AwaitLeader();
+  ASSERT_GE(leader, 0);
+  auto propose = [this](int node, std::string cmd, Status* st, ApplyOutcome* out) {
+    Spawn([](RaftNode* n, std::string cmd, Status* st, ApplyOutcome* out) -> Task<void> {
+      *st = co_await n->Propose(std::move(cmd), {}, {}, out);
+    }(nodes_[node], std::move(cmd), st, out));
+  };
+  Status st_a = Status::Retry("not finished");
+  ApplyOutcome out_a;
+  propose(leader, "a", &st_a, &out_a);
+  sched_->RunFor(1 * kSec);
+  ASSERT_TRUE(st_a.ok()) << st_a.ToString();
+  ASSERT_FALSE(sms_[leader]->applied.empty());
+  EXPECT_EQ(out_a.value, sms_[leader]->applied.back().first);
+  EXPECT_EQ(sms_[leader]->slotted, std::vector<Index>{out_a.value});
+  for (int i = 0; i < kN; i++) {
+    if (i == leader) continue;
+    EXPECT_EQ(sms_[i]->applied.size(), sms_[leader]->applied.size()) << "replica " << i;
+    EXPECT_TRUE(sms_[i]->slotted.empty()) << "follower " << i << " got a slot";
+  }
+
+  // A proposer on a leader cut off from the majority: the new leader's entry
+  // at its index has another term, so it fails and its slot stays untouched.
+  for (int i = 0; i < kN; i++) {
+    if (i != leader) net_->SetPartitioned(hosts_[leader]->id(), hosts_[i]->id(), true);
+  }
+  Status st_lost = Status::Retry("not finished");
+  ApplyOutcome out_lost;
+  out_lost.value = 777;
+  propose(leader, "lost", &st_lost, &out_lost);
+  sched_->RunFor(3 * kSec);
+  int new_leader = -1;
+  for (int i = 0; i < kN; i++) {
+    if (i != leader && nodes_[i]->IsLeader()) new_leader = i;
+  }
+  ASSERT_GE(new_leader, 0);
+  Status st_b = Status::Retry("not finished");
+  ApplyOutcome out_b;
+  propose(new_leader, "b", &st_b, &out_b);
+  sched_->RunFor(1 * kSec);
+  ASSERT_TRUE(st_b.ok()) << st_b.ToString();
+  EXPECT_EQ(sms_[new_leader]->slotted.back(), out_b.value);
+  for (int i = 0; i < kN; i++) {
+    if (i != leader) net_->SetPartitioned(hosts_[leader]->id(), hosts_[i]->id(), false);
+  }
+  sched_->RunFor(3 * kSec);
+  EXPECT_FALSE(st_lost.ok());
+  EXPECT_FALSE(st_lost.IsRetry()) << "stale proposer never resolved";
+  EXPECT_EQ(out_lost.value, 777u);
+  EXPECT_TRUE(out_lost.status.ok());
+  ASSERT_EQ(sms_[leader]->applied.back().second, "b");
+  EXPECT_EQ(sms_[leader]->slotted, std::vector<Index>{out_a.value});
+}
+
+TEST_F(RaftCluster, TimedOutProposalCommitsWithoutOutcome) {
+  RaftOptions opts;
+  opts.propose_timeout = 1;  // expires before the first WAL write completes
+  Build(kN, opts);
+  int leader = AwaitLeader();
+  ASSERT_GE(leader, 0);
+  Status st = Status::Retry("not finished");
+  ApplyOutcome out;
+  out.value = 777;
+  Spawn([](RaftNode* n, Status* st, ApplyOutcome* out) -> Task<void> {
+    *st = co_await n->Propose("late", {}, {}, out);
+  }(nodes_[leader], &st, &out));
+  sched_->RunFor(2 * kSec);
+  EXPECT_TRUE(st.IsTimedOut()) << st.ToString();
+  for (int i = 0; i < kN; i++) {
+    ASSERT_FALSE(sms_[i]->applied.empty()) << "replica " << i;
+    EXPECT_EQ(sms_[i]->applied.back().second, "late");
+    EXPECT_TRUE(sms_[i]->slotted.empty()) << "replica " << i << " wrote a dead slot";
+  }
+  EXPECT_EQ(out.value, 777u);
 }
 
 TEST(LogStoreTest, RopeEntryPersistsInFlatEncoding) {

@@ -12,7 +12,7 @@
 namespace cfs::harness {
 namespace {
 
-using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::kRootInode;
 
@@ -73,7 +73,7 @@ TEST(RpcDeterminism, RetriesWithJitterReplayIdentically) {
     ASSERT_TRUE(st && st->ok());
     auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
     ASSERT_TRUE(c && c->ok());
-    Client* client = **c;
+    MountContext* client = (**c)->default_mount();
     // 5% loss makes the retry/backoff machinery fire; the seeded jitter must
     // fold into the same trace hash on both runs.
     cluster.net().SetDropProbability(0.05);
@@ -105,7 +105,7 @@ TEST(Deadline, BoundsNestedWriteWorkflowUnderTotalLoss) {
   ASSERT_TRUE(RunTask(cluster.sched(), cluster.CreateVolume("v", 3, 8))->ok());
   auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
   ASSERT_TRUE(c->ok());
-  Client* client = **c;
+  MountContext* client = (**c)->default_mount();
 
   auto f = RunTask(cluster.sched(),
                    client->Create(kRootInode, "bounded", FileType::kFile));
@@ -155,7 +155,7 @@ TEST(Router, MetaLeaderCrashInvalidatesCacheOnceThenRedirects) {
   ASSERT_TRUE(RunTask(cluster.sched(), cluster.CreateVolume("v", 3, 8))->ok());
   auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
   ASSERT_TRUE(c->ok());
-  Client* client = **c;
+  MountContext* client = (**c)->default_mount();
 
   // Warm the root partition's leader cache with one successful call.
   ASSERT_TRUE(RunTask(cluster.sched(), client->GetInode(kRootInode))->ok());

@@ -31,7 +31,7 @@
 namespace cfs::harness {
 namespace {
 
-using client::Client;
+using client::MountContext;
 using meta::FileType;
 using meta::kRootInode;
 
@@ -43,21 +43,21 @@ ClusterOptions Opts(uint64_t seed) {
   return opts;
 }
 
-Client* BootAndMount(Cluster& cluster) {
+MountContext* BootAndMount(Cluster& cluster) {
   auto st = RunTask(cluster.sched(), cluster.Start());
   if (!st || !st->ok()) return nullptr;
   st = RunTask(cluster.sched(), cluster.CreateVolume("v", 3, 8));
   if (!st || !st->ok()) return nullptr;
   auto c = RunTask(cluster.sched(), cluster.MountClient("v"));
   if (!c || !c->ok()) return nullptr;
-  return **c;
+  return (**c)->default_mount();
 }
 
 /// Mixed metadata + data workload: creates, opens, multi-packet writes
 /// (exercises the chain-replication path end to end), reads, readdir.
 uint64_t WorkloadScenario() {
   Cluster cluster(Opts(11));
-  Client* client = BootAndMount(cluster);
+  MountContext* client = BootAndMount(cluster);
   if (client == nullptr) return 0;
   for (int i = 0; i < 6; i++) {
     auto f = RunTask(cluster.sched(),
@@ -78,7 +78,7 @@ uint64_t WorkloadScenario() {
 /// paths most sensitive to timer and log-entry handling.
 uint64_t CrashRestartScenario() {
   Cluster cluster(Opts(23));
-  Client* client = BootAndMount(cluster);
+  MountContext* client = BootAndMount(cluster);
   if (client == nullptr) return 0;
   auto f = RunTask(cluster.sched(),
                    client->Create(kRootInode, "crashy.bin", FileType::kFile));
@@ -101,7 +101,7 @@ uint64_t CrashRestartScenario() {
 /// watchdogs fire and which are cancelled by their reply).
 uint64_t MessageLossScenario() {
   Cluster cluster(Opts(37));
-  Client* client = BootAndMount(cluster);
+  MountContext* client = BootAndMount(cluster);
   if (client == nullptr) return 0;
   cluster.net().SetDropProbability(0.05);
   for (int i = 0; i < 8; i++) {

@@ -95,7 +95,7 @@ TEST_P(VfsModelTest, RandomOpsMatchReferenceModel) {
   ASSERT_TRUE(RunTask(cluster.sched(), cluster.CreateVolume("v", 3, 6))->ok());
   auto mounted = RunTask(cluster.sched(), cluster.MountClient("v"));
   ASSERT_TRUE(mounted->ok());
-  FileSystem fs(**mounted);
+  FileSystem fs((**mounted)->default_mount());
   auto run = [&](auto task) { return *RunTask(cluster.sched(), std::move(task)); };
 
   Model model;
