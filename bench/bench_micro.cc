@@ -5,11 +5,12 @@
 // on the metadata hot path.
 //
 // `bench_micro --rpc-churn` bypasses google-benchmark and runs the
-// allocation-gated RPC transport bench instead: a steady-state unary echo
-// loop under an instrumented global allocator, printing one machine-readable
-// `bench_wallclock bench_micro {...}` line whose `allocs_per_rpc` field CI
-// gates at ~zero (tools/check_bench_wallclock.py; DESIGN.md "RPC
-// transport").
+// allocation-gated benches instead, under an instrumented global allocator:
+// a steady-state unary echo loop, then steady-state proposals through a
+// 3-replica raft group. It prints one machine-readable
+// `bench_wallclock bench_micro {...}` line whose `allocs_per_rpc` (~zero)
+// and `allocs_per_proposal` fields CI caps (tools/check_bench_wallclock.py;
+// DESIGN.md "RPC transport" and "Simulator performance").
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -28,6 +29,7 @@
 #include "kv/kvstore.h"
 #include "meta/btree.h"
 #include "meta/meta_partition.h"
+#include "raft/multiraft.h"
 #include "sim/network.h"
 #include "storage/extent_store.h"
 
@@ -202,7 +204,7 @@ BENCHMARK(BM_SchedulerChurn)->Arg(64)->Arg(4096)->Arg(65536);
 
 void BM_TimerCancel(benchmark::State& state) {
   // The RPC-timeout pattern: arm a far watchdog, cancel it almost always.
-  // Measures Insert + lazy Cancel + the wheel's debris reclamation.
+  // Measures Insert + Cancel, which unlinks and frees the node at once.
   sim::Scheduler sched;
   uint64_t armed = 0;
   for (auto _ : state) {
@@ -211,7 +213,7 @@ void BM_TimerCancel(benchmark::State& state) {
     if (armed % 64 != 0) {
       benchmark::DoNotOptimize(sched.Cancel(id));
     }
-    if (armed % 4096 == 0) sched.RunFor(2'000'000);  // drain survivors + debris
+    if (armed % 4096 == 0) sched.RunFor(2'000'000);  // drain the survivors
   }
   sched.Run();
   state.SetItemsProcessed(static_cast<int64_t>(armed));
@@ -305,6 +307,24 @@ sim::Task<void> RpcChurnClient(sim::Network& net, uint64_t n, uint64_t* ok) {
   }
 }
 
+/// Raft state machine that applies nothing: the churn bench measures the
+/// replication path, not a state machine.
+class NullSm : public raft::StateMachine {
+ public:
+  void Apply(raft::Index, const Buffer&, const Buffer&, raft::ApplyOutcome*) override {}
+  std::string TakeSnapshot() override { return {}; }
+  void Restore(std::string_view) override {}
+};
+
+/// One closed-loop proposer: `n` sequential proposals on `node`.
+sim::Task<void> RaftChurnProposer(raft::RaftNode* node, uint64_t n, uint64_t* done,
+                                  uint64_t* ok) {
+  for (uint64_t i = 0; i < n; i++) {
+    if ((co_await node->Propose("cmd")).ok()) (*ok)++;
+    (*done)++;
+  }
+}
+
 int RunRpcChurn();
 
 }  // namespace
@@ -362,6 +382,51 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 namespace cfs {
 namespace {
 
+/// Steady-state raft replication under the counting allocator: after a
+/// warmup that grows every pool, a few closed-loop proposers drive a
+/// 3-replica group through group commit, AppendEntries to both followers,
+/// WAL appends, commit and apply. Returns false when a proposal fails.
+bool RunRaftChurn(uint64_t* proposals, uint64_t* allocs, uint64_t* events) {
+  constexpr int kProposers = 4;
+  constexpr uint64_t kWarmup = 1024;
+  constexpr uint64_t kMeasured = 16384;
+  sim::Scheduler sched(1);
+  sim::Network net(&sched);
+  std::vector<sim::NodeId> peers;
+  for (int i = 0; i < 3; i++) peers.push_back(net.AddHost()->id());
+  std::vector<std::unique_ptr<raft::RaftHost>> hosts;
+  std::vector<NullSm> sms(3);
+  raft::RaftNode* leader = nullptr;
+  for (int i = 0; i < 3; i++) {
+    sim::Host* h = net.host(peers[i]);
+    hosts.push_back(std::make_unique<raft::RaftHost>(&net, h, raft::RaftOptions{}));
+    hosts.back()->CreateGroup(1, peers, &sms[i], h->disk(0))->Start();
+  }
+  while (leader == nullptr && sched.Now() < 10 * kSec) {
+    sched.RunFor(10 * kMsec);
+    for (auto& h : hosts) {
+      if (h->Get(1)->IsLeader()) leader = h->Get(1);
+    }
+  }
+  if (leader == nullptr) return false;
+  uint64_t done = 0, ok = 0;
+  auto run = [&](uint64_t per_proposer) {
+    const uint64_t target = done + kProposers * per_proposer;
+    for (int p = 0; p < kProposers; p++) {
+      sim::Spawn(RaftChurnProposer(leader, per_proposer, &done, &ok));
+    }
+    while (done < target) sched.RunOne();
+  };
+  run(kWarmup / kProposers);
+  const uint64_t allocs0 = g_heap_allocs;
+  const uint64_t events0 = sim::Scheduler::process_executed_events();
+  run(kMeasured / kProposers);
+  *allocs = g_heap_allocs - allocs0;
+  *events = sim::Scheduler::process_executed_events() - events0;
+  *proposals = kMeasured;
+  return ok == kWarmup + kMeasured;
+}
+
 int RunRpcChurn() {
   constexpr uint64_t kWarmup = 4096;
   constexpr uint64_t kMeasured = 262144;
@@ -392,16 +457,26 @@ int RunRpcChurn() {
                  static_cast<unsigned long long>(kWarmup + kMeasured));
     return 1;
   }
+  uint64_t proposals = 0, raft_allocs = 0, raft_events = 0;
+  if (!RunRaftChurn(&proposals, &raft_allocs, &raft_events)) {
+    std::fprintf(stderr, "rpc-churn: a raft proposal failed\n");
+    return 1;
+  }
   const double sec = wall.count();
   std::printf(
       "bench_wallclock bench_micro {\"wall_sec\":%.3f,\"events\":%llu,"
       "\"events_per_sec\":%.0f,\"rpcs\":%llu,\"heap_allocs\":%llu,"
-      "\"allocs_per_rpc\":%.4f}\n",
+      "\"allocs_per_rpc\":%.4f,\"proposals\":%llu,\"raft_events\":%llu,"
+      "\"raft_heap_allocs\":%llu,\"allocs_per_proposal\":%.4f}\n",
       sec, static_cast<unsigned long long>(events),
       sec > 0 ? static_cast<double>(events) / sec : 0.0,
       static_cast<unsigned long long>(kMeasured),
       static_cast<unsigned long long>(allocs),
-      static_cast<double>(allocs) / static_cast<double>(kMeasured));
+      static_cast<double>(allocs) / static_cast<double>(kMeasured),
+      static_cast<unsigned long long>(proposals),
+      static_cast<unsigned long long>(raft_events),
+      static_cast<unsigned long long>(raft_allocs),
+      static_cast<double>(raft_allocs) / static_cast<double>(proposals));
   return 0;
 }
 

@@ -176,7 +176,7 @@ sim::Task<Result<Inode>> MountContext::Create(InodeId parent, std::string name,
   // Placement retries ride the same backoff clock as the stubs.
   Inode inode;
   PartitionId ino_pid = 0;
-  Status last = Status::Unavailable("no writable meta partition");
+  Status last;  // the latest placement failure; OK until one occurs
   rpc::Backoff backoff(&sched(), opts_->control_policy);
   while (backoff.NextAttempt()) {
     if (dl.Expired(sched().Now())) co_return Status::TimedOut("create deadline exceeded");
@@ -215,13 +215,15 @@ sim::Task<Result<Inode>> MountContext::Create(InodeId parent, std::string name,
     ino_pid = pid;
     break;
   }
-  if (ino_pid == 0) co_return last;
+  if (ino_pid == 0) co_return last.ok() ? Status::Unavailable("no writable meta partition") : last;
 
   // Step 2: only after the inode exists, create the dentry on the PARENT's
   // partition (the inode and dentry may live on different meta nodes, §2.6.1).
   MetaPartitionView* pview = MetaViewForInode(parent);
-  Status dstatus = Status::NotFound("no partition for parent inode");
-  if (pview) {
+  Status dstatus;
+  if (pview == nullptr) {
+    dstatus = Status::NotFound("no partition for parent inode");
+  } else {
     Dentry d{parent, name, inode.id, type};
     meta::MetaCreateDentryReq req{pview->pid, std::move(d)};
     auto r = co_await MetaCall<meta::MetaCreateDentryReq, meta::MetaCreateDentryResp>(

@@ -44,6 +44,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "datanode/messages.h"
@@ -101,11 +102,13 @@ struct ClientOptions {
   SimDuration client_cpu_per_op = 6;
 };
 
-/// Bounded metadata cache: TTL on read plus an LRU capacity cap. Ordered
-/// containers only (determinism lint R2): one key -> entry map, plus a
-/// recency list (oldest first) whose node each entry points at, so a hit
-/// or an overwrite splices that node to the back without allocating.
-/// Capacity evictions bump `evictions` (a registry counter).
+/// Bounded metadata cache: TTL on read plus an LRU capacity cap. A hash
+/// index maps each key to its entry, and a recency list (oldest first)
+/// holds the node each entry points at, so a hit or an overwrite splices
+/// that node to the back without allocating. The index is only probed,
+/// never iterated: eviction order, TTL and the eviction count all come from
+/// the recency list, so hash layout cannot reach the schedule. Capacity
+/// evictions bump `evictions` (a registry counter).
 template <typename K, typename V>
 class LruTtlCache {
  public:
@@ -124,7 +127,18 @@ class LruTtlCache {
       Touch(it->second);
       return;
     }
-    if (cap_ > 0 && map_.size() >= cap_) EvictOldest();
+    if (cap_ > 0 && map_.size() >= cap_) {
+      // Full: the least recently used entry's index and list nodes are
+      // re-keyed for `k`, so a full cache inserts without allocating.
+      auto node = map_.extract(lru_.front());
+      evictions_++;
+      lru_.splice(lru_.end(), lru_, lru_.begin());
+      lru_.back() = k;
+      node.key() = k;
+      node.mapped() = Entry{std::move(v), now, std::prev(lru_.end())};
+      map_.insert(std::move(node));
+      return;
+    }
     lru_.push_back(k);
     map_.emplace(k, Entry{std::move(v), now, std::prev(lru_.end())});
   }
@@ -160,14 +174,8 @@ class LruTtlCache {
   /// Mark most recently used.
   void Touch(const Entry& e) { lru_.splice(lru_.end(), lru_, e.pos); }
 
-  void EvictOldest() {
-    map_.erase(lru_.front());
-    lru_.pop_front();
-    evictions_++;
-  }
-
   size_t cap_ = 0;  // 0 = unbounded
-  std::map<K, Entry> map_;
+  std::unordered_map<K, Entry> map_;  // lint:allow(unordered): never iterated
   std::list<K> lru_;  // keys, least recently used first
   uint64_t& evictions_;
 };

@@ -24,11 +24,14 @@ class Encoder {
 
   /// LEB128 unsigned varint (1-10 bytes).
   void PutVarint(uint64_t v) {
+    char b[10];
+    size_t n = 0;
     while (v >= 0x80) {
-      buf_.push_back(static_cast<char>(v | 0x80));
+      b[n++] = static_cast<char>(v | 0x80);
       v >>= 7;
     }
-    buf_.push_back(static_cast<char>(v));
+    b[n++] = static_cast<char>(v);
+    buf_.append(b, n);
   }
 
   /// Varint length prefix followed by raw bytes.
@@ -50,9 +53,9 @@ class Encoder {
   template <typename T>
   void PutFixed(T v) {
     // Serialize little-endian regardless of host order.
-    for (size_t i = 0; i < sizeof(T); i++) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
+    char b[sizeof(T)];
+    for (size_t i = 0; i < sizeof(T); i++) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    buf_.append(b, sizeof(T));
   }
 
   std::string buf_;

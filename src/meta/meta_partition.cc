@@ -3,7 +3,10 @@
 namespace cfs::meta {
 
 MetaPartition::MetaPartition(const MetaPartitionConfig& config, sim::Host* host)
-    : config_(config), host_(host), next_inode_(config.start) {
+    : config_(config),
+      host_(host),
+      free_list_len_(host->metrics().Gauge("meta.free_list_len")),
+      next_inode_(config.start) {
   InitRoot();
 }
 
@@ -182,6 +185,7 @@ void MetaPartition::ApplyUnlinkInode(Decoder* dec, ApplyResult* res) {
   if (ino->nlink <= UnlinkThreshold(ino->type) && !ino->IsDeleted()) {
     ino->flag |= kInodeDeleteMark;
     free_list_.push_back(id);  // content purge handled by the meta node
+    free_list_len_++;
   }
   res->value = ino->nlink;
   res->inode = *ino;
@@ -222,6 +226,7 @@ void MetaPartition::ApplyEvictInode(Decoder* dec, ApplyResult* res) {
   for (auto it = free_list_.begin(); it != free_list_.end(); ++it) {
     if (*it == id) {
       free_list_.erase(it);
+      free_list_len_--;
       break;
     }
   }
@@ -545,6 +550,7 @@ void MetaPartition::Restore(std::string_view snapshot) {
   AccountMemory(-static_cast<int64_t>(memory_bytes_));
   inode_tree_.Clear();
   dentry_tree_.Clear();
+  free_list_len_ -= static_cast<int64_t>(free_list_.size());
   free_list_.clear();
   if (snapshot.empty()) {
     next_inode_ = config_.start;
@@ -580,6 +586,7 @@ void MetaPartition::Restore(std::string_view snapshot) {
     uint64_t id;
     if (!dec.GetVarint(&id).ok()) break;
     free_list_.push_back(id);
+    free_list_len_++;
   }
   AccountMemory(mem);
 }

@@ -167,6 +167,9 @@ class MetaPartition : public raft::StateMachine {
 
   MetaPartitionConfig config_;
   sim::Host* host_;
+  /// Host gauge "meta.free_list_len": deleted inodes awaiting eviction,
+  /// summed over the host's partition replicas.
+  int64_t& free_list_len_;
 
   BTree<InodeId, Inode> inode_tree_;
   BTree<DentryKey, Dentry> dentry_tree_;

@@ -22,26 +22,30 @@ std::string LogStore::Key(const char* what) const {
 namespace {
 /// Append `entries` to the WAL blob `key`, each as U64 term | U64 index |
 /// varint len | head || payload — the flat encoding Load() decodes. Fixed
-/// fields and heads accumulate in one encoder; each payload goes into the
-/// rope as its own shared chunk, so no payload byte is copied. Returns the
-/// bytes appended.
+/// fields and heads accumulate in `enc` (the log store's reused encoder,
+/// flushed every kFlushBytes so its capacity stays small) and are copied
+/// into the blob's tail; each payload goes into the rope as its own shared
+/// chunk, so no payload byte is copied. Returns the bytes appended.
 template <typename Entries>
 size_t AppendEntries(sim::StableStorage* storage, const std::string& key,
-                     const Entries& entries) {
-  Encoder enc;
+                     const Entries& entries, Encoder* enc) {
+  constexpr size_t kFlushBytes = 4096;
   size_t bytes = 0;
   auto flush = [&] {
-    if (enc.size() == 0) return;
-    bytes += enc.size();
-    storage->Append(key, Buffer::FromString(enc.Take()));
-    enc.Clear();
+    if (enc->size() == 0) return;
+    bytes += enc->size();
+    storage->AppendBytes(key, enc->data());
+    enc->Clear();
   };
   for (const LogEntry& e : entries) {
-    enc.PutU64(e.term);
-    enc.PutU64(e.index);
-    enc.PutVarint(e.size());
-    enc.PutBytes(e.head.data(), e.head.size());
-    if (e.payload.empty()) continue;
+    enc->PutU64(e.term);
+    enc->PutU64(e.index);
+    enc->PutVarint(e.size());
+    enc->PutBytes(e.head.data(), e.head.size());
+    if (e.payload.empty()) {
+      if (enc->size() >= kFlushBytes) flush();
+      continue;
+    }
     flush();
     bytes += e.payload.size();
     storage->Append(key, e.payload);
@@ -122,7 +126,7 @@ sim::Task<Status> LogStore::Append(std::span<const LogEntry> entries,
     if (e.index != last_index() + 1) co_return Status::Corruption("append index gap");
     entries_.push_back(e);
   }
-  size_t bytes = AppendEntries(storage_, key_log_, entries);
+  size_t bytes = AppendEntries(storage_, key_log_, entries, &wal_enc_);
   persisted_bytes_ += bytes;
   append_writes_++;
   appended_entries_ += entries.size();
@@ -137,7 +141,7 @@ sim::Task<Status> LogStore::TruncateFrom(Index from) {
 
 sim::Task<Status> LogStore::RewriteLog() {
   storage_->Put(key_log_, {});
-  size_t bytes = AppendEntries(storage_, key_log_, entries_);
+  size_t bytes = AppendEntries(storage_, key_log_, entries_, &wal_enc_);
   persisted_bytes_ += bytes;
   co_return co_await disk_->Write(bytes + 64);
 }
@@ -146,7 +150,7 @@ sim::Task<Status> LogStore::SaveSnapshot(Index index, Term term, Buffer data) {
   if (index <= snap_index_) co_return Status::OK();  // stale snapshot request
   if (index > last_index()) co_return Status::InvalidArgument("snapshot beyond log");
   // Drop the compacted prefix.
-  while (!entries_.empty() && entries_.front().index <= index) entries_.pop_front();
+  entries_.erase(entries_.begin(), entries_.begin() + static_cast<ptrdiff_t>(index - snap_index_));
   snap_index_ = index;
   snap_term_ = term;
   snap_data_ = std::move(data);

@@ -7,9 +7,9 @@
 // replication for sequential writes and reserves raft for overwrites.
 #pragma once
 
-#include <deque>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/codec.h"
 #include "common/status.h"
@@ -45,6 +45,7 @@ class LogStore {
   /// snapshot boundary itself).
   Term TermAt(Index index) const;
   bool Has(Index index) const { return index >= first_index() && index <= last_index(); }
+  /// Valid until the next append, truncation or compaction.
   const LogEntry& At(Index index) const { return entries_[index - first_index()]; }
 
   /// Append entries (already indexed/termed by the caller) and persist them.
@@ -90,7 +91,10 @@ class LogStore {
   Term snap_term_ = 0;
   Buffer snap_data_;
 
-  std::deque<LogEntry> entries_;  // entries_[i] has index snap_index_ + 1 + i
+  // entries_[i] has index snap_index_ + 1 + i. A vector keeps its capacity
+  // across compactions, so steady-state appends allocate nothing.
+  std::vector<LogEntry> entries_;
+  Encoder wal_enc_;  // WAL record buffer, reused by every append
   // Host registry counters. Every persisted byte counts; Append() writes
   // and the entries they carry give the realized WAL coalescing factor
   // (appended_entries / append_writes; 1.0 = no batching).

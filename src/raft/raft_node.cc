@@ -210,17 +210,16 @@ Task<Status> RaftNode::Propose(std::string head, Buffer payload, obs::TraceConte
   if (role_ != Role::kLeader) {
     co_return Status::NotLeader(std::to_string(leader_));
   }
-  auto w = std::make_shared<ProposeWaiter>(&sched());
-  w->out = out;
+  ProposeWaiter w(&sched(), out);
   obs::Tracer& tracer = sched().tracer();
   obs::SpanRef propose_span;
   if (tracer.enabled() && trace.valid()) {
     propose_span = tracer.BeginSpan("raft:propose", trace, self_);
     tracer.Note(propose_span, "gid", static_cast<int64_t>(gid_));
     tracer.Note(propose_span, "queue_depth", static_cast<int64_t>(propose_queue_.size()));
-    w->trace = propose_span.ctx;
+    w.trace = propose_span.ctx;
   }
-  propose_queue_.push_back({Buffer::FromString(std::move(head)), std::move(payload), w});
+  propose_queue_.push_back({Buffer::FromString(std::move(head)), std::move(payload), &w});
   gc_queue_high_watermark_ =
       std::max<int64_t>(gc_queue_high_watermark_, static_cast<int64_t>(propose_queue_.size()));
   // Spawn runs the batcher synchronously up to its first await (the log
@@ -228,16 +227,18 @@ Task<Status> RaftNode::Propose(std::string head, Buffer payload, obs::TraceConte
   // latency as the unbatched path.
   KickBatcher();
 
-  auto st = co_await w->done.future().WithTimeout(opts_.propose_timeout);
+  auto st = co_await w.done.future().WithTimeout(opts_.propose_timeout);
   tracer.End(propose_span);  // covers enqueue -> commit+apply (or failure)
   if (!st) {
-    // The caller's outcome slot dies with its frame: a late apply must not
-    // write into it.
-    w->cancelled = true;
-    w->out = nullptr;
-    auto it = pending_.find(w->index);
-    if (w->index != 0 && it != pending_.end() && it->second.second == w) {
-      pending_.erase(it);
+    // The waiter (and the caller's outcome slot) dies with this frame:
+    // unregister it, so a late batch or apply finds nothing to write into.
+    if (w.index == 0) {
+      auto it = std::find_if(propose_queue_.begin(), propose_queue_.end(),
+                             [&w](const QueuedProposal& q) { return q.waiter == &w; });
+      if (it != propose_queue_.end()) propose_queue_.erase(it);
+    } else {
+      auto it = pending_.find(w.index);
+      if (it != pending_.end() && it->second.second == &w) pending_.erase(it);
     }
     co_return Status::TimedOut("propose not committed in time");
   }
@@ -245,17 +246,22 @@ Task<Status> RaftNode::Propose(std::string head, Buffer payload, obs::TraceConte
 }
 
 void RaftNode::KickBatcher() {
-  if (batcher_running_) return;
-  batcher_running_ = true;
+  if (batcher_gen_ == gen_) return;
+  batcher_gen_ = gen_;
   Spawn(BatcherLoop(gen_));
 }
 
 Task<void> RaftNode::BatcherLoop(uint64_t gen) {
+  std::vector<LogEntry> entries;
   while (running_ && gen_ == gen && role_ == Role::kLeader && host_->up() &&
          !propose_queue_.empty()) {
     if (opts_.batch_linger > 0) {
       co_await SleepFor{sched(), opts_.batch_linger};
-      if (!running_ || gen_ != gen || role_ != Role::kLeader || !host_->up()) break;
+      // Proposers that timed out during the linger have left the queue.
+      if (!running_ || gen_ != gen || role_ != Role::kLeader || !host_->up() ||
+          propose_queue_.empty()) {
+        break;
+      }
     }
     // Drain one batch: assign contiguous indices and register the whole
     // batch in pending_ synchronously (batch-atomic bookkeeping), then
@@ -263,57 +269,55 @@ Task<void> RaftNode::BatcherLoop(uint64_t gen) {
     // write queue up and form the next batch (natural batching).
     const Term my_term = log_.term();
     const size_t cap = std::max<size_t>(1, opts_.max_batch_proposals);
-    std::vector<LogEntry> entries;
-    std::vector<WaiterPtr> waiters;
+    entries.swap(batch_entries_);
     size_t bytes = 0;
-    while (!propose_queue_.empty() && waiters.size() < cap) {
+    obs::TraceContext first_trace;  // first traced proposer in the batch
+    while (!propose_queue_.empty() && entries.size() < cap) {
       QueuedProposal& q = propose_queue_.front();
-      if (q.waiter->cancelled) {
-        propose_queue_.pop_front();
-        continue;
-      }
       size_t size = q.head.size() + q.payload.size();
       if (!entries.empty() && bytes + size > opts_.max_batch_bytes) break;
       Index idx = log_.last_index() + entries.size() + 1;
       bytes += size;
       q.waiter->index = idx;
+      if (!first_trace.valid()) first_trace = q.waiter->trace;
       pending_.emplace(idx, std::make_pair(my_term, q.waiter));
-      waiters.push_back(q.waiter);
       entries.push_back(LogEntry{my_term, idx, std::move(q.head), std::move(q.payload)});
       propose_queue_.pop_front();
     }
-    if (entries.empty()) continue;  // everything at the front was cancelled
+    const Index first = entries.front().index;
+    const size_t n = entries.size();
 
     gc_batches_++;
-    gc_proposals_ += entries.size();
+    gc_proposals_ += n;
     gc_batched_bytes_ += bytes;
-    gc_max_batch_ = std::max<int64_t>(gc_max_batch_, static_cast<int64_t>(entries.size()));
+    gc_max_batch_ = std::max<int64_t>(gc_max_batch_, static_cast<int64_t>(n));
     // Batch shapes: count = batches, sum/count = mean batch size (entries)
     // and mean WAL write (bytes).
-    gc_batch_entries_.Add(static_cast<SimDuration>(entries.size()));
+    gc_batch_entries_.Add(static_cast<SimDuration>(n));
     gc_batch_bytes_.Add(static_cast<SimDuration>(bytes));
 
     // The batch's WAL flush runs under a "raft:batch" span chained to the
     // first traced proposer (one span per batch, annotated with its shape).
     obs::Tracer& tracer = sched().tracer();
     obs::SpanRef batch_span;
-    if (tracer.enabled()) {
-      for (const auto& w : waiters) {
-        if (!w->trace.valid()) continue;
-        batch_span = tracer.BeginSpan("raft:batch", w->trace, self_);
-        tracer.Note(batch_span, "entries", static_cast<int64_t>(entries.size()));
-        tracer.Note(batch_span, "bytes", static_cast<int64_t>(bytes));
-        break;
-      }
+    if (tracer.enabled() && first_trace.valid()) {
+      batch_span = tracer.BeginSpan("raft:batch", first_trace, self_);
+      tracer.Note(batch_span, "entries", static_cast<int64_t>(n));
+      tracer.Note(batch_span, "bytes", static_cast<int64_t>(bytes));
     }
     Status st = co_await log_.Append(std::span<const LogEntry>(entries), batch_span.ctx);
     tracer.End(batch_span);
-    if (!running_ || gen_ != gen) co_return;
+    entries.clear();
+    entries.swap(batch_entries_);
+    if (!running_ || gen_ != gen) break;
     if (!st.ok()) {
-      for (auto& w : waiters) {
-        auto it = pending_.find(w->index);
-        if (it != pending_.end() && it->second.second == w) pending_.erase(it);
-        w->done.Set(st);
+      // Fail the batch's proposers that are still waiting (one that timed
+      // out meanwhile has unregistered itself).
+      for (Index idx = first; idx < first + n; idx++) {
+        auto it = pending_.find(idx);
+        if (it == pending_.end() || it->second.first != my_term) continue;
+        it->second.second->done.Set(st);
+        pending_.erase(it);
       }
       continue;
     }
@@ -324,7 +328,7 @@ Task<void> RaftNode::BatcherLoop(uint64_t gen) {
       AdvanceCommit();  // single-replica groups commit immediately
     }
   }
-  batcher_running_ = false;
+  if (batcher_gen_ == gen) batcher_gen_ = 0;
   if (!running_ || gen_ != gen) co_return;
   // Leader-change failover: anything still queued never got an index here;
   // fail it so callers retry against the new leader.
@@ -367,6 +371,7 @@ Task<void> RaftNode::PeerPump(NodeId peer, Term my_term, uint64_t gen) {
     req.prev_term = log_.TermAt(next - 1);
     req.commit = commit_;
     Index end = std::min(log_.last_index(), next + opts_.max_batch_entries - 1);
+    req.entries.reserve(end - next + 1);
     for (Index i = next; i <= end; i++) req.entries.push_back(log_.At(i));
 
     auto r = co_await channel_->Unary<AppendReq, AppendResp>(
@@ -425,13 +430,18 @@ Task<bool> RaftNode::SendSnapshotTo(NodeId peer, Term my_term) {
 
 void RaftNode::AdvanceCommit() {
   if (role_ != Role::kLeader) return;
-  std::vector<Index> matches;
-  matches.push_back(log_.last_index());  // self
-  for (NodeId peer : peers_) {
-    if (peer != self_) matches.push_back(match_index_[peer]);
+  // The highest index a majority holds: the largest match with at least
+  // Majority() replicas at or beyond it. Quadratic over a handful of
+  // replicas, and free of heap traffic.
+  auto match_of = [this](NodeId p) { return p == self_ ? log_.last_index() : match_index_[p]; };
+  Index candidate = 0;
+  for (NodeId p : peers_) {
+    Index m = match_of(p);
+    if (m <= candidate) continue;
+    int holders = 0;
+    for (NodeId q : peers_) holders += match_of(q) >= m ? 1 : 0;
+    if (holders >= Majority()) candidate = m;
   }
-  std::sort(matches.begin(), matches.end(), std::greater<>());
-  Index candidate = matches[Majority() - 1];
   if (candidate > commit_ && log_.TermAt(candidate) == log_.term()) {
     commit_ = candidate;
     KickApply();
@@ -564,30 +574,32 @@ Task<AppendResp> RaftNode::OnAppend(AppendReq req) {
     co_return resp;
   }
 
-  // Append, resolving conflicts. All structural mutation is synchronous;
-  // persistence cost is charged once at the end.
-  Index last_new = req.prev_index;
-  bool truncated = false;
-  std::vector<LogEntry> to_append;
-  for (auto& e : req.entries) {
-    last_new = e.index;
-    if (e.index <= log_.snapshot_index()) continue;  // covered by snapshot
-    if (log_.Has(e.index)) {
-      if (log_.TermAt(e.index) == e.term) continue;  // duplicate
+  // Append, resolving conflicts. The entries to append are always a suffix
+  // of req.entries: everything before it is covered by the snapshot or
+  // already in the log with the same term.
+  const Index last_new = req.entries.empty() ? req.prev_index : req.entries.back().index;
+  size_t first_new = 0;
+  while (first_new < req.entries.size()) {
+    const Index idx = req.entries[first_new].index;
+    if (idx > log_.snapshot_index() &&
+        (!log_.Has(idx) || log_.TermAt(idx) != req.entries[first_new].term)) {
+      break;
+    }
+    first_new++;
+  }
+  if (first_new < req.entries.size()) {
+    const Index from = req.entries[first_new].index;
+    if (log_.Has(from)) {
       // Conflict: drop our divergent suffix (and fail proposals that lived
       // in it — they were overwritten by a newer leader).
-      for (auto it = pending_.lower_bound(e.index); it != pending_.end();) {
+      for (auto it = pending_.lower_bound(from); it != pending_.end();) {
         it->second.second->done.Set(Status::NotLeader("entry overwritten"));
         it = pending_.erase(it);
       }
-      (void)co_await log_.TruncateFrom(e.index);
-      truncated = true;
+      (void)co_await log_.TruncateFrom(from);
     }
-    to_append.push_back(std::move(e));
-  }
-  (void)truncated;
-  if (!to_append.empty()) {
-    Status st = co_await log_.Append(std::span<const LogEntry>(to_append));
+    Status st =
+        co_await log_.Append(std::span<const LogEntry>(req.entries).subspan(first_new));
     if (!st.ok()) {
       resp.success = false;
       resp.match_hint = log_.last_index() + 1;

@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "raft/log_store.h"
 #include "raft/types.h"
 #include "rpc/channel.h"
@@ -94,19 +95,18 @@ class RaftNode {
   void TriggerElection() { election_deadline_ = 0; }
 
  private:
-  /// A waiting proposer. Lives in propose_queue_ until the batcher assigns
-  /// an index, then in pending_ until committed+applied (or failed over).
-  /// shared_ptr because the proposer can abandon it on timeout while the
-  /// batcher/apply loop still holds it.
+  /// A waiting proposer, living in its Propose() frame. propose_queue_
+  /// points at it until the batcher assigns an index, then pending_ until
+  /// the entry is committed+applied (or failed over). Whoever resolves it
+  /// unregisters it in the same step; a proposer that times out unregisters
+  /// it before its frame dies.
   struct ProposeWaiter {
-    explicit ProposeWaiter(sim::Scheduler* s) : done(s) {}
+    ProposeWaiter(sim::Scheduler* s, ApplyOutcome* o) : done(s), out(o) {}
     sim::Promise<Status> done;
-    Index index = 0;        // 0 until the batcher assigns one
-    bool cancelled = false; // proposer timed out; skip if still queued
-    ApplyOutcome* out = nullptr;  // proposer's slot; nulled when it gives up
+    Index index = 0;          // 0 until the batcher assigns one
+    ApplyOutcome* out;        // proposer's outcome slot
     obs::TraceContext trace;  // propose-span context; batch/apply spans chain here
   };
-  using WaiterPtr = std::shared_ptr<ProposeWaiter>;
 
   sim::Scheduler& sched() { return *net_->scheduler(); }
   int Majority() const { return static_cast<int>(peers_.size() / 2 + 1); }
@@ -164,10 +164,18 @@ class RaftNode {
   struct QueuedProposal {
     Buffer head;
     Buffer payload;
-    WaiterPtr waiter;
+    ProposeWaiter* waiter;
   };
   std::deque<QueuedProposal> propose_queue_;
-  bool batcher_running_ = false;
+  /// Generation whose batcher is running (0: none). Scoped to one
+  /// incarnation: a batcher parked in a WAL write across a crash and
+  /// Recover() neither blocks the new incarnation's batcher nor clears its
+  /// flag.
+  uint64_t batcher_gen_ = 0;
+  /// Entry vector capacity kept between batches. The batcher swaps it into
+  /// its frame for one batch and back afterwards, so no reference into a
+  /// member crosses the WAL write.
+  std::vector<LogEntry> batch_entries_;
   // Leader-side group-commit accounting in the host registry, shared by
   // every group this host leads: batches (one log write each), proposals
   // and payload bytes folded into them, the largest batch, the deepest
@@ -181,8 +189,9 @@ class RaftNode {
   obs::Histogram& gc_batch_bytes_;
 
   /// index -> (term at proposal, waiter). Batch-atomic: the batcher
-  /// registers a whole batch before its single Append await.
-  std::map<Index, std::pair<Term, WaiterPtr>> pending_;
+  /// registers a whole batch before its single Append await. Indices arrive
+  /// in increasing order, so a sorted vector appends at its end.
+  FlatMap<Index, std::pair<Term, ProposeWaiter*>> pending_;
 
   sim::Notifier apply_notifier_;
   bool compacting_ = false;

@@ -64,36 +64,45 @@ bool Router::HasView(bool is_meta, PartitionId pid) {
   return is_meta ? MetaView(pid) != nullptr : DataView(pid) != nullptr;
 }
 
+namespace {
+/// One uniform pick among the views that satisfy `ok`: count them, draw
+/// Uniform(n) once, return the k-th. Same draw and result as collecting the
+/// matches into a vector first, without the vector.
+template <typename View, typename Pred>
+View* PickUniform(std::vector<View>& views, Rng& rng, Pred ok) {
+  const size_t n = static_cast<size_t>(std::count_if(views.begin(), views.end(), ok));
+  if (n == 0) return nullptr;
+  uint64_t k = rng.Uniform(n);
+  for (View& v : views) {
+    if (ok(v) && k-- == 0) return &v;
+  }
+  return nullptr;  // unreachable: k < n
+}
+}  // namespace
+
+bool Router::Writable(PartitionId pid, bool view_writable) const {
+  if (!view_writable) return false;
+  auto it = unwritable_until_.find(pid);
+  return it == unwritable_until_.end() || it->second <= sched_->Now();
+}
+
 master::MetaPartitionView* Router::PickWritableMetaView() {
   // "The client simply selects the meta and data partitions in a random
   // fashion from the ones allocated by the resource manager" (§2.3.1).
-  std::vector<master::MetaPartitionView*> writable;
-  const SimTime now = sched_->Now();
-  for (auto& v : meta_views_) {
-    auto it = unwritable_until_.find(v.pid);
-    if (it != unwritable_until_.end() && it->second > now) continue;
-    if (v.writable) writable.push_back(&v);
-  }
-  if (writable.empty()) return nullptr;
-  return writable[sched_->rng().Uniform(writable.size())];
+  return PickUniform(meta_views_, sched_->rng(), [this](const master::MetaPartitionView& v) {
+    return Writable(v.pid, v.writable);
+  });
 }
 
 master::DataPartitionView* Router::PickWritableDataView(PartitionId avoid) {
-  std::vector<master::DataPartitionView*> writable;
-  master::DataPartitionView* avoided = nullptr;
-  const SimTime now = sched_->Now();
-  for (auto& v : data_views_) {
-    auto it = unwritable_until_.find(v.pid);
-    if (it != unwritable_until_.end() && it->second > now) continue;
-    if (!v.writable) continue;
-    if (v.pid == avoid) {
-      avoided = &v;
-      continue;
-    }
-    writable.push_back(&v);
-  }
-  if (writable.empty()) return avoided;
-  return writable[sched_->rng().Uniform(writable.size())];
+  master::DataPartitionView* pick =
+      PickUniform(data_views_, sched_->rng(), [this, avoid](const master::DataPartitionView& v) {
+        return v.pid != avoid && Writable(v.pid, v.writable);
+      });
+  if (pick != nullptr) return pick;
+  // Nothing else is writable: fall back to the avoided partition.
+  master::DataPartitionView* avoided = DataView(avoid);
+  return avoided != nullptr && Writable(avoided->pid, avoided->writable) ? avoided : nullptr;
 }
 
 void Router::MarkUnwritable(PartitionId pid, SimTime until) {

@@ -89,6 +89,8 @@ class Router {
 
  private:
   static sim::NodeId ParseLeaderHint(const Status& not_leader);
+  /// A view flagged writable and not under a local unwritable mark.
+  bool Writable(PartitionId pid, bool view_writable) const;
 
   sim::Scheduler* sched_;
   std::vector<sim::NodeId> masters_;

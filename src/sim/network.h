@@ -28,6 +28,7 @@
 #include <new>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -217,30 +218,38 @@ class EnvelopePool {
 /// flat map so List() enumerates in name order — recovery paths iterate
 /// the listing, and their scheduling order must not depend on hash layout.
 ///
-/// Blobs are ropes (base string + appended chunks): the raft WAL appends a
+/// Blobs are ropes (shared chunks + an owned tail): the raft WAL appends a
 /// record per commit batch to a blob that grows to many MiB, and keeping it
 /// contiguous meant geometric reallocation copied the whole log over and
 /// over. Chunks are shared Buffers, so appending a raft overwrite payload
-/// stores a reference to the client's bytes, not a copy. Get() — recovery
-/// only — compacts the rope back into the base string.
+/// stores a reference to the client's bytes, not a copy; small records are
+/// copied into the tail, which becomes a chunk at 64 KiB. Get() — recovery
+/// only — compacts the rope back into the tail.
 class StableStorage {
  public:
   void Put(const std::string& name, std::string data) {
     Blob& b = blobs_[name];
-    b.base = std::move(data);
     b.chunks.clear();
-    b.size = b.base.size();
+    b.tail = std::move(data);
+    b.size = b.tail.size();
   }
   void Append(const std::string& name, Buffer data) {
     Blob& b = blobs_[name];
+    b.Seal();
     b.size += data.size();
     b.chunks.push_back(std::move(data));
+  }
+  void AppendBytes(const std::string& name, std::string_view bytes) {
+    Blob& b = blobs_[name];
+    b.size += bytes.size();
+    b.tail.append(bytes);
+    if (b.tail.size() >= 64 * 1024) b.Seal();
   }
   bool Get(const std::string& name, std::string* out) const {
     auto it = blobs_.find(name);
     if (it == blobs_.end()) return false;
     it->second.Compact();
-    *out = it->second.base;
+    *out = it->second.tail;
     return true;
   }
   bool Has(const std::string& name) const { return blobs_.count(name) > 0; }
@@ -260,15 +269,20 @@ class StableStorage {
 
  private:
   struct Blob {
+    void Seal() {
+      if (!tail.empty()) chunks.push_back(Buffer::FromString(std::exchange(tail, {})));
+    }
     void Compact() const {
       if (chunks.empty()) return;
-      base.reserve(size);
-      for (const Buffer& c : chunks) base.append(c.view());
+      std::string all;
+      all.reserve(size);
+      for (const Buffer& c : chunks) all.append(c.view());
+      tail = std::move(all.append(tail));
       chunks.clear();
     }
     // Compaction is caching, not mutation: the logical value is unchanged.
-    mutable std::string base;
     mutable std::vector<Buffer> chunks;
+    mutable std::string tail;
     size_t size = 0;
   };
   FlatMap<std::string, Blob> blobs_;

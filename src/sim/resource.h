@@ -33,10 +33,12 @@ class Resource {
     return end;
   }
 
-  /// Reserve and suspend until the work completes.
-  Task<void> Use(SimDuration service) {
+  /// Reserve now; awaiting the result suspends until the work completes.
+  /// Returns the sleep itself rather than a coroutine, so a charge costs no
+  /// frame: `co_await cpu.Use(d);`.
+  SleepFor Use(SimDuration service) {
     SimTime end = Reserve(service);
-    co_await SleepFor{*sched_, end - sched_->Now()};
+    return SleepFor{*sched_, end - sched_->Now()};
   }
 
   /// Current backlog of the least-loaded server, in usec.

@@ -81,11 +81,12 @@ class Scheduler {
 
   /// Cancellable variants: same scheduling semantics as At/After (a seq
   /// number is consumed either way), but the returned TimerId can revoke the
-  /// event before it fires. Cancellation is O(1)-lazy in the wheel. A
-  /// cancelled event never executes, so it is neither folded into the trace
-  /// hash nor counted as executed: cancelling an event a path used to let
-  /// fire as a no-op changes the schedule hash (same seed still means same
-  /// run), and the golden hashes must be re-captured when that happens.
+  /// event before it fires. Cancel is O(1) and frees the event's node and
+  /// captures at once. A cancelled event never executes, so it is neither
+  /// folded into the trace hash nor counted as executed: cancelling an event
+  /// a path used to let fire as a no-op changes the schedule hash (same seed
+  /// still means same run), and the golden hashes must be re-captured when
+  /// that happens.
   TimerId ScheduleAt(SimTime t, EventFn fn) {
     if (t < now_) t = now_;
     return wheel_.Insert(t, seq_++, std::move(fn));

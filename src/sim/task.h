@@ -69,6 +69,19 @@ class FramePool {
   }
 };
 
+/// Standard allocator over FramePool, for shared state that lives about as
+/// long as a coroutine frame (a Promise's State).
+template <typename T>
+struct FramePoolAllocator {
+  using value_type = T;
+  FramePoolAllocator() = default;
+  template <typename U>
+  FramePoolAllocator(const FramePoolAllocator<U>&) noexcept {}  // NOLINT(google-explicit-constructor)
+  T* allocate(size_t n) { return static_cast<T*>(FramePool::Alloc(n * sizeof(T))); }
+  void deallocate(T* p, size_t n) noexcept { FramePool::Free(p, n * sizeof(T)); }
+  friend bool operator==(const FramePoolAllocator&, const FramePoolAllocator&) { return true; }
+};
+
 template <typename T>
 struct TaskPromiseBase {
   std::coroutine_handle<> continuation;
@@ -227,8 +240,9 @@ struct SleepFor {
 };
 
 /// One-shot promise/future pair. Single waiter; Set() may race with a
-/// timeout (whichever happens first resumes the waiter, the other is a
-/// no-op).
+/// timeout (whichever happens first resumes the waiter). Set() cancels a
+/// pending timeout, so an answered wait leaves no event behind; a Set()
+/// after the timeout fired stores the value and resumes nobody.
 template <typename T>
 class Future {
  public:
@@ -236,12 +250,10 @@ class Future {
     Scheduler* sched;
     std::optional<T> value;
     std::coroutine_handle<> waiter;
-    bool delivered = false;  // waiter already resumed (by value or timeout)
+    Scheduler::TimerId timeout;  // armed by WithTimeout, cancelled by Set
   };
 
   explicit Future(std::shared_ptr<State> st) : st_(std::move(st)) {}
-
-  bool ready() const { return st_->value.has_value(); }
 
   /// Await with a timeout; returns nullopt on timeout.
   auto WithTimeout(SimDuration timeout) {
@@ -251,22 +263,10 @@ class Future {
       bool await_ready() const noexcept { return st->value.has_value(); }
       void await_suspend(std::coroutine_handle<> h) {
         st->waiter = h;
-        auto st_copy = st;
-        st->sched->After(timeout, [st_copy] {
-          if (!st_copy->delivered && st_copy->waiter) {
-            st_copy->delivered = true;
-            auto w = std::exchange(st_copy->waiter, nullptr);
-            w.resume();
-          }
-        });
+        st->timeout = st->sched->ScheduleAfter(
+            timeout, [st = st] { std::exchange(st->waiter, nullptr).resume(); });
       }
-      std::optional<T> await_resume() {
-        if (st->value.has_value()) {
-          std::optional<T> v = std::move(st->value);
-          return v;
-        }
-        return std::nullopt;
-      }
+      std::optional<T> await_resume() { return std::move(st->value); }
     };
     return Awaiter{st_, timeout};
   }
@@ -289,7 +289,9 @@ class Future {
 template <typename T>
 class Promise {
  public:
-  explicit Promise(Scheduler* sched) : st_(std::make_shared<typename Future<T>::State>()) {
+  explicit Promise(Scheduler* sched)
+      : st_(std::allocate_shared<typename Future<T>::State>(
+            detail::FramePoolAllocator<typename Future<T>::State>())) {
     st_->sched = sched;
   }
 
@@ -300,17 +302,11 @@ class Promise {
   void Set(T v) const {
     if (st_->value.has_value()) return;  // idempotent
     st_->value = std::move(v);
-    if (st_->waiter && !st_->delivered) {
-      st_->delivered = true;
-      auto st = st_;
-      st_->sched->After(0, [st] {
-        auto w = std::exchange(st->waiter, nullptr);
-        if (w) w.resume();
-      });
+    st_->sched->Cancel(st_->timeout);  // stale (no-op) once it fired
+    if (st_->waiter) {
+      st_->sched->After(0, [st = st_] { std::exchange(st->waiter, nullptr).resume(); });
     }
   }
-
-  bool has_waiter() const { return st_->waiter != nullptr; }
 
   const std::shared_ptr<typename Future<T>::State>& state() const { return st_; }
 

@@ -25,9 +25,11 @@
 // Determinism: dispatch collects one tick's nodes and sorts them by the
 // scheduler-assigned sequence number, so execution order is exactly
 // (time, seq) — byte-identical to the heap it replaces (tests/
-// schedule_hash_test.cc pins that with golden hashes). Cancellation is lazy
-// (mark + sweep on contact) so cancelled timers cost nothing to remove and
-// never perturb live ordering.
+// schedule_hash_test.cc pins that with golden hashes). Slot lists are doubly
+// linked, so Cancel unlinks and frees its node at once: the slab holds only
+// pending events and every occupied slot holds a live one. The one deferred
+// case is a node already collected into the current tick's dispatch batch,
+// which is marked and skipped when the batch reaches it.
 #pragma once
 
 #include <algorithm>
@@ -137,14 +139,18 @@ class EventFn {
 
 /// One pending event. Nodes live in the wheel's slab and are recycled
 /// through a free list; `gen` is bumped whenever a node leaves pending state
-/// (execution or recycle), invalidating outstanding TimerIds.
+/// (execution, cancellation or recycle), invalidating outstanding TimerIds.
 struct EventNode {
   SimTime time = 0;
   uint64_t seq = 0;
-  uint32_t next = kNilIndex;  // intrusive slot-list link / free-list link
+  uint32_t next = kNilIndex;  // slot-list link / free-list link
+  uint32_t prev = kNilIndex;  // slot-list back link
   uint32_t gen = 0;
   uint32_t self = kNilIndex;  // own slab index
-  bool cancelled = false;
+  uint8_t level = 0;          // slot the node is filed in
+  uint8_t slot = 0;
+  bool ready = false;      // collected into the current dispatch batch
+  bool cancelled = false;  // cancelled while in the dispatch batch
   EventFn fn;
 };
 
@@ -166,23 +172,29 @@ class TimerWheel {
     EventNode& n = Node(idx);
     n.time = t;
     n.seq = seq;
-    n.cancelled = false;
     n.fn = std::move(fn);
     live_++;
     Place(idx);
     return TimerId{idx, n.gen};
   }
 
-  /// Lazily cancel a pending event: O(1) mark now, node reclaimed when the
-  /// dispatch path next touches it. Returns false for stale ids (already
-  /// executed, already cancelled, or recycled).
+  /// Cancel a pending event: unlink it and free its node (and the closure's
+  /// captures) now. A node already in the dispatch batch is only marked; the
+  /// batch skips it. Returns false for stale ids (already executed, already
+  /// cancelled, or recycled).
   bool Cancel(TimerId id) {
     if (!id.valid() || id.index >= num_nodes_) return false;
     EventNode& n = Node(id.index);
-    if (n.gen != id.gen || n.cancelled) return false;
-    n.cancelled = true;
-    n.fn.Reset();  // release captured resources eagerly
+    if (n.gen != id.gen) return false;
     live_--;
+    if (n.ready) {
+      n.gen++;
+      n.cancelled = true;
+      n.fn.Reset();
+    } else {
+      Unlink(id.index);
+      FreeNode(id.index);
+    }
     return true;
   }
 
@@ -202,6 +214,7 @@ class TimerWheel {
           continue;
         }
         live_--;
+        n.ready = false;
         n.gen++;  // from here on the id is stale: too late to cancel
         return &n;
       }
@@ -215,6 +228,8 @@ class TimerWheel {
 
   size_t live() const { return live_; }
   bool empty() const { return live_ == 0; }
+  /// Nodes the slab has grown to (free ones included).
+  size_t slab_nodes() const { return num_nodes_; }
 
  private:
   static constexpr int kLevels = 8;
@@ -253,6 +268,7 @@ class TimerWheel {
   void FreeNode(uint32_t idx) {
     EventNode& n = Node(idx);
     n.fn.Reset();
+    n.ready = false;
     n.cancelled = false;
     n.gen++;
     n.next = free_head_;
@@ -273,15 +289,29 @@ class TimerWheel {
   }
 
   void PushAt(int level, int slot, uint32_t idx) {
-    Node(idx).next = kNilIndex;
+    EventNode& n = Node(idx);
     Slot& s = slots_[level][slot];
+    n.level = static_cast<uint8_t>(level);
+    n.slot = static_cast<uint8_t>(slot);
+    n.next = kNilIndex;
+    n.prev = s.tail;
     if (s.tail == kNilIndex) {
-      s.head = s.tail = idx;
+      s.head = idx;
       occ_[level][slot >> 6] |= uint64_t{1} << (slot & 63);
     } else {
       Node(s.tail).next = idx;
-      s.tail = idx;
     }
+    s.tail = idx;
+  }
+
+  /// Remove a filed node from its slot list, clearing the slot's occupancy
+  /// bit when it was the last one.
+  void Unlink(uint32_t idx) {
+    EventNode& n = Node(idx);
+    Slot& s = slots_[n.level][n.slot];
+    (n.prev == kNilIndex ? s.head : Node(n.prev).next) = n.next;
+    (n.next == kNilIndex ? s.tail : Node(n.next).prev) = n.prev;
+    if (s.head == kNilIndex) occ_[n.level][n.slot >> 6] &= ~(uint64_t{1} << (n.slot & 63));
   }
 
   bool Occupied(int level, int slot) const {
@@ -309,49 +339,22 @@ class TimerWheel {
     return head;
   }
 
-  /// Redistribute a slot the cursor points into: live nodes re-file at a
-  /// strictly lower level (their byte here equals the cursor's), cancelled
-  /// debris is reclaimed.
+  /// Redistribute a slot the cursor points into: its nodes re-file at a
+  /// strictly lower level (their byte here equals the cursor's).
   void CascadeSlot(int level, int slot) {
     uint32_t i = DetachSlot(level, slot);
     while (i != kNilIndex) {
       uint32_t nx = Node(i).next;
-      if (Node(i).cancelled) {
-        FreeNode(i);
-      } else {
-        Place(i);
-      }
-      i = nx;
-    }
-  }
-
-  bool SlotHasLive(int level, int slot) {
-    for (uint32_t i = slots_[level][slot].head; i != kNilIndex; i = Node(i).next) {
-      if (!Node(i).cancelled) return true;
-    }
-    return false;
-  }
-
-  void DrainCancelledSlot(int level, int slot) {
-    uint32_t i = DetachSlot(level, slot);
-    while (i != kNilIndex) {
-      uint32_t nx = Node(i).next;
-      FreeNode(i);
+      Place(i);
       i = nx;
     }
   }
 
   /// Collect the tick at level-0 slot `slot` into ready_, sorted by seq.
   void CollectTick(int slot) {
-    uint32_t i = DetachSlot(0, slot);
-    while (i != kNilIndex) {
-      uint32_t nx = Node(i).next;
-      if (Node(i).cancelled) {
-        FreeNode(i);
-      } else {
-        ready_.push_back(i);
-      }
-      i = nx;
+    for (uint32_t i = DetachSlot(0, slot); i != kNilIndex; i = Node(i).next) {
+      Node(i).ready = true;
+      ready_.push_back(i);
     }
     std::sort(ready_.begin(), ready_.end(),
               [this](uint32_t a, uint32_t b) { return Node(a).seq < Node(b).seq; });
@@ -374,54 +377,41 @@ class TimerWheel {
         int slot = ByteOf(wcur_, level);
         if (Occupied(level, slot)) CascadeSlot(level, slot);
       }
-      // Scan the current level-0 block (one slot == one tick).
+      // The current level-0 block: one slot == one tick, and level-0 nodes
+      // agree with the cursor above byte 0, so the slot gives the time.
       int s = NextOccupied(0, ByteOf(wcur_, 0));
-      while (s >= 0) {
+      if (s >= 0) {
         uint64_t t0 = (wcur_ & ~uint64_t{0xff}) | static_cast<uint64_t>(s);
-        if (SlotHasLive(0, s)) {
-          // Live level-0 nodes agree with the cursor above byte 0, so their
-          // time is exactly t0.
-          if (t0 > lim) {
-            wcur_ = lim;  // same block: no live event in (wcur_, lim]
-            return false;
-          }
-          wcur_ = t0;
-          CollectTick(s);
-          return true;
+        if (t0 > lim) {
+          wcur_ = lim;  // same block: no live event in (wcur_, lim]
+          return false;
         }
-        DrainCancelledSlot(0, s);
-        s = NextOccupied(0, s + 1);
+        wcur_ = t0;
+        CollectTick(s);
+        return true;
       }
       // Block exhausted: jump to the next occupied region. Finer levels are
       // strictly nearer in time than coarser ones (the cursor's own slots
-      // were already cascaded), so take the first live slot bottom-up.
-      bool advanced = false;
-      for (int level = 1; level < kLevels && !advanced; level++) {
-        int s2 = NextOccupied(level, ByteOf(wcur_, level) + 1);
-        while (s2 >= 0) {
-          if (SlotHasLive(level, s2)) {
-            uint64_t low_mask = level == kLevels - 1
-                                    ? ~uint64_t{0}
-                                    : (uint64_t{1} << (8 * (level + 1))) - 1;
-            uint64_t base =
-                (wcur_ & ~low_mask) | (static_cast<uint64_t>(s2) << (8 * level));
-            if (base > lim) {
-              if (lim > wcur_) wcur_ = lim;
-              return false;
-            }
-            wcur_ = base;
-            advanced = true;
-            break;
-          }
-          DrainCancelledSlot(level, s2);
-          s2 = NextOccupied(level, s2 + 1);
-        }
+      // were already cascaded), so take the first occupied slot bottom-up.
+      int level = 1;
+      int s2 = -1;
+      for (; level < kLevels; level++) {
+        s2 = NextOccupied(level, ByteOf(wcur_, level) + 1);
+        if (s2 >= 0) break;
       }
-      if (!advanced) {
+      if (s2 < 0) {
         // live_ > 0 yet nothing found anywhere ahead of the cursor — only
         // reachable if an invariant broke; fail closed instead of spinning.
         return false;
       }
+      uint64_t low_mask =
+          level == kLevels - 1 ? ~uint64_t{0} : (uint64_t{1} << (8 * (level + 1))) - 1;
+      uint64_t base = (wcur_ & ~low_mask) | (static_cast<uint64_t>(s2) << (8 * level));
+      if (base > lim) {
+        if (lim > wcur_) wcur_ = lim;
+        return false;
+      }
+      wcur_ = base;
     }
   }
 
@@ -433,15 +423,8 @@ class TimerWheel {
     for (int level = 0; level < kLevels; level++) {
       for (int slot = NextOccupied(level, 0); slot >= 0;
            slot = NextOccupied(level, slot + 1)) {
-        uint32_t i = DetachSlot(level, slot);
-        while (i != kNilIndex) {
-          uint32_t nx = Node(i).next;
-          if (Node(i).cancelled) {
-            FreeNode(i);
-          } else {
-            pending.push_back(i);
-          }
-          i = nx;
+        for (uint32_t i = DetachSlot(level, slot); i != kNilIndex; i = Node(i).next) {
+          pending.push_back(i);
         }
       }
     }

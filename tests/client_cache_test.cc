@@ -2,6 +2,7 @@
 // and which operations refresh recency and the TTL anchor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "client/client.h"
@@ -89,6 +90,23 @@ TEST_F(LruTtlCacheTest, EraseAndUnboundedCapacity) {
   EXPECT_EQ(evictions_, 1u);
   EXPECT_FALSE(Has(0));
   EXPECT_TRUE(Has(7));
+}
+
+TEST_F(LruTtlCacheTest, ChurnPastCapacityKeepsIndexAndRecencyInStep) {
+  // Each insert into the full cache re-keys the evicted entry's nodes; many
+  // rounds of that must keep evicting exactly the oldest key.
+  cache_.set_capacity(3);
+  for (int k = 1; k <= 20; k++) {
+    cache_.Put(k, "v" + std::to_string(k), 0);
+    EXPECT_EQ(cache_.size(), static_cast<size_t>(std::min(k, 3)));
+    EXPECT_EQ(evictions_, static_cast<uint64_t>(std::max(k - 3, 0)));
+  }
+  for (int k = 1; k <= 17; k++) EXPECT_FALSE(Has(k)) << k;
+  for (int k = 18; k <= 20; k++) {
+    std::string* v = cache_.Find(k, 0, kTtl);
+    ASSERT_NE(v, nullptr) << k;
+    EXPECT_EQ(*v, "v" + std::to_string(k));
+  }
 }
 
 }  // namespace

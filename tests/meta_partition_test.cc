@@ -95,12 +95,15 @@ TEST_F(MetaPartitionFixture, LinkToDeletedInodeFails) {
 TEST_F(MetaPartitionFixture, EvictRemovesInodeAndFreeListEntry) {
   Inode f = CreateFile();
   (void)Apply(MetaPartition::EncodeUnlinkInode(f.id));
+  EXPECT_EQ(host_->metrics().gauge("meta.free_list_len"), 1);
   auto res = Apply(MetaPartition::EncodeEvictInode(f.id));
   EXPECT_TRUE(res.status.ok());
   EXPECT_EQ(mp_->GetInode(f.id), nullptr);
   EXPECT_TRUE(mp_->free_list().empty());
+  EXPECT_EQ(host_->metrics().gauge("meta.free_list_len"), 0);
   // Idempotent.
   EXPECT_TRUE(Apply(MetaPartition::EncodeEvictInode(f.id)).status.ok());
+  EXPECT_EQ(host_->metrics().gauge("meta.free_list_len"), 0);
 }
 
 TEST_F(MetaPartitionFixture, DentryCreateLookupDelete) {
@@ -214,6 +217,11 @@ TEST_F(MetaPartitionFixture, SnapshotRoundTripPreservesEverything) {
   EXPECT_EQ(copy.config().end, 1000u);
   ASSERT_EQ(copy.free_list().size(), 1u);
   EXPECT_EQ(copy.free_list().front(), 3u);
+  // The host gauge sums both replicas' free lists; a second restore
+  // replaces the copy's share instead of adding to it.
+  EXPECT_EQ(host_->metrics().gauge("meta.free_list_len"), 2);
+  copy.Restore(snap);
+  EXPECT_EQ(host_->metrics().gauge("meta.free_list_len"), 2);
   const Dentry* d = copy.Lookup(kRootInode, "f7");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->inode, 8u);

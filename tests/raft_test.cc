@@ -485,6 +485,122 @@ TEST_F(RaftCluster, TimedOutProposalCommitsWithoutOutcome) {
   EXPECT_EQ(out.value, 777u);
 }
 
+TEST_F(RaftCluster, CommittedProposalLeavesNoTimeoutPending) {
+  int leader = AwaitLeader();
+  ASSERT_GE(leader, 0);
+  ASSERT_TRUE(ProposeOn(leader, "x").ok());
+  // Freeze the cluster: with every host down only the periodic loops keep
+  // events queued, and in-flight RPC watchdogs (200 ms) expire within 1 s.
+  for (auto* h : hosts_) h->Crash();
+  sched_->RunFor(1 * kSec);
+  const size_t before = sched_->pending();
+  // Past the proposal's 2 s timeout: an armed timer would have left the
+  // queue here, so the count would drop.
+  sched_->RunFor(2 * kSec);
+  EXPECT_EQ(sched_->pending(), before);
+}
+
+TEST_F(RaftCluster, AppendWithDuplicateAndConflictingEntriesAppendsTheSuffix) {
+  int a = AwaitLeader();
+  ASSERT_GE(a, 0);
+  ASSERT_TRUE(ProposeOn(a, "c1").ok());
+  RaftNode* node = nodes_[a];
+  const Index committed = node->last_log_index();
+  const Term old_term = node->term();
+  // Cut the leader off, then let it append two proposals it cannot commit.
+  for (int i = 0; i < kN; i++) {
+    if (i != a) net_->SetPartitioned(hosts_[a]->id(), hosts_[i]->id(), true);
+  }
+  std::vector<Status> lost(2, Status::Retry("not finished"));
+  for (int k = 0; k < 2; k++) {
+    Spawn([](RaftNode* n, std::string cmd, Status* st) -> Task<void> {
+      *st = co_await n->Propose(std::move(cmd));
+    }(node, "lost" + std::to_string(k), &lost[k]));
+  }
+  sched_->RunFor(20 * kMsec);
+  ASSERT_EQ(node->last_log_index(), committed + 2);
+  const char* kept_head = node->log().At(committed).head.data();
+  const uint64_t appended0 = hosts_[a]->metrics().counter("raft.log.appended_entries");
+
+  // A newer leader's AppendEntries: one duplicate, then three entries of its
+  // own term, the first two overwriting the lost proposals.
+  AppendReq req;
+  req.gid = 1;
+  req.term = old_term + 1;
+  req.leader = hosts_[(a + 1) % kN]->id();
+  req.prev_index = committed - 1;
+  req.prev_term = node->log().TermAt(committed - 1);
+  req.entries.push_back(node->log().At(committed));
+  for (Index i = committed + 1; i <= committed + 3; i++) {
+    req.entries.push_back({old_term + 1, i, Buffer::CopyOf("new" + std::to_string(i)), {}});
+  }
+  AppendResp resp;
+  Spawn([](RaftNode* n, AppendReq req, AppendResp* resp) -> Task<void> {
+    *resp = co_await n->OnAppend(std::move(req));
+  }(node, req, &resp));
+  sched_->RunFor(20 * kMsec);
+
+  EXPECT_TRUE(resp.success);
+  EXPECT_EQ(resp.match_hint, committed + 3);
+  ASSERT_EQ(node->last_log_index(), committed + 3);
+  // The duplicate was not re-appended: the log still holds its own entry.
+  EXPECT_EQ(node->log().At(committed).head.data(), kept_head);
+  EXPECT_EQ(node->log().At(committed).term, old_term);
+  for (Index i = committed + 1; i <= committed + 3; i++) {
+    EXPECT_EQ(node->log().At(i).term, old_term + 1);
+    EXPECT_EQ(node->log().At(i).head, "new" + std::to_string(i));
+  }
+  EXPECT_EQ(hosts_[a]->metrics().counter("raft.log.appended_entries") - appended0, 3u);
+  for (const Status& st : lost) {
+    EXPECT_TRUE(st.IsNotLeader()) << st.ToString();
+  }
+}
+
+TEST_F(RaftCluster, LeaderRestartedMidBatchWriteStillCommits) {
+  int leader = AwaitLeader();
+  ASSERT_GE(leader, 0);
+  ASSERT_TRUE(ProposeOn(leader, "warm").ok());
+  // Park the leader's batcher in a very slow WAL write, then crash and
+  // restart the leader while that write is still in flight.
+  sim::Disk* wal = hosts_[leader]->disk(0);
+  wal->set_slow_factor(100'000);
+  Status in_flight = Status::Retry("not finished");
+  Spawn([](RaftNode* n, Status* st) -> Task<void> { *st = co_await n->Propose("in-flight"); }(
+      nodes_[leader], &in_flight));
+  sched_->RunFor(1 * kMsec);
+  hosts_[leader]->Crash();
+  wal->set_slow_factor(1);
+  hosts_[leader]->Restart();
+  wal->ResetQueue();
+  Spawn([](RaftHost* rh) -> Task<void> { co_await rh->RecoverAll(); }(rafts_[leader].get()));
+  sched_->RunFor(10 * kMsec);
+  EXPECT_TRUE(in_flight.IsUnavailable()) << in_flight.ToString();
+  // Win the next election on the restarted node: its new incarnation must
+  // run its own batcher, although the old one is still parked in the write.
+  nodes_[leader]->TriggerElection();
+  for (int round = 0; round < 100 && !nodes_[leader]->IsLeader(); round++) {
+    sched_->RunFor(10 * kMsec);
+  }
+  ASSERT_TRUE(nodes_[leader]->IsLeader());
+  EXPECT_TRUE(ProposeOn(leader, "after-restart").ok());
+}
+
+TEST_F(RaftCluster, ProposalTimingOutInTheQueueNeverGetsAnIndex) {
+  RaftOptions opts;
+  opts.batch_linger = 10 * kMsec;  // the batcher drains after the proposer gave up
+  opts.propose_timeout = 1 * kMsec;
+  Build(kN, opts);
+  int leader = AwaitLeader();
+  ASSERT_GE(leader, 0);
+  sched_->RunFor(100 * kMsec);  // the leader's no-op is in
+  const Index last = nodes_[leader]->last_log_index();
+  Status st = ProposeOn(leader, "abandoned");
+  EXPECT_TRUE(st.IsTimedOut()) << st.ToString();
+  sched_->RunFor(100 * kMsec);
+  EXPECT_EQ(nodes_[leader]->last_log_index(), last);
+  EXPECT_TRUE(nodes_[leader]->IsLeader());
+}
+
 TEST(LogStoreTest, RopeEntryPersistsInFlatEncoding) {
   sim::Scheduler sched;
   sim::Network net(&sched);

@@ -1,11 +1,14 @@
 // RPC service-layer tests (src/rpc/): seeded-jitter backoff determinism,
 // deadline propagation through the nested meta->data write workflow, and
 // leader-aware routing (crash -> exactly one cache invalidation, then the
-// repointed cache serves subsequent calls).
+// repointed cache serves subsequent calls), and the router's seeded
+// writable-partition picks.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
+#include "common/rng.h"
 #include "harness/cluster.h"
 #include "rpc/retry_policy.h"
 
@@ -217,6 +220,91 @@ TEST(Router, MetaLeaderCrashInvalidatesCacheOnceThenRedirects) {
   EXPECT_EQ(again.counter("router.leader_cache_hits"),
             after.counter("router.leader_cache_hits") + 1);
   EXPECT_EQ(again.counter("router.leader_probes"), after.counter("router.leader_probes"));
+}
+
+// --- Writable-partition picks ---------------------------------------------------
+
+/// The pick as the router made it by collecting the writable views into a
+/// temporary vector and drawing Uniform(n) over it: the reference the
+/// count-then-pick code must match draw for draw.
+template <typename View>
+meta::PartitionId ReferencePick(const std::vector<View>& views,
+                                const std::map<meta::PartitionId, SimTime>& marks, SimTime now,
+                                Rng& rng, meta::PartitionId avoid) {
+  std::vector<const View*> writable;
+  const View* avoided = nullptr;
+  for (const View& v : views) {
+    auto it = marks.find(v.pid);
+    if (it != marks.end() && it->second > now) continue;
+    if (!v.writable) continue;
+    if (v.pid == avoid) {
+      avoided = &v;
+      continue;
+    }
+    writable.push_back(&v);
+  }
+  if (writable.empty()) return avoided != nullptr ? avoided->pid : 0;
+  return writable[rng.Uniform(writable.size())]->pid;
+}
+
+TEST(Router, WritablePicksMatchTheCollectThenDrawReference) {
+  sim::Scheduler sched(5);
+  obs::Registry registry;
+  rpc::Router router(&sched, {}, registry);
+  Rng ref_rng(5);    // replays the scheduler's stream for the reference
+  Rng script(99);    // drives the marks, refreshes and avoided partitions
+  std::vector<master::MetaPartitionView> meta(12);
+  std::vector<master::DataPartitionView> data(16);
+  for (size_t i = 0; i < meta.size(); i++) meta[i].pid = 1 + i;
+  for (size_t i = 0; i < data.size(); i++) data[i].pid = 101 + i;
+  meta[2].writable = false;  // full according to the master
+  data[5].writable = false;
+  // The reference's copy of the router's views and local marks.
+  std::vector<master::MetaPartitionView> ref_meta;
+  std::vector<master::DataPartitionView> ref_data;
+  std::map<meta::PartitionId, SimTime> marks;
+  auto marked = [&](meta::PartitionId pid) {
+    auto it = marks.find(pid);
+    return it != marks.end() && it->second > sched.Now();
+  };
+  auto install = [&] {
+    router.InstallViews(meta, data);
+    ref_meta = meta;
+    ref_data = data;
+    for (auto& v : ref_meta) v.writable = v.writable && !marked(v.pid);
+    for (auto& v : ref_data) v.writable = v.writable && !marked(v.pid);
+  };
+  auto mark = [&](meta::PartitionId pid, SimTime until) {
+    router.MarkUnwritable(pid, until);
+    marks[pid] = until;
+    for (auto& v : ref_meta) v.writable = v.writable && v.pid != pid;
+    for (auto& v : ref_data) v.writable = v.writable && v.pid != pid;
+  };
+  install();
+  int fallbacks = 0;
+  for (int step = 0; step < 3000; step++) {
+    sched.RunFor(1 * kMsec);
+    if (step % 500 == 250) {
+      // Leave one data partition writable, so picks that avoid it fall back.
+      for (size_t i = 1; i < data.size(); i++) mark(data[i].pid, sched.Now() + 20 * kMsec);
+    }
+    if (script.Chance(0.05)) {
+      const bool is_meta = script.Chance(0.5);
+      mark(is_meta ? meta[script.Uniform(meta.size())].pid : data[script.Uniform(data.size())].pid,
+           sched.Now() + static_cast<SimDuration>(script.Range(1, 50)) * kMsec);
+    }
+    if (script.Chance(0.03)) install();
+    master::MetaPartitionView* m = router.PickWritableMetaView();
+    EXPECT_EQ(m ? m->pid : 0, ReferencePick(ref_meta, marks, sched.Now(), ref_rng, 0))
+        << "step " << step;
+    const meta::PartitionId avoid =
+        script.Chance(0.3) ? data[script.Uniform(data.size())].pid : data[0].pid;
+    master::DataPartitionView* d = router.PickWritableDataView(avoid);
+    const meta::PartitionId want = ReferencePick(ref_data, marks, sched.Now(), ref_rng, avoid);
+    EXPECT_EQ(d ? d->pid : 0, want) << "step " << step;
+    fallbacks += want == avoid ? 1 : 0;
+  }
+  EXPECT_GT(fallbacks, 0);  // the last-resort path ran
 }
 
 }  // namespace

@@ -3,10 +3,11 @@
 // DESIGN.md "Simulator performance") must change *how* events are stored
 // and dispatched without changing *which* events execute or in what order.
 // The constants below pin the exact schedule of the scenarios run by this
-// test. They were last re-captured when RPC reply delivery began cancelling
-// its timeout watchdog outright, so answered calls no longer execute a
-// no-op watchdog event; every message, wire size and delivery time stayed
-// as before.
+// test. They were last re-captured when Promise::Set began cancelling the
+// timeout its waiter armed with Future::WithTimeout (raft proposals and
+// elections), so an answered wait no longer executes a no-op timeout
+// event; every message, wire size, delivery time and RNG draw stayed as
+// before (the constants still matched with that one cancel taken out).
 //
 // The trace hash folds in every executed event (time, seq) and every network
 // message (from, to, wire bytes, payload RTTI name, delivery time), so any
@@ -121,9 +122,9 @@ struct GoldenCase {
 
 // See the file comment for the capture procedure.
 const GoldenCase kGolden[] = {
-    {"workload", WorkloadScenario, 0x1af5f84c723c1de0ull},
-    {"crash_restart", CrashRestartScenario, 0xa1ae646fa30c748cull},
-    {"message_loss", MessageLossScenario, 0x69eddac65cee01fcull},
+    {"workload", WorkloadScenario, 0xfa700167e1433f8dull},
+    {"crash_restart", CrashRestartScenario, 0xe6e9c7ec584b4b96ull},
+    {"message_loss", MessageLossScenario, 0xe24f91f4f55409b3ull},
 };
 
 TEST(ScheduleHash, MatchesPreRebuildGolden) {

@@ -2,6 +2,9 @@
 // coroutines, futures, resources, disks, network RPC, partitions, crashes.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "sim/disk.h"
 #include "sim/network.h"
 #include "sim/resource.h"
@@ -187,6 +190,63 @@ TEST(FutureTest, LateSetAfterTimeoutIsIgnored) {
   s.At(500, [p] { p.Set(5); });
   s.Run();
   EXPECT_EQ(got, -2);
+}
+
+TEST(FutureTest, EarlyValueTakesTheTimeoutOffTheQueue) {
+  Scheduler s;
+  s.At(1'000'000, [] {});  // unrelated, keeps the queue non-empty
+  const size_t prior = s.pending();
+  Promise<int> p(&s);
+  int got = -1;
+  Spawn([](Promise<int> p, int& got) -> Task<void> {
+    auto v = co_await p.future().WithTimeout(2 * kSec);
+    got = v.value_or(-2);
+  }(p, got));
+  EXPECT_EQ(s.pending(), prior + 1);  // the armed timeout
+  s.RunUntil(10);
+  p.Set(5);  // cancels the timeout, schedules the resume
+  EXPECT_EQ(s.pending(), prior + 1);
+  s.RunUntil(20);
+  EXPECT_EQ(got, 5);
+  EXPECT_EQ(s.pending(), prior);
+  // The state is released with the last Promise: no timer closure holds it.
+  std::weak_ptr<Future<int>::State> state = p.state();
+  p = Promise<int>(&s);
+  EXPECT_TRUE(state.expired());
+}
+
+TEST(FutureTest, UnresolvedWaitResumesAtExactlyTheTimeout) {
+  Scheduler s;
+  Promise<int> p(&s);
+  s.RunUntil(37);
+  std::optional<int> got = 0;
+  SimTime resumed_at = -1;
+  Spawn([](Scheduler& s, Promise<int> p, std::optional<int>& got,
+           SimTime& at) -> Task<void> {
+    got = co_await p.future().WithTimeout(100);
+    at = s.Now();
+  }(s, p, got, resumed_at));
+  s.Run();
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(resumed_at, 137);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(FutureTest, SetAfterTheTimeoutSchedulesNothing) {
+  Scheduler s;
+  Promise<int> p(&s);
+  int resumes = 0;
+  Spawn([](Promise<int> p, int& resumes) -> Task<void> {
+    auto v = co_await p.future().WithTimeout(100);
+    EXPECT_FALSE(v.has_value());
+    resumes++;
+  }(p, resumes));
+  s.Run();
+  ASSERT_EQ(resumes, 1);
+  p.Set(5);
+  EXPECT_TRUE(s.empty());
+  s.Run();
+  EXPECT_EQ(resumes, 1);
 }
 
 TEST(JoinTest, WaitsForAllSubtasks) {

@@ -1,6 +1,7 @@
 // Timer-wheel semantics (sim/timer_wheel.h), driven through the Scheduler:
-// same-tick FIFO ordering, cancel/re-arm, far-future timers crossing wheel
-// levels, and RunUntil boundary behavior. The schedule-hash equivalence test
+// same-tick FIFO ordering, cancel/re-arm, eager cancellation out of any slot
+// position or wheel level, far-future timers crossing wheel levels, and
+// RunUntil boundary behavior. The schedule-hash equivalence test
 // (tests/schedule_hash_test.cc) pins the wheel's dispatch order against the
 // golden hashes of the heap it replaced; this file covers the wheel's own
 // contract at the edges those cluster runs don't reach.
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.h"
@@ -164,7 +166,7 @@ TEST(TimerWheel, RunUntilBoundaryInsideAFarFutureGap) {
 
 TEST(TimerWheel, DirectWheelPopRespectsLimitAndRecycles) {
   // Exercise the wheel API directly (no scheduler): PopRunnable with a
-  // finite limit, lazy-cancelled debris, and node recycling.
+  // finite limit, a cancelled node freed on the spot, and node recycling.
   TimerWheel wheel;
   int fired = 0;
   (void)wheel.Insert(5, 1, [&] { fired += 1; });
@@ -172,6 +174,11 @@ TEST(TimerWheel, DirectWheelPopRespectsLimitAndRecycles) {
   (void)wheel.Insert(9, 3, [&] { fired += 10; });
   EXPECT_TRUE(wheel.Cancel(dead));
   EXPECT_EQ(wheel.live(), 2u);
+  // The cancelled node went straight back to the free list: the next
+  // insert reuses it.
+  TimerWheel::TimerId reused = wheel.Insert(9, 4, [&] { fired += 1000; });
+  EXPECT_EQ(reused.index, dead.index);
+  EXPECT_TRUE(wheel.Cancel(reused));
 
   EventNode* n = wheel.PopRunnable(7);
   ASSERT_NE(n, nullptr);
@@ -186,6 +193,99 @@ TEST(TimerWheel, DirectWheelPopRespectsLimitAndRecycles) {
   wheel.Recycle(n);
   EXPECT_EQ(fired, 11);
   EXPECT_TRUE(wheel.empty());
+}
+
+/// Drain `wheel`, returning (time, seq) of every event in dispatch order.
+std::vector<std::pair<SimTime, uint64_t>> DrainOrder(TimerWheel& wheel) {
+  std::vector<std::pair<SimTime, uint64_t>> order;
+  while (EventNode* n = wheel.PopRunnable(TimerWheel::kNoLimit)) {
+    order.emplace_back(n->time, n->seq);
+    n->fn();
+    wheel.Recycle(n);
+  }
+  return order;
+}
+
+TEST(TimerWheel, CancelHeadMiddleAndTailOfOneSlot) {
+  TimerWheel wheel;
+  std::vector<TimerWheel::TimerId> ids;
+  // Six events in one level-0 slot (t=40), plus neighbours on either side.
+  (void)wheel.Insert(39, 0, [] {});
+  for (uint64_t seq = 1; seq <= 6; seq++) ids.push_back(wheel.Insert(40, seq, [] {}));
+  (void)wheel.Insert(41, 7, [] {});
+  EXPECT_TRUE(wheel.Cancel(ids[0]));  // head
+  EXPECT_TRUE(wheel.Cancel(ids[3]));  // middle
+  EXPECT_TRUE(wheel.Cancel(ids[5]));  // tail
+  EXPECT_EQ(wheel.live(), 5u);
+  // The slot still links the survivors; appending behind the new tail works.
+  (void)wheel.Insert(40, 8, [] {});
+  EXPECT_EQ(DrainOrder(wheel), (std::vector<std::pair<SimTime, uint64_t>>{
+                                   {39, 0}, {40, 2}, {40, 3}, {40, 5}, {40, 8}, {41, 7}}));
+  EXPECT_TRUE(wheel.empty());
+}
+
+TEST(TimerWheel, CancellingEverySlotMemberClearsIt) {
+  TimerWheel wheel;
+  TimerWheel::TimerId a = wheel.Insert(40, 1, [] {});
+  TimerWheel::TimerId b = wheel.Insert(40, 2, [] {});
+  (void)wheel.Insert(300, 3, [] {});
+  EXPECT_TRUE(wheel.Cancel(b));
+  EXPECT_TRUE(wheel.Cancel(a));
+  // The emptied slot must not stop the search: the next event is t=300.
+  EventNode* n = wheel.PopRunnable(TimerWheel::kNoLimit);
+  ASSERT_NE(n, nullptr);
+  EXPECT_EQ(n->time, 300);
+  wheel.Recycle(n);
+  EXPECT_TRUE(wheel.empty());
+}
+
+TEST(TimerWheel, CancelOnAnUpperLevelBeforeItCascades) {
+  TimerWheel wheel;
+  // 70'000 and 70'001 share a level-2 slot (and 700/701 a level-1 slot)
+  // until the cursor reaches them; cancel one of each pair before that.
+  (void)wheel.Insert(700, 1, [] {});
+  TimerWheel::TimerId l1 = wheel.Insert(701, 2, [] {});
+  TimerWheel::TimerId l2 = wheel.Insert(70'000, 3, [] {});
+  (void)wheel.Insert(70'001, 4, [] {});
+  (void)wheel.Insert(5'000'000'000, 5, [] {});
+  EXPECT_TRUE(wheel.Cancel(l1));
+  EXPECT_TRUE(wheel.Cancel(l2));
+  EXPECT_EQ(wheel.live(), 3u);
+  EXPECT_EQ(DrainOrder(wheel), (std::vector<std::pair<SimTime, uint64_t>>{
+                                   {700, 1}, {70'001, 4}, {5'000'000'000, 5}}));
+}
+
+TEST(TimerWheel, CancelledSameTickEventInTheReadyBatchDoesNotRun) {
+  Scheduler sched;
+  std::vector<int> fired;
+  Scheduler::TimerId victim;
+  // Both events share t=10, so dispatching the first has already collected
+  // the second into the ready batch when the first cancels it.
+  sched.At(10, [&] {
+    fired.push_back(1);
+    EXPECT_TRUE(sched.Cancel(victim));
+    EXPECT_FALSE(sched.Cancel(victim));
+  });
+  victim = sched.ScheduleAt(10, [&] { fired.push_back(2); });
+  sched.At(10, [&] { fired.push_back(3); });
+  EXPECT_EQ(sched.pending(), 3u);
+  sched.Run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  EXPECT_TRUE(sched.empty());
+}
+
+TEST(TimerWheel, ArmCancelChurnOfAFarTimerStaysInOneChunk) {
+  // The RPC-watchdog pattern: a timer armed far out and cancelled almost at
+  // once. Cancelled nodes return to the free list immediately, so a million
+  // cycles reuse one node instead of piling up debris.
+  TimerWheel wheel;
+  (void)wheel.Insert(1, 0, [] {});  // one live neighbour
+  for (uint64_t i = 1; i <= 1'000'000; i++) {
+    TimerWheel::TimerId id = wheel.Insert(2'000'000, i, [] {});
+    ASSERT_TRUE(wheel.Cancel(id));
+  }
+  EXPECT_EQ(wheel.live(), 1u);
+  EXPECT_LE(wheel.slab_nodes(), 512u);
 }
 
 }  // namespace

@@ -12,9 +12,11 @@ For every bench in the baseline the run must:
     behavior changed, not just its speed;
   - reach at least 80% of the baseline `events_per_sec`, when one is
     recorded (a >20% throughput regression fails CI);
-  - stay at or below `max_allocs_per_rpc`, when the baseline sets one (the
-    RPC transport's zero-heap-allocation contract: bench_micro --rpc-churn
-    reports measured allocations per steady-state unary RPC).
+  - stay at or below `max_allocs_per_rpc` and `max_allocs_per_proposal`,
+    when the baseline sets them (bench_micro --rpc-churn reports measured
+    heap allocations per steady-state unary RPC — the transport's
+    zero-allocation contract — and per steady-state proposal through a
+    3-replica raft group).
 
 Usage: tools/check_bench_wallclock.py BENCH_wallclock.json
        [--baseline tools/bench_wallclock_baseline.json]
@@ -27,6 +29,12 @@ import pathlib
 import sys
 
 REGRESSION_TOLERANCE = 0.8  # fail below 80% of baseline events/sec
+# Baseline cap -> (reported field, what the cap protects).
+ALLOC_CAPS = {
+    "max_allocs_per_rpc": ("allocs_per_rpc", "the transport's zero-allocation contract"),
+    "max_allocs_per_proposal": ("allocs_per_proposal",
+                                "raft steady-state replication's allocation budget"),
+}
 
 
 def main() -> int:
@@ -68,16 +76,16 @@ def main() -> int:
             failures.append(
                 f"{name}: {eps:.0f} events/sec is >20% below baseline {floor} "
                 f"(floor {REGRESSION_TOLERANCE * floor:.0f})")
-        alloc_cap = base.get("max_allocs_per_rpc")
-        if alloc_cap is not None:
-            allocs = got.get("allocs_per_rpc")
+        for cap_key, (field, contract) in ALLOC_CAPS.items():
+            cap = base.get(cap_key)
+            if cap is None:
+                continue
+            allocs = got.get(field)
             if allocs is None:
-                failures.append(f"{name}: baseline caps allocs_per_rpc but the "
-                                "run did not report it")
-            elif allocs > alloc_cap:
-                failures.append(
-                    f"{name}: {allocs} heap allocations per RPC exceeds the cap "
-                    f"{alloc_cap} (the transport's zero-allocation contract)")
+                failures.append(f"{name}: baseline caps {field} but the run did not "
+                                "report it")
+            elif allocs > cap:
+                failures.append(f"{name}: {field} {allocs} exceeds the cap {cap} ({contract})")
 
     for f_ in failures:
         print(f"FAIL {f_}", file=sys.stderr)
