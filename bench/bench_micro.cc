@@ -168,7 +168,7 @@ void BM_ExtentStoreSmallWrite(benchmark::State& state) {
   std::string data(4096, 's');
   for (auto _ : state) {
     sim::Spawn([](storage::ExtentStore& store, const std::string& data) -> sim::Task<void> {
-      (void)co_await store.WriteSmall(data);
+      (void)co_await store.WriteSmall(Buffer::CopyOf(data));
     }(store, data));
     sched.Run();
   }

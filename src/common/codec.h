@@ -102,15 +102,6 @@ class Decoder {
     return Status::OK();
   }
 
-  Status GetStringView(std::string_view* s) {
-    uint64_t n;
-    CFS_RETURN_IF_ERROR(GetVarint(&n));
-    if (remaining() < n) return Status::Corruption("string underflow");
-    *s = data_.substr(pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
   size_t remaining() const { return data_.size() - pos_; }
   bool Done() const { return pos_ == data_.size(); }
 

@@ -116,29 +116,38 @@ sim::Task<void> DataNode::AlignPartition(DataPartition* p) {
   }
 }
 
-Task<Status> DataNode::ForwardChainImpl(DataPartition* p, ChainAppendReq req) {
+template <typename Resp, typename Req>
+Task<Status> DataNode::ForwardChainImpl(DataPartition* p, Req req) {
   uint32_t next = req.chain_index + 1;
   if (next >= p->config().replicas.size()) co_return Status::OK();
   req.chain_index = next;
   sim::NodeId target = p->config().replicas[next];
   // Each hop re-parents on the incoming context, so a traced write shows one
-  // "rpc:ChainAppend" span per chain position.
+  // "rpc:<chain op>" span per chain position.
   obs::TraceContext trace = req.trace;
-  auto r = co_await channel_.Unary<ChainAppendReq, ChainAppendResp>(
-      host_->id(), target, std::move(req), opts_.chain_rpc_timeout, trace);
+  auto r = co_await channel_.Unary<Req, Resp>(host_->id(), target, std::move(req),
+                                              opts_.chain_rpc_timeout, trace);
   if (!r.ok()) co_return r.status();
   co_return r->status;
 }
 
-Task<Status> DataNode::ForwardChainCreateImpl(DataPartition* p, ChainCreateExtentReq req) {
-  uint32_t next = req.chain_index + 1;
-  if (next >= p->config().replicas.size()) co_return Status::OK();
-  req.chain_index = next;
-  sim::NodeId target = p->config().replicas[next];
-  auto r = co_await channel_.Unary<ChainCreateExtentReq, ChainCreateExtentResp>(
-      host_->id(), target, req, opts_.chain_rpc_timeout, req.trace);
-  if (!r.ok()) co_return r.status();
-  co_return r->status;
+Task<Status> DataNode::ProposeMutation(PartitionId pid, std::string head, Buffer payload,
+                                       obs::TraceContext trace, const OverwriteReq* overwrite) {
+  DataPartition* p = GetPartition(pid);
+  if (!p) co_return Status::NotFound("data partition");
+  raft::RaftNode* rn = p->raft_node();
+  if (!rn->IsLeader()) co_return Status::NotLeader(std::to_string(rn->leader_hint()));
+  if (overwrite) {
+    // Validate against local state before paying for consensus.
+    const storage::Extent* e = p->store().Find(overwrite->extent_id);
+    if (!e) co_return Status::NotFound("extent");
+    if (!storage::RangeFits(overwrite->offset, payload.size(), e->size)) {
+      co_return Status::InvalidArgument("overwrite beyond extent end");
+    }
+  }
+  raft::ApplyOutcome out;
+  Status st = co_await rn->Propose(std::move(head), std::move(payload), trace, &out);
+  co_return st.ok() ? out.status : st;
 }
 
 void DataNode::RegisterHandlers() {
@@ -150,9 +159,7 @@ void DataNode::RegisterHandlers() {
 
   host_->Register<CreateExtentReq, CreateExtentResp>(
       [this](CreateExtentReq req, sim::NodeId) -> Task<CreateExtentResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, OpCost(0));
-        co_await host_->cpu().Use(OpCost(0));
+        auto admit = co_await admission_.Serve(req.tenant, OpCost(0), &host_->cpu());
         CreateExtentResp resp;
         DataPartition* p = GetPartition(req.pid);
         if (!p) {
@@ -172,7 +179,8 @@ void DataNode::RegisterHandlers() {
         storage::ExtentId id = p->AllocExtentId();
         Status st = p->store().CreateExtentWithId(id, false);
         if (st.ok()) {
-          st = co_await ForwardChainCreate(p, ChainCreateExtentReq{req.pid, id, 0, req.trace});
+          st = co_await ForwardChain<ChainCreateExtentResp>(
+              p, ChainCreateExtentReq{req.pid, id, 0, req.trace});
         }
         resp.status = st;
         resp.extent_id = id;
@@ -186,7 +194,7 @@ void DataNode::RegisterHandlers() {
         if (!p) co_return ChainCreateExtentResp{Status::NotFound("data partition")};
         Status st = p->store().CreateExtentWithId(req.extent_id, false);
         if (st.IsAlreadyExists()) st = Status::OK();  // retried chain
-        if (st.ok()) st = co_await ForwardChainCreate(p, req);
+        if (st.ok()) st = co_await ForwardChain<ChainCreateExtentResp>(p, std::move(req));
         co_return ChainCreateExtentResp{st};
       });
 
@@ -198,9 +206,8 @@ void DataNode::RegisterHandlers() {
   // durable-range tracker in DataPartition keeps the commit contiguous.
   host_->Register<WritePacketReq, WritePacketResp>(
       [this](WritePacketReq req, sim::NodeId) -> Task<WritePacketResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, OpCost(req.data.size()));
-        co_await host_->cpu().Use(OpCost(req.data.size()));
+        auto admit =
+            co_await admission_.Serve(req.tenant, OpCost(req.data.size()), &host_->cpu());
         WritePacketResp resp;
         DataPartition* p = GetPartition(req.pid);
         if (!p) {
@@ -216,12 +223,13 @@ void DataNode::RegisterHandlers() {
           resp.committed_offset = p->committed(req.extent_id);
           co_return resp;
         }
-        uint64_t end_offset = req.offset + req.data.size();
-        if (end_offset > p->store().options().extent_size_limit) {
+        if (!storage::RangeFits(req.offset, req.data.size(),
+                                p->store().options().extent_size_limit)) {
           resp.status = Status::NoSpace("extent full");
           resp.committed_offset = p->committed(req.extent_id);
           co_return resp;
         }
+        const uint64_t end_offset = req.offset + req.data.size();
         // A packet can (rarely) overtake its predecessor on the wire when the
         // trailing packet is much smaller than the jitter window. Wait
         // briefly for the gap to fill instead of failing the whole window;
@@ -261,7 +269,7 @@ void DataNode::RegisterHandlers() {
         fwd.trace = req.trace;
         Spawn([](DataNode* self, DataPartition* p, ChainAppendReq fwd, Status* out,
                  std::function<void()> done) -> Task<void> {
-          *out = co_await self->ForwardChain(p, std::move(fwd));
+          *out = co_await self->ForwardChain<ChainAppendResp>(p, std::move(fwd));
           done();
         }(this, p, std::move(fwd), &fwd_st, join.Arrive()));
         co_await join.Wait();
@@ -285,7 +293,7 @@ void DataNode::RegisterHandlers() {
         // it has to park an out-of-order arrival).
         Status st = co_await p->ApplyChainAppend(req.extent_id, req.offset, req.data,
                                                  req.tiny, req.trace);
-        if (st.ok()) st = co_await ForwardChain(p, std::move(req));
+        if (st.ok()) st = co_await ForwardChain<ChainAppendResp>(p, std::move(req));
         co_return ChainAppendResp{st};
       });
 
@@ -293,9 +301,8 @@ void DataNode::RegisterHandlers() {
   // tiny extent; the placement replicates down the chain.
   host_->Register<WriteSmallReq, WriteSmallResp>(
       [this](WriteSmallReq req, sim::NodeId) -> Task<WriteSmallResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, OpCost(req.data.size()));
-        co_await host_->cpu().Use(OpCost(req.data.size()));
+        auto admit =
+            co_await admission_.Serve(req.tenant, OpCost(req.data.size()), &host_->cpu());
         WriteSmallResp resp;
         DataPartition* p = GetPartition(req.pid);
         if (!p) {
@@ -318,7 +325,7 @@ void DataNode::RegisterHandlers() {
         auto [extent, offset] = *placed;
         uint64_t len = req.data.size();
         ChainAppendReq fwd{req.pid, extent, offset, true, std::move(req.data), 0, req.trace};
-        Status st = co_await ForwardChain(p, std::move(fwd));
+        Status st = co_await ForwardChain<ChainAppendResp>(p, std::move(fwd));
         // Durable-range commit (not a blind max): concurrent small writes
         // into the shared tiny extent can complete out of slot order.
         if (st.ok()) p->MarkDurable(extent, offset, offset + len);
@@ -331,34 +338,20 @@ void DataNode::RegisterHandlers() {
   // Overwrite (Fig. 5): raft-replicated, in-place, no metadata update.
   host_->Register<OverwriteReq, OverwriteResp>(
       [this](OverwriteReq req, sim::NodeId) -> Task<OverwriteResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, OpCost(req.data.size()));
-        co_await host_->cpu().Use(OpCost(req.data.size()));
-        DataPartition* p = GetPartition(req.pid);
-        if (!p) co_return OverwriteResp{Status::NotFound("data partition")};
-        raft::RaftNode* rn = p->raft_node();
-        if (!rn->IsLeader()) {
-          co_return OverwriteResp{Status::NotLeader(std::to_string(rn->leader_hint()))};
-        }
-        // Validate against local state before paying for consensus.
-        const storage::Extent* e = p->store().Find(req.extent_id);
-        if (!e) co_return OverwriteResp{Status::NotFound("extent")};
-        if (req.offset + req.data.size() > e->size) {
-          co_return OverwriteResp{Status::InvalidArgument("overwrite beyond extent end")};
-        }
-        raft::ApplyOutcome out;
-        Status st = co_await rn->Propose(
-            DataPartition::EncodeOverwriteHead(req.extent_id, req.offset, req.data.size()),
-            req.data, req.trace, &out);
-        co_return OverwriteResp{st.ok() ? out.status : st};
+        auto admit =
+            co_await admission_.Serve(req.tenant, OpCost(req.data.size()), &host_->cpu());
+        std::string head =
+            DataPartition::EncodeOverwriteHead(req.extent_id, req.offset, req.data.size());
+        Buffer payload = std::move(req.data);
+        Status st = co_await ProposeMutation(req.pid, std::move(head), std::move(payload),
+                                             req.trace, &req);
+        co_return OverwriteResp{st};
       });
 
   // Read at the raft leader (§2.7.4), bounded by the committed offset.
   host_->Register<ReadExtentReq, ReadExtentResp>(
       [this](ReadExtentReq req, sim::NodeId) -> Task<ReadExtentResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, OpCost(req.len));
-        co_await host_->cpu().Use(OpCost(req.len));
+        auto admit = co_await admission_.Serve(req.tenant, OpCost(req.len), &host_->cpu());
         ReadExtentResp resp;
         DataPartition* p = GetPartition(req.pid);
         if (!p) {
@@ -376,7 +369,7 @@ void DataNode::RegisterHandlers() {
         uint64_t bound = p->IsChainLeader() ? p->committed(req.extent_id)
                                             : p->store().ExtentSize(req.extent_id);
         if (bound == 0) bound = p->store().ExtentSize(req.extent_id);
-        if (req.offset + req.len > bound) {
+        if (!storage::RangeFits(req.offset, req.len, bound)) {
           resp.status = Status::InvalidArgument("read beyond committed offset");
           co_return resp;
         }
@@ -392,37 +385,19 @@ void DataNode::RegisterHandlers() {
 
   host_->Register<DeleteExtentReq, DeleteExtentResp>(
       [this](DeleteExtentReq req, sim::NodeId) -> Task<DeleteExtentResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, OpCost(0));
-        co_await host_->cpu().Use(OpCost(0));
-        DataPartition* p = GetPartition(req.pid);
-        if (!p) co_return DeleteExtentResp{Status::NotFound("data partition")};
-        raft::RaftNode* rn = p->raft_node();
-        if (!rn->IsLeader()) {
-          co_return DeleteExtentResp{Status::NotLeader(std::to_string(rn->leader_hint()))};
-        }
-        raft::ApplyOutcome out;
-        Status st = co_await rn->Propose(DataPartition::EncodeDeleteExtent(req.extent_id), {},
-                                         req.trace, &out);
-        co_return DeleteExtentResp{st.ok() ? out.status : st};
+        auto admit = co_await admission_.Serve(req.tenant, OpCost(0), &host_->cpu());
+        Status st = co_await ProposeMutation(
+            req.pid, DataPartition::EncodeDeleteExtent(req.extent_id), {}, req.trace);
+        co_return DeleteExtentResp{st};
       });
 
   host_->Register<PunchHoleReq, PunchHoleResp>(
       [this](PunchHoleReq req, sim::NodeId) -> Task<PunchHoleResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, OpCost(0));
-        co_await host_->cpu().Use(OpCost(0));
-        DataPartition* p = GetPartition(req.pid);
-        if (!p) co_return PunchHoleResp{Status::NotFound("data partition")};
-        raft::RaftNode* rn = p->raft_node();
-        if (!rn->IsLeader()) {
-          co_return PunchHoleResp{Status::NotLeader(std::to_string(rn->leader_hint()))};
-        }
-        raft::ApplyOutcome out;
-        Status st = co_await rn->Propose(
-            DataPartition::EncodePunchHole(req.extent_id, req.offset, req.len), {}, req.trace,
-            &out);
-        co_return PunchHoleResp{st.ok() ? out.status : st};
+        auto admit = co_await admission_.Serve(req.tenant, OpCost(0), &host_->cpu());
+        Status st = co_await ProposeMutation(
+            req.pid, DataPartition::EncodePunchHole(req.extent_id, req.offset, req.len), {},
+            req.trace);
+        co_return PunchHoleResp{st};
       });
 
   // --- Recovery helpers ---

@@ -59,7 +59,7 @@ class DataNode {
   /// extents against its peers, then raft recovery (§2.2.5's ordering).
   sim::Task<void> RecoverAll();
 
-  uint64_t ops_served() const { return ops_; }
+  uint64_t ops_served() const { return admission_.served(); }
 
   /// The channel carrying node-issued legs (chain forwards, recovery
   /// aligns) — exposed so the harness can attach its per-peer health
@@ -73,17 +73,25 @@ class DataNode {
            opts_.cpu_per_kib * static_cast<SimDuration>(payload / kKiB);
   }
 
-  /// Forward a chain request to the next replica; returns OK at chain end.
-  /// (Plain wrappers over the *Impl coroutines; see the gcc-12 note in
-  /// sim/network.h.)
-  sim::Task<Status> ForwardChain(DataPartition* p, ChainAppendReq req) {
-    return ForwardChainImpl(p, std::move(req));
+  /// Forward a chain request (ChainAppendReq, ChainCreateExtentReq) to the
+  /// next replica; returns OK at chain end. A plain wrapper over the Impl
+  /// coroutine (see the gcc-12 note in sim/network.h).
+  template <typename Resp, typename Req>
+  sim::Task<Status> ForwardChain(DataPartition* p, Req req) {
+    return ForwardChainImpl<Resp>(p, std::move(req));
   }
-  sim::Task<Status> ForwardChainCreate(DataPartition* p, ChainCreateExtentReq req) {
-    return ForwardChainCreateImpl(p, std::move(req));
-  }
-  sim::Task<Status> ForwardChainImpl(DataPartition* p, ChainAppendReq req);
-  sim::Task<Status> ForwardChainCreateImpl(DataPartition* p, ChainCreateExtentReq req);
+  template <typename Resp, typename Req>
+  sim::Task<Status> ForwardChainImpl(DataPartition* p, Req req);
+
+  /// Shared body of the raft-routed mutations (overwrite, extent delete,
+  /// punch hole): require raft leadership of the partition, propose `head`
+  /// + `payload`, and return the apply outcome. An overwrite passes its
+  /// request as `overwrite`: the range it rewrites (its offset, the
+  /// payload's length) must lie inside the local extent before the command
+  /// pays for consensus.
+  sim::Task<Status> ProposeMutation(PartitionId pid, std::string head, Buffer payload,
+                                    obs::TraceContext trace,
+                                    const OverwriteReq* overwrite = nullptr);
 
   sim::Task<void> AlignPartition(DataPartition* p);
 
@@ -97,7 +105,6 @@ class DataNode {
   qos::AdmissionQueue admission_;
   std::map<PartitionId, std::unique_ptr<DataPartition>> partitions_;
   uint64_t next_disk_ = 0;  // round-robin tie-break for fresh disks
-  uint64_t ops_ = 0;
 };
 
 }  // namespace cfs::data

@@ -259,28 +259,6 @@ bool Cluster::VolumePartitionsHaveLeaders(master::VolumeId volume) {
   return true;
 }
 
-bool Cluster::AllPartitionsHaveLeaders() {
-  master::MasterNode* leader = master_leader();
-  if (!leader) return false;
-  for (const auto& [pid, rec] : leader->state().meta_partitions()) {
-    bool has = false;
-    for (int i = 0; i < num_nodes(); i++) {
-      raft::RaftNode* rn = meta_nodes_[i]->GetRaft(pid);
-      if (rn && rn->IsLeader()) has = true;
-    }
-    if (!has) return false;
-  }
-  for (const auto& [pid, rec] : leader->state().data_partitions()) {
-    bool has = false;
-    for (int i = 0; i < num_nodes(); i++) {
-      data::DataPartition* dp = data_nodes_[i]->GetPartition(pid);
-      if (dp && dp->raft_node()->IsLeader()) has = true;
-    }
-    if (!has) return false;
-  }
-  return true;
-}
-
 Task<Result<client::Client*>> Cluster::MountClient(std::string volume) {
   return MountClient(std::vector<std::string>{std::move(volume)});
 }

@@ -115,7 +115,6 @@ class Cluster {
 
   /// Direct (harness-level) lookup used by the purge wiring and tests.
   std::vector<sim::NodeId> DataPartitionReplicas(data::PartitionId pid);
-  bool AllPartitionsHaveLeaders();
   /// Leader check scoped to one volume's partitions (CreateVolume's wait).
   bool VolumePartitionsHaveLeaders(master::VolumeId volume);
 

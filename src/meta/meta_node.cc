@@ -137,9 +137,7 @@ sim::Task<void> MetaNode::PurgeLoop() {
 void MetaNode::RegisterHandlers() {
   host_->Register<MetaCreateInodeReq, MetaCreateInodeResp>(
       [this](MetaCreateInodeReq req, sim::NodeId) -> Task<MetaCreateInodeResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         ApplyResult res = co_await Execute(
             req.pid,
             MetaPartition::EncodeCreateInode(req.type, req.link_target,
@@ -150,9 +148,7 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaUnlinkInodeReq, MetaUnlinkInodeResp>(
       [this](MetaUnlinkInodeReq req, sim::NodeId) -> Task<MetaUnlinkInodeResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         ApplyResult res = co_await Execute(req.pid, MetaPartition::EncodeUnlinkInode(req.ino),
                                            req.trace);
         co_return MetaUnlinkInodeResp{res.status, res.value, std::move(res.inode)};
@@ -160,9 +156,7 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaLinkInodeReq, MetaLinkInodeResp>(
       [this](MetaLinkInodeReq req, sim::NodeId) -> Task<MetaLinkInodeResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         ApplyResult res = co_await Execute(req.pid, MetaPartition::EncodeLinkInode(req.ino),
                                            req.trace);
         co_return MetaLinkInodeResp{res.status, std::move(res.inode)};
@@ -170,9 +164,7 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaEvictInodeReq, MetaEvictInodeResp>(
       [this](MetaEvictInodeReq req, sim::NodeId) -> Task<MetaEvictInodeResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         ApplyResult res = co_await Execute(req.pid, MetaPartition::EncodeEvictInode(req.ino),
                                            req.trace);
         co_return MetaEvictInodeResp{res.status, std::move(res.inode)};
@@ -180,9 +172,7 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaCreateDentryReq, MetaCreateDentryResp>(
       [this](MetaCreateDentryReq req, sim::NodeId) -> Task<MetaCreateDentryResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         ApplyResult res = co_await Execute(
             req.pid, MetaPartition::EncodeCreateDentry(req.dentry), req.trace);
         co_return MetaCreateDentryResp{res.status};
@@ -190,9 +180,7 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaDeleteDentryReq, MetaDeleteDentryResp>(
       [this](MetaDeleteDentryReq req, sim::NodeId) -> Task<MetaDeleteDentryResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         ApplyResult res = co_await Execute(
             req.pid, MetaPartition::EncodeDeleteDentry(req.parent, req.name), req.trace);
         co_return MetaDeleteDentryResp{res.status, std::move(res.dentry)};
@@ -200,9 +188,7 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaAppendExtentReq, MetaAppendExtentResp>(
       [this](MetaAppendExtentReq req, sim::NodeId) -> Task<MetaAppendExtentResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         ApplyResult res = co_await Execute(
             req.pid, MetaPartition::EncodeAppendExtent(req.ino, req.key, req.new_size),
             req.trace);
@@ -211,9 +197,7 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaSetAttrReq, MetaSetAttrResp>(
       [this](MetaSetAttrReq req, sim::NodeId) -> Task<MetaSetAttrResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         ApplyResult res = co_await Execute(
             req.pid, MetaPartition::EncodeSetAttr(req.ino, req.size, req.mtime), req.trace);
         co_return MetaSetAttrResp{res.status};
@@ -221,9 +205,7 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaTruncateReq, MetaTruncateResp>(
       [this](MetaTruncateReq req, sim::NodeId) -> Task<MetaTruncateResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         ApplyResult res = co_await Execute(
             req.pid, MetaPartition::EncodeTruncate(req.ino, req.new_size), req.trace);
         co_return MetaTruncateResp{res.status, std::move(res.inode)};
@@ -233,9 +215,7 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaGetInodeReq, MetaGetInodeResp>(
       [this](MetaGetInodeReq req, sim::NodeId) -> Task<MetaGetInodeResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         MetaGetInodeResp resp;
         resp.status = CheckLeader(req.pid);
         if (!resp.status.ok()) co_return resp;
@@ -250,12 +230,10 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaBatchInodeGetReq, MetaBatchInodeGetResp>(
       [this](MetaBatchInodeGetReq req, sim::NodeId) -> Task<MetaBatchInodeGetResp> {
-        ops_++;
         // One request amortizes the per-op cost across the batch.
         const SimDuration batch_cost =
             opts_.cpu_per_op + static_cast<SimDuration>(req.inos.size()) / 4;
-        auto admit = co_await admission_.Enter(req.tenant, batch_cost);
-        co_await host_->cpu().Use(batch_cost);
+        auto admit = co_await admission_.Serve(req.tenant, batch_cost, &host_->cpu());
         MetaBatchInodeGetResp resp;
         resp.status = CheckLeader(req.pid);
         if (!resp.status.ok()) co_return resp;
@@ -265,9 +243,7 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaLookupReq, MetaLookupResp>(
       [this](MetaLookupReq req, sim::NodeId) -> Task<MetaLookupResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         MetaLookupResp resp;
         resp.status = CheckLeader(req.pid);
         if (!resp.status.ok()) co_return resp;
@@ -282,9 +258,7 @@ void MetaNode::RegisterHandlers() {
 
   host_->Register<MetaReadDirReq, MetaReadDirResp>(
       [this](MetaReadDirReq req, sim::NodeId) -> Task<MetaReadDirResp> {
-        ops_++;
-        auto admit = co_await admission_.Enter(req.tenant, opts_.cpu_per_op);
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
         MetaReadDirResp resp;
         resp.status = CheckLeader(req.pid);
         if (!resp.status.ok()) co_return resp;

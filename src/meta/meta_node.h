@@ -75,7 +75,7 @@ class MetaNode {
   /// Restart-time recovery of all partitions from raft snapshots + logs.
   sim::Task<void> RecoverAll();
 
-  uint64_t ops_served() const { return ops_; }
+  uint64_t ops_served() const { return admission_.served(); }
 
   /// Meta partition raft groups live in a distinct gid namespace.
   static raft::GroupId RaftGid(PartitionId pid) { return 0x4D00000000000000ull | pid; }
@@ -102,7 +102,6 @@ class MetaNode {
   std::map<PartitionId, std::unique_ptr<MetaPartition>> partitions_;
   ExtentPurger purger_;
   ExecObserver exec_observer_;
-  uint64_t ops_ = 0;
 };
 
 }  // namespace cfs::meta

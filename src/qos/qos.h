@@ -31,7 +31,9 @@
 
 #include "common/units.h"
 #include "obs/metrics.h"
+#include "sim/resource.h"
 #include "sim/scheduler.h"
+#include "sim/task.h"
 
 namespace cfs::qos {
 
@@ -72,7 +74,7 @@ class TokenBucket {
 
 /// Weighted-fair admission gate for request handlers. Usage:
 ///
-///   auto guard = co_await admission_.Enter(req.tenant, cost);
+///   auto guard = co_await admission_.Serve(req.tenant, cost, &host->cpu());
 ///   ... handle the request; slot releases when guard dies ...
 ///
 /// Configure(slots) bounds concurrent in-service requests; SetWeight gives a
@@ -159,6 +161,19 @@ class AdmissionQueue {
     };
     return Awaiter{this, tenant, cost};
   }
+
+  /// The prologue of every client-facing meta/data handler, in this order:
+  /// count the request, pass admission under the tenant's WFQ tag, then
+  /// charge `cost` on the node's `cpu`. Returns the guard holding the slot.
+  sim::Task<Guard> Serve(TenantId tenant, SimDuration cost, sim::Resource* cpu) {
+    served_++;
+    Guard guard = co_await Enter(tenant, static_cast<uint64_t>(cost));
+    co_await cpu->Use(cost);
+    co_return std::move(guard);
+  }
+
+  /// Requests that entered through Serve (the node's op counter).
+  uint64_t served() const { return served_; }
 
  private:
   friend class Guard;
@@ -255,6 +270,7 @@ class AdmissionQueue {
   int64_t& max_depth_;  // deepest the queues got
   uint64_t slots_ = 0;  // 0 = disabled (admit everything synchronously)
   uint64_t in_service_ = 0;
+  uint64_t served_ = 0;
   uint64_t vtime_ = 0;  // WFQ virtual clock, advances to each dispatched tag
   std::map<TenantId, uint32_t> weights_;
   std::map<TenantId, std::deque<Waiter>> queues_;

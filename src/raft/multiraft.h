@@ -55,13 +55,6 @@ class RaftHost {
     return it == groups_.end() ? nullptr : it->second.get();
   }
 
-  void RemoveGroup(GroupId gid) {
-    auto it = groups_.find(gid);
-    if (it == groups_.end()) return;
-    it->second->Stop();
-    groups_.erase(it);
-  }
-
   size_t num_groups() const { return groups_.size(); }
 
   /// Group ids of every replica hosted here, in id order (deep checks gather
@@ -75,9 +68,9 @@ class RaftHost {
 
   /// Recover every group from stable storage (host restart).
   sim::Task<void> RecoverAll() {
-    // Iterate a snapshot: Recover() suspends, and groups_ can be mutated
-    // (AddGroup/RemoveGroup) while this coroutine is parked, invalidating a
-    // live iterator into the map (A1).
+    // Iterate a snapshot: Recover() suspends, and groups_ can gain entries
+    // (CreateGroup) while this coroutine is parked, invalidating a live
+    // iterator into the map (A1).
     for (GroupId gid : GroupIds()) {
       auto it = groups_.find(gid);
       if (it == groups_.end()) continue;

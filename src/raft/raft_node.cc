@@ -57,13 +57,6 @@ void RaftNode::Start() {
   Spawn(ApplyLoop(gen_));
 }
 
-void RaftNode::Stop() {
-  running_ = false;
-  gen_++;
-  FailPendingProposals(Status::Unavailable("raft node stopped"));
-  apply_notifier_.NotifyAll();  // wake the apply loop so it observes gen_
-}
-
 sim::Task<Status> RaftNode::Recover() {
   gen_++;  // kill any loops from the previous incarnation
   running_ = false;

@@ -52,9 +52,6 @@ class RaftNode {
   /// (commit is re-learned from the leader).
   sim::Task<Status> Recover();
 
-  /// Stop participating (node decommissioned or test teardown).
-  void Stop();
-
   /// Replicate the command `head || payload`; resolves once it is committed
   /// AND applied on this replica, after StateMachine::Apply wrote its outcome
   /// into `*out` (when given; `out` must outlive the await). Returns

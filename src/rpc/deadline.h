@@ -48,12 +48,6 @@ class Deadline {
     return std::max<SimDuration>(1, std::min(leg_timeout, Remaining(now)));
   }
 
-  /// The tighter of two deadlines (nesting: a callee combines its own bound
-  /// with the caller's).
-  Deadline Min(const Deadline& other) const {
-    return Deadline(std::min(at_, other.at_));
-  }
-
  private:
   static constexpr SimTime kUnbounded = INT64_MAX;
   explicit Deadline(SimTime at) : at_(at) {}

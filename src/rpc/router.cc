@@ -191,10 +191,4 @@ void Router::Confirmed(bool is_meta, PartitionId pid, sim::NodeId target) {
   (is_meta ? meta_leaders_ : data_leaders_)[pid] = target;
 }
 
-sim::NodeId Router::CachedLeader(bool is_meta, PartitionId pid) const {
-  const auto& cache = is_meta ? meta_leaders_ : data_leaders_;
-  auto it = cache.find(pid);
-  return it == cache.end() ? sim::kInvalidNode : it->second;
-}
-
 }  // namespace cfs::rpc

@@ -85,7 +85,6 @@ class Router {
   /// yet (election in progress — back off).
   bool ApplyRedirect(bool is_meta, PartitionId pid, const Status& not_leader);
   void Confirmed(bool is_meta, PartitionId pid, sim::NodeId target);
-  sim::NodeId CachedLeader(bool is_meta, PartitionId pid) const;
 
  private:
   static sim::NodeId ParseLeaderHint(const Status& not_leader);

@@ -5,7 +5,9 @@
 namespace cfs::storage {
 
 namespace {
-/// Detached disk-time charge used by the synchronous apply variants.
+/// Detached disk-time charge of the raft-applied (synchronous) mutations.
+/// A zero-byte write is a metadata-only op (unlink, fallocate punch): it
+/// charges the disk's fixed latency, not a data transfer.
 sim::Task<void> ChargeWrite(sim::Disk* disk, uint64_t bytes) {
   (void)co_await disk->Write(bytes);
 }
@@ -14,7 +16,9 @@ sim::Task<void> ChargeWrite(sim::Disk* disk, uint64_t bytes) {
 Status ExtentStore::OverwriteSync(ExtentId id, uint64_t offset, const Buffer& data) {
   Extent* e = FindMutable(id);
   if (!e) return Status::NotFound("extent " + std::to_string(id));
-  if (offset + data.size() > e->size) return Status::InvalidArgument("overwrite beyond end");
+  if (!RangeFits(offset, data.size(), e->size)) {
+    return Status::InvalidArgument("overwrite beyond end");
+  }
   if (RangeIsPunched(*e, offset, data.size())) {
     return Status::InvalidArgument("overwrite into punched hole");
   }
@@ -45,7 +49,7 @@ Status ExtentStore::DeleteExtentSync(ExtentId id) {
 Status ExtentStore::PunchHoleSync(ExtentId id, uint64_t offset, uint64_t len) {
   Extent* e = FindMutable(id);
   if (!e) return Status::NotFound("extent " + std::to_string(id));
-  if (offset + len > e->size) return Status::InvalidArgument("hole beyond extent end");
+  if (!RangeFits(offset, len, e->size)) return Status::InvalidArgument("hole beyond extent end");
   if (RangeIsPunched(*e, offset, len)) return Status::InvalidArgument("range already punched");
   e->holes.emplace_back(offset, len);
   std::sort(e->holes.begin(), e->holes.end());
@@ -123,42 +127,6 @@ uint64_t ExtentStore::ExtentSize(ExtentId id) const {
   return e ? e->size : 0;
 }
 
-sim::Task<Status> ExtentStore::Append(ExtentId id, uint64_t offset, Buffer data) {
-  Extent* e = FindMutable(id);
-  if (!e) co_return Status::NotFound("extent " + std::to_string(id));
-  if (offset != e->size) {
-    co_return Status::InvalidArgument("append must be at end of extent");
-  }
-  if (e->size + data.size() > opts_.extent_size_limit) {
-    co_return Status::NoSpace("extent full");
-  }
-  if (opts_.track_contents) e->data.append(data.data(), data.size());
-  // Appends extend the cached CRC incrementally (memo-assisted).
-  e->crc = Crc32cConcat(e->crc, data.Crc0(), data.size());
-  e->size += data.size();
-  logical_bytes_ += data.size();
-  physical_bytes_ += data.size();
-  co_return co_await disk_->Write(data.size());
-}
-
-sim::Task<Status> ExtentStore::Overwrite(ExtentId id, uint64_t offset, Buffer data) {
-  Extent* e = FindMutable(id);
-  if (!e) co_return Status::NotFound("extent " + std::to_string(id));
-  if (offset + data.size() > e->size) {
-    co_return Status::InvalidArgument("overwrite beyond extent end");
-  }
-  if (RangeIsPunched(*e, offset, data.size())) {
-    co_return Status::InvalidArgument("overwrite into punched hole");
-  }
-  if (opts_.track_contents) {
-    e->data.replace(offset, data.size(), data.data(), data.size());
-    e->crc = Crc32c(e->data);  // full recompute: overwrites break incremental CRC
-  } else {
-    e->crc ^= data.Crc0();
-  }
-  co_return co_await disk_->Write(data.size());
-}
-
 bool ExtentStore::RangeIsPunched(const Extent& e, uint64_t offset, uint64_t len) const {
   if (e.punched_bytes == 0) return false;  // hot path: most extents have no holes
   for (const auto& [ho, hl] : e.holes) {
@@ -181,7 +149,9 @@ sim::Task<Result<Buffer>> ExtentStore::Read(ExtentId id, uint64_t offset, uint64
                                             obs::TraceContext trace) {
   const Extent* e = Find(id);
   if (!e) co_return Status::NotFound("extent " + std::to_string(id));
-  if (offset + len > e->size) co_return Status::InvalidArgument("read beyond extent end");
+  if (!RangeFits(offset, len, e->size)) {
+    co_return Status::InvalidArgument("read beyond extent end");
+  }
   if (RangeIsPunched(*e, offset, len)) {
     co_return Status::InvalidArgument("read from punched hole");
   }
@@ -219,45 +189,6 @@ sim::Task<Result<std::pair<ExtentId, uint64_t>>> ExtentStore::WriteSmall(
   physical_bytes_ += data.size();
   CFS_CO_RETURN_IF_ERROR(co_await disk_->Write(data.size(), trace));
   co_return std::make_pair(id, offset);
-}
-
-sim::Task<Status> ExtentStore::PunchHole(ExtentId id, uint64_t offset, uint64_t len) {
-  Extent* e = FindMutable(id);
-  if (!e) co_return Status::NotFound("extent " + std::to_string(id));
-  if (offset + len > e->size) co_return Status::InvalidArgument("hole beyond extent end");
-  if (RangeIsPunched(*e, offset, len)) {
-    co_return Status::InvalidArgument("range already punched");
-  }
-  e->holes.emplace_back(offset, len);
-  std::sort(e->holes.begin(), e->holes.end());
-  e->punched_bytes += len;
-  physical_bytes_ -= len;
-  disk_->PunchHole(len);
-  if (opts_.track_contents) {
-    e->data.replace(offset, len, len, '\0');
-  }
-  // fallocate(PUNCH_HOLE) is metadata-only on the device: charge a fixed
-  // small latency, not a data transfer.
-  CFS_CO_RETURN_IF_ERROR(co_await disk_->Write(0));
-  if (e->FullyPunched()) {
-    logical_bytes_ -= e->size;
-    if (active_tiny_ == id) active_tiny_ = 0;
-    extents_.erase(id);
-  }
-  co_return Status::OK();
-}
-
-sim::Task<Status> ExtentStore::DeleteExtent(ExtentId id) {
-  Extent* e = FindMutable(id);
-  if (!e) co_return Status::NotFound("extent " + std::to_string(id));
-  if (e->tiny) co_return Status::InvalidArgument("tiny extents are freed via punch hole");
-  uint64_t phys = e->PhysicalBytes();
-  logical_bytes_ -= e->size;
-  physical_bytes_ -= phys;
-  disk_->PunchHole(phys);
-  if (active_tiny_ == id) active_tiny_ = 0;
-  extents_.erase(id);
-  co_return co_await disk_->Write(0);  // unlink is a metadata op
 }
 
 sim::Task<Status> ExtentStore::VerifyExtent(ExtentId id) {

@@ -32,6 +32,12 @@ namespace cfs::storage {
 
 using ExtentId = uint64_t;
 
+/// True when [offset, offset + len) lies inside [0, size). Written so that
+/// no sum can wrap: every byte-range check against an extent goes here.
+inline bool RangeFits(uint64_t offset, uint64_t len, uint64_t size) {
+  return len <= size && offset <= size - len;
+}
+
 struct ExtentStoreOptions {
   uint64_t extent_size_limit = 128 * kMiB;
   uint64_t small_file_threshold = 128 * kKiB;  // the paper's threshold t
@@ -80,50 +86,49 @@ class ExtentStore {
   /// paper's measurements exclude). Contents are zero in tracking mode.
   Status ImportExtent(ExtentId id, uint64_t size, bool tiny);
 
-  /// Replica path: place bytes at an exact offset, which must equal the
-  /// extent's current size (the chain delivers placements in order; callers
-  /// buffer out-of-order arrivals). A traced caller passes its span context
-  /// so the disk write shows up as a "disk:write" child span.
-  ///
-  /// Write paths take the shared Buffer (by value — a refcount bump): its
-  /// memoized payload CRC (Buffer::Crc0) lets the second and third chain
-  /// replicas extend their cached extent CRC via Crc32cConcat instead of
-  /// re-checksumming the same bytes. The string_view overloads below are
-  /// conveniences for tests/tools and pay a copy.
+  // --- Mutations: one method per operation ---
+  // Chain placements (PlaceAt, WriteSmall) are coroutines that await their
+  // disk write. Raft-applied mutations (OverwriteSync, PunchHoleSync,
+  // DeleteExtentSync) run inside the synchronous raft Apply: they validate
+  // and mutate inline and charge the disk from a detached task.
+  //
+  // Write paths take the shared Buffer (by value — a refcount bump): its
+  // memoized payload CRC (Buffer::Crc0) lets the second and third chain
+  // replicas extend their cached extent CRC via Crc32cConcat instead of
+  // re-checksumming the same bytes. Raft replicas all apply the proposer's
+  // overwrite Buffer, so in accounting mode only the first pays the pass.
+
+  /// Sequential write (chain placement, recovery alignment): `offset` must
+  /// equal the extent's current size (the chain delivers placements in
+  /// order; callers buffer out-of-order arrivals). Returns NoSpace once the
+  /// extent would pass its size limit. A traced caller passes its span
+  /// context so the disk write shows up as a "disk:write" child span.
   sim::Task<Status> PlaceAt(ExtentId id, uint64_t offset, Buffer data,
                             obs::TraceContext trace = {});
-  sim::Task<Status> PlaceAt(ExtentId id, uint64_t offset, std::string_view data,
-                            obs::TraceContext trace = {}) {
-    return PlaceAt(id, offset, Buffer::CopyOf(data), trace);
-  }
+
+  /// Small-file write: aggregate into the current tiny extent. Returns the
+  /// (extent id, physical offset) pair the meta node records.
+  sim::Task<Result<std::pair<ExtentId, uint64_t>>> WriteSmall(Buffer data,
+                                                              obs::TraceContext trace = {});
+
+  /// In-place overwrite of already-written bytes (§2.7.2: random writes in
+  /// CFS are in-place; the extent layout and file offsets do not change).
+  Status OverwriteSync(ExtentId id, uint64_t offset, const Buffer& data);
+
+  /// Release a small file's range via fallocate(PUNCH_HOLE), a metadata-only
+  /// disk op. The extent is removed entirely once every byte of it has been
+  /// punched.
+  Status PunchHoleSync(ExtentId id, uint64_t offset, uint64_t len);
+
+  /// Large-file delete path: remove the whole extent from disk (§2.2.3:
+  /// "different from deleting large files, where the extents of the file can
+  /// be removed directly").
+  Status DeleteExtentSync(ExtentId id);
 
   /// Visit (id, extent) pairs in id order.
   template <typename F>
   void ForEach(F fn) const {
     for (const auto& [id, e] : extents_) fn(e);
-  }
-
-  // --- Synchronous variants for raft Apply (§2.2.4 overwrite path) ---
-  // Raft state machines apply commands synchronously; these validate and
-  // mutate inline and charge the disk time as a detached task. Every replica
-  // applies the same payload Buffer, so in accounting mode the first one
-  // pays the CRC byte pass and the rest hit Buffer::Crc0's memo.
-  Status OverwriteSync(ExtentId id, uint64_t offset, const Buffer& data);
-  Status DeleteExtentSync(ExtentId id);
-  Status PunchHoleSync(ExtentId id, uint64_t offset, uint64_t len);
-
-  /// Sequential write: `offset` must equal the extent's current size.
-  /// Returns NoSpace once the extent reaches its size limit.
-  sim::Task<Status> Append(ExtentId id, uint64_t offset, Buffer data);
-  sim::Task<Status> Append(ExtentId id, uint64_t offset, std::string_view data) {
-    return Append(id, offset, Buffer::CopyOf(data));
-  }
-
-  /// In-place overwrite of already-written bytes (§2.7.2: random writes in
-  /// CFS are in-place; the extent layout and file offsets do not change).
-  sim::Task<Status> Overwrite(ExtentId id, uint64_t offset, Buffer data);
-  sim::Task<Status> Overwrite(ExtentId id, uint64_t offset, std::string_view data) {
-    return Overwrite(id, offset, Buffer::CopyOf(data));
   }
 
   /// Read `len` bytes at `offset`; verifies the cached CRC when contents are
@@ -133,26 +138,12 @@ class ExtentStore {
   sim::Task<Result<Buffer>> Read(ExtentId id, uint64_t offset, uint64_t len,
                                  obs::TraceContext trace = {});
 
-  /// Small-file write: aggregate into the current tiny extent. Returns the
-  /// (extent id, physical offset) pair the meta node records.
-  sim::Task<Result<std::pair<ExtentId, uint64_t>>> WriteSmall(Buffer data,
-                                                              obs::TraceContext trace = {});
-  sim::Task<Result<std::pair<ExtentId, uint64_t>>> WriteSmall(std::string_view data,
-                                                              obs::TraceContext trace = {}) {
-    return WriteSmall(Buffer::CopyOf(data), trace);
-  }
-
-  /// Release a small file's range via fallocate(PUNCH_HOLE). The extent is
-  /// removed entirely once every byte of it has been punched.
-  sim::Task<Status> PunchHole(ExtentId id, uint64_t offset, uint64_t len);
-
-  /// Large-file delete path: remove the whole extent from disk (§2.2.3:
-  /// "different from deleting large files, where the extents of the file can
-  /// be removed directly").
-  sim::Task<Status> DeleteExtent(ExtentId id);
+  // --- Integrity (§2.2.1) ---
+  // Safety code with no cluster caller yet: restart recovery is meant to
+  // rebuild the CRC cache and verify extents before serving them.
 
   /// Verify the cached CRC of an extent against its contents (tracking mode
-  /// only). Used by replica repair.
+  /// only). Charges a read of the extent's resident bytes.
   sim::Task<Status> VerifyExtent(ExtentId id);
 
   /// Rebuild the in-memory CRC cache after a restart (charges a scan read).

@@ -142,8 +142,8 @@ class ExtentInvariants : public ::testing::Test {
   void Fill() {
     sim::Spawn([](storage::ExtentStore* store) -> sim::Task<void> {
       storage::ExtentId id = store->CreateExtent();
-      (void)co_await store->Append(id, 0, std::string(4096, 'x'));
-      (void)co_await store->WriteSmall(std::string(100, 's'));
+      (void)co_await store->PlaceAt(id, 0, Buffer::Filled(4096, 'x'));
+      (void)co_await store->WriteSmall(Buffer::Filled(100, 's'));
     }(store_.get()));
     sched_.Run();
   }

@@ -8,6 +8,7 @@
 
 #include "harness/cluster.h"
 #include "qos/qos.h"
+#include "sim/resource.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
 
@@ -173,6 +174,34 @@ TEST(AdmissionQueue, PerTenantFifoAndCrossTenantPriority) {
   EXPECT_EQ(t7, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(q.queued(), 0u);
   EXPECT_EQ(q.in_service(), 0u);
+}
+
+/// Runs the handler prologue, records when it returned, holds the slot for
+/// `hold`.
+sim::Task<void> Handler(sim::Scheduler* sched, AdmissionQueue* q, sim::Resource* cpu,
+                        TenantId t, SimDuration cost, SimDuration hold, SimTime* served_at) {
+  auto g = co_await q->Serve(t, cost, cpu);
+  *served_at = sched->Now();
+  co_await sim::SleepFor{*sched, hold};
+}
+
+TEST(AdmissionQueue, ServeAdmitsThenChargesCpu) {
+  sim::Scheduler sched(1);
+  obs::Registry reg;
+  AdmissionQueue q(&sched, reg, "qos.test");
+  q.Configure(/*slots=*/1);
+  sim::Resource cpu(&sched, /*servers=*/1);
+  SimTime first = -1, second = -1;
+  sim::Spawn(Handler(&sched, &q, &cpu, 1, /*cost=*/5, /*hold=*/10 * kMsec, &first));
+  sim::Spawn(Handler(&sched, &q, &cpu, 2, /*cost=*/100, /*hold=*/0, &second));
+  sched.RunFor(1 * kSec);
+  EXPECT_EQ(q.served(), 2u);
+  EXPECT_EQ(first, 5);
+  // The second request waits for the slot first and only then reserves the
+  // CPU, so its charge starts when the first handler releases the slot.
+  EXPECT_EQ(second, 5 + 10 * kMsec + 100);
+  EXPECT_EQ(q.in_service(), 0u);
+  EXPECT_EQ(cpu.busy_usec(), 105);
 }
 
 // --- Multi-mount client lifecycle ------------------------------------------
