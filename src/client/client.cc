@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "common/logging.h"
 
 namespace cfs::client {
@@ -40,11 +41,12 @@ MountContext::MountContext(sim::Network* net, sim::Host* host,
       parallel_read_fanouts_(host->metrics().Counter("client.parallel_read_fanouts")),
       router_(net->scheduler(), std::move(masters), host->metrics()),
       master_svc_(net, host->id(), &router_,
-                  WithTimeout(opts->control_policy, opts->rpc_timeout), "client.master_rpcs"),
+                  WithTimeout(rpc::RetryPolicy::Control(), opts->rpc_timeout),
+                  "client.master_rpcs"),
       meta_svc_(net, host->id(), &router_,
-                WithTimeout(opts->control_policy, opts->rpc_timeout), "client.meta_rpcs"),
-      data_svc_(net, host->id(), &router_, WithTimeout(opts->data_policy, opts->rpc_timeout),
-                "client.data_rpcs"),
+                WithTimeout(rpc::RetryPolicy::Control(), opts->rpc_timeout), "client.meta_rpcs"),
+      data_svc_(net, host->id(), &router_,
+                WithTimeout(rpc::RetryPolicy::Data(), opts->rpc_timeout), "client.data_rpcs"),
       volume_name_(std::move(volume_name)),
       inode_cache_(host->metrics().Counter("client.inode_cache_evictions")),
       readdir_cache_(host->metrics().Counter("client.readdir_cache_evictions")) {
@@ -121,12 +123,24 @@ sim::Task<void> MountContext::Throttle(uint64_t bytes) {
   }
 }
 
+sim::Task<Result<MountContext::Op>> MountContext::StartOp(std::string_view name,
+                                                         uint64_t bytes) {
+  if (!mounted_) co_return Status::Unavailable("volume unmounted");
+  (*tenant_ops_)++;
+  Op op;
+  if (!name.empty()) op.span = BeginOp(name);
+  if (ThrottleEnabled()) co_await Throttle(bytes);
+  co_await host_->cpu().Use(opts_->client_cpu_per_op);
+  op.dl = OpDeadline();
+  co_return op;
+}
+
 Task<void> MountContext::RefreshLoop(uint64_t gen) {
   // Failed refreshes back off exponentially (seeded jitter, same schedule
   // class as the control stubs) instead of silently hammering the master
   // every interval; successes reset the streak so the steady-state schedule
   // is identical to the fixed-interval loop this replaces.
-  rpc::RetryPolicy policy = opts_->control_policy;
+  rpc::RetryPolicy policy = rpc::RetryPolicy::Control();
   policy.max_attempts = 1 << 30;  // the loop itself decides when to stop
   rpc::Backoff backoff(&sched(), policy);
   while (mounted_ && refresh_gen_ == gen) {
@@ -166,24 +180,24 @@ const Inode* MountContext::CachedInode(InodeId ino) {
 
 sim::Task<Result<Inode>> MountContext::Create(InodeId parent, std::string name,
                                               FileType type, std::string symlink_target) {
-  if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  (*tenant_ops_)++;
-  obs::SpanScope op = BeginOp("op:create");
-  if (ThrottleEnabled()) co_await Throttle(0);
-  co_await host_->cpu().Use(opts_->client_cpu_per_op);
-  const rpc::Deadline dl = OpDeadline();
+  auto op = co_await StartOp("op:create", 0);
+  if (!op.ok()) co_return op.status();
+  const rpc::Deadline dl = op->dl;
   // Step 1: create the inode on an available (randomly chosen) partition.
-  // Placement retries ride the same backoff clock as the stubs.
+  // Placement retries ride the same backoff clock as the stubs. Unlike the
+  // data placement loop (PlaceOnDataPartition), a lost leg was already
+  // retried by the meta stub, so the next pick follows at once, and NoSpace
+  // means a split may be in flight, so the loop waits and re-fetches views.
   Inode inode;
   PartitionId ino_pid = 0;
   Status last;  // the latest placement failure; OK until one occurs
-  rpc::Backoff backoff(&sched(), opts_->control_policy);
+  rpc::Backoff backoff(&sched(), rpc::RetryPolicy::Control());
   while (backoff.NextAttempt()) {
     if (dl.Expired(sched().Now())) co_return Status::TimedOut("create deadline exceeded");
-    MetaPartitionView* view = PickWritableMetaView();
+    MetaPartitionView* view = router_.PickWritableMetaView();
     if (!view) {
       (void)co_await RefreshVolume();
-      view = PickWritableMetaView();
+      view = router_.PickWritableMetaView();
       if (!view) {
         co_await backoff.Delay();
         continue;
@@ -192,7 +206,7 @@ sim::Task<Result<Inode>> MountContext::Create(InodeId parent, std::string name,
     const PartitionId pid = view->pid;
     meta::MetaCreateInodeReq req{pid, type, symlink_target};
     auto r = co_await MetaCall<meta::MetaCreateInodeReq, meta::MetaCreateInodeResp>(
-        pid, std::move(req), dl, op.ctx());
+        pid, std::move(req), dl, op->span.ctx());
     if (!r.ok()) {
       last = r.status();
       continue;
@@ -219,102 +233,86 @@ sim::Task<Result<Inode>> MountContext::Create(InodeId parent, std::string name,
 
   // Step 2: only after the inode exists, create the dentry on the PARENT's
   // partition (the inode and dentry may live on different meta nodes, §2.6.1).
-  MetaPartitionView* pview = MetaViewForInode(parent);
   Status dstatus;
-  if (pview == nullptr) {
-    dstatus = Status::NotFound("no partition for parent inode");
-  } else {
-    Dentry d{parent, name, inode.id, type};
-    meta::MetaCreateDentryReq req{pview->pid, std::move(d)};
-    auto r = co_await MetaCall<meta::MetaCreateDentryReq, meta::MetaCreateDentryResp>(
-        pview->pid, std::move(req), dl, op.ctx());
-    dstatus = r.ok() ? r->status : r.status();
-  }
-  if (!dstatus.ok()) {
-    // The dentry RPC is retried by the service layer, so a lost response
-    // makes the retry observe its own first attempt as AlreadyExists (and a
-    // timeout leaves the outcome unknown). Read the name back before undoing
-    // the inode: if it already maps to our fresh inode, the create in fact
-    // committed and unlinking here would leave a dangling dentry.
-    pview = MetaViewForInode(parent);
-    if (pview) {
-      meta::MetaLookupReq lreq{pview->pid, parent, name};
-      auto lr = co_await MetaCall<meta::MetaLookupReq, meta::MetaLookupResp>(
-          pview->pid, std::move(lreq), dl, op.ctx());
-      if (lr.ok() && lr->status.ok() && lr->dentry.inode == inode.id) {
-        CacheInode(inode);
-        readdir_cache_.Erase(parent);
-        co_return inode;
-      }
-      if (!lr.ok() || (!lr->status.ok() && !lr->status.IsNotFound())) {
-        // Still ambiguous: leave the inode alone. Unlinking (or parking it
-        // for eviction) would dangle the dentry if it did land; leaking a
-        // live inode is the safe side and fsck can reclaim it.
-        co_return dstatus;
-      }
-    }
-    // Fig. 3a failure path: unlink the fresh inode, park it on the local
-    // orphan list, evict later.
-    (void)co_await MetaCall<meta::MetaUnlinkInodeReq, meta::MetaUnlinkInodeResp>(
-        ino_pid, meta::MetaUnlinkInodeReq{ino_pid, inode.id}, dl, op.ctx());
-    orphans_.emplace_back(ino_pid, inode.id);
-    orphans_created_++;
-    co_return dstatus;
+  switch (co_await CommitDentry(parent, std::move(name), inode.id, type, dl, op->span.ctx(),
+                                &dstatus)) {
+    case DentryOutcome::kCommitted:
+      break;
+    case DentryOutcome::kAmbiguous:
+      // Leave the inode alone: unlinking it (or parking it for eviction)
+      // would dangle the dentry if it did land; leaking a live inode is the
+      // safe side and fsck can reclaim it.
+      co_return dstatus;
+    case DentryOutcome::kAbsent:
+      // Fig. 3a failure path: unlink the fresh inode, park it on the local
+      // orphan list, evict later.
+      (void)co_await MetaCall<meta::MetaUnlinkInodeReq, meta::MetaUnlinkInodeResp>(
+          ino_pid, meta::MetaUnlinkInodeReq{ino_pid, inode.id}, dl, op->span.ctx());
+      orphans_.emplace_back(ino_pid, inode.id);
+      orphans_created_++;
+      co_return dstatus;
   }
   CacheInode(inode);
   readdir_cache_.Erase(parent);
   co_return inode;
 }
 
+sim::Task<MountContext::DentryOutcome> MountContext::CommitDentry(
+    InodeId parent, std::string name, InodeId ino, FileType type, rpc::Deadline dl,
+    obs::TraceContext trace, Status* failure) {
+  MetaPartitionView* pview = MetaViewForInode(parent);
+  if (pview == nullptr) {
+    *failure = Status::NotFound("parent partition");
+    co_return DentryOutcome::kAbsent;
+  }
+  meta::MetaCreateDentryReq req{pview->pid, Dentry{parent, name, ino, type}};
+  auto r = co_await MetaCall<meta::MetaCreateDentryReq, meta::MetaCreateDentryResp>(
+      pview->pid, std::move(req), dl, trace);
+  *failure = r.ok() ? r->status : r.status();
+  if (failure->ok()) co_return DentryOutcome::kCommitted;
+  // The dentry RPC is retried by the service layer, so a lost response makes
+  // the retry observe its own first attempt as AlreadyExists. If the name
+  // already maps to `ino`, the step in fact committed and undoing the first
+  // step would leave a dangling dentry (or more dentries than links).
+  pview = MetaViewForInode(parent);
+  if (pview == nullptr) co_return DentryOutcome::kAbsent;
+  meta::MetaLookupReq lreq{pview->pid, parent, std::move(name)};
+  auto lr = co_await MetaCall<meta::MetaLookupReq, meta::MetaLookupResp>(
+      pview->pid, std::move(lreq), dl, trace);
+  if (lr.ok() && lr->status.ok() && lr->dentry.inode == ino) co_return DentryOutcome::kCommitted;
+  if (!lr.ok() || (!lr->status.ok() && !lr->status.IsNotFound())) {
+    co_return DentryOutcome::kAmbiguous;
+  }
+  co_return DentryOutcome::kAbsent;
+}
+
 sim::Task<Status> MountContext::Link(InodeId parent, std::string name, InodeId ino) {
-  if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  (*tenant_ops_)++;
-  obs::SpanScope op = BeginOp("op:link");
-  if (ThrottleEnabled()) co_await Throttle(0);
-  co_await host_->cpu().Use(opts_->client_cpu_per_op);
-  const rpc::Deadline dl = OpDeadline();
+  auto op = co_await StartOp("op:link", 0);
+  if (!op.ok()) co_return op.status();
+  const rpc::Deadline dl = op->dl;
   MetaPartitionView* iview = MetaViewForInode(ino);
   if (!iview) co_return Status::NotFound("inode partition");
   // Fig. 3b: nlink++ first...
   auto r = co_await MetaCall<meta::MetaLinkInodeReq, meta::MetaLinkInodeResp>(
-      iview->pid, meta::MetaLinkInodeReq{iview->pid, ino}, dl, op.ctx());
+      iview->pid, meta::MetaLinkInodeReq{iview->pid, ino}, dl, op->span.ctx());
   if (!r.ok()) co_return r.status();
   if (!r->status.ok()) co_return r->status;
   // ...then the dentry on the target parent's partition.
-  MetaPartitionView* pview = MetaViewForInode(parent);
-  Status dstatus = Status::NotFound("parent partition");
-  if (pview) {
-    Dentry d{parent, name, ino, r->inode.type};
-    meta::MetaCreateDentryReq req{pview->pid, std::move(d)};
-    auto r2 = co_await MetaCall<meta::MetaCreateDentryReq, meta::MetaCreateDentryResp>(
-        pview->pid, std::move(req), dl, op.ctx());
-    dstatus = r2.ok() ? r2->status : r2.status();
-  }
-  if (!dstatus.ok()) {
-    // Same read-back as Create: a retried dentry RPC can observe its own
-    // first attempt as AlreadyExists. If the name maps to `ino`, the link
-    // committed; undoing the nlink++ would leave more dentries than links.
-    pview = MetaViewForInode(parent);
-    if (pview) {
-      meta::MetaLookupReq lreq{pview->pid, parent, name};
-      auto lr = co_await MetaCall<meta::MetaLookupReq, meta::MetaLookupResp>(
-          pview->pid, std::move(lreq), dl, op.ctx());
-      if (lr.ok() && lr->status.ok() && lr->dentry.inode == ino) {
-        readdir_cache_.Erase(parent);
-        inode_cache_.Erase(ino);
-        co_return Status::OK();
+  Status dstatus;
+  switch (co_await CommitDentry(parent, std::move(name), ino, r->inode.type, dl,
+                                op->span.ctx(), &dstatus)) {
+    case DentryOutcome::kCommitted:
+      break;
+    case DentryOutcome::kAmbiguous:
+      co_return dstatus;  // keep the extra link, never dangle
+    case DentryOutcome::kAbsent:
+      // Failure path: undo the nlink increment.
+      iview = MetaViewForInode(ino);
+      if (iview) {
+        (void)co_await MetaCall<meta::MetaUnlinkInodeReq, meta::MetaUnlinkInodeResp>(
+            iview->pid, meta::MetaUnlinkInodeReq{iview->pid, ino}, dl, op->span.ctx());
       }
-      if (!lr.ok() || (!lr->status.ok() && !lr->status.IsNotFound())) {
-        co_return dstatus;  // ambiguous: keep the extra link, never dangle
-      }
-    }
-    // Failure path: undo the nlink increment.
-    iview = MetaViewForInode(ino);
-    if (iview) {
-      (void)co_await MetaCall<meta::MetaUnlinkInodeReq, meta::MetaUnlinkInodeResp>(
-          iview->pid, meta::MetaUnlinkInodeReq{iview->pid, ino}, dl, op.ctx());
-    }
-    co_return dstatus;
+      co_return dstatus;
   }
   readdir_cache_.Erase(parent);
   inode_cache_.Erase(ino);
@@ -322,19 +320,15 @@ sim::Task<Status> MountContext::Link(InodeId parent, std::string name, InodeId i
 }
 
 sim::Task<Status> MountContext::Unlink(InodeId parent, std::string name) {
-  if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  (*tenant_ops_)++;
-  obs::SpanScope op = BeginOp("op:unlink");
-  if (ThrottleEnabled()) co_await Throttle(0);
-  co_await host_->cpu().Use(opts_->client_cpu_per_op);
-  const rpc::Deadline dl = OpDeadline();
+  auto op = co_await StartOp("op:unlink", 0);
+  if (!op.ok()) co_return op.status();
   MetaPartitionView* pview = MetaViewForInode(parent);
   if (!pview) co_return Status::NotFound("parent partition");
   // Fig. 3c: delete the dentry first; a dentry must always point at a live
   // inode, so the reverse order is never allowed.
   meta::MetaDeleteDentryReq req{pview->pid, parent, name};
   auto r = co_await MetaCall<meta::MetaDeleteDentryReq, meta::MetaDeleteDentryResp>(
-      pview->pid, std::move(req), dl, op.ctx());
+      pview->pid, std::move(req), op->dl, op->span.ctx());
   if (!r.ok()) co_return r.status();
   if (!r->status.ok()) co_return r->status;
   InodeId ino = r->dentry.inode;
@@ -351,7 +345,7 @@ sim::Task<Status> MountContext::Unlink(InodeId parent, std::string name) {
   auto decrement = [](MountContext* self, PartitionId pid, InodeId ino) -> sim::Task<void> {
     // Back-to-back retries would all land inside the same failure window;
     // space them out on the shared backoff clock instead.
-    rpc::Backoff backoff(&self->sched(), self->opts_->control_policy);
+    rpc::Backoff backoff(&self->sched(), rpc::RetryPolicy::Control());
     while (backoff.NextAttempt()) {
       meta::MetaUnlinkInodeReq req{pid, ino};
       auto r = co_await self->MetaCall<meta::MetaUnlinkInodeReq, meta::MetaUnlinkInodeResp>(
@@ -374,11 +368,8 @@ sim::Task<Status> MountContext::Rename(InodeId old_parent, std::string old_name,
 }
 
 sim::Task<Result<Dentry>> MountContext::Lookup(InodeId parent, std::string name) {
-  if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  (*tenant_ops_)++;
-  obs::SpanScope op = BeginOp("op:lookup");
-  if (ThrottleEnabled()) co_await Throttle(0);
-  co_await host_->cpu().Use(opts_->client_cpu_per_op);
+  auto op = co_await StartOp("op:lookup", 0);
+  if (!op.ok()) co_return op.status();
   // Serve from a fresh readdir cache when possible.
   if (opts_->enable_metadata_cache) {
     if (const std::vector<Dentry>* dents =
@@ -396,18 +387,15 @@ sim::Task<Result<Dentry>> MountContext::Lookup(InodeId parent, std::string name)
   if (!pview) co_return Status::NotFound("parent partition");
   meta::MetaLookupReq req{pview->pid, parent, name};
   auto r = co_await MetaCall<meta::MetaLookupReq, meta::MetaLookupResp>(
-      pview->pid, std::move(req), OpDeadline(), op.ctx());
+      pview->pid, std::move(req), op->dl, op->span.ctx());
   if (!r.ok()) co_return r.status();
   if (!r->status.ok()) co_return r->status;
   co_return r->dentry;
 }
 
 sim::Task<Result<Inode>> MountContext::GetInode(InodeId ino) {
-  if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  (*tenant_ops_)++;
-  obs::SpanScope op = BeginOp("op:getinode");
-  if (ThrottleEnabled()) co_await Throttle(0);
-  co_await host_->cpu().Use(opts_->client_cpu_per_op);
+  auto op = co_await StartOp("op:getinode", 0);
+  if (!op.ok()) co_return op.status();
   if (const Inode* cached = CachedInode(ino)) {
     cache_hits_++;
     co_return *cached;
@@ -416,7 +404,7 @@ sim::Task<Result<Inode>> MountContext::GetInode(InodeId ino) {
   MetaPartitionView* view = MetaViewForInode(ino);
   if (!view) co_return Status::NotFound("inode partition");
   auto r = co_await MetaCall<meta::MetaGetInodeReq, meta::MetaGetInodeResp>(
-      view->pid, meta::MetaGetInodeReq{view->pid, ino}, OpDeadline(), op.ctx());
+      view->pid, meta::MetaGetInodeReq{view->pid, ino}, op->dl, op->span.ctx());
   if (!r.ok()) co_return r.status();
   if (!r->status.ok()) co_return r->status;
   CacheInode(r->inode);
@@ -424,11 +412,8 @@ sim::Task<Result<Inode>> MountContext::GetInode(InodeId ino) {
 }
 
 sim::Task<Result<std::vector<Dentry>>> MountContext::ReadDir(InodeId parent) {
-  if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  (*tenant_ops_)++;
-  obs::SpanScope op = BeginOp("op:readdir");
-  if (ThrottleEnabled()) co_await Throttle(0);
-  co_await host_->cpu().Use(opts_->client_cpu_per_op);
+  auto op = co_await StartOp("op:readdir", 0);
+  if (!op.ok()) co_return op.status();
   if (opts_->enable_metadata_cache) {
     if (const std::vector<Dentry>* dents =
             readdir_cache_.Find(parent, sched().Now(), opts_->metadata_cache_ttl)) {
@@ -440,7 +425,7 @@ sim::Task<Result<std::vector<Dentry>>> MountContext::ReadDir(InodeId parent) {
   MetaPartitionView* pview = MetaViewForInode(parent);
   if (!pview) co_return Status::NotFound("parent partition");
   auto r = co_await MetaCall<meta::MetaReadDirReq, meta::MetaReadDirResp>(
-      pview->pid, meta::MetaReadDirReq{pview->pid, parent}, OpDeadline(), op.ctx());
+      pview->pid, meta::MetaReadDirReq{pview->pid, parent}, op->dl, op->span.ctx());
   if (!r.ok()) co_return r.status();
   if (!r->status.ok()) co_return r->status;
   if (opts_->enable_metadata_cache) {
@@ -500,10 +485,8 @@ sim::Task<void> MountContext::EvictOrphans() {
 // --- File I/O (§2.7) -----------------------------------------------------------
 
 sim::Task<Status> MountContext::Open(InodeId ino) {
-  if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  (*tenant_ops_)++;
-  if (ThrottleEnabled()) co_await Throttle(0);
-  co_await host_->cpu().Use(opts_->client_cpu_per_op);
+  auto op = co_await StartOp({}, 0);  // no root span of its own
+  if (!op.ok()) co_return op.status();
   // "When a file is opened for read/write, the client will force the cached
   // metadata to be synchronous with the meta node" (§2.4).
   inode_cache_.Erase(ino);
@@ -512,10 +495,12 @@ sim::Task<Status> MountContext::Open(InodeId ino) {
   OpenFile of;
   of.inode = std::move(*r);
   // Resume appending into the file's last extent when it is private to this
-  // file (extent_offset == 0) — small-file slots are immutable.
+  // file (extent_offset == 0) — small-file slots are immutable — and ends at
+  // the end of the file: after a truncate that grew the file, its next byte
+  // belongs past the hole, not at the extent's end.
   if (!of.inode.extents.empty()) {
     const ExtentKey& last = of.inode.extents.back();
-    if (last.extent_offset == 0) {
+    if (last.extent_offset == 0 && last.file_offset + last.size == of.inode.size) {
       of.append_pid = last.partition_id;
       of.append_extent = last.extent_id;
       of.append_extent_size = last.size;
@@ -577,46 +562,56 @@ sim::Task<Status> MountContext::Fsync(InodeId ino) {
   co_return Status::OK();
 }
 
-sim::Task<Status> MountContext::WriteSmallFile(OpenFile& of, Buffer data,
-                                               rpc::Deadline dl, obs::TraceContext trace) {
-  // §4.4: "the CFS client does not need to ask the resource manager for new
-  // extents; instead, it sends the write request to the data node directly."
+template <typename Req, typename Resp>
+sim::Task<Result<std::pair<PartitionId, Resp>>> MountContext::PlaceOnDataPartition(
+    Req req, PartitionId avoid, rpc::Deadline dl, obs::TraceContext trace) {
   Status last = Status::Unavailable("no writable data partition");
-  rpc::Backoff backoff(&sched(), opts_->control_policy);
+  rpc::Backoff backoff(&sched(), rpc::RetryPolicy::Control());
   while (backoff.NextAttempt()) {
     if (dl.Expired(sched().Now())) co_return Status::TimedOut("write deadline exceeded");
-    DataPartitionView* view = PickWritableDataView();
+    DataPartitionView* view = router_.PickWritableDataView(avoid);
     if (!view) {
       (void)co_await RefreshVolume();
-      view = PickWritableDataView();
+      view = router_.PickWritableDataView(avoid);
       if (!view) {
         co_await backoff.Delay();
         continue;
       }
     }
     const PartitionId pid = view->pid;
-    data::WriteSmallReq req{pid, data};  // refcount share; retries re-send the same buffer
-    auto r = co_await data_svc_.ChainCall<data::WriteSmallReq, data::WriteSmallResp>(
-        pid, std::move(req), rpc::CallOptions{dl, nullptr, trace});
+    req.pid = pid;
+    // A copy per attempt: a payload Buffer is shared, never duplicated.
+    auto r = co_await data_svc_.ChainCall<Req, Resp>(pid, req,
+                                                     rpc::CallOptions{dl, nullptr, trace});
     if (!r.ok()) {
       last = r.status();
       co_await backoff.Delay();
       continue;
     }
     if (!r->status.ok()) {
-      if (r->status.IsNoSpace()) {
-        router_.MarkUnwritable(pid, sched().Now() + 2 * kSec);
-      }
+      if (r->status.IsNoSpace()) router_.MarkUnwritable(pid, sched().Now() + 2 * kSec);
       last = r->status;
       continue;
     }
-    ExtentKey key{0, pid, r->extent_id, r->extent_offset, data.size()};
-    of.pending_keys.push_back(key);
-    of.pending_size = std::max(of.pending_size, static_cast<uint64_t>(data.size()));
-    of.dirty = true;
-    co_return Status::OK();
+    co_return std::make_pair(pid, std::move(*r));
   }
   co_return last;
+}
+
+sim::Task<Status> MountContext::WriteSmallFile(OpenFile& of, Buffer data,
+                                               rpc::Deadline dl, obs::TraceContext trace) {
+  // §4.4: "the CFS client does not need to ask the resource manager for new
+  // extents; instead, it sends the write request to the data node directly."
+  const uint64_t size = data.size();
+  data::WriteSmallReq req{0, std::move(data)};
+  auto placed = co_await PlaceOnDataPartition<data::WriteSmallReq, data::WriteSmallResp>(
+      std::move(req), 0, dl, trace);
+  if (!placed.ok()) co_return placed.status();
+  const auto& [pid, resp] = *placed;
+  of.pending_keys.push_back(ExtentKey{0, pid, resp.extent_id, resp.extent_offset, size});
+  of.pending_size = std::max(of.pending_size, size);
+  of.dirty = true;
+  co_return Status::OK();
 }
 
 namespace {
@@ -629,6 +624,11 @@ struct WindowCtl {
   int inflight = 0;
   bool failed = false;    // some packet was rejected or its RPC was lost
   bool rpc_lost = false;  // at least one failure carried no leader response
+  // A rejected packet found bytes already committed at its offset: the
+  // extent holds a tail this writer never sent (cut off by a truncate, or
+  // appended but never synced to the meta node), so the leader's committed
+  // offset says nothing about this session's packets.
+  bool stale_tail = false;
   // Largest committed offset the leader reported across all delivered
   // responses (recovers commits whose own acks were lost in flight).
   uint64_t leader_committed = 0;
@@ -667,6 +667,7 @@ Task<void> SendWindowPacket(rpc::Channel* channel, sim::NodeId self, sim::NodeId
   } else {
     ctl->failed = true;
     if (!r.ok()) ctl->rpc_lost = true;
+    if (r.ok() && r->committed_offset > begin) ctl->stale_tail = true;
   }
   ctl->inflight--;
   ctl->sem.Release();
@@ -685,52 +686,23 @@ sim::Task<Status> MountContext::AppendData(OpenFile& of, uint64_t file_offset,
   // packet train.
   uint64_t remaining = data.size();
   uint64_t pos = 0;  // bytes of `data` committed so far
-  const uint64_t extent_limit = 128 * kMiB;
+  const uint64_t extent_limit = storage::kExtentSizeLimit;
   const int window = std::max(1, opts_->write_window_packets);
   PartitionId avoid_pid = 0;  // partition the previous session failed on
   while (remaining > 0) {
     if (dl.Expired(sched().Now())) co_return Status::TimedOut("write deadline exceeded");
     // Ensure an active extent with room.
     if (of.append_pid == 0 || of.append_extent_size >= extent_limit) {
-      Status alloc = Status::Unavailable("no writable data partition");
-      bool allocated = false;
-      rpc::Backoff backoff(&sched(), opts_->control_policy);
-      while (backoff.NextAttempt()) {
-        if (dl.Expired(sched().Now())) co_return Status::TimedOut("write deadline exceeded");
-        DataPartitionView* view = PickWritableDataView(avoid_pid);
-        if (!view) {
-          (void)co_await RefreshVolume();
-          view = PickWritableDataView(avoid_pid);
-          if (!view) {
-            co_await backoff.Delay();
-            continue;
-          }
-        }
-        const PartitionId pid = view->pid;
-        auto r = co_await data_svc_.ChainCall<data::CreateExtentReq, data::CreateExtentResp>(
-            pid, data::CreateExtentReq{pid}, rpc::CallOptions{dl, nullptr, trace});
-        if (!r.ok()) {
-          alloc = r.status();
-          co_await backoff.Delay();
-          continue;
-        }
-        if (!r->status.ok()) {
-          if (r->status.IsNoSpace()) {
-            router_.MarkUnwritable(pid, sched().Now() + 2 * kSec);
-          }
-          alloc = r->status;
-          continue;
-        }
-        of.append_pid = pid;
-        of.append_extent = r->extent_id;
-        of.append_extent_size = 0;
-        allocated = true;
-        break;
-      }
-      if (!allocated) co_return alloc;
+      data::CreateExtentReq req;
+      auto placed = co_await PlaceOnDataPartition<data::CreateExtentReq, data::CreateExtentResp>(
+          std::move(req), avoid_pid, dl, trace);
+      if (!placed.ok()) co_return placed.status();
+      of.append_pid = placed->first;
+      of.append_extent = placed->second.extent_id;
+      of.append_extent_size = 0;
     }
 
-    DataPartitionView* view = DataView(of.append_pid);
+    DataPartitionView* view = router_.DataView(of.append_pid);
     if (!view) co_return Status::NotFound("data partition vanished");
     const sim::NodeId target = view->replicas[0];
 
@@ -787,8 +759,9 @@ sim::Task<Status> MountContext::AppendData(OpenFile& of, uint64_t file_offset,
     session.Note("stalls", session_stalls);
     session.Note("max_occupancy", max_occupancy);
 
+    const uint64_t leader_committed = ctl->stale_tail ? 0 : ctl->leader_committed;
     uint64_t committed_end =
-        std::clamp(std::max(ctl->acked_prefix, ctl->leader_committed), base, next_off);
+        std::clamp(std::max(ctl->acked_prefix, leader_committed), base, next_off);
     uint64_t advanced = committed_end - base;
     if (advanced > 0) {
       // Record/extend the pending extent key for the committed prefix.
@@ -802,6 +775,7 @@ sim::Task<Status> MountContext::AppendData(OpenFile& of, uint64_t file_offset,
         }
       }
       if (!merged) {
+        CFS_CHECK(file_offset + pos >= base, "appended extent would start before file offset 0");
         ExtentKey key;
         key.file_offset = file_offset + pos - base;  // where this extent begins
         key.partition_id = of.append_pid;
@@ -833,28 +807,35 @@ sim::Task<Status> MountContext::AppendData(OpenFile& of, uint64_t file_offset,
   co_return Status::OK();
 }
 
+std::vector<MountContext::Piece> MountContext::Pieces(const std::vector<ExtentKey>& first,
+                                                     const std::vector<ExtentKey>& second,
+                                                     uint64_t offset, uint64_t end) {
+  std::vector<Piece> pieces;
+  for (const std::vector<ExtentKey>* keys : {&first, &second}) {
+    for (const ExtentKey& k : *keys) {
+      const uint64_t k_end = k.file_offset + k.size;
+      if (k_end <= offset || k.file_offset >= end) continue;
+      const uint64_t begin = std::max(offset, k.file_offset);
+      pieces.push_back(Piece{k.partition_id, k.extent_id,
+                             k.extent_offset + (begin - k.file_offset), begin,
+                             std::min(end, k_end)});
+    }
+  }
+  return pieces;
+}
+
 sim::Task<Status> MountContext::OverwriteData(OpenFile& of, uint64_t offset,
                                               Buffer data, rpc::Deadline dl,
                                               obs::TraceContext trace) {
-  // In-place (§2.7.2): locate the covering extent keys; offsets don't move;
-  // NO metadata update is needed — the paper's key overwrite advantage.
-  uint64_t end = offset + data.size();
-  // Consider both synced and pending keys.  Snapshot them by value: the
-  // OpenFile's extent vectors can grow (and reallocate) while this coroutine
-  // is suspended in DataLeaderCall, so interior pointers would dangle (A1).
-  std::vector<ExtentKey> keys;
-  for (const auto& k : of.inode.extents) keys.push_back(k);
-  for (const auto& k : of.pending_keys) keys.push_back(k);
-  for (const ExtentKey& k : keys) {
-    uint64_t k_end = k.file_offset + k.size;
-    if (k_end <= offset || k.file_offset >= end) continue;
-    uint64_t piece_begin = std::max(offset, k.file_offset);
-    uint64_t piece_end = std::min(end, k_end);
-    Buffer piece = data.Slice(piece_begin - offset, piece_end - piece_begin);
-    uint64_t extent_off = k.extent_offset + (piece_begin - k.file_offset);
-    data::OverwriteReq req{k.partition_id, k.extent_id, extent_off, std::move(piece)};
+  // In-place (§2.7.2): locate the covering extent keys, synced ones first;
+  // offsets don't move, so NO metadata update is needed — the paper's key
+  // overwrite advantage. The pieces are copies: the OpenFile's key vectors
+  // can reallocate while this coroutine is suspended in DataLeaderCall (A1).
+  for (const Piece& pc : Pieces(of.inode.extents, of.pending_keys, offset, offset + data.size())) {
+    data::OverwriteReq req{pc.pid, pc.extent, pc.extent_offset,
+                           data.Slice(pc.begin - offset, pc.end - pc.begin)};
     auto r = co_await DataLeaderCall<data::OverwriteReq, data::OverwriteResp>(
-        k.partition_id, std::move(req), dl, trace);
+        pc.pid, std::move(req), dl, trace);
     if (!r.ok()) co_return r.status();
     if (!r->status.ok()) co_return r->status;
   }
@@ -862,32 +843,29 @@ sim::Task<Status> MountContext::OverwriteData(OpenFile& of, uint64_t offset,
 }
 
 sim::Task<Status> MountContext::Write(InodeId ino, uint64_t offset, Buffer buf) {
-  if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  (*tenant_ops_)++;
-  obs::SpanScope op = BeginOp("op:write");
-  if (ThrottleEnabled()) co_await Throttle(buf.size());
-  co_await host_->cpu().Use(opts_->client_cpu_per_op);
-  const rpc::Deadline dl = OpDeadline();
+  auto op = co_await StartOp("op:write", buf.size());
+  if (!op.ok()) co_return op.status();
+  const rpc::Deadline dl = op->dl;
   auto it = open_files_.find(ino);
   if (it == open_files_.end()) {
     CFS_CO_RETURN_IF_ERROR(co_await Open(ino));
     it = open_files_.find(ino);
   }
-  op.Note("bytes", static_cast<int64_t>(buf.size()));
+  op->span.Note("bytes", static_cast<int64_t>(buf.size()));
   uint64_t size = it->second.pending_size;
   if (offset > size) co_return Status::InvalidArgument("write beyond EOF (no holes)");
 
   // Small-file fast path (§2.2.3): whole file fits under the threshold.
-  if (offset == 0 && size == 0 && buf.size() <= opts_->small_file_threshold &&
+  if (offset == 0 && size == 0 && buf.size() <= storage::kSmallFileThreshold &&
       it->second.inode.extents.empty() && it->second.pending_keys.empty()) {
-    co_return co_await WriteSmallFile(it->second, std::move(buf), dl, op.ctx());
+    co_return co_await WriteSmallFile(it->second, std::move(buf), dl, op->span.ctx());
   }
 
   // §2.7.2: split into the overwritten portion and the appended portion.
   uint64_t overwrite_end = std::min<uint64_t>(offset + buf.size(), size);
   if (offset < overwrite_end) {
     CFS_CO_RETURN_IF_ERROR(co_await OverwriteData(
-        it->second, offset, buf.Slice(0, overwrite_end - offset), dl, op.ctx()));
+        it->second, offset, buf.Slice(0, overwrite_end - offset), dl, op->span.ctx()));
   }
   if (overwrite_end < offset + buf.size()) {
     // Re-look the entry up after the overwrite suspension: open_files_ may
@@ -896,29 +874,27 @@ sim::Task<Status> MountContext::Write(InodeId ino, uint64_t offset, Buffer buf) 
     if (it == open_files_.end()) co_return Status::NotFound("file closed during write");
     CFS_CO_RETURN_IF_ERROR(co_await AppendData(
         it->second, overwrite_end, buf.Slice(overwrite_end - offset, buf.size()), dl,
-        op.ctx()));
+        op->span.ctx()));
   }
   co_return Status::OK();
 }
 
 sim::Task<Result<Buffer>> MountContext::Read(InodeId ino, uint64_t offset, uint64_t len) {
-  if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  (*tenant_ops_)++;
-  obs::SpanScope op = BeginOp("op:read");
-  if (ThrottleEnabled()) co_await Throttle(len);
-  co_await host_->cpu().Use(opts_->client_cpu_per_op);
-  const rpc::Deadline dl = OpDeadline();
-  op.Note("bytes", static_cast<int64_t>(len));
+  auto op = co_await StartOp("op:read", len);
+  if (!op.ok()) co_return op.status();
+  const rpc::Deadline dl = op->dl;
+  op->span.Note("bytes", static_cast<int64_t>(len));
   // Use open-file state if present (read-your-own-writes), else the cached
   // or fetched inode.
+  static const std::vector<ExtentKey> kNoKeys;
+  const std::vector<ExtentKey>* pending = &kNoKeys;
   const Inode* inode = nullptr;
-  std::vector<const ExtentKey*> keys;
   uint64_t size = 0;
   auto oit = open_files_.find(ino);
   if (oit != open_files_.end()) {
     inode = &oit->second.inode;
     size = oit->second.pending_size;
-    for (const auto& k : oit->second.pending_keys) keys.push_back(&k);
+    pending = &oit->second.pending_keys;
   } else {
     auto r = co_await GetInode(ino);
     if (!r.ok()) co_return r.status();
@@ -927,37 +903,21 @@ sim::Task<Result<Buffer>> MountContext::Read(InodeId ino, uint64_t offset, uint6
     if (!inode) co_return Status::NotFound("inode");
     size = inode->size;
   }
-  for (const auto& k : inode->extents) keys.push_back(&k);
 
   if (offset >= size) co_return Buffer();
   len = std::min(len, size - offset);
   uint64_t end = offset + len;
-
-  // Collect the covering pieces up front. Keys are copied by value: the
-  // fan-out below suspends, and pending_keys can reallocate under a
-  // concurrent writer on the same file.
-  struct Piece {
-    ExtentKey key;
-    uint64_t begin;
-    uint64_t end;
-  };
-  std::vector<Piece> pieces;
-  for (const ExtentKey* k : keys) {
-    uint64_t k_end = k->file_offset + k->size;
-    if (k_end <= offset || k->file_offset >= end) continue;
-    Piece pc{*k, std::max(offset, k->file_offset), std::min(end, k_end)};
-    pieces.push_back(std::move(pc));
-  }
+  // The covering pieces are copies: the fan-out below suspends, and
+  // pending_keys can reallocate under a concurrent writer on the same file.
+  const std::vector<Piece> pieces = Pieces(*pending, inode->extents, offset, end);
 
   if (pieces.size() == 1 && pieces[0].begin == offset && pieces[0].end == end) {
     // Single extent covering the whole range (the common random-read case):
     // stay inline and hand the data node's payload back without a copy.
     const Piece& pc = pieces[0];
-    uint64_t extent_off = pc.key.extent_offset + (pc.begin - pc.key.file_offset);
-    data::ReadExtentReq req{pc.key.partition_id, pc.key.extent_id, extent_off,
-                            pc.end - pc.begin};
+    data::ReadExtentReq req{pc.pid, pc.extent, pc.extent_offset, pc.end - pc.begin};
     auto r = co_await DataLeaderCall<data::ReadExtentReq, data::ReadExtentResp>(
-        pc.key.partition_id, std::move(req), dl, op.ctx());
+        pc.pid, std::move(req), dl, op->span.ctx());
     if (!r.ok()) co_return r.status();
     if (!r->status.ok()) co_return r->status;
     co_return std::move(r->data);
@@ -969,19 +929,16 @@ sim::Task<Result<Buffer>> MountContext::Read(InodeId ino, uint64_t offset, uint6
   // stitch the pieces into `out` (alive across the join — this frame owns it).
   if (!pieces.empty()) {
     parallel_read_fanouts_++;
-    op.Note("fanout", static_cast<int64_t>(pieces.size()));
+    op->span.Note("fanout", static_cast<int64_t>(pieces.size()));
     std::vector<Status> piece_status(pieces.size(), Status::OK());
     sim::Join join(&sched(), static_cast<int>(pieces.size()));
     for (size_t i = 0; i < pieces.size(); i++) {
-      Piece pc = pieces[i];
       Spawn([](MountContext* self, Piece pc, uint64_t offset, rpc::Deadline dl,
                obs::TraceContext trace, std::string* out, Status* st,
                std::function<void()> done) -> Task<void> {
-        uint64_t extent_off = pc.key.extent_offset + (pc.begin - pc.key.file_offset);
-        data::ReadExtentReq req{pc.key.partition_id, pc.key.extent_id, extent_off,
-                                pc.end - pc.begin};
+        data::ReadExtentReq req{pc.pid, pc.extent, pc.extent_offset, pc.end - pc.begin};
         auto r = co_await self->DataLeaderCall<data::ReadExtentReq, data::ReadExtentResp>(
-            pc.key.partition_id, std::move(req), dl, trace);
+            pc.pid, std::move(req), dl, trace);
         if (!r.ok()) {
           *st = r.status();
         } else if (!r->status.ok()) {
@@ -990,7 +947,7 @@ sim::Task<Result<Buffer>> MountContext::Read(InodeId ino, uint64_t offset, uint6
           out->replace(pc.begin - offset, r->data.size(), r->data.data(), r->data.size());
         }
         done();
-      }(this, std::move(pc), offset, dl, op.ctx(), &out, &piece_status[i], join.Arrive()));
+      }(this, pieces[i], offset, dl, op->span.ctx(), &out, &piece_status[i], join.Arrive()));
     }
     co_await join.Wait();
     for (const Status& st : piece_status) {
@@ -1014,23 +971,30 @@ void MountContext::InjectPreparedFile(InodeId ino, std::vector<ExtentKey> keys,
 }
 
 sim::Task<Status> MountContext::Truncate(InodeId ino, uint64_t new_size) {
-  if (!mounted_) co_return Status::Unavailable("volume unmounted");
-  (*tenant_ops_)++;
-  obs::SpanScope op = BeginOp("op:truncate");
-  if (ThrottleEnabled()) co_await Throttle(0);
-  co_await host_->cpu().Use(opts_->client_cpu_per_op);
+  auto op = co_await StartOp("op:truncate", 0);
+  if (!op.ok()) co_return op.status();
   MetaPartitionView* view = MetaViewForInode(ino);
   if (!view) co_return Status::NotFound("inode partition");
   auto r = co_await MetaCall<meta::MetaTruncateReq, meta::MetaTruncateResp>(
-      view->pid, meta::MetaTruncateReq{view->pid, ino, new_size}, OpDeadline(), op.ctx());
+      view->pid, meta::MetaTruncateReq{view->pid, ino, new_size}, op->dl, op->span.ctx());
   if (!r.ok()) co_return r.status();
+  if (!r->status.ok()) co_return r->status;
   inode_cache_.Erase(ino);
   auto oit = open_files_.find(ino);
   if (oit != open_files_.end()) {
-    oit->second.pending_size = std::min(oit->second.pending_size, new_size);
-    oit->second.inode.size = std::min(oit->second.inode.size, new_size);
+    // Mirror the meta node's cut (meta::ClipExtentKeys) on the open file,
+    // and start the next append on a fresh extent: the one being filled may
+    // hold bytes past the new size.
+    OpenFile& of = oit->second;
+    meta::ClipExtentKeys(&of.inode.extents, new_size);
+    meta::ClipExtentKeys(&of.pending_keys, new_size);
+    of.inode.size = new_size;
+    of.pending_size = new_size;
+    of.append_pid = 0;
+    of.append_extent = 0;
+    of.append_extent_size = 0;
   }
-  co_return r->status;
+  co_return Status::OK();
 }
 
 // ============================================================================

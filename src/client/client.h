@@ -70,20 +70,17 @@ using meta::InodeId;
 using meta::PartitionId;
 
 struct ClientOptions {
-  /// Per-leg RPC timeout, applied to both retry policies at construction.
+  /// Per-leg RPC timeout of every stub; replaces the timeout of
+  /// RetryPolicy::Control() (master/meta traffic and placement loops) and
+  /// RetryPolicy::Data() (extent IO), whose budgets and backoff stay as-is.
   SimDuration rpc_timeout = 1 * kSec;
-  /// Retry budgets for the rpc service layer (see rpc/retry_policy.h):
-  /// control for master/meta traffic and placement loops, data for extent IO.
-  rpc::RetryPolicy control_policy = rpc::RetryPolicy::Control();
-  rpc::RetryPolicy data_policy = rpc::RetryPolicy::Data();
   /// Upper bound on the virtual time one public operation may spend across
   /// all of its nested RPC workflows (0 = unbounded). Propagated as an
   /// rpc::Deadline through every meta/data leg underneath the op.
   SimDuration op_deadline = 0;
-  /// Fixed packet size for sequential writes (§2.7.1; also the default
-  /// small-file threshold t, §2.2.1).
+  /// Fixed packet size for sequential writes (§2.7.1). The small-file
+  /// threshold t is storage::kSmallFileThreshold.
   uint64_t packet_size = 128 * kKiB;
-  uint64_t small_file_threshold = 128 * kKiB;
   /// Sliding-window depth of the sequential-write pipeline: how many
   /// WritePacketReqs may be in flight per open file before the writer
   /// blocks. 1 degenerates to stop-and-wait (one full
@@ -299,14 +296,9 @@ class MountContext {
                                   : rpc::Deadline::None();
   }
 
-  // Routing state lives in router_; these stay as thin views for the
+  // Routing state lives in router_; this stays as a thin view for the
   // workflow code.
   MetaPartitionView* MetaViewForInode(InodeId ino) { return router_.MetaViewForInode(ino); }
-  MetaPartitionView* PickWritableMetaView() { return router_.PickWritableMetaView(); }
-  DataPartitionView* PickWritableDataView(PartitionId avoid = 0) {
-    return router_.PickWritableDataView(avoid);
-  }
-  DataPartitionView* DataView(PartitionId pid) { return router_.DataView(pid); }
 
   /// Root span of one public operation ("op:<name>"), minting a fresh trace
   /// id. Invalid (and allocation-free) when tracing is off.
@@ -315,6 +307,18 @@ class MountContext {
     if (!tracer.enabled()) return {};
     return obs::SpanScope(&tracer, tracer.BeginTrace(name, host_->id()));
   }
+
+  /// What StartOp hands a public operation: its root span and deadline.
+  struct Op {
+    obs::SpanScope span;
+    rpc::Deadline dl;
+  };
+  /// The prologue every public operation runs first, in this order: fail
+  /// when unmounted, count the op for the tenant, open the "op:<name>" root
+  /// span (none when `name` is empty), charge the QoS buckets for one op
+  /// plus `bytes`, charge client_cpu_per_op, then take the deadline.
+  /// Awaiting it is a symmetric transfer, so it adds no scheduler event.
+  sim::Task<Result<Op>> StartOp(std::string_view name, uint64_t bytes);
 
   /// Meta RPC with NotLeader redirect + retry (rpc::MetaService).
   template <typename Req, typename Resp>
@@ -365,6 +369,42 @@ class MountContext {
     uint64_t pending_size = 0;
     bool dirty = false;
   };
+
+  /// Placement loop of a new small file or extent (§2.3.1, §4.4): send
+  /// `req` (its pid rewritten per attempt) to the chain leader of a random
+  /// writable data partition, preferring one other than `avoid`. A lost leg
+  /// backs off, NoSpace marks the partition unwritable, and any other error
+  /// retries at once on a fresh pick. Returns the partition and response.
+  template <typename Req, typename Resp>
+  sim::Task<Result<std::pair<PartitionId, Resp>>> PlaceOnDataPartition(
+      Req req, PartitionId avoid, rpc::Deadline dl, obs::TraceContext trace);
+
+  /// Fig. 3 dentry step of Create and Link: create (parent, name) -> ino,
+  /// storing the create's status in `*failure`; on failure read the name
+  /// back, since a retried create can observe its own first attempt as
+  /// AlreadyExists and a timeout leaves it unknown.
+  enum class DentryOutcome {
+    kCommitted,  // the name maps to `ino`: the step succeeded
+    kAmbiguous,  // still unknown: keep the inode/link, never dangle a dentry
+    kAbsent,     // the dentry did not land: the caller undoes its first step
+  };
+  sim::Task<DentryOutcome> CommitDentry(InodeId parent, std::string name, InodeId ino,
+                                        FileType type, rpc::Deadline dl,
+                                        obs::TraceContext trace, Status* failure);
+
+  /// The part of one extent key inside a file range: file bytes
+  /// [begin, end) live at `extent_offset` of the extent.
+  struct Piece {
+    PartitionId pid = 0;
+    storage::ExtentId extent = 0;
+    uint64_t extent_offset = 0;
+    uint64_t begin = 0;
+    uint64_t end = 0;
+  };
+  /// Clip `first` then `second` to the file range [offset, end), in order.
+  static std::vector<Piece> Pieces(const std::vector<ExtentKey>& first,
+                                   const std::vector<ExtentKey>& second, uint64_t offset,
+                                   uint64_t end);
 
   sim::Task<Status> AppendData(OpenFile& of, uint64_t file_offset, Buffer data,
                                rpc::Deadline dl, obs::TraceContext trace);

@@ -503,7 +503,7 @@ Task<Status> Cluster::PurgeInodeContent(int node_index, meta::Inode inode) {
     view.replicas = DataPartitionReplicas(key.partition_id);
     router_->UpsertDataPartition(std::move(view));
     bool small = key.extent_offset != 0 ||
-                 key.size <= opts_.client.small_file_threshold;
+                 key.size <= storage::kSmallFileThreshold;
     Status st;
     if (small) {
       auto r = co_await svc.Call<data::PunchHoleReq, data::PunchHoleResp>(

@@ -52,7 +52,7 @@ Task<Result<uint64_t>> CfsDataOps::PrepareFile(uint64_t bytes) {
   for (const auto& [pid, rec] : leader->state().data_partitions()) pids.push_back(pid);
   if (pids.empty()) co_return Status::Unavailable("no data partitions");
 
-  const uint64_t extent_size = 128 * kMiB;
+  const uint64_t extent_size = storage::kExtentSizeLimit;
   std::vector<meta::ExtentKey> keys;
   uint64_t offset = 0;
   while (offset < bytes) {

@@ -337,14 +337,10 @@ void MetaPartition::ApplyTruncate(Decoder* dec, ApplyResult* res) {
   }
   // Return the truncated-away extent keys so the caller can free content.
   res->inode = *ino;
-  std::vector<ExtentKey> kept;
-  for (const auto& e : ino->extents) {
-    if (e.file_offset < new_size) kept.push_back(e);
-  }
-  int64_t delta = static_cast<int64_t>(kept.size() * sizeof(ExtentKey)) -
-                  static_cast<int64_t>(ino->extents.size() * sizeof(ExtentKey));
-  AccountMemory(delta);
-  ino->extents = std::move(kept);
+  const size_t before = ino->extents.size();
+  ClipExtentKeys(&ino->extents, new_size);
+  AccountMemory(static_cast<int64_t>(ino->extents.size() * sizeof(ExtentKey)) -
+                static_cast<int64_t>(before * sizeof(ExtentKey)));
   ino->size = new_size;
   res->status = Status::OK();
 }

@@ -4,6 +4,7 @@
 // locations of file content are recorded on the inode as ExtentKeys.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -51,6 +52,14 @@ struct ExtentKey {
   }
   bool operator==(const ExtentKey&) const = default;
 };
+
+/// Truncate to `size` (§2.7): keys that start at or past it go, and a key
+/// straddling it is cut to end there. The meta node and an open file's
+/// client-side copy cut the same way.
+inline void ClipExtentKeys(std::vector<ExtentKey>* keys, uint64_t size) {
+  std::erase_if(*keys, [size](const ExtentKey& k) { return k.file_offset >= size; });
+  for (ExtentKey& k : *keys) k.size = std::min(k.size, size - k.file_offset);
+}
 
 struct Inode {
   InodeId id = 0;

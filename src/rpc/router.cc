@@ -60,8 +60,13 @@ master::DataPartitionView* Router::DataView(PartitionId pid) {
   return nullptr;
 }
 
-bool Router::HasView(bool is_meta, PartitionId pid) {
-  return is_meta ? MetaView(pid) != nullptr : DataView(pid) != nullptr;
+bool Router::HasView(Route route, PartitionId pid) {
+  switch (route) {
+    case Route::kMaster: return true;
+    case Route::kMeta: return MetaView(pid) != nullptr;
+    case Route::kData: return DataView(pid) != nullptr;
+  }
+  return false;
 }
 
 namespace {
@@ -111,12 +116,6 @@ void Router::MarkUnwritable(PartitionId pid, SimTime until) {
   if (auto* dv = DataView(pid)) dv->writable = false;
 }
 
-sim::NodeId Router::MasterTarget(int attempt) const {
-  if (master_leader_ != sim::kInvalidNode) return master_leader_;
-  if (masters_.empty()) return sim::kInvalidNode;
-  return masters_[static_cast<size_t>(attempt) % masters_.size()];
-}
-
 sim::NodeId Router::ParseLeaderHint(const Status& not_leader) {
   // NotLeader responses carry the current leader's node id as a decimal
   // string in the message; "0" (or empty) means "no leader elected yet".
@@ -124,45 +123,46 @@ sim::NodeId Router::ParseLeaderHint(const Status& not_leader) {
       std::strtoull(not_leader.message().c_str(), nullptr, 10));
 }
 
-bool Router::ApplyMasterRedirect(const Status& not_leader) {
-  sim::NodeId hint = ParseLeaderHint(not_leader);
-  if (hint != sim::kInvalidNode) {
-    master_leader_ = hint;
-    redirects_++;
-    return true;
-  }
-  master_leader_ = sim::kInvalidNode;
-  return false;
+namespace {
+/// The known leader when there is one, else round-robin over the group.
+sim::NodeId Probe(const std::vector<sim::NodeId>& replicas, sim::NodeId leader, int attempt) {
+  if (replicas.empty()) return sim::kInvalidNode;
+  if (leader != sim::kInvalidNode) return leader;
+  return replicas[static_cast<size_t>(attempt) % replicas.size()];
 }
+}  // namespace
 
-sim::NodeId Router::PartitionTarget(bool is_meta, PartitionId pid, int attempt) {
+sim::NodeId Router::Target(Route route, PartitionId pid, int attempt) {
+  // Master legs stay out of the leader-cache counters: those describe the
+  // §2.4 partition-leader cache only.
+  if (route == Route::kMaster) return Probe(masters_, master_leader_, attempt);
   if (attempt > 0) leader_probes_++;
-  const auto& cache = is_meta ? meta_leaders_ : data_leaders_;
+  const auto& cache = Leaders(route);
   auto it = cache.find(pid);
   if (it != cache.end()) {
     if (attempt == 0) leader_cache_hits_++;
     return it->second;
   }
-  if (is_meta) {
+  if (route == Route::kMeta) {
     master::MetaPartitionView* v = MetaView(pid);
-    if (!v || v->replicas.empty()) return sim::kInvalidNode;
-    if (v->leader_hint != sim::kInvalidNode) return v->leader_hint;
-    return v->replicas[static_cast<size_t>(attempt) % v->replicas.size()];
+    return v ? Probe(v->replicas, v->leader_hint, attempt) : sim::kInvalidNode;
   }
   master::DataPartitionView* v = DataView(pid);
-  if (!v || v->replicas.empty()) return sim::kInvalidNode;
-  if (v->raft_leader_hint != sim::kInvalidNode) return v->raft_leader_hint;
-  return v->replicas[static_cast<size_t>(attempt) % v->replicas.size()];
+  return v ? Probe(v->replicas, v->raft_leader_hint, attempt) : sim::kInvalidNode;
 }
 
-void Router::LegFailed(bool is_meta, PartitionId pid, sim::NodeId target) {
-  auto& cache = is_meta ? meta_leaders_ : data_leaders_;
+void Router::LegFailed(Route route, PartitionId pid, sim::NodeId target) {
+  if (route == Route::kMaster) {
+    master_leader_ = sim::kInvalidNode;
+    return;
+  }
+  auto& cache = Leaders(route);
   auto it = cache.find(pid);
   if (it != cache.end() && it->second == target) {
     cache.erase(it);
     invalidations_++;
   }
-  if (is_meta) {
+  if (route == Route::kMeta) {
     if (auto* v = MetaView(pid); v && v->leader_hint == target) {
       v->leader_hint = sim::kInvalidNode;
     }
@@ -173,22 +173,28 @@ void Router::LegFailed(bool is_meta, PartitionId pid, sim::NodeId target) {
   }
 }
 
-bool Router::ApplyRedirect(bool is_meta, PartitionId pid, const Status& not_leader) {
-  auto& cache = is_meta ? meta_leaders_ : data_leaders_;
-  sim::NodeId hint = ParseLeaderHint(not_leader);
-  if (hint != sim::kInvalidNode) {
-    cache[pid] = hint;
-    redirects_++;
-    return true;
+bool Router::ApplyRedirect(Route route, PartitionId pid, const Status& not_leader) {
+  const sim::NodeId hint = ParseLeaderHint(not_leader);
+  // Without a hint an election is in progress: forget the stale leader and
+  // let the caller back off before the next probe.
+  if (route == Route::kMaster) {
+    master_leader_ = hint;
+  } else if (hint != sim::kInvalidNode) {
+    Leaders(route)[pid] = hint;
+  } else {
+    Leaders(route).erase(pid);
   }
-  // Election in progress: forget the stale leader and let the caller back
-  // off before the next probe.
-  cache.erase(pid);
-  return false;
+  if (hint == sim::kInvalidNode) return false;
+  redirects_++;
+  return true;
 }
 
-void Router::Confirmed(bool is_meta, PartitionId pid, sim::NodeId target) {
-  (is_meta ? meta_leaders_ : data_leaders_)[pid] = target;
+void Router::Confirmed(Route route, PartitionId pid, sim::NodeId target) {
+  if (route == Route::kMaster) {
+    master_leader_ = target;
+  } else {
+    Leaders(route)[pid] = target;
+  }
 }
 
 }  // namespace cfs::rpc

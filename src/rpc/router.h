@@ -11,8 +11,12 @@
 // round-robin the replica list. A failed leg against the cached leader
 // invalidates the cache exactly once ("router.invalidations"); a NotLeader
 // response carrying a hint repoints the cache ("router.redirects") and the
-// stub retries the hinted node immediately. Counters go to the registry the
-// owner passes in (a client mount passes its host's).
+// stub retries the hinted node immediately. The master group is one more
+// route (Route::kMaster): its replicas are the master list and it keeps a
+// single cached leader, dropped on any failed leg. Counters go to the
+// registry the owner passes in (a client mount passes its host's); probes,
+// cache hits and invalidations count partition legs only, redirects count
+// every route.
 #pragma once
 
 #include <string>
@@ -28,6 +32,9 @@ namespace cfs::rpc {
 
 using meta::InodeId;
 using meta::PartitionId;
+
+/// Which replica group a logical call goes to.
+enum class Route : uint8_t { kMaster, kMeta, kData };
 
 class Router {
  public:
@@ -50,7 +57,8 @@ class Router {
   master::MetaPartitionView* MetaView(PartitionId pid);
   master::MetaPartitionView* MetaViewForInode(InodeId ino);
   master::DataPartitionView* DataView(PartitionId pid);
-  bool HasView(bool is_meta, PartitionId pid);
+  /// The master group needs no view; a partition needs one to be routed.
+  bool HasView(Route route, PartitionId pid);
 
   /// Random writable partition for placement (§2.3.1), skipping partitions
   /// marked unwritable. `avoid` (data only) is the partition a windowed
@@ -63,37 +71,32 @@ class Router {
   /// it is full).
   void MarkUnwritable(PartitionId pid, SimTime until);
 
-  // --- Master-group routing ----------------------------------------------
-
-  sim::NodeId MasterTarget(int attempt) const;
-  void MasterLegFailed() { master_leader_ = sim::kInvalidNode; }
-  /// Apply a master NotLeader redirect; true when the status carried a hint.
-  bool ApplyMasterRedirect(const Status& not_leader);
-  void MasterConfirmed(sim::NodeId node) { master_leader_ = node; }
-  sim::NodeId cached_master_leader() const { return master_leader_; }
-
-  // --- Partition-leader routing (is_meta selects the table) ---------------
+  // --- Leader routing (the master group is one more route) ---------------
 
   /// Target for the given attempt of a logical call; kInvalidNode when no
-  /// view (or an empty replica set) is known.
-  sim::NodeId PartitionTarget(bool is_meta, PartitionId pid, int attempt);
+  /// view (or an empty replica set) is known. `pid` is ignored on kMaster.
+  sim::NodeId Target(Route route, PartitionId pid, int attempt);
   /// A leg against `target` failed at the network level: drop the cached
   /// leader / view hint if they pointed there.
-  void LegFailed(bool is_meta, PartitionId pid, sim::NodeId target);
+  void LegFailed(Route route, PartitionId pid, sim::NodeId target);
   /// Apply a NotLeader redirect; true when the status carried a hint (the
   /// caller should retry immediately), false when the group has no leader
   /// yet (election in progress — back off).
-  bool ApplyRedirect(bool is_meta, PartitionId pid, const Status& not_leader);
-  void Confirmed(bool is_meta, PartitionId pid, sim::NodeId target);
+  bool ApplyRedirect(Route route, PartitionId pid, const Status& not_leader);
+  void Confirmed(Route route, PartitionId pid, sim::NodeId target);
 
  private:
   static sim::NodeId ParseLeaderHint(const Status& not_leader);
+  /// Leader cache of a partition route (kMeta or kData).
+  FlatMap<PartitionId, sim::NodeId>& Leaders(Route route) {
+    return route == Route::kMeta ? meta_leaders_ : data_leaders_;
+  }
   /// A view flagged writable and not under a local unwritable mark.
   bool Writable(PartitionId pid, bool view_writable) const;
 
   sim::Scheduler* sched_;
   std::vector<sim::NodeId> masters_;
-  sim::NodeId master_leader_ = sim::kInvalidNode;
+  sim::NodeId master_leader_ = sim::kInvalidNode;  // the master route's leader cache
 
   std::vector<master::MetaPartitionView> meta_views_;
   std::vector<master::DataPartitionView> data_views_;
@@ -102,9 +105,11 @@ class Router {
   FlatMap<PartitionId, sim::NodeId> data_leaders_;
   FlatMap<PartitionId, SimTime> unwritable_until_;
 
+  // Partition legs only:
   uint64_t& leader_cache_hits_;  // attempt-0 targets served from the cache
   uint64_t& leader_probes_;      // legs beyond the first of a logical call
   uint64_t& invalidations_;      // cached leaders dropped after a failed leg
+  // Every route:
   uint64_t& redirects_;          // NotLeader hints applied to the cache
 };
 

@@ -4,11 +4,15 @@
 // Deadline), and meters every leg into the calling host's registry (via
 // Channel), plus retries and failed logical calls.
 //
-//   MasterService — resource-manager RPCs, probing the master replica group.
-//   MetaService   — meta-partition RPCs with §2.4 leader caching and the
-//                   §2.3.3 timeout-report hook.
-//   DataService   — data-partition RPCs against the raft leader, plus
-//                   ChainCall for chain-leader (replicas[0]) one-shots.
+// One retry loop (RoutedService::CallImpl) serves every replica group; the
+// Router route picks the targets:
+//   MasterService — route kMaster: resource-manager RPCs, probing the master
+//                   replica group.
+//   MetaService   — route kMeta: meta-partition RPCs with §2.4 leader
+//                   caching and the §2.3.3 timeout-report hook.
+//   DataService   — route kData: data-partition RPCs against the raft
+//                   leader, plus ChainCall for chain-leader (replicas[0])
+//                   one-shots.
 //
 // Retry semantics (the "one uniform budget" of this layer): a logical call
 // gets policy.max_attempts legs; network failures and hintless NotLeader
@@ -66,80 +70,11 @@ inline obs::SpanScope BeginCallSpan(sim::Scheduler* sched, std::string_view span
   return {};
 }
 
-class MasterService {
- public:
-  /// `leg_counter` names a counter bumped per leg issued (see LegCounter).
-  MasterService(sim::Network* net, sim::NodeId self, Router* router,
-                RetryPolicy policy = RetryPolicy::Control(), std::string_view leg_counter = {})
-      : channel_(net),
-        self_(self),
-        router_(router),
-        policy_(policy),
-        legs_(LegCounter(net, self, leg_counter)) {}
-
-  /// Bind the mount's tenant label onto every outgoing request (Channel).
-  void set_tenant(uint64_t tenant) { channel_.set_tenant(tenant); }
-  const RetryPolicy& policy() const { return policy_; }
-
-  template <typename Req, typename Resp>
-  sim::Task<Result<Resp>> Call(Req req, CallOptions opts = {}) {
-    return CallImpl<Req, Resp>(std::move(req), opts);
-  }
-
- private:
-  template <typename Req, typename Resp>
-  sim::Task<Result<Resp>> CallImpl(Req req, CallOptions opts) {
-    const RetryPolicy& policy = opts.policy ? *opts.policy : policy_;
-    sim::Scheduler* sched = channel_.net()->scheduler();
-    obs::SpanScope call = BeginCallSpan(sched, sim::MsgSpanCall<Req>(), opts.trace, self_);
-    Backoff backoff(sched, policy);
-    // `last` stays OK until a leg actually fails; the timeout message is
-    // built lazily at exit so the no-failure path never pays for the string.
-    Status last;
-    while (backoff.NextAttempt()) {
-      if (opts.deadline.Expired(sched->Now())) {
-        channel_.meter<Req>(self_).deadline_exceeded++;
-        co_return Status::TimedOut("deadline exceeded calling master");
-      }
-      sim::NodeId target = router_->MasterTarget(backoff.attempt());
-      if (target == sim::kInvalidNode) break;
-      if (legs_) (*legs_)++;
-      if (backoff.attempt() > 0) {
-        channel_.meter<Req>(self_).retries++;
-        call.Note("retry", backoff.attempt());
-      }
-      auto r = co_await channel_.Unary<Req, Resp>(
-          self_, target, req, opts.deadline.ClampTimeout(sched->Now(), policy.rpc_timeout),
-          call.ctx());
-      if (!r.ok()) {
-        router_->MasterLegFailed();
-        last = r.status();
-        co_await backoff.Delay();
-        continue;
-      }
-      if (r->status.IsNotLeader()) {
-        last = r->status;
-        if (!router_->ApplyMasterRedirect(r->status)) co_await backoff.Delay();
-        continue;
-      }
-      router_->MasterConfirmed(target);
-      co_return std::move(*r);
-    }
-    channel_.meter<Req>(self_).retry_exhausted++;
-    if (last.ok()) last = Status::TimedOut("no master leader reachable");
-    co_return last;
-  }
-
-  Channel channel_;
-  sim::NodeId self_;
-  Router* router_;
-  RetryPolicy policy_;
-  uint64_t* legs_;
-};
-
-/// Common engine of MetaService / DataService: leader-probing partition
-/// calls with refresh + timeout-report hooks.
-class PartitionService {
+/// The one stub engine: leader-probing calls to a replica group — the master
+/// group or one meta/data partition, chosen by the Route — with the
+/// view-refresh and timeout-report hooks. The master route needs no view
+/// and its owners set no hooks.
+class RoutedService {
  public:
   using RefreshFn = std::function<sim::Task<Status>()>;
   using ReportFn = std::function<sim::Task<Status>(PartitionId)>;
@@ -156,33 +91,33 @@ class PartitionService {
   const RetryPolicy& policy() const { return policy_; }
 
  protected:
-  PartitionService(bool is_meta, sim::Network* net, sim::NodeId self, Router* router,
-                   RetryPolicy policy, std::string_view leg_counter)
+  RoutedService(Route route, sim::Network* net, sim::NodeId self, Router* router,
+                RetryPolicy policy, std::string_view leg_counter)
       : channel_(net),
         self_(self),
         router_(router),
         policy_(policy),
-        is_meta_(is_meta),
+        route_(route),
         legs_(LegCounter(net, self, leg_counter)) {}
 
   template <typename Req, typename Resp>
-  sim::Task<Result<Resp>> PartitionCallImpl(PartitionId pid, Req req, CallOptions opts) {
+  sim::Task<Result<Resp>> CallImpl(PartitionId pid, Req req, CallOptions opts) {
     const RetryPolicy& policy = opts.policy ? *opts.policy : policy_;
     sim::Scheduler* sched = channel_.net()->scheduler();
     obs::SpanScope call = BeginCallSpan(sched, sim::MsgSpanCall<Req>(), opts.trace, self_);
     CFS_CO_RETURN_IF_ERROR((co_await EnsureView(pid)));
     Backoff backoff(sched, policy);
     int rpc_failures = 0;
-    // Lazily materialized on exit (see MasterService::CallImpl): the
-    // PartitionName concatenation only runs when the call actually fails.
+    // `last` stays OK until a leg actually fails; the error message is built
+    // lazily at exit so the no-failure path never pays for the string.
     Status last;
     while (backoff.NextAttempt()) {
       if (opts.deadline.Expired(sched->Now())) {
         channel_.meter<Req>(self_).deadline_exceeded++;
         MaybeReport(pid, rpc_failures);
-        co_return Status::TimedOut("deadline exceeded on " + PartitionName(pid));
+        co_return Status::TimedOut("deadline exceeded on " + GroupName(pid));
       }
-      sim::NodeId target = router_->PartitionTarget(is_meta_, pid, backoff.attempt());
+      sim::NodeId target = router_->Target(route_, pid, backoff.attempt());
       if (target == sim::kInvalidNode) break;
       if (legs_) (*legs_)++;
       if (backoff.attempt() > 0) {
@@ -194,22 +129,22 @@ class PartitionService {
           call.ctx());
       if (!r.ok()) {
         rpc_failures++;
-        router_->LegFailed(is_meta_, pid, target);
+        router_->LegFailed(route_, pid, target);
         last = r.status();
         co_await backoff.Delay();
         continue;
       }
       if (r->status.IsNotLeader()) {
         last = r->status;
-        if (!router_->ApplyRedirect(is_meta_, pid, r->status)) co_await backoff.Delay();
+        if (!router_->ApplyRedirect(route_, pid, r->status)) co_await backoff.Delay();
         continue;
       }
-      router_->Confirmed(is_meta_, pid, target);
+      router_->Confirmed(route_, pid, target);
       co_return std::move(*r);
     }
     channel_.meter<Req>(self_).retry_exhausted++;
     MaybeReport(pid, rpc_failures);
-    if (last.ok()) last = Status::TimedOut(PartitionName(pid) + " unreachable");
+    if (last.ok()) last = Status::TimedOut(GroupName(pid) + " unreachable");
     co_return last;
   }
 
@@ -217,25 +152,30 @@ class PartitionService {
     return EnsureViewImpl(pid);
   }
 
-  std::string PartitionName(PartitionId pid) const {
-    return std::string(is_meta_ ? "meta" : "data") + " partition " + std::to_string(pid);
+  std::string GroupName(PartitionId pid) const {
+    switch (route_) {
+      case Route::kMaster: return "master group";
+      case Route::kMeta: return "meta partition " + std::to_string(pid);
+      case Route::kData: return "data partition " + std::to_string(pid);
+    }
+    return {};
   }
 
   Channel channel_;
   sim::NodeId self_;
   Router* router_;
   RetryPolicy policy_;
-  bool is_meta_;
+  Route route_;
   uint64_t* legs_;
   RefreshFn refresh_;
   ReportFn report_;
 
  private:
   sim::Task<Status> EnsureViewImpl(PartitionId pid) {
-    if (router_->HasView(is_meta_, pid)) co_return Status::OK();
+    if (router_->HasView(route_, pid)) co_return Status::OK();
     if (refresh_) (void)co_await refresh_();
-    if (router_->HasView(is_meta_, pid)) co_return Status::OK();
-    co_return Status::NotFound(PartitionName(pid));
+    if (router_->HasView(route_, pid)) co_return Status::OK();
+    co_return Status::NotFound(GroupName(pid));
   }
 
   /// Fire-and-forget: the report is an asynchronous exception signal to the
@@ -251,31 +191,46 @@ class PartitionService {
   }
 };
 
-class MetaService : public PartitionService {
+class MasterService : public RoutedService {
+ public:
+  /// `leg_counter` names a counter bumped per leg issued (see LegCounter).
+  MasterService(sim::Network* net, sim::NodeId self, Router* router,
+                RetryPolicy policy = RetryPolicy::Control(), std::string_view leg_counter = {})
+      : RoutedService(Route::kMaster, net, self, router, policy, leg_counter) {}
+
+  /// Resource-manager RPC, probing the master replicas until the leader
+  /// answers.
+  template <typename Req, typename Resp>
+  sim::Task<Result<Resp>> Call(Req req, CallOptions opts = {}) {
+    return CallImpl<Req, Resp>(0, std::move(req), opts);
+  }
+};
+
+class MetaService : public RoutedService {
  public:
   MetaService(sim::Network* net, sim::NodeId self, Router* router,
               RetryPolicy policy = RetryPolicy::Control(), std::string_view leg_counter = {})
-      : PartitionService(true, net, self, router, policy, leg_counter) {}
+      : RoutedService(Route::kMeta, net, self, router, policy, leg_counter) {}
 
   /// Meta RPC to the partition's raft leader with NotLeader redirect +
   /// retry; keeps the leader cache current (§2.4).
   template <typename Req, typename Resp>
   sim::Task<Result<Resp>> Call(PartitionId pid, Req req, CallOptions opts = {}) {
-    return PartitionCallImpl<Req, Resp>(pid, std::move(req), opts);
+    return CallImpl<Req, Resp>(pid, std::move(req), opts);
   }
 };
 
-class DataService : public PartitionService {
+class DataService : public RoutedService {
  public:
   DataService(sim::Network* net, sim::NodeId self, Router* router,
               RetryPolicy policy = RetryPolicy::Data(), std::string_view leg_counter = {})
-      : PartitionService(false, net, self, router, policy, leg_counter) {}
+      : RoutedService(Route::kData, net, self, router, policy, leg_counter) {}
 
   /// Data RPC to the partition's raft leader, probing replicas one by one
   /// and caching the last identified leader (§2.4).
   template <typename Req, typename Resp>
   sim::Task<Result<Resp>> Call(PartitionId pid, Req req, CallOptions opts = {}) {
-    return PartitionCallImpl<Req, Resp>(pid, std::move(req), opts);
+    return CallImpl<Req, Resp>(pid, std::move(req), opts);
   }
 
   /// One-shot RPC to the partition's chain leader (replicas[0], §2.7.1). No
@@ -293,10 +248,10 @@ class DataService : public PartitionService {
     sim::Scheduler* sched = channel_.net()->scheduler();
     CFS_CO_RETURN_IF_ERROR((co_await EnsureView(pid)));
     master::DataPartitionView* view = router_->DataView(pid);
-    if (!view || view->replicas.empty()) co_return Status::NotFound(PartitionName(pid));
+    if (!view || view->replicas.empty()) co_return Status::NotFound(GroupName(pid));
     if (opts.deadline.Expired(sched->Now())) {
       channel_.meter<Req>(self_).deadline_exceeded++;
-      co_return Status::TimedOut("deadline exceeded on " + PartitionName(pid));
+      co_return Status::TimedOut("deadline exceeded on " + GroupName(pid));
     }
     if (legs_) (*legs_)++;
     auto r = co_await channel_.Unary<Req, Resp>(

@@ -168,7 +168,7 @@ sim::Task<Result<Buffer>> ExtentStore::Read(ExtentId id, uint64_t offset, uint64
 
 sim::Task<Result<std::pair<ExtentId, uint64_t>>> ExtentStore::WriteSmall(
     Buffer data, obs::TraceContext trace) {
-  if (data.size() > opts_.small_file_threshold) {
+  if (data.size() > kSmallFileThreshold) {
     co_return Status::InvalidArgument("not a small file");
   }
   Extent* tiny = active_tiny_ ? FindMutable(active_tiny_) : nullptr;

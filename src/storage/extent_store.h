@@ -3,7 +3,7 @@
 // Large files are stored as a sequence of private extents — a new file
 // always starts writing at offset zero of a fresh extent, the last extent is
 // never padded, and an extent never mixes files (§2.2.2). Small files (size
-// <= `small_file_threshold`, 128 KB by default) are aggregated into shared
+// <= kSmallFileThreshold, 128 KB) are aggregated into shared
 // "tiny" extents; the physical offset of each small file in the extent is
 // recorded at the meta node, and deletion frees the range asynchronously via
 // the punch-hole interface instead of a garbage collector (§2.2.3).
@@ -38,9 +38,15 @@ inline bool RangeFits(uint64_t offset, uint64_t len, uint64_t size) {
   return len <= size && offset <= size - len;
 }
 
+/// The paper's small-file threshold t (§2.2.1). One value for the client's
+/// small-file fast path, WriteSmall's bound and the GC's punch-vs-delete test.
+inline constexpr uint64_t kSmallFileThreshold = 128 * kKiB;
+/// Default extent size limit; the client's append pipeline fills extents
+/// up to it.
+inline constexpr uint64_t kExtentSizeLimit = 128 * kMiB;
+
 struct ExtentStoreOptions {
-  uint64_t extent_size_limit = 128 * kMiB;
-  uint64_t small_file_threshold = 128 * kKiB;  // the paper's threshold t
+  uint64_t extent_size_limit = kExtentSizeLimit;
   /// Keep real byte contents (tests) or account sizes/timing only (benches).
   bool track_contents = true;
 };

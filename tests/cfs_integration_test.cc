@@ -564,6 +564,67 @@ TEST_F(CfsCluster, UtilizationPlacementPrefersEmptyNodes) {
   }
 }
 
+// --- Data placement under NoSpace (§2.3.1) -----------------------------------
+
+// One data partition turns read-only on every replica, so its chain leader
+// answers placement requests with NoSpace. The client must land each write
+// on another partition and mark the full one unwritable: it then costs
+// exactly one rejected leg, however many writes follow.
+class NoSpacePlacement : public CfsCluster {
+ protected:
+  static constexpr int kFiles = 40;
+
+  data::PartitionId MakeOnePartitionReadOnly() {
+    master::MasterNode* leader = cluster_->master_leader();
+    EXPECT_NE(leader, nullptr);
+    const data::PartitionId pid = leader->state().data_partitions().begin()->first;
+    for (int i = 0; i < cluster_->num_nodes(); i++) {
+      if (data::DataPartition* p = cluster_->data_node(i)->GetPartition(pid)) {
+        p->set_read_only(true);
+      }
+    }
+    return pid;
+  }
+};
+
+TEST_F(NoSpacePlacement, SmallFileWriteSkipsFullPartition) {
+  Boot();
+  const data::PartitionId full = MakeOnePartitionReadOnly();
+  const uint64_t legs0 = client_->metrics().counter("rpc.WriteSmall.ok");
+  const std::string content(4 * kKiB, 's');
+  for (int i = 0; i < kFiles; i++) {
+    auto f = Run(client_->Create(kRootInode, "s" + std::to_string(i), FileType::kFile));
+    ASSERT_TRUE(f.ok()) << f.status().ToString();
+    ASSERT_TRUE(Run(client_->Write(f->id, 0, content)).ok());
+    ASSERT_TRUE(Run(client_->Close(f->id)).ok());
+    auto ino = Run(client_->GetInode(f->id));
+    ASSERT_TRUE(ino.ok());
+    ASSERT_EQ(ino->extents.size(), 1u);
+    EXPECT_NE(ino->extents[0].partition_id, full);
+    auto read = Run(client_->Read(f->id, 0, content.size()));
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(*read, content);
+  }
+  EXPECT_EQ(client_->metrics().counter("rpc.WriteSmall.ok") - legs0, kFiles + 1u);
+}
+
+TEST_F(NoSpacePlacement, AppendSkipsFullPartition) {
+  Boot();
+  const data::PartitionId full = MakeOnePartitionReadOnly();
+  const uint64_t legs0 = client_->metrics().counter("rpc.CreateExtent.ok");
+  const std::string content(256 * kKiB, 'a');
+  for (int i = 0; i < kFiles; i++) {
+    auto f = Run(client_->Create(kRootInode, "a" + std::to_string(i), FileType::kFile));
+    ASSERT_TRUE(f.ok()) << f.status().ToString();
+    ASSERT_TRUE(Run(client_->Open(f->id)).ok());
+    ASSERT_TRUE(Run(client_->Write(f->id, 0, content)).ok());
+    EXPECT_NE(client_->append_partition(f->id), 0u);
+    EXPECT_NE(client_->append_partition(f->id), full);
+    ASSERT_TRUE(Run(client_->Close(f->id)).ok());
+  }
+  EXPECT_EQ(client_->metrics().counter("rpc.CreateExtent.ok") - legs0, kFiles + 1u);
+}
+
 // --- One metrics path: per-host registries ----------------------------------
 
 class Metrics : public CfsCluster {};

@@ -21,7 +21,6 @@ class ExtentFixture : public ::testing::Test {
     host_ = net_.AddHost();
     ExtentStoreOptions opts;
     opts.extent_size_limit = 1 * kMiB;
-    opts.small_file_threshold = 128 * kKiB;
     store_ = std::make_unique<ExtentStore>(host_->disk(0), opts);
   }
 

@@ -174,6 +174,9 @@ TEST_F(MetaPartitionFixture, TruncateDropsExtentsBeyondSize) {
   EXPECT_EQ(ino->size, 500u);
   ASSERT_EQ(ino->extents.size(), 1u);
   EXPECT_EQ(ino->extents[0].extent_id, 1u);
+  // The key straddling the new size is cut to end there, so a reopened
+  // writer resumes the extent at the file's end, not at its old size.
+  EXPECT_EQ(ino->extents[0].size, 500u);
 }
 
 TEST_F(MetaPartitionFixture, SetEndCutsInodeRange) {

@@ -137,6 +137,108 @@ TEST_F(VfsFixture, TruncateFlagEmptiesFile) {
   EXPECT_EQ(attr->size, 0u);
 }
 
+// O_TRUNC on an open file, then a rewrite from offset 0: the new bytes must
+// replace the old ones both while the fd is open and after a reopen.
+class VfsTruncateRewrite : public VfsFixture, public ::testing::WithParamInterface<uint64_t> {};
+
+TEST_P(VfsTruncateRewrite, OpenTruncThenRewriteReadsNewBytes) {
+  const uint64_t old_size = GetParam();
+  auto fd = Run(fs_->Open("/r", kCreate | kWrite));
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(Run(fs_->Write(*fd, std::string(old_size, 'x'))).ok());
+  ASSERT_TRUE(Run(fs_->Close(*fd)).ok());
+
+  const std::string fresh(4 * kKiB, 'y');
+  auto fd2 = Run(fs_->Open("/r", kWrite | kRead | kTruncate));
+  ASSERT_TRUE(fd2.ok());
+  ASSERT_TRUE(Run(fs_->Pwrite(*fd2, 0, fresh)).ok());
+  auto open_read = Run(fs_->Pread(*fd2, 0, old_size));
+  ASSERT_TRUE(open_read.ok()) << open_read.status().ToString();
+  EXPECT_EQ(*open_read, fresh);
+  ASSERT_TRUE(Run(fs_->Close(*fd2)).ok());
+
+  auto attr = Run(fs_->Stat("/r"));
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(attr->size, fresh.size());
+  auto fd3 = Run(fs_->Open("/r", kRead));
+  ASSERT_TRUE(fd3.ok());
+  auto reopened = Run(fs_->Pread(*fd3, 0, old_size));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(*reopened, fresh);
+  ASSERT_TRUE(Run(fs_->Close(*fd3)).ok());
+}
+
+// 8 KiB is a small file (one shared tiny-extent slot); 256 KiB owns an
+// extent that the reopen would otherwise resume appending into.
+INSTANTIATE_TEST_SUITE_P(SmallAndLarge, VfsTruncateRewrite,
+                         ::testing::Values(8 * kKiB, 256 * kKiB));
+
+TEST_F(VfsFixture, TruncateThenAppendKeepsAppendedBytes) {
+  auto fd = Run(fs_->Open("/m", kCreate | kWrite));
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(Run(fs_->Write(*fd, std::string(256 * kKiB, 'x'))).ok());
+  ASSERT_TRUE(Run(fs_->Close(*fd)).ok());
+  ASSERT_TRUE(Run(fs_->Truncate("/m", 10 * kKiB)).ok());
+
+  auto fd2 = Run(fs_->Open("/m", kWrite | kAppend));
+  ASSERT_TRUE(fd2.ok());
+  ASSERT_TRUE(Run(fs_->Write(*fd2, std::string(4 * kKiB, 'y'))).ok());
+  ASSERT_TRUE(Run(fs_->Close(*fd2)).ok());
+
+  auto attr = Run(fs_->Stat("/m"));
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(attr->size, 14 * kKiB);
+  auto fd3 = Run(fs_->Open("/m", kRead));
+  ASSERT_TRUE(fd3.ok());
+  auto r = Run(fs_->Pread(*fd3, 0, 256 * kKiB));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, std::string(10 * kKiB, 'x') + std::string(4 * kKiB, 'y'));
+  ASSERT_TRUE(Run(fs_->Close(*fd3)).ok());
+}
+
+TEST_F(VfsFixture, TruncateUnderOpenFdThenAppendKeepsAppendedBytes) {
+  auto fd = Run(fs_->Open("/o", kCreate | kWrite));
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(Run(fs_->Write(*fd, std::string(256 * kKiB, 'x'))).ok());
+  ASSERT_TRUE(Run(fs_->Close(*fd)).ok());
+
+  // The reopened fd resumes appending into the file's extent; the truncate
+  // must move that cursor, or the append lands past the extent's old end.
+  auto fd2 = Run(fs_->Open("/o", kWrite));
+  ASSERT_TRUE(fd2.ok());
+  ASSERT_TRUE(Run(fs_->Truncate("/o", 10 * kKiB)).ok());
+  ASSERT_TRUE(Run(fs_->Pwrite(*fd2, 10 * kKiB, std::string(4 * kKiB, 'y'))).ok());
+  ASSERT_TRUE(Run(fs_->Close(*fd2)).ok());
+
+  auto fd3 = Run(fs_->Open("/o", kRead));
+  ASSERT_TRUE(fd3.ok());
+  auto r = Run(fs_->Pread(*fd3, 0, 256 * kKiB));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, std::string(10 * kKiB, 'x') + std::string(4 * kKiB, 'y'));
+  ASSERT_TRUE(Run(fs_->Close(*fd3)).ok());
+}
+
+TEST_F(VfsFixture, TruncateGrowThenAppendLeavesZeroHole) {
+  auto fd = Run(fs_->Open("/g", kCreate | kWrite));
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(Run(fs_->Write(*fd, std::string(256 * kKiB, 'x'))).ok());
+  ASSERT_TRUE(Run(fs_->Close(*fd)).ok());
+  ASSERT_TRUE(Run(fs_->Truncate("/g", 512 * kKiB)).ok());
+
+  auto fd2 = Run(fs_->Open("/g", kWrite | kAppend));
+  ASSERT_TRUE(fd2.ok());
+  ASSERT_TRUE(Run(fs_->Write(*fd2, std::string(4 * kKiB, 'y'))).ok());
+  ASSERT_TRUE(Run(fs_->Close(*fd2)).ok());
+
+  auto fd3 = Run(fs_->Open("/g", kRead));
+  ASSERT_TRUE(fd3.ok());
+  auto r = Run(fs_->Pread(*fd3, 0, 1 * kMiB));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, std::string(256 * kKiB, 'x') + std::string(256 * kKiB, '\0') +
+                    std::string(4 * kKiB, 'y'));
+  ASSERT_TRUE(Run(fs_->Close(*fd3)).ok());
+}
+
 TEST_F(VfsFixture, ListDirReturnsEntriesWithAttrs) {
   ASSERT_TRUE(Run(fs_->Mkdir("/dir")).ok());
   for (int i = 0; i < 5; i++) {
