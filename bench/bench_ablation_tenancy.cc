@@ -1,4 +1,4 @@
-// Ablation: multi-tenant QoS (ROADMAP item 3).
+// Ablation: multi-tenant QoS.
 //
 // Many volumes on one paper-shaped cluster (10 machines, meta+data
 // colocated): one noisy neighbor streaming large appends from several client
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
   const bool smoke = SmokeMode(argc, argv);
   TenancyParams P;
   if (!smoke) {
-    P.bg_volumes = 2048;  // "thousands of volumes" (ROADMAP item 3)
+    P.bg_volumes = 2048;  // thousands of volumes, the multi-tenant QoS scale
     P.window = 20 * kSec;
     P.bg_workers = 16;
   }

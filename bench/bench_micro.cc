@@ -11,12 +11,22 @@
 // `bench_wallclock bench_micro {...}` line whose `allocs_per_rpc` (~zero)
 // and `allocs_per_proposal` fields CI caps (tools/check_bench_wallclock.py;
 // DESIGN.md "RPC transport" and "Simulator performance").
+//
+// `bench_micro --btree-footprint` measures, under the same allocator, the
+// live heap bytes per entry of the meta partitions' B-trees: a 100k-entry
+// inode tree built by monotone inserts, the same tree after FIFO churn
+// (insert right, erase left), and a 100k-entry dentry tree. It prints a
+// `bench_wallclock bench_micro {...}` line whose `btree_bytes_per_entry`
+// (the worst of the three) CI caps (DESIGN.md "Meta B-tree node layout").
+// Both flags may be given to one run.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <malloc.h>
 #include <map>
 #include <new>
 #include <string_view>
@@ -326,29 +336,40 @@ sim::Task<void> RaftChurnProposer(raft::RaftNode* node, uint64_t n, uint64_t* do
 }
 
 int RunRpcChurn();
+int RunBTreeFootprint();
 
 }  // namespace
 }  // namespace cfs
 
 // Instrumented global allocator: counts every operator-new-family call so
-// the churn bench can report allocations per RPC. Counting is process-wide
-// and always on; the overhead (one relaxed increment) is negligible for the
-// google-benchmark mode that shares this binary.
+// the churn bench can report allocations per RPC, and tracks the live heap
+// bytes (malloc's usable size of each block) so the footprint bench can
+// report bytes per entry. Counting is process-wide and always on; the
+// overhead is negligible for the google-benchmark mode that shares this
+// binary.
 namespace {
 uint64_t g_heap_allocs = 0;
+int64_t g_heap_live_bytes = 0;
 
-void* CountedAlloc(std::size_t n) {
+void* Counted(void* p) {
   g_heap_allocs++;
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (p) g_heap_live_bytes += static_cast<int64_t>(malloc_usable_size(p));
+  return p;
+}
+void* CountedAlloc(std::size_t n) {
+  if (void* p = Counted(std::malloc(n ? n : 1))) return p;
   throw std::bad_alloc();
 }
 void* CountedAllocAligned(std::size_t n, std::size_t align) {
-  g_heap_allocs++;
   void* p = nullptr;
   if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n ? n : 1) != 0) {
     throw std::bad_alloc();
   }
-  return p;
+  return Counted(p);
+}
+void CountedFree(void* p) {
+  if (p) g_heap_live_bytes -= static_cast<int64_t>(malloc_usable_size(p));
+  std::free(p);
 }
 }  // namespace
 
@@ -361,23 +382,21 @@ void* operator new[](std::size_t n, std::align_val_t a) {
   return CountedAllocAligned(n, static_cast<std::size_t>(a));
 }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_heap_allocs++;
-  return std::malloc(n ? n : 1);
+  return Counted(std::malloc(n ? n : 1));
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_heap_allocs++;
-  return std::malloc(n ? n : 1);
+  return Counted(std::malloc(n ? n : 1));
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { CountedFree(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { CountedFree(p); }
 
 namespace cfs {
 namespace {
@@ -480,12 +499,66 @@ int RunRpcChurn() {
   return 0;
 }
 
+/// Live heap bytes per entry of the tree `build` fills, the tree object
+/// itself included.
+template <typename Tree, typename Build>
+double HeapBytesPerEntry(Build build) {
+  const int64_t live0 = g_heap_live_bytes;
+  auto tree = std::make_unique<Tree>();
+  build(tree.get());
+  return static_cast<double>(g_heap_live_bytes - live0) / static_cast<double>(tree->size());
+}
+
+int RunBTreeFootprint() {
+  using InodeTree = meta::BTree<meta::InodeId, meta::Inode>;
+  using DentryTree = meta::BTree<meta::DentryKey, meta::Dentry>;
+  constexpr uint64_t kEntries = 100000;
+  constexpr uint64_t kChurnSteps = 300000;
+  auto append = [](InodeTree* t, uint64_t id) {
+    meta::Inode ino;
+    ino.id = id;
+    t->Insert(id, std::move(ino));
+  };
+  // Inode ids grow monotonically within a partition.
+  const double inode = HeapBytesPerEntry<InodeTree>([&](InodeTree* t) {
+    for (uint64_t id = 1; id <= kEntries; id++) append(t, id);
+  });
+  // Files created and deleted in age order: insert right, erase left.
+  const double fifo = HeapBytesPerEntry<InodeTree>([&](InodeTree* t) {
+    for (uint64_t id = 1; id <= kEntries; id++) append(t, id);
+    for (uint64_t id = kEntries + 1; id <= kEntries + kChurnSteps; id++) {
+      append(t, id);
+      t->Erase(id - kEntries);
+    }
+  });
+  // One directory's entries, named as perfbench's meta_churn names them.
+  const double dentry = HeapBytesPerEntry<DentryTree>([&](DentryTree* t) {
+    for (uint64_t i = 0; i < kEntries; i++) {
+      meta::Dentry d{meta::kRootInode, "f", i + 2, meta::FileType::kFile};
+      d.name += std::to_string(i);
+      t->Insert(meta::DentryKey{d.parent, d.name}, d);
+    }
+  });
+  std::printf(
+      "bench_wallclock bench_micro {\"btree_inode_bytes_per_entry\":%.1f,"
+      "\"btree_fifo_bytes_per_entry\":%.1f,\"btree_dentry_bytes_per_entry\":%.1f,"
+      "\"btree_bytes_per_entry\":%.1f}\n",
+      inode, fifo, dentry, std::max({inode, fifo, dentry}));
+  return 0;
+}
+
 }  // namespace
 }  // namespace cfs
 
 int main(int argc, char** argv) {
+  bool rpc_churn = false, btree_footprint = false;
   for (int i = 1; i < argc; i++) {
-    if (std::string_view(argv[i]) == "--rpc-churn") return cfs::RunRpcChurn();
+    rpc_churn |= std::string_view(argv[i]) == "--rpc-churn";
+    btree_footprint |= std::string_view(argv[i]) == "--btree-footprint";
+  }
+  if (rpc_churn || btree_footprint) {
+    if (rpc_churn && cfs::RunRpcChurn() != 0) return 1;
+    return btree_footprint ? cfs::RunBTreeFootprint() : 0;
   }
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

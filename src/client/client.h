@@ -27,7 +27,7 @@
 // context itself only keeps the workflow logic: what to call, in what
 // order, and how to compensate on failure.
 //
-// QoS (ROADMAP item 3): each mount charges a deterministic virtual-time
+// Multi-tenant QoS: each mount charges a deterministic virtual-time
 // token bucket (IOPS and bytes) before issuing work; the limits come from
 // the volume's master-side VolumeQos record with the volume view. The
 // mount's tenant label (= VolumeId) is bound onto its service channels so

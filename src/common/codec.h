@@ -73,7 +73,7 @@ class Decoder {
   Status GetU32(uint32_t* v) { return GetFixed(v); }
   Status GetU64(uint64_t* v) { return GetFixed(v); }
   Status GetI64(int64_t* v) {
-    uint64_t u;
+    uint64_t u = 0;
     CFS_RETURN_IF_ERROR(GetFixed(&u));
     *v = static_cast<int64_t>(u);
     return Status::OK();
@@ -94,7 +94,7 @@ class Decoder {
   }
 
   Status GetString(std::string* s) {
-    uint64_t n;
+    uint64_t n = 0;
     CFS_RETURN_IF_ERROR(GetVarint(&n));
     if (remaining() < n) return Status::Corruption("string underflow");
     s->assign(data_.data() + pos_, n);

@@ -360,13 +360,13 @@ void MasterState::Restore(std::string_view snapshot) {
     }
     (void)dec.GetVarint(&k);
     for (uint64_t j = 0; j < k; j++) {
-      uint64_t p;
+      uint64_t p = 0;
       (void)dec.GetVarint(&p);
       vol.meta_partitions.push_back(p);
     }
     (void)dec.GetVarint(&k);
     for (uint64_t j = 0; j < k; j++) {
-      uint64_t p;
+      uint64_t p = 0;
       (void)dec.GetVarint(&p);
       vol.data_partitions.push_back(p);
     }
@@ -385,7 +385,7 @@ void MasterState::Restore(std::string_view snapshot) {
     (void)dec.GetU8(&ro);
     (void)dec.GetVarint(&k);
     for (uint64_t j = 0; j < k; j++) {
-      uint32_t r;
+      uint32_t r = 0;
       (void)dec.GetU32(&r);
       mp.replicas.push_back(r);
     }
@@ -402,7 +402,7 @@ void MasterState::Restore(std::string_view snapshot) {
     (void)dec.GetU8(&ro);
     (void)dec.GetVarint(&k);
     for (uint64_t j = 0; j < k; j++) {
-      uint32_t r;
+      uint32_t r = 0;
       (void)dec.GetU32(&r);
       dp.replicas.push_back(r);
     }

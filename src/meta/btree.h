@@ -7,6 +7,13 @@
 // what changed since the last one (EncodeValues). Every path that changes a
 // node's values marks that node dirty; a clean leaf's memo always equals a
 // fresh encode of its values (MetaPartition::CheckInvariants verifies it).
+//
+// Nodes are dense (DESIGN.md "Meta B-tree node layout"). The right half of
+// a split is sized once for kMaxKeys pairs and never reallocates; only the
+// root grows by doubling, so small trees stay small. Inserts shift a full
+// child's pairs into a left sibling with room before splitting it, so
+// monotone inode ids, which always land in the rightmost leaf, leave full
+// leaves behind them instead of half-full ones.
 #pragma once
 
 #include <algorithm>
@@ -128,6 +135,19 @@ class BTree {
     return CheckNode(root_.get(), true, 0, &leaf_depth, nullptr, nullptr);
   }
 
+  /// Node occupancy (tests): `slots` counts the pairs the nodes' vectors
+  /// have room for; keys / slots is the fill factor.
+  struct Occupancy {
+    size_t nodes = 0;
+    size_t keys = 0;
+    size_t slots = 0;
+  };
+  Occupancy OccupancyForTest() const {
+    Occupancy o;
+    AddOccupancy(root_.get(), &o);
+    return o;
+  }
+
  private:
   static constexpr size_t kMaxKeys = 2 * MinDegree - 1;
   static constexpr size_t kMinKeys = MinDegree - 1;
@@ -190,7 +210,13 @@ class BTree {
 
   void SplitChild(Node* parent, size_t i) {
     Node* child = parent->kids[i].get();
+    // The right half gets room for a full node once and never reallocates.
+    // (The root grows by doubling instead; it is full, hence has room for a
+    // full node, when it splits and becomes a left half.)
     auto right = std::make_unique<Node>();
+    right->keys.reserve(kMaxKeys);
+    right->vals.reserve(kMaxKeys);
+    if (!child->leaf()) right->kids.reserve(kMaxKeys + 1);
     // Middle key moves up; right half moves to the new sibling.
     right->keys.assign(std::make_move_iterator(child->keys.begin() + MinDegree),
                        std::make_move_iterator(child->keys.end()));
@@ -220,6 +246,11 @@ class BTree {
         n->dirty = true;
         return;
       }
+      if (n->kids[i]->keys.size() == kMaxKeys && i > 0 &&
+          n->kids[i - 1]->keys.size() < kMaxKeys) {
+        ShiftLeft(n, i);
+        i = LowerBound(n, key);
+      }
       if (n->kids[i]->keys.size() == kMaxKeys) {
         SplitChild(n, i);
         if (less_(n->keys[i], key)) i++;
@@ -228,7 +259,37 @@ class BTree {
     }
   }
 
-  /// Merge kids[i], keys[i] and kids[i+1] into kids[i].
+  /// Shift before split (B*-style): move the first pairs of the full
+  /// kids[i] into its left sibling through the separator. Each shift moves
+  /// half the sibling's free room (at least one pair), so a run of inserts
+  /// into kids[i] shifts O(log MinDegree) times before the sibling is full
+  /// and kids[i] splits. The sibling is not the root, so its free room is at
+  /// most MinDegree and kids[i] keeps at least kMinKeys keys.
+  void ShiftLeft(Node* n, size_t i) {
+    Node* left = n->kids[i - 1].get();
+    Node* child = n->kids[i].get();
+    const size_t m = (kMaxKeys - left->keys.size() + 1) / 2;
+    left->keys.push_back(std::move(n->keys[i - 1]));
+    left->vals.push_back(std::move(n->vals[i - 1]));
+    left->keys.insert(left->keys.end(), std::make_move_iterator(child->keys.begin()),
+                      std::make_move_iterator(child->keys.begin() + (m - 1)));
+    left->vals.insert(left->vals.end(), std::make_move_iterator(child->vals.begin()),
+                      std::make_move_iterator(child->vals.begin() + (m - 1)));
+    n->keys[i - 1] = std::move(child->keys[m - 1]);
+    n->vals[i - 1] = std::move(child->vals[m - 1]);
+    child->keys.erase(child->keys.begin(), child->keys.begin() + m);
+    child->vals.erase(child->vals.begin(), child->vals.begin() + m);
+    if (!child->leaf()) {
+      left->kids.insert(left->kids.end(), std::make_move_iterator(child->kids.begin()),
+                        std::make_move_iterator(child->kids.begin() + m));
+      child->kids.erase(child->kids.begin(), child->kids.begin() + m);
+    }
+    child->dirty = left->dirty = n->dirty = true;
+  }
+
+  /// Merge kids[i], keys[i] and kids[i+1] into kids[i]. The result has
+  /// exactly kMaxKeys keys, which kids[i] already has room for: it is the
+  /// right half of a split or was a full root.
   void MergeChildren(Node* n, size_t i) {
     Node* left = n->kids[i].get();
     Node* right = n->kids[i + 1].get();
@@ -394,6 +455,13 @@ class BTree {
       if (!CheckNode(n->kids[i].get(), false, depth + 1, leaf_depth, clo, chi)) return false;
     }
     return true;
+  }
+
+  void AddOccupancy(const Node* n, Occupancy* o) const {
+    o->nodes++;
+    o->keys += n->keys.size();
+    o->slots += std::max(n->keys.capacity(), n->vals.capacity());
+    for (const auto& kid : n->kids) AddOccupancy(kid.get(), o);
   }
 
   std::unique_ptr<Node> root_;

@@ -140,9 +140,9 @@ void MetaPartition::Apply(raft::Index /*index*/, const Buffer& cmd, const Buffer
 }
 
 void MetaPartition::ApplyCreateInode(Decoder* dec, ApplyResult* res) {
-  uint8_t type;
+  uint8_t type = 0;
   std::string link_target;
-  int64_t mtime;
+  int64_t mtime = 0;
   res->status = dec->GetU8(&type);
   if (!res->status.ok()) return;
   res->status = dec->GetString(&link_target);

@@ -1,4 +1,4 @@
-// Deterministic QoS primitives for multi-tenant admission (ROADMAP item 3):
+// Deterministic primitives for multi-tenant QoS admission:
 //
 //   TokenBucket    — virtual-time GCRA rate limiter charged at each mount
 //                    (per-tenant IOPS and byte ceilings). Reserve() computes

@@ -149,35 +149,54 @@ template <typename Tree>
          << fresh.size() << " B)";
 }
 
-// Drives `tree` and a std::map model through the same random inserts,
-// erases, finds, FindMutable edits, upserts and periodic clears, and checks
-// every op's result against the model. The memo is checked after every step,
-// so any path that changes a node's values (splits, merges, borrows from
-// either sibling, predecessor/successor takes) without invalidating the
-// node's memo fails at the step that did it.
+// How ChurnAgainstModel picks keys. kRandom draws every key from the key
+// space. kAppend inserts strictly increasing keys, as a partition allocates
+// inode ids, so every insert lands in the rightmost leaf; the other ops
+// probe keys at random. kFifo inserts the same way and erases the smallest
+// live key: a window sliding right, as files are created and deleted.
+enum class KeyPattern { kRandom, kAppend, kFifo };
+
+// Drives `tree` and a std::map model through the same inserts, erases,
+// finds, FindMutable edits, upserts and periodic clears, and checks every
+// op's result against the model. The memo and the structural invariants are
+// checked after every step, so any path that changes a node's values
+// (splits, shifts, merges, borrows from either sibling, predecessor/successor
+// takes) without invalidating the node's memo, or that leaves a node short
+// of keys, fails at the step that did it.
 template <typename Tree>
 void ChurnAgainstModel(Tree& tree, uint64_t seed, uint64_t key_space, int steps,
-                       int clear_every) {
+                       int clear_every, KeyPattern pattern = KeyPattern::kRandom) {
   Rng rng(seed);
   std::map<uint64_t, uint64_t> model;
+  uint64_t next_key = 0;  // kAppend / kFifo: the next key to insert
   for (int step = 1; step <= steps; step++) {
-    uint64_t key = rng.Uniform(key_space);
+    uint64_t key = 0;
+    if (pattern == KeyPattern::kRandom) {
+      key = rng.Uniform(key_space);
+    } else {
+      uint64_t lo = model.empty() ? next_key : model.begin()->first;
+      key = lo + rng.Uniform(next_key - lo + 1);
+    }
     uint64_t value = static_cast<uint64_t>(step);
     switch (rng.Uniform(10)) {
       case 0: case 1: case 2: case 3: {  // insert
+        if (pattern != KeyPattern::kRandom) key = next_key++;
         bool inserted = tree.Insert(key, value);
         bool model_inserted = model.emplace(key, value).second;
         ASSERT_EQ(inserted, model_inserted) << "step " << step;
         break;
       }
       case 4: case 5: case 6:  // erase
+        if (pattern == KeyPattern::kFifo && !model.empty()) key = model.begin()->first;
         ASSERT_EQ(tree.Erase(key), model.erase(key) > 0) << "step " << step;
         break;
       case 7: {  // find
         const uint64_t* v = tree.Find(key);
         auto it = model.find(key);
         ASSERT_EQ(v != nullptr, it != model.end()) << "step " << step;
-        if (v) ASSERT_EQ(*v, it->second);
+        if (v) {
+          ASSERT_EQ(*v, it->second);
+        }
         break;
       }
       case 8: {  // in-place edit
@@ -197,13 +216,9 @@ void ChurnAgainstModel(Tree& tree, uint64_t seed, uint64_t key_space, int steps,
       model.clear();
     }
     ASSERT_TRUE(MemoMatchesFresh(tree)) << "step " << step;
-    if (step % 2000 == 0) {
-      ASSERT_TRUE(tree.CheckInvariants()) << "step " << step;
-      ASSERT_EQ(tree.size(), model.size());
-    }
+    ASSERT_TRUE(tree.CheckInvariants()) << "step " << step;
+    ASSERT_EQ(tree.size(), model.size()) << "step " << step;
   }
-  ASSERT_TRUE(tree.CheckInvariants());
-  ASSERT_EQ(tree.size(), model.size());
   // Full-order comparison.
   auto it = model.begin();
   bool order_ok = true;
@@ -232,6 +247,49 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BTreePropertyTest, ::testing::Values(1, 2, 3, 7,
 TEST(BTreePropertyTest, LargeDegreeRandomChurn) {
   BTree<uint64_t, uint64_t> tree;  // default degree 16
   ChurnAgainstModel(tree, 4242, /*key_space=*/2000, /*steps=*/30000, /*clear_every=*/12000);
+}
+
+// Monotone appends and FIFO churn: the meta partitions' real key patterns,
+// which drive every insert through the shift-before-split path.
+template <size_t Degree>
+void AppendAndFifoChurn(int steps, int clear_every) {
+  for (KeyPattern pattern : {KeyPattern::kAppend, KeyPattern::kFifo}) {
+    SCOPED_TRACE(pattern == KeyPattern::kAppend ? "append" : "fifo");
+    BTree<uint64_t, uint64_t, std::less<uint64_t>, Degree> tree;
+    ChurnAgainstModel(tree, 77, /*key_space=*/0, steps, clear_every, pattern);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(BTreePropertyTest, AppendAndFifoChurnDegree2) { AppendAndFifoChurn<2>(20000, 7000); }
+TEST(BTreePropertyTest, AppendAndFifoChurnDegree3) { AppendAndFifoChurn<3>(20000, 7000); }
+TEST(BTreePropertyTest, AppendAndFifoChurnDegree16) { AppendAndFifoChurn<16>(30000, 12000); }
+
+// Inode ids grow monotonically, so the inode tree only ever appends, and
+// the nodes it leaves behind must be nearly full.
+TEST(BTreeFootprintTest, MonotoneInsertsFillNodes) {
+  BTree<uint64_t, uint64_t> tree;  // degree 16, as the meta partitions use
+  for (uint64_t i = 0; i < 10000; i++) ASSERT_TRUE(tree.Insert(i, i));
+  ASSERT_TRUE(tree.CheckInvariants());
+  auto o = tree.OccupancyForTest();
+  EXPECT_EQ(o.keys, 10000u);
+  EXPECT_GE(static_cast<double>(o.keys) / static_cast<double>(o.slots), 0.9)
+      << o.nodes << " nodes, " << o.slots << " slots";
+}
+
+// A tree too small to split is one root leaf that grows by doubling: it
+// pays for at most twice its entries, never for a full-capacity node up
+// front.
+TEST(BTreeFootprintTest, SmallTreeGrowsByDoubling) {
+  constexpr size_t kMaxKeys = 2 * 16 - 1;
+  BTree<uint64_t, uint64_t> tree;
+  EXPECT_EQ(tree.OccupancyForTest().slots, 0u);
+  for (uint64_t i = 1; i < kMaxKeys; i++) {
+    ASSERT_TRUE(tree.Insert(i, i));
+    auto o = tree.OccupancyForTest();
+    ASSERT_EQ(o.nodes, 1u);
+    ASSERT_LE(o.slots, 2 * i) << i << " entries";
+  }
 }
 
 }  // namespace

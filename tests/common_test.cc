@@ -130,9 +130,11 @@ TEST(CodecTest, UnderflowIsCorruption) {
   EXPECT_TRUE(d.GetU64(&v).IsCorruption());
   Decoder d2("\xff\xff");
   EXPECT_TRUE(d2.GetVarint(&v).IsCorruption());
-  Decoder d3("\x0aabc");  // declared length 10, only 3 bytes
+  Decoder d3("\x0a" "abc");  // declared length 10, only 3 bytes
   std::string s;
-  EXPECT_TRUE(d3.GetString(&s).IsCorruption());
+  Status st = d3.GetString(&s);
+  EXPECT_TRUE(st.IsCorruption());
+  EXPECT_EQ(st.message(), "string underflow");
 }
 
 TEST(Crc32Test, KnownVector) {

@@ -43,7 +43,9 @@ TEST_F(ExtentFixture, AppendAndReadBack) {
     EXPECT_TRUE((co_await store_->PlaceAt(id, 6, Buffer::CopyOf("world"))).ok());
     auto r = co_await store_->Read(id, 0, 11);
     EXPECT_TRUE(r.ok());
-    if (r.ok()) EXPECT_EQ(*r, "hello world");
+    if (r.ok()) {
+      EXPECT_EQ(*r, "hello world");
+    }
     EXPECT_EQ(store_->ExtentSize(id), 11u);
   });
 }
@@ -77,7 +79,9 @@ TEST_F(ExtentFixture, OverwriteInPlace) {
     EXPECT_TRUE(store_->OverwriteSync(id, 3, Buffer::CopyOf("XYZ")).ok());
     auto r = co_await store_->Read(id, 0, 10);
     EXPECT_TRUE(r.ok());
-    if (r.ok()) EXPECT_EQ(*r, "aaaXYZaaaa");
+    if (r.ok()) {
+      EXPECT_EQ(*r, "aaaXYZaaaa");
+    }
     // Size unchanged: overwrite never extends (§2.7.2, offsets fixed).
     EXPECT_EQ(store_->ExtentSize(id), 10u);
   });
@@ -123,7 +127,9 @@ TEST_F(ExtentFixture, SmallFilesAggregateIntoOneExtent) {
     // Contents readable at the recorded offsets.
     auto read = co_await store_->Read(r2->first, r2->second, f2.size());
     EXPECT_TRUE(read.ok());
-    if (read.ok()) EXPECT_EQ(*read, f2);
+    if (read.ok()) {
+      EXPECT_EQ(*read, f2);
+    }
   });
 }
 
@@ -148,7 +154,9 @@ TEST_F(ExtentFixture, PunchHoleFreesSpaceAndBlocksReads) {
     EXPECT_FALSE(bad.ok());
     auto good = co_await store_->Read(r2->first, r2->second, f2.size());
     EXPECT_TRUE(good.ok());
-    if (good.ok()) EXPECT_EQ(*good, f2);
+    if (good.ok()) {
+      EXPECT_EQ(*good, f2);
+    }
   });
 }
 
@@ -208,7 +216,9 @@ TEST_F(ExtentFixture, NewTinyExtentWhenActiveFills) {
       auto r = co_await store_->WriteSmall(f);
       EXPECT_TRUE(r.ok());
       if (i == 0) first = r->first;
-      if (i == 8) EXPECT_NE(r->first, first);  // rolled over to a new extent
+      if (i == 8) {
+        EXPECT_NE(r->first, first);  // rolled over to a new extent
+      }
     }
   });
 }
@@ -272,7 +282,9 @@ TEST_F(ExtentFixture, AccountingModeTracksSizesWithoutContents) {
     EXPECT_EQ(store.Find(id)->data.size(), 0u);  // no bytes materialized
     auto r = co_await store.Read(id, 0, 1024);
     EXPECT_TRUE(r.ok());
-    if (r.ok()) EXPECT_EQ(r->size(), 1024u);
+    if (r.ok()) {
+      EXPECT_EQ(r->size(), 1024u);
+    }
   });
   EXPECT_EQ(store.logical_bytes(), 1 * kMiB);
 }

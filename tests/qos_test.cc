@@ -1,4 +1,4 @@
-// QoS primitive tests (ROADMAP item 3): token-bucket determinism, weighted-
+// Multi-tenant QoS primitive tests: token-bucket determinism, weighted-
 // fair admission ratios under saturation, per-tenant FIFO invariants, and the
 // multi-mount client lifecycle end to end.
 #include <gtest/gtest.h>
@@ -53,7 +53,9 @@ TEST(TokenBucket, SteadyStateMatchesRate) {
   for (int i = 0; i < 50; i++) {
     SimDuration d = b.Reserve(1, now);
     SimTime grant = now + d;
-    if (i > 1) EXPECT_EQ(grant - last_grant, 2000) << "charge " << i;
+    if (i > 1) {
+      EXPECT_EQ(grant - last_grant, 2000) << "charge " << i;
+    }
     last_grant = grant;
     now = grant;
   }

@@ -44,7 +44,7 @@ class ListSm : public StateMachine {
     uint64_t n = 0;
     (void)dec.GetU64(&n);
     for (uint64_t k = 0; k < n; k++) {
-      uint64_t i;
+      uint64_t i = 0;
       std::string d;
       (void)dec.GetU64(&i);
       (void)dec.GetString(&d);

@@ -128,7 +128,9 @@ TEST_P(VfsModelTest, RandomOpsMatchReferenceModel) {
         bool model_ok = model.CreateFile(p);
         auto fd = run(fs.Open(p, kCreate | kExclusive | kWrite));
         ASSERT_EQ(fd.ok(), model_ok) << "create " << p << " step " << step;
-        if (fd.ok()) ASSERT_TRUE(run(fs.Close(*fd)).ok());
+        if (fd.ok()) {
+          ASSERT_TRUE(run(fs.Close(*fd)).ok());
+        }
         checked_ops++;
         break;
       }

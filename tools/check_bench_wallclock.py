@@ -16,7 +16,11 @@ For every bench in the baseline the run must:
     when the baseline sets them (bench_micro --rpc-churn reports measured
     heap allocations per steady-state unary RPC — the transport's
     zero-allocation contract — and per steady-state proposal through a
-    3-replica raft group).
+    3-replica raft group);
+  - stay at or below `max_btree_bytes_per_entry`, when the baseline sets it
+    (bench_micro --btree-footprint reports the live heap bytes per entry of
+    the meta partitions' B-trees, the worst of an appended inode tree, the
+    same tree after FIFO churn and a dentry tree).
 
 Usage: tools/check_bench_wallclock.py BENCH_wallclock.json
        [--baseline tools/bench_wallclock_baseline.json]
@@ -34,6 +38,8 @@ ALLOC_CAPS = {
     "max_allocs_per_rpc": ("allocs_per_rpc", "the transport's zero-allocation contract"),
     "max_allocs_per_proposal": ("allocs_per_proposal",
                                 "raft steady-state replication's allocation budget"),
+    "max_btree_bytes_per_entry": ("btree_bytes_per_entry",
+                                  "dense meta B-tree nodes (no half-empty leaves)"),
 }
 
 
@@ -80,12 +86,12 @@ def main() -> int:
             cap = base.get(cap_key)
             if cap is None:
                 continue
-            allocs = got.get(field)
-            if allocs is None:
+            value = got.get(field)
+            if value is None:
                 failures.append(f"{name}: baseline caps {field} but the run did not "
                                 "report it")
-            elif allocs > cap:
-                failures.append(f"{name}: {field} {allocs} exceeds the cap {cap} ({contract})")
+            elif value > cap:
+                failures.append(f"{name}: {field} {value} exceeds the cap {cap} ({contract})")
 
     for f_ in failures:
         print(f"FAIL {f_}", file=sys.stderr)
