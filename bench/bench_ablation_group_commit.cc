@@ -28,6 +28,24 @@ using namespace cfs::bench;
 
 namespace {
 
+/// The closed-loop creators of one cell, shared through a pointer.
+struct Creators {
+  harness::Cluster* cluster;
+  std::vector<client::MountContext*> mounts;
+  int ops_per_client;
+  std::vector<SimDuration> latencies;  // OK creates only
+};
+
+sim::Task<void> Creator(Creators* c, int id) {
+  for (int j = 0; j < c->ops_per_client; j++) {
+    const SimTime t0 = c->cluster->sched().Now();
+    auto r = co_await c->mounts[id]->Create(
+        meta::kRootInode, "gc" + std::to_string(id) + "-" + std::to_string(j),
+        meta::FileType::kFile);
+    if (r.ok()) c->latencies.push_back(c->cluster->sched().Now() - t0);
+  }
+}
+
 struct CellResult {
   double creates_per_sec = 0;
   double p50_usec = 0;
@@ -57,39 +75,27 @@ CellResult RunCell(bool batching_on, int clients, int ops_per_client, uint64_t s
     std::fprintf(stderr, "volume create failed\n");
     std::abort();
   }
-  std::vector<client::MountContext*> cs;
+  Creators creators{&cluster, {}, ops_per_client, {}};
   for (int i = 0; i < clients; i++) {
     auto c = harness::RunTask(cluster.sched(), cluster.MountClient("bench"));
     if (!c || !c->ok()) {
       std::fprintf(stderr, "mount failed\n");
       std::abort();
     }
-    cs.push_back((**c)->default_mount());
+    creators.mounts.push_back((**c)->default_mount());
   }
 
   // Workload-only deltas: boot and volume admin also propose through raft.
   const obs::Registry m0 = cluster.Metrics();
 
-  std::vector<SimDuration> latencies;
-  latencies.reserve(static_cast<size_t>(clients) * ops_per_client);
-  int done = 0;
-  SimTime start = cluster.sched().Now();
-  for (int i = 0; i < clients; i++) {
-    sim::Spawn([](harness::Cluster* cl, client::MountContext* c, int id, int ops,
-                  std::vector<SimDuration>& lats, int& done) -> sim::Task<void> {
-      for (int j = 0; j < ops; j++) {
-        SimTime t0 = cl->sched().Now();
-        auto r = co_await c->Create(meta::kRootInode,
-                                    "gc" + std::to_string(id) + "-" + std::to_string(j),
-                                    meta::FileType::kFile);
-        if (r.ok()) lats.push_back(cl->sched().Now() - t0);
-      }
-      done++;
-    }(&cluster, cs[i], i, ops_per_client, latencies, done));
-  }
-  bool finished = cluster.RunUntil([&] { return done == clients; }, 10 * kMsec, 30000);
-  if (!finished) {
-    std::fprintf(stderr, "workload did not finish\n");
+  // Elapsed time ends when the last creator returns.
+  const SimTime start = cluster.sched().Now();
+  const bool finished = RunProcs(&cluster.sched(), clients,
+                                 [c = &creators](int i) { return Creator(c, i); });
+  std::vector<SimDuration>& latencies = creators.latencies;
+  if (!finished || latencies.size() != static_cast<size_t>(clients) * ops_per_client) {
+    std::fprintf(stderr, "workload did not finish: %zu of %d creates succeeded\n",
+                 latencies.size(), clients * ops_per_client);
     std::abort();
   }
   double elapsed_sec = static_cast<double>(cluster.sched().Now() - start) / kSec;

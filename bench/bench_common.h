@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <initializer_list>
 #include <memory>
 #include <optional>
@@ -223,14 +224,58 @@ inline void PrintRow(const std::string& label, const std::vector<double>& values
 /// One machine-readable quantile line per (system, test) pair:
 /// `latency_quantiles <label> {json}`. Quantiles are interpolated from the
 /// fixed-bucket obs::Histogram (see DESIGN.md "Observability"), so treat
-/// them as bucket-resolution estimates, not exact order statistics.
-inline void PrintLatencyQuantiles(const std::string& label, const obs::Histogram& h) {
+/// them as bucket-resolution estimates, not exact order statistics. Lines of
+/// workload-engine cells also carry `ok_op_ratio` (BenchResult::OkOpRatio).
+inline void PrintLatencyQuantiles(const std::string& label, const obs::Histogram& h,
+                                  std::optional<double> ok_op_ratio = std::nullopt) {
   std::printf(
       "latency_quantiles %s {\"count\":%llu,\"p50_usec\":%.1f,\"p95_usec\":%.1f,"
-      "\"p99_usec\":%.1f,\"max_usec\":%llu,\"mean_usec\":%.1f}\n",
+      "\"p99_usec\":%.1f,\"max_usec\":%llu,\"mean_usec\":%.1f",
       label.c_str(), static_cast<unsigned long long>(h.count), h.P50(), h.P95(), h.P99(),
       static_cast<unsigned long long>(h.max_usec),
       h.count ? static_cast<double>(h.sum_usec) / static_cast<double>(h.count) : 0.0);
+  if (ok_op_ratio) std::printf(",\"ok_op_ratio\":%.4f", *ok_op_ratio);
+  std::printf("}\n");
+}
+
+/// A figure bench's block for one test, one cell per column: the CFS and
+/// Ceph IOPS rows and their ratio, then one latency_quantiles line per
+/// system over its merged cells. An empty `ceph` prints the CFS lines only.
+/// The figure benches inject no faults, so a cell with any failed attempt
+/// ends the bench with exit status 1.
+inline void PrintFigureRows(const std::string& test, const std::vector<BenchResult>& cfs,
+                            const std::vector<BenchResult>& ceph) {
+  auto iops = [](const std::vector<BenchResult>& cells) {
+    std::vector<double> out;
+    for (const BenchResult& r : cells) out.push_back(r.Iops());
+    return out;
+  };
+  PrintRow("CFS", iops(cfs));
+  if (!ceph.empty()) {
+    PrintRow("Ceph", iops(ceph));
+    std::vector<double> ratio;
+    for (size_t i = 0; i < cfs.size(); i++) {
+      ratio.push_back(ceph[i].Iops() > 0 ? cfs[i].Iops() / ceph[i].Iops() : 0);
+    }
+    PrintRow("CFS/Ceph", ratio);
+  }
+  uint64_t failed = 0;
+  for (const auto& [system, cells] : {std::pair{"cfs:", &cfs}, std::pair{"ceph:", &ceph}}) {
+    if (cells->empty()) continue;
+    BenchResult sum;
+    for (const BenchResult& r : *cells) {
+      sum.attempted += r.attempted;
+      sum.failed += r.failed;
+      sum.latency.MergeFrom(r.latency);
+    }
+    PrintLatencyQuantiles(system + test, sum.latency, sum.OkOpRatio());
+    failed += sum.failed;
+  }
+  if (failed > 0) {
+    std::fprintf(stderr, "%s: %llu failed op attempts in a fault-free run\n", test.c_str(),
+                 static_cast<unsigned long long>(failed));
+    std::exit(1);
+  }
 }
 
 /// Per-stage breakdown of the most recent trace whose root matches
@@ -245,15 +290,6 @@ inline void PrintStageBreakdown(const std::string& label, harness::Cluster& clus
 
 /// procs_per_client copies of each client's adapter (mdtest processes on one
 /// client share the mount and its caches, §4.1).
-template <typename T>
-std::vector<T*> FanOut(const std::vector<std::unique_ptr<T>>& adapters, int procs_per_client) {
-  std::vector<T*> out;
-  for (const auto& a : adapters) {
-    for (int p = 0; p < procs_per_client; p++) out.push_back(a.get());
-  }
-  return out;
-}
-
 template <typename Base, typename T>
 std::vector<Base*> FanOutAs(const std::vector<std::unique_ptr<T>>& adapters,
                             int procs_per_client) {

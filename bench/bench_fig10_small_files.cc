@@ -35,36 +35,23 @@ int main() {
   obs::Registry cfs_cluster_metrics;
   for (auto [test, name] : kTests) {
     PrintHeader(name, cols);
-    std::vector<double> cfs_row, ceph_row;
-    obs::Histogram cfs_lat, ceph_lat;
+    std::vector<BenchResult> cfs_cells, ceph_cells;
     for (uint64_t kb : kSizesKb) {
       {
         CfsBench b = MakeCfsBench(kClients, /*seed=*/41 + kb, 30, 120, /*nic_mib=*/1170);
         auto meta = FanOutAs<MetaOps>(b.meta_adapters, kProcs);
         auto data = FanOutAs<DataOps>(b.data_adapters, kProcs);
-        BenchResult r = RunSmallFiles(&b.sched(), test, kb * kKiB, meta, data, kFilesPerProc);
-        cfs_row.push_back(r.Iops());
-        cfs_lat.MergeFrom(r.latency);
+        cfs_cells.push_back(RunSmallFiles(&b.sched(), test, kb * kKiB, meta, data, kFilesPerProc));
         FoldPrefixes(b.cluster->Metrics(), {"net.", "qos."}, &cfs_cluster_metrics);
       }
       {
         CephBench b = MakeCephBench(kClients, /*seed=*/41 + kb, {}, /*nic_mib=*/1170);
         auto meta = FanOutAs<MetaOps>(b.meta_adapters, kProcs);
         auto data = FanOutAs<DataOps>(b.data_adapters, kProcs);
-        BenchResult r = RunSmallFiles(&b.sched(), test, kb * kKiB, meta, data, kFilesPerProc);
-        ceph_row.push_back(r.Iops());
-        ceph_lat.MergeFrom(r.latency);
+        ceph_cells.push_back(RunSmallFiles(&b.sched(), test, kb * kKiB, meta, data, kFilesPerProc));
       }
     }
-    PrintRow("CFS", cfs_row);
-    PrintRow("Ceph", ceph_row);
-    std::vector<double> ratio;
-    for (size_t i = 0; i < cfs_row.size(); i++) {
-      ratio.push_back(ceph_row[i] > 0 ? cfs_row[i] / ceph_row[i] : 0);
-    }
-    PrintRow("CFS/Ceph", ratio);
-    PrintLatencyQuantiles(std::string("cfs:") + name, cfs_lat);
-    PrintLatencyQuantiles(std::string("ceph:") + name, ceph_lat);
+    PrintFigureRows(name, cfs_cells, ceph_cells);
   }
   PrintMetricsLine("cluster_metrics", "cfs", cfs_cluster_metrics);
   wallclock.Print();

@@ -29,8 +29,7 @@ int main() {
   for (MdTest test : kTests) {
     PrintHeader(std::string(MdTestName(test)) + " (1 client)",
                 {"procs=1", "procs=4", "procs=16", "procs=64"});
-    std::vector<double> cfs_row, ceph_row;
-    obs::Histogram cfs_lat, ceph_lat;
+    std::vector<BenchResult> cfs_cells, ceph_cells;
     for (int procs : kProcs) {
       MdtestParams params;
       params.items_per_proc = 48;
@@ -38,9 +37,7 @@ int main() {
       {
         CfsBench b = MakeCfsBench(1, /*seed=*/7 + procs);
         auto ops = FanOutAs<MetaOps>(b.meta_adapters, tree ? 1 : procs);
-        BenchResult r = RunMdtest(&b.sched(), test, ops, params);
-        cfs_row.push_back(r.Iops());
-        cfs_lat.MergeFrom(r.latency);
+        cfs_cells.push_back(RunMdtest(&b.sched(), test, ops, params));
         const obs::Registry m = b.cluster->Metrics();
         FoldPrefixes(m, {"rpc."}, &cfs_rpc_metrics);
         FoldPrefixes(m, {"net.", "qos."}, &cfs_cluster_metrics);
@@ -48,21 +45,11 @@ int main() {
       {
         CephBench b = MakeCephBench(1, /*seed=*/7 + procs);
         auto ops = FanOutAs<MetaOps>(b.meta_adapters, tree ? 1 : procs);
-        BenchResult r = RunMdtest(&b.sched(), test, ops, params);
-        ceph_row.push_back(r.Iops());
-        ceph_lat.MergeFrom(r.latency);
+        ceph_cells.push_back(RunMdtest(&b.sched(), test, ops, params));
         FoldPrefixes(HostMetrics(*b.net), {"rpc."}, &ceph_rpc_metrics);
       }
     }
-    PrintRow("CFS", cfs_row);
-    PrintRow("Ceph", ceph_row);
-    std::vector<double> ratio;
-    for (size_t i = 0; i < cfs_row.size(); i++) {
-      ratio.push_back(ceph_row[i] > 0 ? cfs_row[i] / ceph_row[i] : 0);
-    }
-    PrintRow("CFS/Ceph", ratio);
-    PrintLatencyQuantiles(std::string("cfs:") + MdTestName(test), cfs_lat);
-    PrintLatencyQuantiles(std::string("ceph:") + MdTestName(test), ceph_lat);
+    PrintFigureRows(MdTestName(test), cfs_cells, ceph_cells);
   }
   PrintMetricsLine("rpc_metrics", "cfs", cfs_rpc_metrics);
   PrintMetricsLine("rpc_metrics", "ceph", ceph_rpc_metrics);

@@ -30,8 +30,7 @@ int main() {
   // we do the same (one cluster pair per client count, all 7 phases in
   // order) so later phases see the cache pressure and rebalancing that the
   // earlier ones induced (§4.2's explanation of the tree results).
-  std::map<MdTest, std::vector<double>> cfs_results, ceph_results;
-  std::map<MdTest, obs::Histogram> cfs_lat, ceph_lat;
+  std::map<MdTest, std::vector<BenchResult>> cfs_results, ceph_results;
   obs::Registry cfs_cluster_metrics;
   for (int clients : kClients) {
     CfsBench cfs = MakeCfsBench(clients, /*seed=*/11 + clients);
@@ -48,15 +47,11 @@ int main() {
       params.stat_shift = procs;  // mdtest -N: stat the next client's files
       {
         auto ops = FanOutAs<MetaOps>(cfs.meta_adapters, procs);
-        BenchResult r = RunMdtest(&cfs.sched(), test, ops, params);
-        cfs_results[test].push_back(r.Iops());
-        cfs_lat[test].MergeFrom(r.latency);
+        cfs_results[test].push_back(RunMdtest(&cfs.sched(), test, ops, params));
       }
       {
         auto ops = FanOutAs<MetaOps>(ceph.meta_adapters, procs);
-        BenchResult r = RunMdtest(&ceph.sched(), test, ops, params);
-        ceph_results[test].push_back(r.Iops());
-        ceph_lat[test].MergeFrom(r.latency);
+        ceph_results[test].push_back(RunMdtest(&ceph.sched(), test, ops, params));
       }
     }
     // How much the meta-partition leaders batched under this client count
@@ -74,19 +69,9 @@ int main() {
   for (MdTest test : kTests) {
     PrintHeader(std::string(MdTestName(test)) + " (64 procs/client)",
                 {"clients=1", "clients=2", "clients=4", "clients=8"});
-    const auto& cfs_row = cfs_results[test];
-    const auto& ceph_row = ceph_results[test];
-    PrintRow("CFS", cfs_row);
-    PrintRow("Ceph", ceph_row);
-    std::vector<double> ratio;
-    for (size_t i = 0; i < cfs_row.size(); i++) {
-      ratio.push_back(ceph_row[i] > 0 ? cfs_row[i] / ceph_row[i] : 0);
-    }
-    PrintRow("CFS/Ceph", ratio);
-    PrintLatencyQuantiles(std::string("cfs:") + MdTestName(test), cfs_lat[test]);
-    PrintLatencyQuantiles(std::string("ceph:") + MdTestName(test), ceph_lat[test]);
-    table3_cfs.push_back(cfs_row.back());
-    table3_ceph.push_back(ceph_row.back());
+    PrintFigureRows(MdTestName(test), cfs_results[test], ceph_results[test]);
+    table3_cfs.push_back(cfs_results[test].back().Iops());
+    table3_ceph.push_back(ceph_results[test].back().Iops());
   }
 
   std::printf("\n=== Table 3: IOPS at 8 clients x 64 procs ===\n");

@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
   for (FioPattern pattern : kPatterns) {
     PrintHeader(std::string(FioPatternName(pattern)) + " (1 client)", cols);
     bool rand = pattern == FioPattern::kRandWrite || pattern == FioPattern::kRandRead;
-    std::vector<double> cfs_row, ceph_row;
-    obs::Histogram cfs_lat, ceph_lat;
+    std::vector<BenchResult> cfs_cells, ceph_cells;
     for (int procs : kProcs) {
       FioParams params;
       params.file_bytes = 1 * kGiB;
@@ -52,9 +51,7 @@ int main(int argc, char** argv) {
       {
         CfsBench b = MakeCfsBench(1, /*seed=*/23 + procs, 30, 40, /*nic_mib=*/1170);
         auto ops = FanOutAs<DataOps>(b.data_adapters, procs);
-        BenchResult r = RunFio(&b.sched(), pattern, ops, params);
-        cfs_row.push_back(r.Iops());
-        cfs_lat.MergeFrom(r.latency);
+        cfs_cells.push_back(RunFio(&b.sched(), pattern, ops, params));
         const obs::Registry m = b.cluster->Metrics();
         FoldPrefixes(m, {"rpc."}, &cfs_rpc_metrics);
         FoldPrefixes(m, {"net.", "qos."}, &cfs_cluster_metrics);
@@ -62,21 +59,11 @@ int main(int argc, char** argv) {
       {
         CephBench b = MakeCephBench(1, /*seed=*/23 + procs, {}, /*nic_mib=*/1170);
         auto ops = FanOutAs<DataOps>(b.data_adapters, procs);
-        BenchResult r = RunFio(&b.sched(), pattern, ops, params);
-        ceph_row.push_back(r.Iops());
-        ceph_lat.MergeFrom(r.latency);
+        ceph_cells.push_back(RunFio(&b.sched(), pattern, ops, params));
         FoldPrefixes(HostMetrics(*b.net), {"rpc."}, &ceph_rpc_metrics);
       }
     }
-    PrintRow("CFS", cfs_row);
-    PrintRow("Ceph", ceph_row);
-    std::vector<double> ratio;
-    for (size_t i = 0; i < cfs_row.size(); i++) {
-      ratio.push_back(ceph_row[i] > 0 ? cfs_row[i] / ceph_row[i] : 0);
-    }
-    PrintRow("CFS/Ceph", ratio);
-    PrintLatencyQuantiles(std::string("cfs:") + FioPatternName(pattern), cfs_lat);
-    PrintLatencyQuantiles(std::string("ceph:") + FioPatternName(pattern), ceph_lat);
+    PrintFigureRows(FioPatternName(pattern), cfs_cells, ceph_cells);
   }
   PrintMetricsLine("rpc_metrics", "cfs", cfs_rpc_metrics);
   PrintMetricsLine("rpc_metrics", "ceph", ceph_rpc_metrics);

@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
     PrintHeader(std::string(FioPatternName(pattern)) + " (" + std::to_string(procs) +
                     " procs/client)",
                 cols);
-    std::vector<double> cfs_row, ceph_row;
-    obs::Histogram cfs_lat, ceph_lat;
+    std::vector<BenchResult> cfs_cells, ceph_cells;
     for (int clients : kClients) {
       FioParams params;
       params.file_bytes = smoke ? 256 * kMiB : 1 * kGiB;
@@ -59,32 +58,16 @@ int main(int argc, char** argv) {
         CfsBench b = MakeCfsBench(clients, /*seed=*/31 + clients, meta_parts, data_parts,
                                   /*nic_mib=*/1170, std::nullopt, /*trace=*/false, nodes);
         auto ops = FanOutAs<DataOps>(b.data_adapters, procs);
-        BenchResult r = RunFio(&b.sched(), pattern, ops, params);
-        cfs_row.push_back(r.Iops());
-        cfs_lat.MergeFrom(r.latency);
+        cfs_cells.push_back(RunFio(&b.sched(), pattern, ops, params));
         FoldPrefixes(b.cluster->Metrics(), {"net.", "qos."}, &cfs_cluster_metrics);
       }
       if (!smoke) {
         CephBench b = MakeCephBench(clients, /*seed=*/31 + clients, {}, /*nic_mib=*/1170);
         auto ops = FanOutAs<DataOps>(b.data_adapters, procs);
-        BenchResult r = RunFio(&b.sched(), pattern, ops, params);
-        ceph_row.push_back(r.Iops());
-        ceph_lat.MergeFrom(r.latency);
+        ceph_cells.push_back(RunFio(&b.sched(), pattern, ops, params));
       }
     }
-    PrintRow("CFS", cfs_row);
-    if (!smoke) {
-      PrintRow("Ceph", ceph_row);
-      std::vector<double> ratio;
-      for (size_t i = 0; i < cfs_row.size(); i++) {
-        ratio.push_back(ceph_row[i] > 0 ? cfs_row[i] / ceph_row[i] : 0);
-      }
-      PrintRow("CFS/Ceph", ratio);
-    }
-    PrintLatencyQuantiles(std::string("cfs:") + FioPatternName(pattern), cfs_lat);
-    if (!smoke) {
-      PrintLatencyQuantiles(std::string("ceph:") + FioPatternName(pattern), ceph_lat);
-    }
+    PrintFigureRows(FioPatternName(pattern), cfs_cells, ceph_cells);
   }
   PrintMetricsLine("cluster_metrics", "cfs", cfs_cluster_metrics);
   wallclock.Print();

@@ -92,7 +92,8 @@ GrayRunResult RunOnce(bool smoke, uint32_t slow_factor, uint64_t seed) {
     for (int p = 0; p < kProcs; p++) {
       adapters.push_back(
           std::make_unique<CfsDataOps>(&cluster, (**mounted)->default_mount(), 128 * kKiB));
-      auto file = harness::RunTask(cluster.sched(), adapters.back()->PrepareFile(64 * kMiB));
+      auto file = harness::RunTask(cluster.sched(),
+                                   adapters.back()->PrepareFile(64 * kMiB, adapters.size() - 1));
       if (!file || !file->ok()) {
         std::fprintf(stderr, "prepare failed\n");
         std::abort();

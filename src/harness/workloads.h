@@ -1,7 +1,14 @@
-// Benchmark workload generators: mdtest-style metadata tests (Table 2) and
-// fio-style data-path tests, runnable against both CFS and the Ceph baseline
-// through a common operation interface. Closed-loop clients, fixed op count
-// per process; IOPS = total ops / elapsed simulated time.
+// Benchmark workloads: mdtest-style metadata tests (Table 2), fio-style
+// data-path tests and the small-file test (Fig. 10), runnable against both CFS
+// and the Ceph baseline through a common operation interface.
+//
+// All three are generators over one closed-loop engine (workloads.cc): each
+// of a cell's procs runs an unmeasured setup step; once every proc has
+// joined, each issues a fixed number of ops back to back. The engine owns the
+// procs, that phase barrier and the accounting: every op status, setup
+// included, passes through one place, which counts the attempt and any
+// failure and records the latency of an OK op. IOPS = OK ops x units /
+// elapsed simulated time of the measured phase.
 #pragma once
 
 #include <functional>
@@ -37,7 +44,9 @@ class DataOps {
   virtual ~DataOps() = default;
   /// Make `bytes` of file content addressable without simulating the fio
   /// laydown phase (excluded from measurement, as in the paper).
-  virtual sim::Task<Result<uint64_t>> PrepareFile(uint64_t bytes) = 0;
+  /// `index` names the file: the caller's proc or adapter index, so a cell's
+  /// names never depend on which cells ran before it.
+  virtual sim::Task<Result<uint64_t>> PrepareFile(uint64_t bytes, uint64_t index) = 0;
   virtual sim::Task<Status> Write(uint64_t file, uint64_t offset, uint64_t len,
                                   bool overwrite) = 0;
   virtual sim::Task<Status> Read(uint64_t file, uint64_t offset, uint64_t len) = 0;
@@ -70,7 +79,7 @@ class CfsDataOps : public DataOps {
  public:
   CfsDataOps(harness::Cluster* cluster, client::MountContext* m, uint64_t small_threshold)
       : cluster_(cluster), m_(m), small_threshold_(small_threshold) {}
-  sim::Task<Result<uint64_t>> PrepareFile(uint64_t bytes) override;
+  sim::Task<Result<uint64_t>> PrepareFile(uint64_t bytes, uint64_t index) override;
   sim::Task<Status> Write(uint64_t file, uint64_t offset, uint64_t len,
                           bool overwrite) override;
   sim::Task<Status> Read(uint64_t file, uint64_t offset, uint64_t len) override;
@@ -108,7 +117,7 @@ class CephMetaOps : public MetaOps {
 class CephDataOps : public DataOps {
  public:
   explicit CephDataOps(ceph::CephClient* c) : c_(c) {}
-  sim::Task<Result<uint64_t>> PrepareFile(uint64_t bytes) override;
+  sim::Task<Result<uint64_t>> PrepareFile(uint64_t bytes, uint64_t index) override;
   sim::Task<Status> Write(uint64_t file, uint64_t offset, uint64_t len,
                           bool overwrite) override;
   sim::Task<Status> Read(uint64_t file, uint64_t offset, uint64_t len) override;
@@ -161,20 +170,36 @@ struct MdtestParams {
 };
 
 struct BenchResult {
+  /// OK ops x units: DirStat counts stat'ed entries, the tree tests one op
+  /// per tree, everything else one op per op.
   uint64_t ops = 0;
+  /// One per measured op, plus one per proc whose setup failed (it then
+  /// issues no op) and one per proc that never returned.
+  uint64_t attempted = 0;
+  uint64_t failed = 0;
   SimDuration elapsed = 0;
   /// Per-op completion latency of the measured phase (virtual time). One
-  /// sample per counted op; cells of one sweep merge via MergeFrom so a
-  /// bench can print one latency_quantiles line per pattern.
+  /// sample per OK op; cells of one sweep merge via MergeFrom so a bench can
+  /// print one latency_quantiles line per pattern.
   obs::Histogram latency;
   double Iops() const {
     return elapsed > 0 ? static_cast<double>(ops) * kSec / static_cast<double>(elapsed) : 0;
   }
+  double OkOpRatio() const {
+    return attempted ? static_cast<double>(attempted - failed) / static_cast<double>(attempted)
+                     : 0;
+  }
 };
+
+/// Runs proc(0) .. proc(n-1) as concurrent coroutines and pumps `sched`
+/// until every one has returned; false if the simulation stalls first. The
+/// engine runs both phases of every cell through it; a bench that times its
+/// own procs can too, and its elapsed time then ends at the last return.
+bool RunProcs(sim::Scheduler* sched, int n, const std::function<sim::Task<void>(int)>& proc);
 
 /// Run one mdtest phase: `procs[i]` is the per-process MetaOps handle
 /// (processes of one client share a handle; distinct clients get their own).
-/// `proc_tags` must be unique per process (used to namespace paths).
+/// Process i works under "<phase_tag>p<i>" in the handle's root.
 BenchResult RunMdtest(sim::Scheduler* sched, MdTest test,
                       const std::vector<MetaOps*>& procs, const MdtestParams& params);
 
