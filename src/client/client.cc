@@ -473,12 +473,16 @@ sim::Task<Result<std::vector<std::pair<Dentry, Inode>>>> MountContext::ReadDirPl
 }
 
 sim::Task<void> MountContext::EvictOrphans() {
-  auto orphans = std::move(orphans_);
+  // One evict request (one raft entry) per partition.
+  std::map<PartitionId, std::vector<InodeId>> by_pid;
+  for (const auto& [pid, ino] : orphans_) by_pid[pid].push_back(ino);
   orphans_.clear();
-  for (auto& [pid, ino] : orphans) {
+  for (auto& [pid, inos] : by_pid) {
+    meta::MetaEvictInodeReq req{pid, inos};
     auto r = co_await MetaCall<meta::MetaEvictInodeReq, meta::MetaEvictInodeResp>(
-        pid, meta::MetaEvictInodeReq{pid, ino});
-    if (!r.ok() || !r->status.ok()) orphans_.emplace_back(pid, ino);  // retry later
+        pid, std::move(req));
+    if (r.ok() && r->status.ok()) continue;
+    for (InodeId ino : inos) orphans_.emplace_back(pid, ino);  // retry later
   }
 }
 

@@ -64,13 +64,13 @@ struct MetaLinkInodeResp {
 struct MetaEvictInodeReq {
   static constexpr const char* kRpcName = "MetaEvictInode";
   PartitionId pid = 0;
-  InodeId ino = 0;  obs::TraceContext trace;
+  std::vector<InodeId> inos;  // all on partition `pid`; evicted in one raft entry
+  obs::TraceContext trace;
   TenantId tenant = 0;
-  size_t WireBytes() const { return 32; }  // frozen pre-tenant sizeof
+  size_t WireBytes() const { return 24 + inos.size() * 8; }
 };
 struct MetaEvictInodeResp {
   Status status;
-  Inode inode;  // evicted inode (extent keys used for content purge)
 };
 
 struct MetaGetInodeReq {

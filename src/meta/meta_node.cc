@@ -1,11 +1,19 @@
 #include "meta/meta_node.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace cfs::meta {
 
 using sim::Spawn;
 using sim::Task;
+
+namespace {
+/// Most inode ids one purge evict entry carries: a bound on the raft entry's
+/// size should unlinks ever outpace 8,192/s per partition (4,096 per scan).
+constexpr size_t kMaxEvictBatch = 4096;
+}  // namespace
 
 MetaNode::MetaNode(sim::Network* net, sim::Host* host, raft::RaftHost* raft,
                    const MetaNodeOptions& opts)
@@ -117,18 +125,23 @@ sim::Task<void> MetaNode::PurgeLoop() {
       MetaPartition* mp = pit->second.get();
       raft::RaftNode* node = raft_->Get(RaftGid(pid));
       if (!node || !node->IsLeader()) continue;
-      // Drain a bounded batch per scan so one partition cannot starve others.
-      for (int n = 0; n < 64 && !mp->free_list().empty(); n++) {
-        InodeId ino_id = mp->free_list().front();
-        ApplyResult res = co_await Execute(pid, MetaPartition::EncodeEvictInode(ino_id));
-        if (!res.status.ok()) break;
-        if (purger_ && !res.inode.extents.empty()) {
-          // Content purge runs asynchronously; losing the race with a crash
-          // only leaks disk space until fsck, never corrupts metadata.
-          Spawn([](ExtentPurger purger, Inode ino) -> Task<void> {
-            (void)co_await purger(std::move(ino));
-          }(purger_, std::move(res.inode)));
-        }
+      // One raft entry evicts the free list as it stands, up to the cap.
+      const std::deque<InodeId>& free_list = mp->free_list();
+      if (free_list.empty()) continue;
+      const std::vector<InodeId> batch(
+          free_list.begin(),
+          free_list.begin() + static_cast<ptrdiff_t>(std::min(free_list.size(), kMaxEvictBatch)));
+      ApplyResult res = co_await Execute(pid, MetaPartition::EncodeEvictInode(batch));
+      if (!res.status.ok() || !purger_) continue;
+      // Content purge runs asynchronously. Losing it only leaks disk space
+      // until fsck, never corrupts metadata, but a whole batch is lost at
+      // once: a crash here, or an Execute that fails after its entry
+      // committed (propose timeout, lost leadership), leaks the content of
+      // every inode the entry evicted.
+      for (Inode& ino : res.evicted) {
+        Spawn([](ExtentPurger purger, Inode ino) -> Task<void> {
+          (void)co_await purger(std::move(ino));
+        }(purger_, std::move(ino)));
       }
     }
   }
@@ -165,9 +178,9 @@ void MetaNode::RegisterHandlers() {
   host_->Register<MetaEvictInodeReq, MetaEvictInodeResp>(
       [this](MetaEvictInodeReq req, sim::NodeId) -> Task<MetaEvictInodeResp> {
         auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        ApplyResult res = co_await Execute(req.pid, MetaPartition::EncodeEvictInode(req.ino),
+        ApplyResult res = co_await Execute(req.pid, MetaPartition::EncodeEvictInode(req.inos),
                                            req.trace);
-        co_return MetaEvictInodeResp{res.status, std::move(res.inode)};
+        co_return MetaEvictInodeResp{res.status};
       });
 
   host_->Register<MetaCreateDentryReq, MetaCreateDentryResp>(

@@ -1,5 +1,7 @@
 #include "meta/meta_partition.h"
 
+#include <algorithm>
+
 namespace cfs::meta {
 
 MetaPartition::MetaPartition(const MetaPartitionConfig& config, sim::Host* host)
@@ -56,10 +58,11 @@ std::string MetaPartition::EncodeLinkInode(InodeId ino) {
   return enc.Take();
 }
 
-std::string MetaPartition::EncodeEvictInode(InodeId ino) {
+std::string MetaPartition::EncodeEvictInode(std::span<const InodeId> inos) {
   Encoder enc;
   enc.PutU8(static_cast<uint8_t>(MetaOp::kEvictInode));
-  enc.PutVarint(ino);
+  enc.PutVarint(inos.size());
+  for (InodeId id : inos) enc.PutVarint(id);
   return enc.Take();
 }
 
@@ -211,26 +214,25 @@ void MetaPartition::ApplyLinkInode(Decoder* dec, ApplyResult* res) {
 }
 
 void MetaPartition::ApplyEvictInode(Decoder* dec, ApplyResult* res) {
-  InodeId id;
-  res->status = dec->GetVarint(&id);
+  uint64_t n = 0;
+  res->status = dec->GetVarint(&n);
   if (!res->status.ok()) return;
-  const Inode* ino = inode_tree_.Find(id);
-  if (!ino) {
-    res->status = Status::OK();  // idempotent: already evicted
-    return;
-  }
-  res->inode = *ino;  // caller needs the extent keys for content purge
-  AccountMemory(-static_cast<int64_t>(ino->MemoryFootprint()));
-  inode_tree_.Erase(id);
-  // Free-list membership is replicated state: erase deterministically here.
-  for (auto it = free_list_.begin(); it != free_list_.end(); ++it) {
-    if (*it == id) {
+  for (uint64_t i = 0; i < n; i++) {
+    InodeId id;
+    res->status = dec->GetVarint(&id);
+    if (!res->status.ok()) return;
+    const Inode* ino = inode_tree_.Find(id);
+    if (!ino) continue;  // idempotent: already evicted
+    // The caller needs the extent keys for content purge.
+    if (!ino->extents.empty()) res->evicted.push_back(*ino);
+    AccountMemory(-static_cast<int64_t>(ino->MemoryFootprint()));
+    inode_tree_.Erase(id);
+    // Free-list membership is replicated state: erase deterministically here.
+    if (auto it = std::find(free_list_.begin(), free_list_.end(), id); it != free_list_.end()) {
       free_list_.erase(it);
       free_list_len_--;
-      break;
     }
   }
-  res->status = Status::OK();
 }
 
 void MetaPartition::ApplyCreateDentry(Decoder* dec, ApplyResult* res) {

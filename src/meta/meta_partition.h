@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <set>
+#include <span>
 
 #include "common/check.h"
 #include "meta/btree.h"
@@ -25,7 +26,7 @@ enum class MetaOp : uint8_t {
   kCreateInode = 1,
   kUnlinkInode = 2,   // nlink--; marks deleted at the threshold
   kLinkInode = 3,     // nlink++
-  kEvictInode = 4,    // remove a fully-deleted/orphan inode from the tree
+  kEvictInode = 4,    // remove a list of fully-deleted/orphan inodes from the tree
   kCreateDentry = 5,
   kDeleteDentry = 6,
   kAppendExtent = 7,  // record an extent key + new size on an inode
@@ -39,6 +40,9 @@ enum class MetaOp : uint8_t {
 struct ApplyResult : raft::ApplyOutcome {
   Inode inode;    // for inode-returning ops
   Dentry dentry;  // for dentry-returning ops
+  /// kEvictInode: the evicted inodes that have extents, whose content the
+  /// leader still has to purge (§2.7.3).
+  std::vector<Inode> evicted;
 };
 
 struct MetaPartitionConfig {
@@ -69,7 +73,7 @@ class MetaPartition : public raft::StateMachine {
                                        int64_t mtime);
   static std::string EncodeUnlinkInode(InodeId ino);
   static std::string EncodeLinkInode(InodeId ino);
-  static std::string EncodeEvictInode(InodeId ino);
+  static std::string EncodeEvictInode(std::span<const InodeId> inos);
   static std::string EncodeCreateDentry(const Dentry& d);
   static std::string EncodeDeleteDentry(InodeId parent, std::string_view name);
   static std::string EncodeAppendExtent(InodeId ino, const ExtentKey& key, uint64_t new_size);

@@ -221,32 +221,56 @@ TEST_F(CfsCluster, WriteStraddlingEofSplitsOverwriteAndAppend) {
 
 TEST_F(CfsCluster, UnlinkDeletesAndPurgesContent) {
   Boot();
-  auto f = Run(client_->Create(kRootInode, "doomed.bin", FileType::kFile));
-  ASSERT_TRUE(f.ok());
-  std::string content(300 * kKiB, 'd');
-  ASSERT_TRUE(Run(client_->Open(f->id)).ok());
-  ASSERT_TRUE(Run(client_->Write(f->id, 0, content)).ok());
-  ASSERT_TRUE(Run(client_->Close(f->id)).ok());
-
-  uint64_t bytes_before = 0;
-  for (int i = 0; i < cluster_->num_nodes(); i++) {
-    for (const auto& rep : cluster_->data_node(i)->Reports()) bytes_before += rep.used_bytes;
+  // Several large files, unlinked back to back, so one purge scan evicts
+  // more than one of them from a partition in a single entry.
+  constexpr int kFiles = 6;
+  std::vector<meta::ExtentKey> keys;
+  for (int i = 0; i < kFiles; i++) {
+    const std::string name = "doomed" + std::to_string(i) + ".bin";
+    auto f = Run(client_->Create(kRootInode, name, FileType::kFile));
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE(Run(client_->Open(f->id)).ok());
+    ASSERT_TRUE(Run(client_->Write(f->id, 0, std::string(300 * kKiB, 'd'))).ok());
+    ASSERT_TRUE(Run(client_->Close(f->id)).ok());
+    auto ino = Run(client_->GetInode(f->id));
+    ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+    ASSERT_FALSE(ino->extents.empty());
+    keys.insert(keys.end(), ino->extents.begin(), ino->extents.end());
   }
-  EXPECT_GT(bytes_before, 0u);
 
-  ASSERT_TRUE(Run(client_->Unlink(kRootInode, "doomed.bin")).ok());
-  auto looked = Run(client_->Lookup(kRootInode, "doomed.bin"));
-  EXPECT_TRUE(looked.status().IsNotFound());
-
-  // The async purge loop (§2.7.3) frees the extents.
-  bool purged = cluster_->RunUntil([&] {
+  auto used_bytes = [&] {
     uint64_t bytes = 0;
     for (int i = 0; i < cluster_->num_nodes(); i++) {
       for (const auto& rep : cluster_->data_node(i)->Reports()) bytes += rep.used_bytes;
     }
-    return bytes < bytes_before;
-  });
-  EXPECT_TRUE(purged);
+    return bytes;
+  };
+  // Replicas (across all nodes) still holding one of the files' extents.
+  auto live_extents = [&] {
+    int live = 0;
+    for (const auto& key : keys) {
+      for (int i = 0; i < cluster_->num_nodes(); i++) {
+        data::DataPartition* p = cluster_->data_node(i)->GetPartition(key.partition_id);
+        if (p && p->store().Has(key.extent_id)) live++;
+      }
+    }
+    return live;
+  };
+  const uint64_t bytes_before = used_bytes();
+  EXPECT_GT(bytes_before, 0u);
+  EXPECT_GT(live_extents(), 0);
+
+  for (int i = 0; i < kFiles; i++) {
+    const std::string name = "doomed" + std::to_string(i) + ".bin";
+    ASSERT_TRUE(Run(client_->Unlink(kRootInode, name)).ok());
+    auto looked = Run(client_->Lookup(kRootInode, name));
+    EXPECT_TRUE(looked.status().IsNotFound());
+  }
+
+  // The async purge loop (§2.7.3) frees every extent of every file.
+  bool purged = cluster_->RunUntil([&] { return live_extents() == 0; });
+  EXPECT_TRUE(purged) << live_extents() << " extent replicas left";
+  EXPECT_LT(used_bytes(), bytes_before);
 }
 
 TEST_F(CfsCluster, SmallFileDeleteUsesPunchHole) {
@@ -266,6 +290,53 @@ TEST_F(CfsCluster, SmallFileDeleteUsesPunchHole) {
     return false;
   });
   EXPECT_TRUE(punched);
+}
+
+TEST_F(CfsCluster, PurgeKeepsPaceWithUnlinkBurst) {
+  Boot();
+  constexpr int kFiles = 1024;
+  constexpr int kLanes = 16;
+  // Creates (or unlinks) the burst files from kLanes concurrent callers.
+  auto burst = [](MountContext* c, sim::Scheduler* s, bool unlink) -> Task<int> {
+    sim::Join join(s, kLanes);
+    int failed = 0;
+    for (int lane = 0; lane < kLanes; lane++) {
+      sim::Spawn([](MountContext* c, int lane, bool unlink, int* failed,
+                    std::function<void()> arrive) -> Task<void> {
+        for (int i = lane; i < kFiles; i += kLanes) {
+          const std::string name = "burst" + std::to_string(i);
+          Status st;
+          if (unlink) {
+            st = co_await c->Unlink(kRootInode, name);
+          } else {
+            st = (co_await c->Create(kRootInode, name, FileType::kFile)).status();
+          }
+          if (!st.ok()) (*failed)++;
+        }
+        arrive();
+      }(c, lane, unlink, &failed, join.Arrive()));
+    }
+    co_await join.Wait();
+    co_return failed;
+  };
+  ASSERT_EQ(Run(burst(client_, &cluster_->sched(), /*unlink=*/false)), 0);
+  ASSERT_EQ(Run(burst(client_, &cluster_->sched(), /*unlink=*/true)), 0);
+
+  // Deleted inodes awaiting eviction, over every replica of every partition.
+  auto free_list_total = [&] {
+    int64_t total = 0;
+    for (int i = 0; i < cluster_->num_nodes(); i++) {
+      total += cluster_->meta_node(i)->host()->metrics().gauge("meta.free_list_len");
+    }
+    return total;
+  };
+  const SimDuration interval = meta::MetaNodeOptions{}.purge_interval;
+  const SimDuration step = 10 * kMsec;
+  bool drained = cluster_->RunUntil([&] { return free_list_total() == 0; }, step,
+                                    static_cast<int>(2 * interval / step));
+  EXPECT_TRUE(drained) << free_list_total() << " inodes still await eviction after two "
+                       << "purge intervals";
+  ExpectInvariantsHold("after the purge");
 }
 
 TEST_F(CfsCluster, HardLinkKeepsFileAliveAfterOneUnlink) {
