@@ -323,7 +323,7 @@ class NullSm : public raft::StateMachine {
  public:
   void Apply(raft::Index, const Buffer&, const Buffer&, raft::ApplyOutcome*) override {}
   std::string TakeSnapshot() override { return {}; }
-  void Restore(std::string_view) override {}
+  Status Restore(std::string_view) override { return Status::OK(); }
 };
 
 /// One closed-loop proposer: `n` sequential proposals on `node`.

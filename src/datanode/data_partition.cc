@@ -84,8 +84,7 @@ void DataPartition::TryDrainPending(storage::ExtentId extent) {
 
 std::string DataPartition::EncodeOverwriteHead(storage::ExtentId id, uint64_t offset,
                                                uint64_t len) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(DataOp::kOverwrite));
+  Encoder enc = Encoder::Command(DataOp::kOverwrite);
   enc.PutVarint(id);
   enc.PutVarint(offset);
   enc.PutVarint(len);
@@ -93,16 +92,14 @@ std::string DataPartition::EncodeOverwriteHead(storage::ExtentId id, uint64_t of
 }
 
 std::string DataPartition::EncodeDeleteExtent(storage::ExtentId id) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(DataOp::kDeleteExtent));
+  Encoder enc = Encoder::Command(DataOp::kDeleteExtent);
   enc.PutVarint(id);
   return enc.Take();
 }
 
 std::string DataPartition::EncodePunchHole(storage::ExtentId id, uint64_t offset,
                                            uint64_t len) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(DataOp::kPunchHole));
+  Encoder enc = Encoder::Command(DataOp::kPunchHole);
   enc.PutVarint(id);
   enc.PutVarint(offset);
   enc.PutVarint(len);
@@ -113,47 +110,41 @@ void DataPartition::Apply(raft::Index /*index*/, const Buffer& head, const Buffe
                           raft::ApplyOutcome* out) {
   Decoder dec(head.view());
   uint8_t op = 0;
-  Status st = dec.GetU8(&op);
-  if (st.ok()) {
-    switch (static_cast<DataOp>(op)) {
-      case DataOp::kOverwrite: {
-        uint64_t id, offset, len;
-        st = dec.GetVarint(&id);
-        if (st.ok()) st = dec.GetVarint(&offset);
-        if (st.ok()) st = dec.GetVarint(&len);
-        if (!st.ok()) break;
-        // The proposer's Buffer arrives as `payload`; an entry recovered flat
-        // from the WAL carries the bytes after the head instead, and a slice
-        // of it shares the log entry's storage. Neither path copies.
-        Buffer data =
-            payload.empty() ? head.Slice(head.size() - dec.remaining(), len) : payload;
-        st = data.size() == len && dec.remaining() + payload.size() == len
-                 ? store_->OverwriteSync(id, offset, data)
-                 : Status::Corruption("overwrite length mismatch");
-        break;
-      }
-      case DataOp::kDeleteExtent: {
-        uint64_t id;
-        st = dec.GetVarint(&id);
-        if (st.ok()) {
-          st = store_->DeleteExtentSync(id);
-          committed_.erase(id);
-          durable_.erase(id);
-        }
-        break;
-      }
-      case DataOp::kPunchHole: {
-        uint64_t id, offset, len;
-        st = dec.GetVarint(&id);
-        if (st.ok()) st = dec.GetVarint(&offset);
-        if (st.ok()) st = dec.GetVarint(&len);
-        if (st.ok()) st = store_->PunchHoleSync(id, offset, len);
-        break;
-      }
-      default:
-        st = Status::Corruption("unknown data op");
+  uint64_t id = 0, offset = 0, len = 0;
+  Status st;
+  dec.GetU8(&op);
+  switch (static_cast<DataOp>(op)) {
+    case DataOp::kOverwrite: {
+      dec.GetVarint(&id);
+      dec.GetVarint(&offset);
+      dec.GetVarint(&len);
+      if (!dec.ok()) break;
+      // The proposer's Buffer arrives as `payload`; an entry recovered flat
+      // from the WAL carries the bytes after the head instead, and a slice
+      // of it shares the log entry's storage. Neither path copies.
+      Buffer data =
+          payload.empty() ? head.Slice(head.size() - dec.remaining(), len) : payload;
+      st = data.size() == len && dec.remaining() + payload.size() == len
+               ? store_->OverwriteSync(id, offset, data)
+               : Status::Corruption("overwrite length mismatch");
+      break;
     }
+    case DataOp::kDeleteExtent:
+      if (!dec.GetVarint(&id)) break;
+      st = store_->DeleteExtentSync(id);
+      committed_.erase(id);
+      durable_.erase(id);
+      break;
+    case DataOp::kPunchHole:
+      dec.GetVarint(&id);
+      dec.GetVarint(&offset);
+      dec.GetVarint(&len);
+      if (dec.ok()) st = store_->PunchHoleSync(id, offset, len);
+      break;
+    default:
+      st = Status::Corruption("unknown data op");
   }
+  if (!dec.ok()) st = dec.status();
   if (out) out->status = std::move(st);
 }
 
@@ -165,13 +156,13 @@ std::string DataPartition::TakeSnapshot() {
   return enc.Take();
 }
 
-void DataPartition::Restore(std::string_view snapshot) {
-  if (snapshot.empty()) return;
+Status DataPartition::Restore(std::string_view snapshot) {
+  if (snapshot.empty()) return Status::OK();
   Decoder dec(snapshot);
   uint64_t next = 0;
-  if (dec.GetVarint(&next).ok()) {
-    next_extent_id_ = std::max(next_extent_id_, next);
-  }
+  if (!dec.GetVarint(&next)) return dec.status();
+  next_extent_id_ = std::max(next_extent_id_, next);
+  return Status::OK();
 }
 
 void DataPartition::CheckInvariants(InvariantReport* report,

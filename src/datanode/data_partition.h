@@ -103,7 +103,7 @@ class DataPartition : public raft::StateMachine {
   /// the primary-backup alignment phase first, §2.2.5); the snapshot is a
   /// marker carrying only the allocation high-water mark.
   std::string TakeSnapshot() override;
-  void Restore(std::string_view snapshot) override;
+  Status Restore(std::string_view snapshot) override;
 
   /// Head of an overwrite command: the payload's `len` bytes follow it
   /// logically, passed to RaftNode::Propose as a separate Buffer.

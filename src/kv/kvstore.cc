@@ -12,14 +12,15 @@ void KvStore::EncodeBatch(Encoder* enc, const WriteBatch& batch) {
 }
 
 Status KvStore::DecodeBatch(Decoder* dec, WriteBatch* batch) {
-  uint64_t n;
-  CFS_RETURN_IF_ERROR(dec->GetVarint(&n));
-  for (uint64_t i = 0; i < n; i++) {
-    uint8_t type;
+  uint64_t n = 0;
+  dec->GetCount(&n);
+  for (uint64_t i = 0; i < n && dec->ok(); i++) {
+    uint8_t type = 0;
     std::string key, value;
-    CFS_RETURN_IF_ERROR(dec->GetU8(&type));
-    CFS_RETURN_IF_ERROR(dec->GetString(&key));
-    CFS_RETURN_IF_ERROR(dec->GetString(&value));
+    dec->GetU8(&type);
+    dec->GetString(&key);
+    dec->GetString(&value);
+    if (!dec->ok()) break;
     if (type == static_cast<uint8_t>(WriteBatch::OpType::kPut)) {
       batch->Put(std::move(key), std::move(value));
     } else if (type == static_cast<uint8_t>(WriteBatch::OpType::kDelete)) {
@@ -28,7 +29,7 @@ Status KvStore::DecodeBatch(Decoder* dec, WriteBatch* batch) {
       return Status::Corruption("bad batch op type");
     }
   }
-  return Status::OK();
+  return dec->status();
 }
 
 void KvStore::ApplyBatch(const WriteBatch& batch) {
@@ -47,14 +48,15 @@ sim::Task<Status> KvStore::Open() {
   std::string ckpt;
   if (storage_->Get(CkptKey(), &ckpt)) {
     Decoder dec(ckpt);
-    uint64_t n;
-    CFS_CO_RETURN_IF_ERROR(dec.GetVarint(&n));
-    for (uint64_t i = 0; i < n; i++) {
+    uint64_t n = 0;
+    dec.GetCount(&n);
+    for (uint64_t i = 0; i < n && dec.ok(); i++) {
       std::string k, v;
-      CFS_CO_RETURN_IF_ERROR(dec.GetString(&k));
-      CFS_CO_RETURN_IF_ERROR(dec.GetString(&v));
+      dec.GetString(&k);
+      dec.GetString(&v);
       mem_.emplace(std::move(k), std::move(v));
     }
+    CFS_CO_RETURN_IF_ERROR(dec.status());
   }
   std::string wal;
   if (storage_->Get(WalKey(), &wal)) {

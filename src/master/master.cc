@@ -11,14 +11,77 @@ using sim::Task;
 
 namespace {
 
+// The pieces commands and snapshots share, each with one Put and one Get.
+// The command encoders, Apply, TakeSnapshot and Restore all go through
+// them; a Get leaves any underflow latched in the Decoder.
+
+void PutNode(Encoder* enc, const NodeRecord& rec) {
+  enc->PutU32(rec.node);
+  enc->PutBool(rec.is_meta);
+  enc->PutBool(rec.is_data);
+  enc->PutU32(rec.raft_set);
+}
+
+NodeRecord GetNode(Decoder* dec) {
+  NodeRecord rec;
+  dec->GetU32(&rec.node);
+  dec->GetBool(&rec.is_meta);
+  dec->GetBool(&rec.is_data);
+  dec->GetU32(&rec.raft_set);
+  return rec;
+}
+
 // QoS fields ride behind a flag bit folded into replica_factor so volumes
 // with default QoS encode byte-identically to the pre-QoS format: raft entry
 // and snapshot sizes feed simulated transfer timing, which the golden
 // schedule hashes (and the pinned bench event counts) hold fixed.
 constexpr uint32_t kQosEncodedFlag = 0x80000000u;
 
-bool HasNonDefaultQos(const VolumeQos& q) {
-  return q.iops_limit != 0 || q.bytes_per_sec != 0 || q.weight != 1;
+void PutVolumeSpec(Encoder* enc, std::string_view name, uint32_t replica_factor,
+                   const VolumeQos& qos) {
+  enc->PutString(name);
+  const bool has_qos = qos.iops_limit != 0 || qos.bytes_per_sec != 0 || qos.weight != 1;
+  enc->PutU32(replica_factor | (has_qos ? kQosEncodedFlag : 0));
+  if (!has_qos) return;
+  enc->PutVarint(qos.iops_limit);
+  enc->PutVarint(qos.bytes_per_sec);
+  enc->PutU32(qos.weight);
+}
+
+/// Fills the name, replica factor and QoS of `vol`.
+void GetVolumeSpec(Decoder* dec, VolumeRecord* vol) {
+  dec->GetString(&vol->name);
+  dec->GetU32(&vol->replica_factor);
+  if (!(vol->replica_factor & kQosEncodedFlag)) return;
+  vol->replica_factor &= ~kQosEncodedFlag;
+  dec->GetVarint(&vol->qos.iops_limit);
+  dec->GetVarint(&vol->qos.bytes_per_sec);
+  dec->GetU32(&vol->qos.weight);
+}
+
+void PutReplicas(Encoder* enc, const std::vector<sim::NodeId>& replicas) {
+  enc->PutVarint(replicas.size());
+  for (sim::NodeId r : replicas) enc->PutU32(r);
+}
+
+void GetReplicas(Decoder* dec, std::vector<sim::NodeId>* replicas) {
+  uint64_t n = 0;
+  dec->GetCount(&n);
+  replicas->resize(n);
+  for (uint64_t i = 0; i < n && dec->ok(); i++) dec->GetU32(&(*replicas)[i]);
+}
+
+// A volume's partition-id lists (snapshot only).
+void PutIds(Encoder* enc, const std::vector<PartitionId>& ids) {
+  enc->PutVarint(ids.size());
+  for (PartitionId id : ids) enc->PutVarint(id);
+}
+
+void GetIds(Decoder* dec, std::vector<PartitionId>* ids) {
+  uint64_t n = 0;
+  dec->GetCount(&n);
+  ids->resize(n);
+  for (uint64_t i = 0; i < n && dec->ok(); i++) dec->GetVarint(&(*ids)[i]);
 }
 
 }  // namespace
@@ -27,55 +90,38 @@ bool HasNonDefaultQos(const VolumeQos& q) {
 
 std::string MasterState::EncodeRegisterNode(sim::NodeId node, bool is_meta, bool is_data,
                                             uint32_t raft_set) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(Op::kRegisterNode));
-  enc.PutU32(node);
-  enc.PutU8(is_meta ? 1 : 0);
-  enc.PutU8(is_data ? 1 : 0);
-  enc.PutU32(raft_set);
+  Encoder enc = Encoder::Command(Op::kRegisterNode);
+  PutNode(&enc, {node, is_meta, is_data, raft_set});
   return enc.Take();
 }
 
 std::string MasterState::EncodeCreateVolume(std::string_view name, uint32_t replica_factor,
                                             const VolumeQos& qos) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(Op::kCreateVolume));
-  enc.PutString(name);
-  const bool has_qos = HasNonDefaultQos(qos);
-  enc.PutU32(replica_factor | (has_qos ? kQosEncodedFlag : 0));
-  if (has_qos) {
-    enc.PutVarint(qos.iops_limit);
-    enc.PutVarint(qos.bytes_per_sec);
-    enc.PutU32(qos.weight);
-  }
+  Encoder enc = Encoder::Command(Op::kCreateVolume);
+  PutVolumeSpec(&enc, name, replica_factor, qos);
   return enc.Take();
 }
 
 std::string MasterState::EncodeAddMetaPartition(VolumeId vol, uint64_t start, uint64_t end,
                                                 const std::vector<sim::NodeId>& replicas) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(Op::kAddMetaPartition));
+  Encoder enc = Encoder::Command(Op::kAddMetaPartition);
   enc.PutVarint(vol);
   enc.PutVarint(start);
   enc.PutVarint(end);
-  enc.PutVarint(replicas.size());
-  for (auto r : replicas) enc.PutU32(r);
+  PutReplicas(&enc, replicas);
   return enc.Take();
 }
 
 std::string MasterState::EncodeAddDataPartition(VolumeId vol,
                                                 const std::vector<sim::NodeId>& replicas) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(Op::kAddDataPartition));
+  Encoder enc = Encoder::Command(Op::kAddDataPartition);
   enc.PutVarint(vol);
-  enc.PutVarint(replicas.size());
-  for (auto r : replicas) enc.PutU32(r);
+  PutReplicas(&enc, replicas);
   return enc.Take();
 }
 
 std::string MasterState::EncodeSetMetaPartitionEnd(PartitionId pid, uint64_t end) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(Op::kSetMetaPartitionEnd));
+  Encoder enc = Encoder::Command(Op::kSetMetaPartitionEnd);
   enc.PutVarint(pid);
   enc.PutVarint(end);
   return enc.Take();
@@ -83,11 +129,10 @@ std::string MasterState::EncodeSetMetaPartitionEnd(PartitionId pid, uint64_t end
 
 std::string MasterState::EncodeSetPartitionReadOnly(PartitionId pid, bool is_meta,
                                                     bool read_only) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(Op::kSetPartitionReadOnly));
+  Encoder enc = Encoder::Command(Op::kSetPartitionReadOnly);
   enc.PutVarint(pid);
-  enc.PutU8(is_meta ? 1 : 0);
-  enc.PutU8(read_only ? 1 : 0);
+  enc.PutBool(is_meta);
+  enc.PutBool(read_only);
   return enc.Take();
 }
 
@@ -106,154 +151,111 @@ void MasterState::Persist(const char* kind, uint64_t id, std::string value) {
 
 void MasterState::Apply(raft::Index /*index*/, const Buffer& cmd, const Buffer& /*payload*/,
                         raft::ApplyOutcome* slot) {
-  Decoder dec(cmd.view());
-  uint8_t op = 0;
   raft::ApplyOutcome scratch;  // nobody waits: the outcome goes nowhere
   raft::ApplyOutcome& out = slot ? *slot : scratch;
-  Status st = dec.GetU8(&op);
-  if (!st.ok()) {
-    out.status = st;
-  } else {
-    switch (static_cast<Op>(op)) {
-      case Op::kRegisterNode: {
-        uint32_t node, raft_set;
-        uint8_t is_meta, is_data;
-        st = dec.GetU32(&node);
-        if (st.ok()) st = dec.GetU8(&is_meta);
-        if (st.ok()) st = dec.GetU8(&is_data);
-        if (st.ok()) st = dec.GetU32(&raft_set);
-        if (st.ok()) {
-          NodeRecord rec{node, is_meta != 0, is_data != 0, raft_set};
-          nodes_[node] = rec;
-          Persist("node", node, std::to_string(raft_set));
-          out.value = raft_set;
-        }
-        out.status = st;
-        break;
-      }
-      case Op::kCreateVolume: {
-        std::string name;
-        uint32_t rf = 3;
-        VolumeQos qos;
-        st = dec.GetString(&name);
-        if (st.ok()) st = dec.GetU32(&rf);
-        if (st.ok() && (rf & kQosEncodedFlag)) {
-          rf &= ~kQosEncodedFlag;
-          st = dec.GetVarint(&qos.iops_limit);
-          if (st.ok()) st = dec.GetVarint(&qos.bytes_per_sec);
-          if (st.ok()) st = dec.GetU32(&qos.weight);
-        }
-        if (st.ok()) {
-          if (volume_by_name_.count(name)) {
-            out.status = Status::AlreadyExists("volume " + name);
-            out.value = volume_by_name_[name];
-            break;
-          }
-          VolumeRecord vol;
-          vol.id = next_volume_++;
-          vol.name = name;
-          vol.replica_factor = rf;
-          vol.qos = qos;
-          volume_by_name_[name] = vol.id;
-          out.value = vol.id;
-          Persist("volume", vol.id, name);
-          volumes_[vol.id] = std::move(vol);
-        }
-        out.status = st;
-        break;
-      }
-      case Op::kAddMetaPartition: {
-        MetaPartitionRecord rec;
-        uint64_t n = 0;
-        st = dec.GetVarint(&rec.volume);
-        if (st.ok()) st = dec.GetVarint(&rec.start);
-        if (st.ok()) st = dec.GetVarint(&rec.end);
-        if (st.ok()) st = dec.GetVarint(&n);
-        for (uint64_t i = 0; st.ok() && i < n; i++) {
-          uint32_t r;
-          st = dec.GetU32(&r);
-          if (st.ok()) rec.replicas.push_back(r);
-        }
-        if (st.ok()) {
-          auto vit = volumes_.find(rec.volume);
-          if (vit == volumes_.end()) {
-            out.status = Status::NotFound("volume");
-            break;
-          }
-          rec.pid = next_partition_++;
-          vit->second.meta_partitions.push_back(rec.pid);
-          out.value = rec.pid;
-          Persist("mp", rec.pid, std::to_string(rec.start));
-          meta_partitions_[rec.pid] = std::move(rec);
-        }
-        out.status = st;
-        break;
-      }
-      case Op::kAddDataPartition: {
-        DataPartitionRecord rec;
-        uint64_t n = 0;
-        st = dec.GetVarint(&rec.volume);
-        if (st.ok()) st = dec.GetVarint(&n);
-        for (uint64_t i = 0; st.ok() && i < n; i++) {
-          uint32_t r;
-          st = dec.GetU32(&r);
-          if (st.ok()) rec.replicas.push_back(r);
-        }
-        if (st.ok()) {
-          auto vit = volumes_.find(rec.volume);
-          if (vit == volumes_.end()) {
-            out.status = Status::NotFound("volume");
-            break;
-          }
-          rec.pid = next_partition_++;
-          vit->second.data_partitions.push_back(rec.pid);
-          out.value = rec.pid;
-          Persist("dp", rec.pid, std::to_string(rec.replicas.size()));
-          data_partitions_[rec.pid] = std::move(rec);
-        }
-        out.status = st;
-        break;
-      }
-      case Op::kSetMetaPartitionEnd: {
-        uint64_t pid, end;
-        st = dec.GetVarint(&pid);
-        if (st.ok()) st = dec.GetVarint(&end);
-        if (st.ok()) {
-          auto it = meta_partitions_.find(pid);
-          if (it == meta_partitions_.end()) {
-            out.status = Status::NotFound("meta partition");
-            break;
-          }
-          it->second.end = end;
-          Persist("mp_end", pid, std::to_string(end));
-          out.value = end;
-        }
-        out.status = st;
-        break;
-      }
-      case Op::kSetPartitionReadOnly: {
-        uint64_t pid;
-        uint8_t is_meta, read_only;
-        st = dec.GetVarint(&pid);
-        if (st.ok()) st = dec.GetU8(&is_meta);
-        if (st.ok()) st = dec.GetU8(&read_only);
-        if (st.ok()) {
-          if (is_meta) {
-            auto it = meta_partitions_.find(pid);
-            if (it != meta_partitions_.end()) it->second.read_only = read_only != 0;
-          } else {
-            auto it = data_partitions_.find(pid);
-            if (it != data_partitions_.end()) it->second.read_only = read_only != 0;
-          }
-          Persist("ro", pid, std::to_string(read_only));
-        }
-        out.status = st;
-        break;
-      }
-      default:
-        out.status = Status::Corruption("unknown master op");
+  out.status = Status::OK();
+  Decoder dec(cmd.view());
+  uint8_t op = 0;
+  dec.GetU8(&op);
+  // Each case decodes its whole command before it touches any state.
+  switch (static_cast<Op>(op)) {
+    case Op::kRegisterNode: {
+      const NodeRecord rec = GetNode(&dec);
+      if (!dec.ok()) break;
+      nodes_[rec.node] = rec;
+      Persist("node", rec.node, std::to_string(rec.raft_set));
+      out.value = rec.raft_set;
+      break;
     }
+    case Op::kCreateVolume: {
+      VolumeRecord vol;
+      GetVolumeSpec(&dec, &vol);
+      if (!dec.ok()) break;
+      if (auto it = volume_by_name_.find(vol.name); it != volume_by_name_.end()) {
+        out.status = Status::AlreadyExists("volume " + vol.name);
+        out.value = it->second;
+        break;
+      }
+      vol.id = next_volume_++;
+      volume_by_name_[vol.name] = vol.id;
+      out.value = vol.id;
+      Persist("volume", vol.id, vol.name);
+      volumes_[vol.id] = std::move(vol);
+      break;
+    }
+    case Op::kAddMetaPartition: {
+      MetaPartitionRecord rec;
+      dec.GetVarint(&rec.volume);
+      dec.GetVarint(&rec.start);
+      dec.GetVarint(&rec.end);
+      GetReplicas(&dec, &rec.replicas);
+      if (!dec.ok()) break;
+      auto vit = volumes_.find(rec.volume);
+      if (vit == volumes_.end()) {
+        out.status = Status::NotFound("volume");
+        break;
+      }
+      rec.pid = next_partition_++;
+      vit->second.meta_partitions.push_back(rec.pid);
+      out.value = rec.pid;
+      Persist("mp", rec.pid, std::to_string(rec.start));
+      meta_partitions_[rec.pid] = std::move(rec);
+      break;
+    }
+    case Op::kAddDataPartition: {
+      DataPartitionRecord rec;
+      dec.GetVarint(&rec.volume);
+      GetReplicas(&dec, &rec.replicas);
+      if (!dec.ok()) break;
+      auto vit = volumes_.find(rec.volume);
+      if (vit == volumes_.end()) {
+        out.status = Status::NotFound("volume");
+        break;
+      }
+      rec.pid = next_partition_++;
+      vit->second.data_partitions.push_back(rec.pid);
+      out.value = rec.pid;
+      Persist("dp", rec.pid, std::to_string(rec.replicas.size()));
+      data_partitions_[rec.pid] = std::move(rec);
+      break;
+    }
+    case Op::kSetMetaPartitionEnd: {
+      uint64_t pid = 0, end = 0;
+      dec.GetVarint(&pid);
+      dec.GetVarint(&end);
+      if (!dec.ok()) break;
+      auto it = meta_partitions_.find(pid);
+      if (it == meta_partitions_.end()) {
+        out.status = Status::NotFound("meta partition");
+        break;
+      }
+      it->second.end = end;
+      Persist("mp_end", pid, std::to_string(end));
+      out.value = end;
+      break;
+    }
+    case Op::kSetPartitionReadOnly: {
+      uint64_t pid = 0;
+      bool is_meta = false, read_only = false;
+      dec.GetVarint(&pid);
+      dec.GetBool(&is_meta);
+      dec.GetBool(&read_only);
+      if (!dec.ok()) break;
+      auto mark = [&](auto& records) {
+        if (auto it = records.find(pid); it != records.end()) it->second.read_only = read_only;
+      };
+      if (is_meta) {
+        mark(meta_partitions_);
+      } else {
+        mark(data_partitions_);
+      }
+      Persist("ro", pid, std::to_string(read_only));
+      break;
+    }
+    default:
+      out.status = Status::Corruption("unknown master op");
   }
+  if (!dec.ok()) out.status = dec.status();
 }
 
 const VolumeRecord* MasterState::FindVolume(const std::string& name) const {
@@ -277,27 +279,13 @@ std::string MasterState::TakeSnapshot() {
   enc.PutVarint(next_volume_);
   enc.PutVarint(next_partition_);
   enc.PutVarint(nodes_.size());
-  for (const auto& [id, rec] : nodes_) {
-    enc.PutU32(rec.node);
-    enc.PutU8(rec.is_meta ? 1 : 0);
-    enc.PutU8(rec.is_data ? 1 : 0);
-    enc.PutU32(rec.raft_set);
-  }
+  for (const auto& [id, rec] : nodes_) PutNode(&enc, rec);
   enc.PutVarint(volumes_.size());
   for (const auto& [id, vol] : volumes_) {
     enc.PutVarint(vol.id);
-    enc.PutString(vol.name);
-    const bool has_qos = HasNonDefaultQos(vol.qos);
-    enc.PutU32(vol.replica_factor | (has_qos ? kQosEncodedFlag : 0));
-    if (has_qos) {
-      enc.PutVarint(vol.qos.iops_limit);
-      enc.PutVarint(vol.qos.bytes_per_sec);
-      enc.PutU32(vol.qos.weight);
-    }
-    enc.PutVarint(vol.meta_partitions.size());
-    for (auto p : vol.meta_partitions) enc.PutVarint(p);
-    enc.PutVarint(vol.data_partitions.size());
-    for (auto p : vol.data_partitions) enc.PutVarint(p);
+    PutVolumeSpec(&enc, vol.name, vol.replica_factor, vol.qos);
+    PutIds(&enc, vol.meta_partitions);
+    PutIds(&enc, vol.data_partitions);
   }
   enc.PutVarint(meta_partitions_.size());
   for (const auto& [id, mp] : meta_partitions_) {
@@ -305,110 +293,66 @@ std::string MasterState::TakeSnapshot() {
     enc.PutVarint(mp.volume);
     enc.PutVarint(mp.start);
     enc.PutVarint(mp.end);
-    enc.PutU8(mp.read_only ? 1 : 0);
-    enc.PutVarint(mp.replicas.size());
-    for (auto r : mp.replicas) enc.PutU32(r);
+    enc.PutBool(mp.read_only);
+    PutReplicas(&enc, mp.replicas);
   }
   enc.PutVarint(data_partitions_.size());
   for (const auto& [id, dp] : data_partitions_) {
     enc.PutVarint(dp.pid);
     enc.PutVarint(dp.volume);
-    enc.PutU8(dp.read_only ? 1 : 0);
-    enc.PutVarint(dp.replicas.size());
-    for (auto r : dp.replicas) enc.PutU32(r);
+    enc.PutBool(dp.read_only);
+    PutReplicas(&enc, dp.replicas);
   }
   return enc.Take();
 }
 
-void MasterState::Restore(std::string_view snapshot) {
-  nodes_.clear();
-  volumes_.clear();
-  volume_by_name_.clear();
-  meta_partitions_.clear();
-  data_partitions_.clear();
-  next_volume_ = 1;
-  next_partition_ = 1;
-  if (snapshot.empty()) return;
-  Decoder dec(snapshot);
-  uint64_t n = 0;
-  (void)dec.GetVarint(&next_volume_);
-  (void)dec.GetVarint(&next_partition_);
-  (void)dec.GetVarint(&n);
-  for (uint64_t i = 0; i < n; i++) {
-    NodeRecord rec;
-    uint8_t m = 0, d = 0;
-    (void)dec.GetU32(&rec.node);
-    (void)dec.GetU8(&m);
-    (void)dec.GetU8(&d);
-    (void)dec.GetU32(&rec.raft_set);
-    rec.is_meta = m;
-    rec.is_data = d;
-    nodes_[rec.node] = rec;
+Status MasterState::Restore(std::string_view snapshot) {
+  // Decode into a fresh state and keep it only if every record decoded.
+  MasterState next(kv_);
+  if (!snapshot.empty()) {
+    Decoder dec(snapshot);
+    uint64_t n = 0;
+    dec.GetVarint(&next.next_volume_);
+    dec.GetVarint(&next.next_partition_);
+    dec.GetCount(&n);
+    for (uint64_t i = 0; i < n && dec.ok(); i++) {
+      const NodeRecord rec = GetNode(&dec);
+      next.nodes_[rec.node] = rec;
+    }
+    dec.GetCount(&n);
+    for (uint64_t i = 0; i < n && dec.ok(); i++) {
+      VolumeRecord vol;
+      dec.GetVarint(&vol.id);
+      GetVolumeSpec(&dec, &vol);
+      GetIds(&dec, &vol.meta_partitions);
+      GetIds(&dec, &vol.data_partitions);
+      next.volume_by_name_[vol.name] = vol.id;
+      next.volumes_[vol.id] = std::move(vol);
+    }
+    dec.GetCount(&n);
+    for (uint64_t i = 0; i < n && dec.ok(); i++) {
+      MetaPartitionRecord mp;
+      dec.GetVarint(&mp.pid);
+      dec.GetVarint(&mp.volume);
+      dec.GetVarint(&mp.start);
+      dec.GetVarint(&mp.end);
+      dec.GetBool(&mp.read_only);
+      GetReplicas(&dec, &mp.replicas);
+      next.meta_partitions_[mp.pid] = std::move(mp);
+    }
+    dec.GetCount(&n);
+    for (uint64_t i = 0; i < n && dec.ok(); i++) {
+      DataPartitionRecord dp;
+      dec.GetVarint(&dp.pid);
+      dec.GetVarint(&dp.volume);
+      dec.GetBool(&dp.read_only);
+      GetReplicas(&dec, &dp.replicas);
+      next.data_partitions_[dp.pid] = std::move(dp);
+    }
+    if (!dec.ok()) return dec.status();
   }
-  (void)dec.GetVarint(&n);
-  for (uint64_t i = 0; i < n; i++) {
-    VolumeRecord vol;
-    uint64_t k = 0;
-    (void)dec.GetVarint(&vol.id);
-    (void)dec.GetString(&vol.name);
-    (void)dec.GetU32(&vol.replica_factor);
-    if (vol.replica_factor & kQosEncodedFlag) {
-      vol.replica_factor &= ~kQosEncodedFlag;
-      (void)dec.GetVarint(&vol.qos.iops_limit);
-      (void)dec.GetVarint(&vol.qos.bytes_per_sec);
-      (void)dec.GetU32(&vol.qos.weight);
-    }
-    (void)dec.GetVarint(&k);
-    for (uint64_t j = 0; j < k; j++) {
-      uint64_t p = 0;
-      (void)dec.GetVarint(&p);
-      vol.meta_partitions.push_back(p);
-    }
-    (void)dec.GetVarint(&k);
-    for (uint64_t j = 0; j < k; j++) {
-      uint64_t p = 0;
-      (void)dec.GetVarint(&p);
-      vol.data_partitions.push_back(p);
-    }
-    volume_by_name_[vol.name] = vol.id;
-    volumes_[vol.id] = std::move(vol);
-  }
-  (void)dec.GetVarint(&n);
-  for (uint64_t i = 0; i < n; i++) {
-    MetaPartitionRecord mp;
-    uint8_t ro = 0;
-    uint64_t k = 0;
-    (void)dec.GetVarint(&mp.pid);
-    (void)dec.GetVarint(&mp.volume);
-    (void)dec.GetVarint(&mp.start);
-    (void)dec.GetVarint(&mp.end);
-    (void)dec.GetU8(&ro);
-    (void)dec.GetVarint(&k);
-    for (uint64_t j = 0; j < k; j++) {
-      uint32_t r = 0;
-      (void)dec.GetU32(&r);
-      mp.replicas.push_back(r);
-    }
-    mp.read_only = ro;
-    meta_partitions_[mp.pid] = std::move(mp);
-  }
-  (void)dec.GetVarint(&n);
-  for (uint64_t i = 0; i < n; i++) {
-    DataPartitionRecord dp;
-    uint8_t ro = 0;
-    uint64_t k = 0;
-    (void)dec.GetVarint(&dp.pid);
-    (void)dec.GetVarint(&dp.volume);
-    (void)dec.GetU8(&ro);
-    (void)dec.GetVarint(&k);
-    for (uint64_t j = 0; j < k; j++) {
-      uint32_t r = 0;
-      (void)dec.GetU32(&r);
-      dp.replicas.push_back(r);
-    }
-    dp.read_only = ro;
-    data_partitions_[dp.pid] = std::move(dp);
-  }
+  *this = std::move(next);
+  return Status::OK();
 }
 
 // --- MasterNode --------------------------------------------------------------
@@ -428,11 +372,6 @@ MasterNode::MasterNode(sim::Network* net, sim::Host* host, raft::RaftHost* raft,
   raft_node_->Start();
   RegisterHandlers();
   Spawn(AdminLoop());
-}
-
-sim::Task<Status> MasterNode::Recover() {
-  CFS_CO_RETURN_IF_ERROR(co_await kv_.Open());
-  co_return co_await raft_node_->Recover();
 }
 
 Task<raft::ApplyOutcome> MasterNode::Propose(std::string cmd) {
@@ -560,20 +499,12 @@ std::vector<sim::NodeId> MasterNode::PickReplicas(bool for_meta, uint32_t n, uin
   return out;
 }
 
-Task<Status> MasterNode::InstallMetaPartition(MetaPartitionRecord rec) {
-  meta::MetaPartitionConfig cfg;
-  cfg.id = rec.pid;
-  cfg.volume = rec.volume;
-  cfg.start = rec.start;
-  cfg.end = rec.end;
-  cfg.create_root = rec.start == meta::kRootInode;  // volume's first partition
-  cfg.qos_weight = VolumeWeight(rec.volume);
+template <typename Resp, typename Req>
+Task<Status> MasterNode::Install(std::vector<sim::NodeId> replicas, Req req) {
   Status last = Status::OK();
-  for (sim::NodeId node : rec.replicas) {
-    meta::CreateMetaPartitionReq req{cfg, rec.replicas};
-    auto r = co_await admin_channel_.Unary<meta::CreateMetaPartitionReq,
-                                           meta::CreateMetaPartitionResp>(
-        host_->id(), node, std::move(req), opts_.admin_rpc_timeout);
+  for (sim::NodeId node : replicas) {
+    auto r = co_await admin_channel_.Unary<Req, Resp>(host_->id(), node, req,
+                                                      opts_.admin_rpc_timeout);
     if (!r.ok()) {
       last = r.status();
     } else if (!r->status.ok() && !r->status.IsAlreadyExists()) {
@@ -583,26 +514,38 @@ Task<Status> MasterNode::InstallMetaPartition(MetaPartitionRecord rec) {
   co_return last;
 }
 
-Task<Status> MasterNode::InstallDataPartition(DataPartitionRecord rec) {
-  data::DataPartitionConfig cfg;
-  cfg.id = rec.pid;
-  cfg.volume = rec.volume;
-  cfg.replicas = rec.replicas;
-  cfg.qos_weight = VolumeWeight(rec.volume);
-  Status last = Status::OK();
-  for (sim::NodeId node : rec.replicas) {
-    cfg.disk_index = -1;  // each node picks its least-utilized local disk
-    data::CreateDataPartitionReq req{cfg};
-    auto r = co_await admin_channel_.Unary<data::CreateDataPartitionReq,
-                                           data::CreateDataPartitionResp>(
-        host_->id(), node, std::move(req), opts_.admin_rpc_timeout);
-    if (!r.ok()) {
-      last = r.status();
-    } else if (!r->status.ok() && !r->status.IsAlreadyExists()) {
-      last = r->status;
-    }
+Task<Status> MasterNode::AddPartition(bool is_meta, VolumeId vol, uint64_t start, uint64_t end,
+                                      uint32_t rf, uint64_t salt, PartitionId* added) {
+  std::vector<sim::NodeId> replicas = PickReplicas(is_meta, rf, salt);
+  if (replicas.empty()) {
+    co_return Status::Unavailable(is_meta ? "not enough meta nodes" : "not enough data nodes");
   }
-  co_return last;
+  std::string cmd = is_meta ? MasterState::EncodeAddMetaPartition(vol, start, end, replicas)
+                            : MasterState::EncodeAddDataPartition(vol, replicas);
+  const raft::ApplyOutcome out = co_await Propose(std::move(cmd));
+  CFS_CO_RETURN_IF_ERROR(out.status);
+  if (added) *added = out.value;
+  auto weight = state_.volumes().find(vol);
+  const uint32_t qos_weight = weight == state_.volumes().end() ? 1 : weight->second.qos.weight;
+  if (is_meta) {
+    meta::CreateMetaPartitionReq req;
+    req.config.id = out.value;
+    req.config.volume = vol;
+    req.config.start = start;
+    req.config.end = end;
+    req.config.create_root = start == meta::kRootInode;  // volume's first partition
+    req.config.qos_weight = qos_weight;
+    req.peers = replicas;
+    co_return co_await Install<meta::CreateMetaPartitionResp>(std::move(replicas),
+                                                              std::move(req));
+  }
+  data::CreateDataPartitionReq req;
+  req.config.id = out.value;
+  req.config.volume = vol;
+  req.config.replicas = replicas;
+  req.config.qos_weight = qos_weight;
+  req.config.disk_index = -1;  // each node picks its least-utilized local disk
+  co_return co_await Install<data::CreateDataPartitionResp>(std::move(replicas), std::move(req));
 }
 
 Task<Status> MasterNode::CreatePartitionsForVolume(VolumeId vol, uint32_t meta_count,
@@ -612,31 +555,22 @@ Task<Status> MasterNode::CreatePartitionsForVolume(VolumeId vol, uint32_t meta_c
     uint64_t start = i == 0 ? meta::kRootInode : 1 + static_cast<uint64_t>(i) * opts_.inode_chunk;
     uint64_t end = (i + 1 == meta_count) ? UINT64_MAX
                                          : static_cast<uint64_t>(i + 1) * opts_.inode_chunk;
-    auto replicas = PickReplicas(true, rf, vol * 131 + i);
-    if (replicas.empty()) co_return Status::Unavailable("not enough meta nodes");
-    auto out = co_await Propose(MasterState::EncodeAddMetaPartition(vol, start, end, replicas));
-    CFS_CO_RETURN_IF_ERROR(out.status);
-    auto it = state_.meta_partitions().find(out.value);
-    if (it != state_.meta_partitions().end()) {
-      CFS_CO_RETURN_IF_ERROR(co_await InstallMetaPartition(it->second));
-    }
+    CFS_CO_RETURN_IF_ERROR(co_await AddPartition(true, vol, start, end, rf, vol * 131 + i));
   }
   for (uint32_t i = 0; i < data_count; i++) {
-    auto replicas = PickReplicas(false, rf, vol * 257 + i);
-    if (replicas.empty()) co_return Status::Unavailable("not enough data nodes");
-    auto out = co_await Propose(MasterState::EncodeAddDataPartition(vol, replicas));
-    CFS_CO_RETURN_IF_ERROR(out.status);
-    auto it = state_.data_partitions().find(out.value);
-    if (it != state_.data_partitions().end()) {
-      CFS_CO_RETURN_IF_ERROR(co_await InstallDataPartition(it->second));
-    }
+    CFS_CO_RETURN_IF_ERROR(co_await AddPartition(false, vol, 0, 0, rf, vol * 257 + i));
   }
   co_return Status::OK();
 }
 
-uint32_t MasterNode::VolumeWeight(VolumeId vol) const {
-  auto it = state_.volumes().find(vol);
-  return it == state_.volumes().end() ? 1 : it->second.qos.weight;
+template <typename Report>
+const Report* MasterNode::FindReport(std::map<PartitionId, Report> NodeRuntime::*reports,
+                                     sim::NodeId node, PartitionId pid) const {
+  auto rit = runtime_.find(node);
+  if (rit == runtime_.end()) return nullptr;
+  const auto& by_pid = rit->second.*reports;
+  auto it = by_pid.find(pid);
+  return it == by_pid.end() ? nullptr : &it->second;
 }
 
 GetVolumeResp MasterNode::BuildVolumeView(const VolumeRecord& vol) const {
@@ -654,12 +588,9 @@ GetVolumeResp MasterNode::BuildVolumeView(const VolumeRecord& vol) const {
     view.replicas = rec.replicas;
     view.writable = !rec.read_only;
     for (sim::NodeId node : rec.replicas) {
-      auto rit = runtime_.find(node);
-      if (rit == runtime_.end()) continue;
-      auto mit = rit->second.meta_reports.find(pid);
-      if (mit != rit->second.meta_reports.end()) {
-        if (mit->second.is_leader) view.leader_hint = node;
-        if (mit->second.full) view.writable = false;
+      if (const auto* r = FindReport(&NodeRuntime::meta_reports, node, pid)) {
+        if (r->is_leader) view.leader_hint = node;
+        if (r->full) view.writable = false;
       }
     }
     resp.meta_partitions.push_back(std::move(view));
@@ -673,32 +604,21 @@ GetVolumeResp MasterNode::BuildVolumeView(const VolumeRecord& vol) const {
     view.replicas = rec.replicas;
     view.writable = !rec.read_only;
     for (sim::NodeId node : rec.replicas) {
-      auto rit = runtime_.find(node);
-      if (rit == runtime_.end()) continue;
-      auto dit = rit->second.data_reports.find(pid);
-      if (dit != rit->second.data_reports.end()) {
-        if (dit->second.is_raft_leader) view.raft_leader_hint = node;
-        if (dit->second.full) view.writable = false;
+      if (const auto* r = FindReport(&NodeRuntime::data_reports, node, pid)) {
+        if (r->is_raft_leader) view.raft_leader_hint = node;
+        if (r->full) view.writable = false;
       }
     }
     resp.data_partitions.push_back(std::move(view));
   }
-  resp.status = Status::OK();
   return resp;
-}
-
-Task<Status> MasterNode::MarkReadOnly(PartitionId pid, bool is_meta) {
-  auto out = co_await Propose(MasterState::EncodeSetPartitionReadOnly(pid, is_meta, true));
-  co_return out.status;
 }
 
 void MasterNode::RegisterHandlers() {
   host_->Register<RegisterNodeReq, RegisterNodeResp>(
       [this](RegisterNodeReq req, sim::NodeId) -> Task<RegisterNodeResp> {
         co_await host_->cpu().Use(10);
-        if (!IsLeader()) {
-          co_return RegisterNodeResp{Status::NotLeader(std::to_string(leader_hint())), 0};
-        }
+        if (!IsLeader()) co_return RegisterNodeResp{NotLeaderStatus(), 0};
         uint32_t set = state_.next_raft_set(opts_.raft_set_size);
         auto out = co_await Propose(
             MasterState::EncodeRegisterNode(req.node, req.is_meta, req.is_data, set));
@@ -713,9 +633,7 @@ void MasterNode::RegisterHandlers() {
   host_->Register<NodeHeartbeatReq, NodeHeartbeatResp>(
       [this](NodeHeartbeatReq req, sim::NodeId) -> Task<NodeHeartbeatResp> {
         co_await host_->cpu().Use(5);
-        if (!IsLeader()) {
-          co_return NodeHeartbeatResp{Status::NotLeader(std::to_string(leader_hint()))};
-        }
+        if (!IsLeader()) co_return NodeHeartbeatResp{NotLeaderStatus()};
         NodeRuntime& rt = runtime_[req.node];
         rt.last_heartbeat = net_->scheduler()->Now();
         rt.memory_utilization = req.memory_utilization;
@@ -729,9 +647,7 @@ void MasterNode::RegisterHandlers() {
   host_->Register<CreateVolumeReq, CreateVolumeResp>(
       [this](CreateVolumeReq req, sim::NodeId) -> Task<CreateVolumeResp> {
         co_await host_->cpu().Use(20);
-        if (!IsLeader()) {
-          co_return CreateVolumeResp{Status::NotLeader(std::to_string(leader_hint())), 0};
-        }
+        if (!IsLeader()) co_return CreateVolumeResp{NotLeaderStatus(), 0};
         auto out = co_await Propose(
             MasterState::EncodeCreateVolume(req.name, req.replica_factor, req.qos));
         if (!out.status.ok()) co_return CreateVolumeResp{out.status, out.value};
@@ -745,27 +661,19 @@ void MasterNode::RegisterHandlers() {
   host_->Register<GetVolumeReq, GetVolumeResp>(
       [this](GetVolumeReq req, sim::NodeId) -> Task<GetVolumeResp> {
         co_await host_->cpu().Use(8);
-        GetVolumeResp resp;
-        if (!IsLeader()) {
-          resp.status = Status::NotLeader(std::to_string(leader_hint()));
-          co_return resp;
-        }
+        if (!IsLeader()) co_return GetVolumeResp{NotLeaderStatus()};
         const VolumeRecord* vol = state_.FindVolume(req.name);
-        if (!vol) {
-          resp.status = Status::NotFound("volume " + req.name);
-          co_return resp;
-        }
+        if (!vol) co_return GetVolumeResp{Status::NotFound("volume " + req.name)};
         co_return BuildVolumeView(*vol);
       });
 
   host_->Register<ReportPartitionFailureReq, ReportPartitionFailureResp>(
       [this](ReportPartitionFailureReq req, sim::NodeId) -> Task<ReportPartitionFailureResp> {
         co_await host_->cpu().Use(8);
-        if (!IsLeader()) {
-          co_return ReportPartitionFailureResp{
-              Status::NotLeader(std::to_string(leader_hint()))};
-        }
-        co_return ReportPartitionFailureResp{co_await MarkReadOnly(req.pid, req.is_meta)};
+        if (!IsLeader()) co_return ReportPartitionFailureResp{NotLeaderStatus()};
+        auto out = co_await Propose(
+            MasterState::EncodeSetPartitionReadOnly(req.pid, req.is_meta, true));
+        co_return ReportPartitionFailureResp{out.status};
       });
 }
 
@@ -790,63 +698,53 @@ Task<void> MasterNode::CheckLiveness() {
     if (now - rt.last_heartbeat > opts_.node_timeout) dead.insert(node);
   }
   if (dead.empty()) co_return;
-  // Decide first, act second: MarkReadOnly goes through Raft (a suspension),
+  // Decide first, act second: marking goes through Raft (a suspension),
   // and the partition maps can be mutated — entries added by splits, the
   // state replaced on apply — while this coroutine is parked, which would
   // invalidate the live iterators of these range-fors (A1).
   std::vector<std::pair<PartitionId, bool>> targets;
-  for (const auto& [pid, rec] : state_.meta_partitions()) {
-    if (rec.read_only) continue;
-    for (sim::NodeId r : rec.replicas) {
-      if (dead.count(r)) {
-        targets.emplace_back(pid, true);
-        break;
+  auto is_dead = [&](sim::NodeId r) { return dead.count(r) > 0; };
+  auto collect = [&](const auto& records, bool is_meta) {
+    for (const auto& [pid, rec] : records) {
+      if (!rec.read_only && std::ranges::any_of(rec.replicas, is_dead)) {
+        targets.emplace_back(pid, is_meta);
       }
     }
-  }
-  for (const auto& [pid, rec] : state_.data_partitions()) {
-    if (rec.read_only) continue;
-    for (sim::NodeId r : rec.replicas) {
-      if (dead.count(r)) {
-        targets.emplace_back(pid, false);
-        break;
-      }
-    }
-  }
+  };
+  collect(state_.meta_partitions(), true);
+  collect(state_.data_partitions(), false);
   for (const auto& [pid, is_meta] : targets) {
-    (void)co_await MarkReadOnly(pid, is_meta);
+    (void)co_await Propose(MasterState::EncodeSetPartitionReadOnly(pid, is_meta, true));
   }
 }
 
 Task<void> MasterNode::MaybeSplitMetaPartitions() {
   // Algorithm 1: only the partition owning the unbounded tail of the inode
   // range splits; the cut happens at maxInodeID + delta.
+  auto max_reported = [this](const MetaPartitionRecord& rec,
+                             uint64_t meta::MetaPartitionReport::*field) {
+    uint64_t max = 0;
+    for (sim::NodeId node : rec.replicas) {
+      if (const auto* r = FindReport(&NodeRuntime::meta_reports, node, rec.pid)) {
+        max = std::max(max, r->*field);
+      }
+    }
+    return max;
+  };
   std::vector<MetaPartitionRecord> to_split;
   for (const auto& [pid, rec] : state_.meta_partitions()) {
     if (rec.end != UINT64_MAX || rec.read_only || splitting_.count(pid)) continue;
-    uint64_t max_items = 0, max_inode = 0;
-    for (sim::NodeId node : rec.replicas) {
-      auto rit = runtime_.find(node);
-      if (rit == runtime_.end()) continue;
-      auto mit = rit->second.meta_reports.find(pid);
-      if (mit == rit->second.meta_reports.end()) continue;
-      max_items = std::max(max_items, mit->second.item_count);
-      max_inode = std::max(max_inode, mit->second.max_inode_id);
+    if (max_reported(rec, &meta::MetaPartitionReport::item_count) >=
+        opts_.meta_split_threshold) {
+      to_split.push_back(rec);
     }
-    if (max_items >= opts_.meta_split_threshold) to_split.push_back(rec);
   }
   for (const auto& rec : to_split) {
     splitting_.insert(rec.pid);
-    uint64_t max_inode = 0;
-    for (sim::NodeId node : rec.replicas) {
-      auto rit = runtime_.find(node);
-      if (rit == runtime_.end()) continue;
-      auto mit = rit->second.meta_reports.find(rec.pid);
-      if (mit != rit->second.meta_reports.end()) {
-        max_inode = std::max(max_inode, mit->second.max_inode_id);
-      }
-    }
-    uint64_t end = max_inode + opts_.split_delta;  // the cutoff (Algorithm 1 line 8)
+    // The cutoff (Algorithm 1 line 8), read now: the reports may have moved
+    // while an earlier split of this pass was suspended.
+    const uint64_t end =
+        max_reported(rec, &meta::MetaPartitionReport::max_inode_id) + opts_.split_delta;
     // (1) update the range in the replicated cluster map,
     auto out = co_await Propose(MasterState::EncodeSetMetaPartitionEnd(rec.pid, end));
     if (!out.status.ok()) {
@@ -862,20 +760,13 @@ Task<void> MasterNode::MaybeSplitMetaPartitions() {
       if (r.ok() && r->status.ok()) break;  // the leader applied it
     }
     // (3) create the new partition owning [end+1, ∞).
-    auto replicas = PickReplicas(true, static_cast<uint32_t>(rec.replicas.size()),
-                                 rec.pid * 977);
-    if (!replicas.empty()) {
-      auto added = co_await Propose(
-          MasterState::EncodeAddMetaPartition(rec.volume, end + 1, UINT64_MAX, replicas));
-      if (added.status.ok()) {
-        auto it = state_.meta_partitions().find(added.value);
-        if (it != state_.meta_partitions().end()) {
-          (void)co_await InstallMetaPartition(it->second);
-          splits_++;
-          LOG_INFO("split meta partition ", rec.pid, " at ", end, ", new partition ",
-                   added.value);
-        }
-      }
+    PartitionId added = 0;
+    (void)co_await AddPartition(true, rec.volume, end + 1, UINT64_MAX,
+                                static_cast<uint32_t>(rec.replicas.size()), rec.pid * 977,
+                                &added);
+    if (added != 0) {
+      splits_++;
+      LOG_INFO("split meta partition ", rec.pid, " at ", end, ", new partition ", added);
     }
     splitting_.erase(rec.pid);
   }
@@ -891,13 +782,10 @@ Task<void> MasterNode::MaybeExpandVolumes() {
     for (PartitionId pid : vol.data_partitions) {
       auto it = state_.data_partitions().find(pid);
       if (it == state_.data_partitions().end() || it->second.read_only) continue;
-      bool full = false;
-      for (sim::NodeId node : it->second.replicas) {
-        auto rit = runtime_.find(node);
-        if (rit == runtime_.end()) continue;
-        auto dit = rit->second.data_reports.find(pid);
-        if (dit != rit->second.data_reports.end() && dit->second.full) full = true;
-      }
+      const bool full = std::ranges::any_of(it->second.replicas, [&](sim::NodeId node) {
+        const auto* r = FindReport(&NodeRuntime::data_reports, node, pid);
+        return r && r->full;
+      });
       if (!full) writable++;
     }
     if (!vol.data_partitions.empty() && writable < opts_.min_writable_data_partitions) {
@@ -906,14 +794,11 @@ Task<void> MasterNode::MaybeExpandVolumes() {
   }
   for (auto [vid, rf] : expand) {
     for (uint32_t i = 0; i < opts_.expand_batch; i++) {
-      auto replicas = PickReplicas(false, rf, vid * 31 + i + expansions_ * 7919);
-      if (replicas.empty()) break;
-      auto out = co_await Propose(MasterState::EncodeAddDataPartition(vid, replicas));
-      if (!out.status.ok()) break;
-      auto it = state_.data_partitions().find(out.value);
-      if (it != state_.data_partitions().end()) {
-        (void)co_await InstallDataPartition(it->second);
-      }
+      // Stop at the first partition that was not placed or not committed.
+      PartitionId added = 0;
+      (void)co_await AddPartition(false, vid, 0, 0, rf, vid * 31 + i + expansions_ * 7919,
+                                  &added);
+      if (added == 0) break;
     }
     expansions_++;
     LOG_INFO("expanded volume ", vid, " with ", opts_.expand_batch, " data partitions");

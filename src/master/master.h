@@ -11,6 +11,11 @@
 //  * automatic volume expansion when partitions fill up (§2.3.1);
 //  * exception handling: heartbeat-loss and client-reported timeouts mark
 //    partitions read-only (§2.3.3).
+//
+// Volume creation, split step 3 and expansion add partitions through one
+// step, MasterNode::AddPartition (PickReplicas → Propose → install). Raft
+// commands and snapshots share one codec per record piece (node record,
+// volume spec, replica list), and Restore rejects a corrupt snapshot whole.
 #pragma once
 
 #include <map>
@@ -112,9 +117,10 @@ class MasterState : public raft::StateMachine {
   void Apply(raft::Index index, const Buffer& cmd, const Buffer& payload,
              raft::ApplyOutcome* out) override;
   std::string TakeSnapshot() override;
-  void Restore(std::string_view snapshot) override;
+  Status Restore(std::string_view snapshot) override;
 
-  // Command encoders.
+  // Command encoders. Their node record, volume spec (name, replica factor,
+  // QoS) and replica list share one codec each with the snapshot.
   static std::string EncodeRegisterNode(sim::NodeId node, bool is_meta, bool is_data,
                                         uint32_t raft_set);
   static std::string EncodeCreateVolume(std::string_view name, uint32_t replica_factor,
@@ -166,13 +172,8 @@ class MasterNode {
   sim::NodeId leader_hint() const { return raft_node_->leader_hint(); }
   MasterState& state() { return state_; }
   raft::RaftNode* raft_node() { return raft_node_; }
-  const std::map<sim::NodeId, NodeRuntime>& runtime() const { return runtime_; }
-
-  /// Restart recovery.
-  sim::Task<Status> Recover();
 
   uint64_t splits_performed() const { return splits_; }
-  uint64_t expansions_performed() const { return expansions_; }
 
   static raft::GroupId RaftGid() { return 0x5200000000000001ull; }
 
@@ -189,6 +190,7 @@ class MasterNode {
 
  private:
   void RegisterHandlers();
+  Status NotLeaderStatus() const { return Status::NotLeader(std::to_string(leader_hint())); }
   sim::Task<raft::ApplyOutcome> Propose(std::string cmd);
   sim::Task<void> AdminLoop();
   sim::Task<void> CheckLiveness();
@@ -196,14 +198,22 @@ class MasterNode {
   sim::Task<void> MaybeExpandVolumes();
   sim::Task<Status> CreatePartitionsForVolume(VolumeId vol, uint32_t meta_count,
                                               uint32_t data_count, uint32_t rf);
-  // By value: the coroutine iterates rec.replicas across RPC suspensions,
-  // so it must own the record — callers pass map entries that can be erased
-  // or rehomed while the install is in flight (A1).
-  sim::Task<Status> InstallMetaPartition(MetaPartitionRecord rec);
-  sim::Task<Status> InstallDataPartition(DataPartitionRecord rec);
+  /// The add-partition step of volume creation, split step 3 and expansion:
+  /// PickReplicas → Propose → Install. A data partition ignores `start` and
+  /// `end`. Returns the failure of the first step that failed; `*added`
+  /// gets the new partition id once the proposal commits.
+  sim::Task<Status> AddPartition(bool is_meta, VolumeId vol, uint64_t start, uint64_t end,
+                                 uint32_t rf, uint64_t salt, PartitionId* added = nullptr);
+  /// Sends the create request to each replica in turn and returns the last
+  /// failure; a replica already holding the partition counts as installed.
+  /// By value: `replicas` is iterated across RPC suspensions (A1).
+  template <typename Resp, typename Req>
+  sim::Task<Status> Install(std::vector<sim::NodeId> replicas, Req req);
+  /// `node`'s latest meta or data report on `pid`; null if it sent none.
+  template <typename Report>
+  const Report* FindReport(std::map<PartitionId, Report> NodeRuntime::*reports,
+                           sim::NodeId node, PartitionId pid) const;
   GetVolumeResp BuildVolumeView(const VolumeRecord& vol) const;
-  uint32_t VolumeWeight(VolumeId vol) const;
-  sim::Task<Status> MarkReadOnly(PartitionId pid, bool is_meta);
 
   sim::Network* net_;
   sim::Host* host_;

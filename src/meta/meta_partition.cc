@@ -36,8 +36,7 @@ void MetaPartition::AccountMemory(int64_t delta) {
 
 std::string MetaPartition::EncodeCreateInode(FileType type, std::string_view link_target,
                                              int64_t mtime) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(MetaOp::kCreateInode));
+  Encoder enc = Encoder::Command(MetaOp::kCreateInode);
   enc.PutU8(static_cast<uint8_t>(type));
   enc.PutString(link_target);
   enc.PutI64(mtime);
@@ -45,37 +44,32 @@ std::string MetaPartition::EncodeCreateInode(FileType type, std::string_view lin
 }
 
 std::string MetaPartition::EncodeUnlinkInode(InodeId ino) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(MetaOp::kUnlinkInode));
+  Encoder enc = Encoder::Command(MetaOp::kUnlinkInode);
   enc.PutVarint(ino);
   return enc.Take();
 }
 
 std::string MetaPartition::EncodeLinkInode(InodeId ino) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(MetaOp::kLinkInode));
+  Encoder enc = Encoder::Command(MetaOp::kLinkInode);
   enc.PutVarint(ino);
   return enc.Take();
 }
 
 std::string MetaPartition::EncodeEvictInode(std::span<const InodeId> inos) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(MetaOp::kEvictInode));
+  Encoder enc = Encoder::Command(MetaOp::kEvictInode);
   enc.PutVarint(inos.size());
   for (InodeId id : inos) enc.PutVarint(id);
   return enc.Take();
 }
 
 std::string MetaPartition::EncodeCreateDentry(const Dentry& d) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(MetaOp::kCreateDentry));
+  Encoder enc = Encoder::Command(MetaOp::kCreateDentry);
   d.Encode(&enc);
   return enc.Take();
 }
 
 std::string MetaPartition::EncodeDeleteDentry(InodeId parent, std::string_view name) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(MetaOp::kDeleteDentry));
+  Encoder enc = Encoder::Command(MetaOp::kDeleteDentry);
   enc.PutVarint(parent);
   enc.PutString(name);
   return enc.Take();
@@ -83,8 +77,7 @@ std::string MetaPartition::EncodeDeleteDentry(InodeId parent, std::string_view n
 
 std::string MetaPartition::EncodeAppendExtent(InodeId ino, const ExtentKey& key,
                                               uint64_t new_size) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(MetaOp::kAppendExtent));
+  Encoder enc = Encoder::Command(MetaOp::kAppendExtent);
   enc.PutVarint(ino);
   key.Encode(&enc);
   enc.PutVarint(new_size);
@@ -92,8 +85,7 @@ std::string MetaPartition::EncodeAppendExtent(InodeId ino, const ExtentKey& key,
 }
 
 std::string MetaPartition::EncodeSetAttr(InodeId ino, uint64_t size, int64_t mtime) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(MetaOp::kSetAttr));
+  Encoder enc = Encoder::Command(MetaOp::kSetAttr);
   enc.PutVarint(ino);
   enc.PutVarint(size);
   enc.PutI64(mtime);
@@ -101,21 +93,25 @@ std::string MetaPartition::EncodeSetAttr(InodeId ino, uint64_t size, int64_t mti
 }
 
 std::string MetaPartition::EncodeTruncate(InodeId ino, uint64_t new_size) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(MetaOp::kTruncate));
+  Encoder enc = Encoder::Command(MetaOp::kTruncate);
   enc.PutVarint(ino);
   enc.PutVarint(new_size);
   return enc.Take();
 }
 
 std::string MetaPartition::EncodeSetEnd(InodeId end) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(MetaOp::kSetEnd));
+  Encoder enc = Encoder::Command(MetaOp::kSetEnd);
   enc.PutVarint(end);
   return enc.Take();
 }
 
 // --- Apply -----------------------------------------------------------------
+
+Inode* MetaPartition::FindInodeToApply(InodeId id, ApplyResult* res) {
+  Inode* ino = inode_tree_.FindMutable(id);
+  if (!ino) res->status = Status::NotFound("inode " + std::to_string(id));
+  return ino;
+}
 
 void MetaPartition::Apply(raft::Index /*index*/, const Buffer& cmd, const Buffer& /*payload*/,
                           raft::ApplyOutcome* out) {
@@ -123,35 +119,34 @@ void MetaPartition::Apply(raft::Index /*index*/, const Buffer& cmd, const Buffer
   uint8_t op = 0;
   ApplyResult scratch;  // nobody waits: the outcome goes nowhere
   ApplyResult* res = out ? static_cast<ApplyResult*>(out) : &scratch;
-  if (!dec.GetU8(&op).ok()) {
-    res->status = Status::Corruption("empty meta command");
-  } else {
-    switch (static_cast<MetaOp>(op)) {
-      case MetaOp::kCreateInode: ApplyCreateInode(&dec, res); break;
-      case MetaOp::kUnlinkInode: ApplyUnlinkInode(&dec, res); break;
-      case MetaOp::kLinkInode: ApplyLinkInode(&dec, res); break;
-      case MetaOp::kEvictInode: ApplyEvictInode(&dec, res); break;
-      case MetaOp::kCreateDentry: ApplyCreateDentry(&dec, res); break;
-      case MetaOp::kDeleteDentry: ApplyDeleteDentry(&dec, res); break;
-      case MetaOp::kAppendExtent: ApplyAppendExtent(&dec, res); break;
-      case MetaOp::kSetAttr: ApplySetAttr(&dec, res); break;
-      case MetaOp::kTruncate: ApplyTruncate(&dec, res); break;
-      case MetaOp::kSetEnd: ApplySetEnd(&dec, res); break;
-      default: res->status = Status::Corruption("unknown meta op"); break;
-    }
+  res->status = Status::OK();
+  // Each Apply* decodes all its arguments first and returns without
+  // touching state when the decoder failed; it sets res->status on failure.
+  dec.GetU8(&op);
+  switch (static_cast<MetaOp>(op)) {
+    case MetaOp::kCreateInode: ApplyCreateInode(&dec, res); break;
+    case MetaOp::kUnlinkInode: ApplyUnlinkInode(&dec, res); break;
+    case MetaOp::kLinkInode: ApplyLinkInode(&dec, res); break;
+    case MetaOp::kEvictInode: ApplyEvictInode(&dec, res); break;
+    case MetaOp::kCreateDentry: ApplyCreateDentry(&dec, res); break;
+    case MetaOp::kDeleteDentry: ApplyDeleteDentry(&dec, res); break;
+    case MetaOp::kAppendExtent: ApplyAppendExtent(&dec, res); break;
+    case MetaOp::kSetAttr: ApplySetAttr(&dec, res); break;
+    case MetaOp::kTruncate: ApplyTruncate(&dec, res); break;
+    case MetaOp::kSetEnd: ApplySetEnd(&dec, res); break;
+    default: res->status = Status::Corruption("unknown meta op"); break;
   }
+  if (!dec.ok()) res->status = dec.status();
 }
 
 void MetaPartition::ApplyCreateInode(Decoder* dec, ApplyResult* res) {
   uint8_t type = 0;
   std::string link_target;
   int64_t mtime = 0;
-  res->status = dec->GetU8(&type);
-  if (!res->status.ok()) return;
-  res->status = dec->GetString(&link_target);
-  if (!res->status.ok()) return;
-  res->status = dec->GetI64(&mtime);
-  if (!res->status.ok()) return;
+  dec->GetU8(&type);
+  dec->GetString(&link_target);
+  dec->GetI64(&mtime);
+  if (!dec->ok()) return;
 
   if (next_inode_ > config_.end) {
     // The id range was cut off by a split; the client must retry on the
@@ -172,18 +167,13 @@ void MetaPartition::ApplyCreateInode(Decoder* dec, ApplyResult* res) {
   AccountMemory(static_cast<int64_t>(ino.MemoryFootprint()));
   res->inode = ino;
   inode_tree_.Insert(ino.id, std::move(ino));
-  res->status = Status::OK();
 }
 
 void MetaPartition::ApplyUnlinkInode(Decoder* dec, ApplyResult* res) {
-  InodeId id;
-  res->status = dec->GetVarint(&id);
-  if (!res->status.ok()) return;
-  Inode* ino = inode_tree_.FindMutable(id);
-  if (!ino) {
-    res->status = Status::NotFound("inode " + std::to_string(id));
-    return;
-  }
+  InodeId id = 0;
+  if (!dec->GetVarint(&id)) return;
+  Inode* ino = FindInodeToApply(id, res);
+  if (!ino) return;
   if (ino->nlink > 0) ino->nlink--;
   if (ino->nlink <= UnlinkThreshold(ino->type) && !ino->IsDeleted()) {
     ino->flag |= kInodeDeleteMark;
@@ -192,35 +182,28 @@ void MetaPartition::ApplyUnlinkInode(Decoder* dec, ApplyResult* res) {
   }
   res->value = ino->nlink;
   res->inode = *ino;
-  res->status = Status::OK();
 }
 
 void MetaPartition::ApplyLinkInode(Decoder* dec, ApplyResult* res) {
-  InodeId id;
-  res->status = dec->GetVarint(&id);
-  if (!res->status.ok()) return;
-  Inode* ino = inode_tree_.FindMutable(id);
-  if (!ino) {
-    res->status = Status::NotFound("inode " + std::to_string(id));
-    return;
-  }
+  InodeId id = 0;
+  if (!dec->GetVarint(&id)) return;
+  Inode* ino = FindInodeToApply(id, res);
+  if (!ino) return;
   if (ino->IsDeleted()) {
     res->status = Status::NotFound("inode already deleted");
     return;
   }
   ino->nlink++;
   res->inode = *ino;
-  res->status = Status::OK();
 }
 
 void MetaPartition::ApplyEvictInode(Decoder* dec, ApplyResult* res) {
   uint64_t n = 0;
-  res->status = dec->GetVarint(&n);
-  if (!res->status.ok()) return;
-  for (uint64_t i = 0; i < n; i++) {
-    InodeId id;
-    res->status = dec->GetVarint(&id);
-    if (!res->status.ok()) return;
+  dec->GetCount(&n);
+  std::vector<InodeId> ids(n);
+  for (uint64_t i = 0; i < n && dec->ok(); i++) dec->GetVarint(&ids[i]);
+  if (!dec->ok()) return;
+  for (InodeId id : ids) {
     const Inode* ino = inode_tree_.Find(id);
     if (!ino) continue;  // idempotent: already evicted
     // The caller needs the extent keys for content purge.
@@ -236,9 +219,8 @@ void MetaPartition::ApplyEvictInode(Decoder* dec, ApplyResult* res) {
 }
 
 void MetaPartition::ApplyCreateDentry(Decoder* dec, ApplyResult* res) {
-  Dentry d;
-  res->status = Dentry::Decode(dec, &d);
-  if (!res->status.ok()) return;
+  Dentry d = Dentry::Decode(dec);
+  if (!dec->ok()) return;
   DentryKey key{d.parent, d.name};
   if (dentry_tree_.Contains(key)) {
     res->status = Status::AlreadyExists(d.name);
@@ -247,16 +229,14 @@ void MetaPartition::ApplyCreateDentry(Decoder* dec, ApplyResult* res) {
   AccountMemory(static_cast<int64_t>(d.MemoryFootprint()));
   res->dentry = d;
   dentry_tree_.Insert(std::move(key), std::move(d));
-  res->status = Status::OK();
 }
 
 void MetaPartition::ApplyDeleteDentry(Decoder* dec, ApplyResult* res) {
-  InodeId parent;
+  InodeId parent = 0;
   std::string name;
-  res->status = dec->GetVarint(&parent);
-  if (!res->status.ok()) return;
-  res->status = dec->GetString(&name);
-  if (!res->status.ok()) return;
+  dec->GetVarint(&parent);
+  dec->GetString(&name);
+  if (!dec->ok()) return;
   DentryKey key{parent, name};
   const Dentry* d = dentry_tree_.Find(key);
   if (!d) {
@@ -266,24 +246,17 @@ void MetaPartition::ApplyDeleteDentry(Decoder* dec, ApplyResult* res) {
   res->dentry = *d;  // caller unlinks this inode next (§2.6.3)
   AccountMemory(-static_cast<int64_t>(d->MemoryFootprint()));
   dentry_tree_.Erase(key);
-  res->status = Status::OK();
 }
 
 void MetaPartition::ApplyAppendExtent(Decoder* dec, ApplyResult* res) {
-  InodeId id;
-  ExtentKey key;
-  uint64_t new_size;
-  res->status = dec->GetVarint(&id);
-  if (!res->status.ok()) return;
-  res->status = ExtentKey::Decode(dec, &key);
-  if (!res->status.ok()) return;
-  res->status = dec->GetVarint(&new_size);
-  if (!res->status.ok()) return;
-  Inode* ino = inode_tree_.FindMutable(id);
-  if (!ino) {
-    res->status = Status::NotFound("inode " + std::to_string(id));
-    return;
-  }
+  InodeId id = 0;
+  uint64_t new_size = 0;
+  dec->GetVarint(&id);
+  const ExtentKey key = ExtentKey::Decode(dec);
+  dec->GetVarint(&new_size);
+  if (!dec->ok()) return;
+  Inode* ino = FindInodeToApply(id, res);
+  if (!ino) return;
   // A client re-syncing a grown extent replaces the existing key (size is
   // monotone); an exact duplicate (retry) is a no-op.
   bool found = false;
@@ -301,42 +274,31 @@ void MetaPartition::ApplyAppendExtent(Decoder* dec, ApplyResult* res) {
   }
   ino->size = std::max(ino->size, new_size);
   res->inode = *ino;
-  res->status = Status::OK();
 }
 
 void MetaPartition::ApplySetAttr(Decoder* dec, ApplyResult* res) {
-  InodeId id;
-  uint64_t size;
-  int64_t mtime;
-  res->status = dec->GetVarint(&id);
-  if (!res->status.ok()) return;
-  res->status = dec->GetVarint(&size);
-  if (!res->status.ok()) return;
-  res->status = dec->GetI64(&mtime);
-  if (!res->status.ok()) return;
-  Inode* ino = inode_tree_.FindMutable(id);
-  if (!ino) {
-    res->status = Status::NotFound("inode");
-    return;
-  }
+  InodeId id = 0;
+  uint64_t size = 0;
+  int64_t mtime = 0;
+  dec->GetVarint(&id);
+  dec->GetVarint(&size);
+  dec->GetI64(&mtime);
+  if (!dec->ok()) return;
+  Inode* ino = FindInodeToApply(id, res);
+  if (!ino) return;
   ino->size = size;
   ino->mtime = mtime;
   res->inode = *ino;
-  res->status = Status::OK();
 }
 
 void MetaPartition::ApplyTruncate(Decoder* dec, ApplyResult* res) {
-  InodeId id;
-  uint64_t new_size;
-  res->status = dec->GetVarint(&id);
-  if (!res->status.ok()) return;
-  res->status = dec->GetVarint(&new_size);
-  if (!res->status.ok()) return;
-  Inode* ino = inode_tree_.FindMutable(id);
-  if (!ino) {
-    res->status = Status::NotFound("inode");
-    return;
-  }
+  InodeId id = 0;
+  uint64_t new_size = 0;
+  dec->GetVarint(&id);
+  dec->GetVarint(&new_size);
+  if (!dec->ok()) return;
+  Inode* ino = FindInodeToApply(id, res);
+  if (!ino) return;
   // Return the truncated-away extent keys so the caller can free content.
   res->inode = *ino;
   const size_t before = ino->extents.size();
@@ -344,13 +306,11 @@ void MetaPartition::ApplyTruncate(Decoder* dec, ApplyResult* res) {
   AccountMemory(static_cast<int64_t>(ino->extents.size() * sizeof(ExtentKey)) -
                 static_cast<int64_t>(before * sizeof(ExtentKey)));
   ino->size = new_size;
-  res->status = Status::OK();
 }
 
 void MetaPartition::ApplySetEnd(Decoder* dec, ApplyResult* res) {
-  InodeId end;
-  res->status = dec->GetVarint(&end);
-  if (!res->status.ok()) return;
+  InodeId end = 0;
+  if (!dec->GetVarint(&end)) return;
   // Algorithm 1: the new end must still cover every allocated inode id.
   if (end < next_inode_ - 1) {
     res->status = Status::InvalidArgument("split end below maxInodeID");
@@ -358,7 +318,6 @@ void MetaPartition::ApplySetEnd(Decoder* dec, ApplyResult* res) {
   }
   config_.end = end;
   res->value = end;
-  res->status = Status::OK();
 }
 
 // --- Reads -----------------------------------------------------------------
@@ -544,49 +503,51 @@ void MetaPartition::CorruptSnapshotMemoForTest() {
   inode_tree_.CorruptLeafMemoForTest();
 }
 
-void MetaPartition::Restore(std::string_view snapshot) {
-  AccountMemory(-static_cast<int64_t>(memory_bytes_));
-  inode_tree_.Clear();
-  dentry_tree_.Clear();
-  free_list_len_ -= static_cast<int64_t>(free_list_.size());
-  free_list_.clear();
-  if (snapshot.empty()) {
-    next_inode_ = config_.start;
-    InitRoot();
-    return;
-  }
-  Decoder dec(snapshot);
-  uint64_t n = 0;
-  (void)dec.GetVarint(&config_.id);
-  (void)dec.GetVarint(&config_.volume);
-  (void)dec.GetVarint(&config_.start);
-  (void)dec.GetVarint(&config_.end);
-  (void)dec.GetVarint(&next_inode_);
-  (void)dec.GetVarint(&n);
+Status MetaPartition::Restore(std::string_view snapshot) {
+  // Decode into fresh trees and swap them in only if every record decoded.
+  MetaPartitionConfig config = config_;
+  InodeId next_inode = config_.start;
+  BTree<InodeId, Inode> inodes;
+  BTree<DentryKey, Dentry> dentries;
+  std::deque<InodeId> free_list;
   int64_t mem = 0;
-  for (uint64_t i = 0; i < n; i++) {
-    Inode ino;
-    if (!Inode::Decode(&dec, &ino).ok()) break;
-    mem += static_cast<int64_t>(ino.MemoryFootprint());
-    InodeId id = ino.id;
-    inode_tree_.Insert(id, std::move(ino));
+  if (!snapshot.empty()) {
+    Decoder dec(snapshot);
+    uint64_t n = 0;
+    dec.GetVarint(&config.id);
+    dec.GetVarint(&config.volume);
+    dec.GetVarint(&config.start);
+    dec.GetVarint(&config.end);
+    dec.GetVarint(&next_inode);
+    dec.GetCount(&n);
+    for (uint64_t i = 0; i < n && dec.ok(); i++) {
+      Inode ino = Inode::Decode(&dec);
+      mem += static_cast<int64_t>(ino.MemoryFootprint());
+      const InodeId id = ino.id;
+      inodes.Insert(id, std::move(ino));
+    }
+    dec.GetCount(&n);
+    for (uint64_t i = 0; i < n && dec.ok(); i++) {
+      Dentry d = Dentry::Decode(&dec);
+      mem += static_cast<int64_t>(d.MemoryFootprint());
+      DentryKey key{d.parent, d.name};  // build before moving d
+      dentries.Insert(std::move(key), std::move(d));
+    }
+    dec.GetCount(&n);
+    free_list.resize(n);
+    for (uint64_t i = 0; i < n && dec.ok(); i++) dec.GetVarint(&free_list[i]);
+    if (!dec.ok()) return dec.status();
   }
-  (void)dec.GetVarint(&n);
-  for (uint64_t i = 0; i < n; i++) {
-    Dentry d;
-    if (!Dentry::Decode(&dec, &d).ok()) break;
-    mem += static_cast<int64_t>(d.MemoryFootprint());
-    DentryKey key{d.parent, d.name};  // build before moving d
-    dentry_tree_.Insert(std::move(key), std::move(d));
-  }
-  (void)dec.GetVarint(&n);
-  for (uint64_t i = 0; i < n; i++) {
-    uint64_t id;
-    if (!dec.GetVarint(&id).ok()) break;
-    free_list_.push_back(id);
-    free_list_len_++;
-  }
+  AccountMemory(-static_cast<int64_t>(memory_bytes_));
+  free_list_len_ += static_cast<int64_t>(free_list.size()) - static_cast<int64_t>(free_list_.size());
+  config_ = config;
+  next_inode_ = next_inode;
+  inode_tree_ = std::move(inodes);
+  dentry_tree_ = std::move(dentries);
+  free_list_ = std::move(free_list);
+  if (snapshot.empty()) InitRoot();
   AccountMemory(mem);
+  return Status::OK();
 }
 
 }  // namespace cfs::meta

@@ -88,7 +88,7 @@ class MetaPartition : public raft::StateMachine {
              raft::ApplyOutcome* out) override;
   /// Re-encodes only the B-tree leaves changed since the last snapshot.
   std::string TakeSnapshot() override;
-  void Restore(std::string_view snapshot) override;
+  Status Restore(std::string_view snapshot) override;
 
   // --- Leader reads (no consensus; §2.7.4 reads happen at the leader) ---
   const Inode* GetInode(InodeId ino) const { return inode_tree_.Find(ino); }
@@ -164,6 +164,8 @@ class MetaPartition : public raft::StateMachine {
   void ApplySetAttr(Decoder* dec, ApplyResult* res);
   void ApplyTruncate(Decoder* dec, ApplyResult* res);
   void ApplySetEnd(Decoder* dec, ApplyResult* res);
+  /// The inode a command mutates; null, with NotFound in `res`, if absent.
+  Inode* FindInodeToApply(InodeId id, ApplyResult* res);
 
   void AccountMemory(int64_t delta);
   /// The snapshot bytes, from the B-tree leaf memos or by a fresh walk.

@@ -43,12 +43,15 @@ struct ExtentKey {
     enc->PutVarint(extent_offset);
     enc->PutVarint(size);
   }
-  static Status Decode(Decoder* dec, ExtentKey* k) {
-    CFS_RETURN_IF_ERROR(dec->GetVarint(&k->file_offset));
-    CFS_RETURN_IF_ERROR(dec->GetVarint(&k->partition_id));
-    CFS_RETURN_IF_ERROR(dec->GetVarint(&k->extent_id));
-    CFS_RETURN_IF_ERROR(dec->GetVarint(&k->extent_offset));
-    return dec->GetVarint(&k->size);
+  /// Decoders leave an underflow latched in `dec`: check dec->ok() after.
+  static ExtentKey Decode(Decoder* dec) {
+    ExtentKey k;
+    dec->GetVarint(&k.file_offset);
+    dec->GetVarint(&k.partition_id);
+    dec->GetVarint(&k.extent_id);
+    dec->GetVarint(&k.extent_offset);
+    dec->GetVarint(&k.size);
+    return k;
   }
   bool operator==(const ExtentKey&) const = default;
 };
@@ -90,23 +93,22 @@ struct Inode {
     enc->PutVarint(extents.size());
     for (const auto& e : extents) e.Encode(enc);
   }
-  static Status Decode(Decoder* dec, Inode* ino) {
-    uint8_t type;
-    CFS_RETURN_IF_ERROR(dec->GetVarint(&ino->id));
-    CFS_RETURN_IF_ERROR(dec->GetU8(&type));
-    ino->type = static_cast<FileType>(type);
-    CFS_RETURN_IF_ERROR(dec->GetString(&ino->link_target));
-    CFS_RETURN_IF_ERROR(dec->GetU32(&ino->nlink));
-    CFS_RETURN_IF_ERROR(dec->GetU32(&ino->flag));
-    CFS_RETURN_IF_ERROR(dec->GetVarint(&ino->size));
-    CFS_RETURN_IF_ERROR(dec->GetI64(&ino->mtime));
-    uint64_t n;
-    CFS_RETURN_IF_ERROR(dec->GetVarint(&n));
-    ino->extents.resize(n);
-    for (uint64_t i = 0; i < n; i++) {
-      CFS_RETURN_IF_ERROR(ExtentKey::Decode(dec, &ino->extents[i]));
-    }
-    return Status::OK();
+  static Inode Decode(Decoder* dec) {
+    Inode ino;
+    uint8_t type = 0;
+    dec->GetVarint(&ino.id);
+    dec->GetU8(&type);
+    ino.type = static_cast<FileType>(type);
+    dec->GetString(&ino.link_target);
+    dec->GetU32(&ino.nlink);
+    dec->GetU32(&ino.flag);
+    dec->GetVarint(&ino.size);
+    dec->GetI64(&ino.mtime);
+    uint64_t n = 0;
+    dec->GetCount(&n);  // bounded by the bytes left, so resize cannot blow up
+    ino.extents.resize(n);
+    for (uint64_t i = 0; i < n && dec->ok(); i++) ino.extents[i] = ExtentKey::Decode(dec);
+    return ino;
   }
 };
 
@@ -135,14 +137,15 @@ struct Dentry {
     enc->PutVarint(inode);
     enc->PutU8(static_cast<uint8_t>(type));
   }
-  static Status Decode(Decoder* dec, Dentry* d) {
-    CFS_RETURN_IF_ERROR(dec->GetVarint(&d->parent));
-    CFS_RETURN_IF_ERROR(dec->GetString(&d->name));
-    CFS_RETURN_IF_ERROR(dec->GetVarint(&d->inode));
-    uint8_t type;
-    CFS_RETURN_IF_ERROR(dec->GetU8(&type));
-    d->type = static_cast<FileType>(type);
-    return Status::OK();
+  static Dentry Decode(Decoder* dec) {
+    Dentry d;
+    uint8_t type = 0;
+    dec->GetVarint(&d.parent);
+    dec->GetString(&d.name);
+    dec->GetVarint(&d.inode);
+    dec->GetU8(&type);
+    d.type = static_cast<FileType>(type);
+    return d;
   }
 };
 

@@ -55,22 +55,14 @@ size_t AppendEntries(sim::StableStorage* storage, const std::string& key,
 }
 }  // namespace
 
-Status LogStore::DecodeEntry(Decoder* dec, LogEntry* e) {
-  CFS_RETURN_IF_ERROR(dec->GetU64(&e->term));
-  CFS_RETURN_IF_ERROR(dec->GetU64(&e->index));
-  std::string cmd;
-  CFS_RETURN_IF_ERROR(dec->GetString(&cmd));
-  e->head = Buffer::FromString(std::move(cmd));
-  return Status::OK();
-}
-
 sim::Task<Status> LogStore::Load() {
   std::string hs;
   if (storage_->Get(key_hs_, &hs)) {
     Decoder dec(hs);
-    uint64_t term, vote;
-    CFS_CO_RETURN_IF_ERROR(dec.GetU64(&term));
-    CFS_CO_RETURN_IF_ERROR(dec.GetU64(&vote));
+    uint64_t term = 0, vote = 0;
+    dec.GetU64(&term);
+    dec.GetU64(&vote);
+    CFS_CO_RETURN_IF_ERROR(dec.status());
     term_ = term;
     voted_for_ = static_cast<NodeId>(vote);
   }
@@ -78,9 +70,10 @@ sim::Task<Status> LogStore::Load() {
   if (storage_->Get(key_snap_, &snap)) {
     Decoder dec(snap);
     std::string data;
-    CFS_CO_RETURN_IF_ERROR(dec.GetU64(&snap_index_));
-    CFS_CO_RETURN_IF_ERROR(dec.GetU64(&snap_term_));
-    CFS_CO_RETURN_IF_ERROR(dec.GetString(&data));
+    dec.GetU64(&snap_index_);
+    dec.GetU64(&snap_term_);
+    dec.GetString(&data);
+    CFS_CO_RETURN_IF_ERROR(dec.status());
     snap_data_ = Buffer::FromString(std::move(data));
   }
   entries_.clear();
@@ -89,7 +82,12 @@ sim::Task<Status> LogStore::Load() {
     Decoder dec(log);
     while (!dec.Done()) {
       LogEntry e;
-      CFS_CO_RETURN_IF_ERROR(DecodeEntry(&dec, &e));
+      std::string cmd;
+      dec.GetU64(&e.term);
+      dec.GetU64(&e.index);
+      dec.GetString(&cmd);
+      CFS_CO_RETURN_IF_ERROR(dec.status());
+      e.head = Buffer::FromString(std::move(cmd));
       // Entries covered by the snapshot were compacted logically but a
       // crash may have preserved the pre-compaction file; skip them.
       if (e.index <= snap_index_) continue;

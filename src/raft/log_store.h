@@ -75,7 +75,6 @@ class LogStore {
   std::string Key(const char* what) const;
   sim::Task<Status> RewriteLog();
   sim::Task<Status> PersistSnapshot();
-  static Status DecodeEntry(Decoder* dec, LogEntry* e);
 
   sim::StableStorage* storage_;
   sim::Disk* disk_;

@@ -66,7 +66,7 @@ sim::Task<Status> RaftNode::Recover() {
   leader_ = sim::kInvalidNode;
   CFS_CO_RETURN_IF_ERROR(co_await log_.Load());
   if (log_.has_snapshot()) {
-    sm_->Restore(log_.snapshot_data().view());
+    CFS_CO_RETURN_IF_ERROR(sm_->Restore(log_.snapshot_data().view()));
   }
   // Volatile indices restart at the snapshot boundary; commit is re-learned
   // from the current leader.
@@ -625,7 +625,9 @@ Task<InstallSnapshotResp> RaftNode::OnInstallSnapshot(InstallSnapshotReq req) {
     resp.ok = true;  // already have it
     co_return resp;
   }
-  sm_->Restore(req.data.view());
+  // A snapshot the state machine cannot decode is refused whole: the log
+  // keeps its own snapshot and the leader sees ok=false.
+  if (!sm_->Restore(req.data.view()).ok()) co_return resp;
   (void)co_await log_.InstallSnapshot(req.snap_index, req.snap_term, std::move(req.data));
   applied_ = std::max(applied_, log_.snapshot_index());
   commit_ = std::max(commit_, log_.snapshot_index());

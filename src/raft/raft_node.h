@@ -49,7 +49,9 @@ class RaftNode {
 
   /// Crash-recover from stable storage, then start. Resets the state
   /// machine from the latest snapshot and re-applies nothing beyond it
-  /// (commit is re-learned from the leader).
+  /// (commit is re-learned from the leader). A corrupt log or a snapshot the
+  /// state machine cannot decode returns Corruption and the node stays
+  /// stopped.
   sim::Task<Status> Recover();
 
   /// Replicate the command `head || payload`; resolves once it is committed

@@ -64,8 +64,9 @@ class StateMachine {
   /// raft node wraps the result in a Buffer that its log store, stable
   /// storage and every InstallSnapshot leg share without copying.
   virtual std::string TakeSnapshot() = 0;
-  /// Replace the state from a snapshot.
-  virtual void Restore(std::string_view snapshot) = 0;
+  /// Replace the state from a snapshot. A snapshot that does not decode
+  /// returns Corruption and leaves the state as it was.
+  virtual Status Restore(std::string_view snapshot) = 0;
 };
 
 // --- Wire messages -------------------------------------------------------

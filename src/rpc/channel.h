@@ -55,8 +55,9 @@ class Channel {
   void set_peer_observer(PeerObserver obs) { peer_observer_ = std::move(obs); }
 
   /// One metered RPC leg; no retries, no routing. Plain function forwarding
-  /// by value into the Impl coroutine (the repo-wide gcc 12 braced-init
-  /// workaround; see sim/network.h and client/client.h).
+  /// by value into the Impl coroutine. That alone does not make a braced
+  /// request argument safe: see the gcc 12 rule at sim/network.h
+  /// Network::Call.
   ///
   /// Traced callers pass `parent`: the leg runs under an "rpc:<name>" span
   /// whose context is stamped onto the request (when the request struct has

@@ -24,7 +24,9 @@
 // read-only (§2.3.3).
 //
 // All public entry points are plain functions forwarding by value into *Impl
-// coroutines (the repo-wide gcc 12 braced-init workaround; see client.h).
+// coroutines. A braced request with a string, vector, Buffer or map member
+// still must not be written inside the co_await (the gcc 12 rule at
+// sim/network.h Network::Call; analyzer check A5).
 #pragma once
 
 #include <functional>

@@ -641,11 +641,14 @@ class Network {
   /// direct Call<> use outside src/rpc/; the only raw call is
   /// rpc::Channel::Unary.
   ///
-  /// Deliberately NOT a coroutine: gcc 12 double-destroys braced-init
-  /// temporary arguments passed to coroutine parameters (observed with
-  /// -fsanitize=address; aggregate prvalues only). A plain function
-  /// returning an awaitable keeps every call site safe regardless of how
-  /// the request argument is materialized.
+  /// The gcc 12 braced-temporary rule, stated once for the repo: gcc 12 has
+  /// destroyed twice a braced aggregate temporary that owns a std::string,
+  /// std::vector, Buffer or std::map and is written inside a co_await
+  /// full-expression: passed straight to a coroutine (seen under ASan), and
+  /// behind a plain forwarding function like this one (seen in Release with
+  /// `MetaEvictInodeReq{pid, inos}` passed to MountContext::MetaCall). Build
+  /// such a request as a named local and std::move it in; analyzer check A5
+  /// flags the pattern. Requests with only trivial members are fine inline.
   template <typename Req, typename Resp>
   RpcAwaitable<Resp> Call(NodeId from, NodeId to, Req req,
                           SimDuration timeout = kDefaultRpcTimeout) {

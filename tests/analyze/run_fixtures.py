@@ -15,7 +15,7 @@ import pathlib
 import re
 import sys
 
-_EXPECT = re.compile(r"analyze-expect\((A[1-4]|R[1-6])\)")
+_EXPECT = re.compile(r"analyze-expect\((A[1-5]|R[1-6])\)")
 
 
 def main() -> int:

@@ -79,11 +79,11 @@ TEST(CodecTest, FixedWidthRoundTrip) {
   uint32_t u32 = 0;
   uint64_t u64 = 0;
   int64_t i64 = 0;
-  ASSERT_TRUE(d.GetU8(&u8).ok());
-  ASSERT_TRUE(d.GetU16(&u16).ok());
-  ASSERT_TRUE(d.GetU32(&u32).ok());
-  ASSERT_TRUE(d.GetU64(&u64).ok());
-  ASSERT_TRUE(d.GetI64(&i64).ok());
+  ASSERT_TRUE(d.GetU8(&u8));
+  ASSERT_TRUE(d.GetU16(&u16));
+  ASSERT_TRUE(d.GetU32(&u32));
+  ASSERT_TRUE(d.GetU64(&u64));
+  ASSERT_TRUE(d.GetI64(&i64));
   EXPECT_EQ(u8, 0xab);
   EXPECT_EQ(u16, 0x1234);
   EXPECT_EQ(u32, 0xdeadbeefu);
@@ -101,7 +101,7 @@ TEST(CodecTest, VarintRoundTripBoundaries) {
   Decoder d(e.data());
   for (uint64_t v : values) {
     uint64_t got;
-    ASSERT_TRUE(d.GetVarint(&got).ok());
+    ASSERT_TRUE(d.GetVarint(&got));
     EXPECT_EQ(got, v);
   }
   EXPECT_TRUE(d.Done());
@@ -116,9 +116,9 @@ TEST(CodecTest, StringRoundTrip) {
 
   Decoder d(e.data());
   std::string a, b, c;
-  ASSERT_TRUE(d.GetString(&a).ok());
-  ASSERT_TRUE(d.GetString(&b).ok());
-  ASSERT_TRUE(d.GetString(&c).ok());
+  ASSERT_TRUE(d.GetString(&a));
+  ASSERT_TRUE(d.GetString(&b));
+  ASSERT_TRUE(d.GetString(&c));
   EXPECT_EQ(a, "");
   EXPECT_EQ(b, "hello");
   EXPECT_EQ(c, big);
@@ -127,14 +127,51 @@ TEST(CodecTest, StringRoundTrip) {
 TEST(CodecTest, UnderflowIsCorruption) {
   Decoder d("ab");
   uint64_t v;
-  EXPECT_TRUE(d.GetU64(&v).IsCorruption());
+  EXPECT_FALSE(d.GetU64(&v));
+  EXPECT_TRUE(d.status().IsCorruption());
   Decoder d2("\xff\xff");
-  EXPECT_TRUE(d2.GetVarint(&v).IsCorruption());
+  EXPECT_FALSE(d2.GetVarint(&v));
+  EXPECT_TRUE(d2.status().IsCorruption());
   Decoder d3("\x0a" "abc");  // declared length 10, only 3 bytes
   std::string s;
-  Status st = d3.GetString(&s);
-  EXPECT_TRUE(st.IsCorruption());
-  EXPECT_EQ(st.message(), "string underflow");
+  EXPECT_FALSE(d3.GetString(&s));
+  EXPECT_TRUE(d3.status().IsCorruption());
+  EXPECT_EQ(d3.status().message(), "string underflow");
+}
+
+TEST(CodecTest, FirstErrorLatches) {
+  // A U32 needs 4 bytes; after it fails, a U8 that would fit fails too,
+  // outputs read zero, and the first error's message is kept.
+  Decoder d("\x07\x08");
+  uint32_t u32 = 99;
+  uint8_t u8 = 99;
+  std::string s = "old";
+  EXPECT_FALSE(d.GetU32(&u32));
+  EXPECT_FALSE(d.GetU8(&u8));
+  EXPECT_FALSE(d.GetString(&s));
+  EXPECT_EQ(u32, 0u);
+  EXPECT_EQ(u8, 0u);
+  EXPECT_EQ(s, "");
+  EXPECT_FALSE(d.ok());
+  EXPECT_EQ(d.status().message(), "fixed underflow");
+  EXPECT_EQ(d.remaining(), 2u);
+}
+
+TEST(CodecTest, CountAboveRemainingIsCorruption) {
+  Encoder fits;
+  fits.PutVarint(3);
+  fits.PutBytes("abc", 3);
+  Decoder d(fits.data());
+  uint64_t n = 0;
+  EXPECT_TRUE(d.GetCount(&n));  // 3 elements of at least a byte fit in 3 bytes
+  EXPECT_EQ(n, 3u);
+  Encoder huge;
+  huge.PutVarint(1ull << 62);
+  huge.PutBytes("abc", 3);
+  Decoder bad(huge.data());
+  EXPECT_FALSE(bad.GetCount(&n));
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(bad.status().message(), "count exceeds remaining bytes");
 }
 
 TEST(Crc32Test, KnownVector) {

@@ -34,18 +34,19 @@ class ListSm : public StateMachine {
     }
     return enc.Take();
   }
-  void Restore(std::string_view snap) override {
+  Status Restore(std::string_view snap) override {
     applied.clear();
     Decoder dec(snap);
     uint64_t n = 0;
-    (void)dec.GetU64(&n);
-    for (uint64_t k = 0; k < n; k++) {
+    dec.GetU64(&n);
+    for (uint64_t k = 0; k < n && dec.ok(); k++) {
       uint64_t i = 0;
       std::string d;
-      (void)dec.GetU64(&i);
-      (void)dec.GetString(&d);
+      dec.GetU64(&i);
+      dec.GetString(&d);
       applied.emplace_back(i, std::move(d));
     }
+    return dec.status();
   }
   std::vector<std::pair<Index, std::string>> applied;
 };

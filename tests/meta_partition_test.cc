@@ -268,7 +268,7 @@ TEST_F(MetaPartitionFixture, SnapshotRoundTripPreservesEverything) {
   MetaPartitionConfig cfg;
   cfg.id = 1;
   MetaPartition copy(cfg, host_);
-  copy.Restore(snap);
+  ASSERT_TRUE(copy.Restore(snap).ok());
   EXPECT_EQ(copy.inode_count(), 20u);
   EXPECT_EQ(copy.dentry_count(), 20u);
   EXPECT_EQ(copy.max_inode_id(), 20u);
@@ -278,7 +278,7 @@ TEST_F(MetaPartitionFixture, SnapshotRoundTripPreservesEverything) {
   // The host gauge sums both replicas' free lists; a second restore
   // replaces the copy's share instead of adding to it.
   EXPECT_EQ(host_->metrics().gauge("meta.free_list_len"), 2);
-  copy.Restore(snap);
+  ASSERT_TRUE(copy.Restore(snap).ok());
   EXPECT_EQ(host_->metrics().gauge("meta.free_list_len"), 2);
   const Dentry* d = copy.Lookup(kRootInode, "f7");
   ASSERT_NE(d, nullptr);

@@ -38,18 +38,20 @@ class ListSm : public StateMachine {
     }
     return enc.Take();
   }
-  void Restore(std::string_view snap) override {
-    applied.clear();
+  Status Restore(std::string_view snap) override {
+    std::vector<std::pair<Index, std::string>> restored;
     Decoder dec(snap);
     uint64_t n = 0;
-    (void)dec.GetU64(&n);
-    for (uint64_t k = 0; k < n; k++) {
+    dec.GetU64(&n);
+    for (uint64_t k = 0; k < n && dec.ok(); k++) {
       uint64_t i = 0;
       std::string d;
-      (void)dec.GetU64(&i);
-      (void)dec.GetString(&d);
-      applied.emplace_back(i, std::move(d));
+      dec.GetU64(&i);
+      dec.GetString(&d);
+      restored.emplace_back(i, std::move(d));
     }
+    if (dec.ok()) applied = std::move(restored);
+    return dec.status();
   }
   std::vector<std::pair<Index, std::string>> applied;
   std::vector<Index> slotted;  // indices applied with a proposer's slot
@@ -245,6 +247,58 @@ TEST_F(RaftCluster, SnapshotCompactionTruncatesLog) {
     ASSERT_EQ(sm->applied.size(), 100u);
     EXPECT_EQ(sm->applied[99].second, "e99");
   }
+}
+
+// A snapshot the state machine cannot decode (ListSm reads a U64 count
+// first; this one holds a single byte).
+Buffer UndecodableSnapshot() { return Buffer::FromString(std::string("\x05", 1)); }
+
+TEST_F(RaftCluster, InstallSnapshotThatDoesNotDecodeIsRefused) {
+  int leader = AwaitLeader();
+  ASSERT_GE(leader, 0);
+  ASSERT_TRUE(ProposeOn(leader, "cmd-a").ok());
+  sched_->RunFor(500 * kMsec);
+  const int f = (leader + 1) % kN;
+  RaftNode* node = nodes_[f];
+  const Index applied = node->applied_index();
+  ASSERT_EQ(sms_[f]->applied.size(), 1u);
+
+  InstallSnapshotReq req;
+  req.gid = 1;
+  req.term = node->term();
+  req.leader = hosts_[leader]->id();
+  req.snap_index = applied + 100;
+  req.snap_term = node->term();
+  req.data = UndecodableSnapshot();
+  InstallSnapshotResp resp;
+  bool done = false;
+  Spawn([](RaftNode* n, InstallSnapshotReq req, InstallSnapshotResp* resp,
+           bool* done) -> Task<void> {
+    *resp = co_await n->OnInstallSnapshot(std::move(req));
+    *done = true;
+  }(node, std::move(req), &resp, &done));
+  sched_->RunFor(100 * kMsec);
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(node->log().snapshot_index(), 0u);  // the log keeps its own snapshot
+  EXPECT_EQ(node->applied_index(), applied);
+  ASSERT_EQ(sms_[f]->applied.size(), 1u);
+  EXPECT_EQ(sms_[f]->applied[0].second, "cmd-a");
+}
+
+TEST_F(RaftCluster, RecoverFailsOnSnapshotThatDoesNotDecode) {
+  int leader = AwaitLeader();
+  ASSERT_GE(leader, 0);
+  RaftNode* node = nodes_[(leader + 1) % kN];
+  Status saved = Status::Retry("not finished");
+  Status recovered = Status::Retry("not finished");
+  Spawn([](RaftNode* n, Status* saved, Status* recovered) -> Task<void> {
+    *saved = co_await n->log().InstallSnapshot(50, n->term(), UndecodableSnapshot());
+    *recovered = co_await n->Recover();
+  }(node, &saved, &recovered));
+  sched_->RunFor(100 * kMsec);
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  EXPECT_TRUE(recovered.IsCorruption()) << recovered.ToString();
 }
 
 TEST_F(RaftCluster, LaggingFollowerCatchesUpViaSnapshot) {

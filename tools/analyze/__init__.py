@@ -15,7 +15,9 @@ checks a cooperative-coroutine codebase needs (checks.py):
       containers, pointer values laundered into integers, float
       accumulation across container iteration;
   A4  Status/Result discards laundered past [[nodiscard]]: dead Status
-      locals and statement-level ternary/comma discards.
+      locals and statement-level ternary/comma discards;
+  A5  a braced request temporary owning a string/vector/Buffer/map
+      inside a co_await full-expression (the gcc 12 double-destroy).
 
 Plus the ported line rules R1-R6 (rules.py), now token-based so comments
 and string literals no longer false-positive, with the same

@@ -1,4 +1,4 @@
-"""Suspension-point and determinism hazard checks (A1-A4).
+"""Suspension-point and determinism hazard checks (A1-A5).
 
 All checks operate on the lexed token stream plus the function bodies
 from scopes.py.  They deliberately have no type system; lifetime
@@ -985,3 +985,125 @@ def _calls_status_fn(stmt: List[Token], status_fns: Set[str]) -> bool:
                 and stmt[k + 1].kind == PUNCT and stmt[k + 1].text == "(":
             return True
     return False
+
+
+# --------------------------------------------------------------------------
+# A5: a braced request temporary with a non-trivially-destructible member
+# written inside a co_await full-expression.
+# --------------------------------------------------------------------------
+
+HEAVY_MEMBER_TYPES = {"string", "vector", "Buffer", "map"}
+
+
+def collect_heavy_structs(lf: lexer.LexedFile) -> Dict[str, Set[str]]:
+    """struct name -> identifiers in the types of its data members, for
+    every struct defined in this file."""
+    toks = lf.tokens
+    out: Dict[str, Set[str]] = {}
+    k = 0
+    while k < len(toks) - 2:
+        if not (toks[k].kind == IDENT and toks[k].text == "struct"
+                and toks[k + 1].kind == IDENT
+                and toks[k + 2].kind == PUNCT and toks[k + 2].text == "{"):
+            k += 1
+            continue
+        name, open_idx = toks[k + 1].text, k + 2
+        close = scopes.match_brace(toks, open_idx) - 1
+        members: Set[str] = set()
+        decl: List[Token] = []
+        depth = 0
+        for t in toks[open_idx + 1:close]:
+            if t.kind == PUNCT and t.text == "{":
+                depth += 1
+            elif t.kind == PUNCT and t.text == "}":
+                depth -= 1
+                if depth == 0:
+                    decl = []  # an inline method body ends its declaration
+                continue
+            if depth > 0:
+                continue
+            if t.kind == PUNCT and t.text == ";":
+                # Data members only: no parameter list, no static constant.
+                texts = [x.text for x in decl]
+                if "(" not in texts and "static" not in texts:
+                    stop = texts.index("=") if "=" in texts else len(texts)
+                    members |= {x.text for x in decl[:stop] if x.kind == IDENT}
+                decl = []
+            else:
+                decl.append(t)
+        out[name] = members
+        k = close + 1
+    return out
+
+
+def heavy_request_names(structs: Dict[str, Set[str]]) -> Set[str]:
+    """`...Req` structs owning a string, vector, Buffer or map, directly or
+    through a member whose struct (from the same table) owns one."""
+    heavy = {n for n, m in structs.items() if m & HEAVY_MEMBER_TYPES}
+    grew = True
+    while grew:
+        grew = False
+        for n, m in structs.items():
+            if n not in heavy and m & heavy:
+                heavy.add(n)
+                grew = True
+    return {n for n in heavy if n.endswith("Req")}
+
+
+def _full_expression(tokens: List[Token], idx: int, start: int,
+                     end: int) -> Tuple[int, int]:
+    """[first, last) token range of the statement holding tokens[idx]. A
+    bracket group inside it (call arguments, a braced temporary, a lambda)
+    belongs to it; `;` or a block brace outside every group ends it. A `}`
+    followed by an identifier closed a block, not a braced temporary."""
+    depth, first = 0, start + 1
+    for k in range(idx - 1, start, -1):
+        t = tokens[k]
+        if t.kind != PUNCT:
+            continue
+        block_end = t.text == "}" and tokens[k + 1].kind == IDENT
+        if depth == 0 and (t.text in (";", "{") or block_end):
+            first = k + 1
+            break
+        if t.text in (")", "]", "}"):
+            depth += 1
+        elif t.text in ("(", "[", "{"):
+            depth = max(0, depth - 1)  # below 0: an enclosing call's `(`
+    depth, last = 0, end
+    for k in range(idx + 1, end):
+        t = tokens[k]
+        if t.kind != PUNCT:
+            continue
+        if depth <= 0 and t.text in (";", "{", "}"):
+            last = k
+            break
+        if t.text in ("(", "[", "{"):
+            depth += 1
+        elif t.text in (")", "]", "}"):
+            depth -= 1
+    return first, last
+
+
+def check_a5(lf: lexer.LexedFile, functions: List[scopes.FunctionBody],
+             path: str, heavy_reqs: Set[str]) -> List[Finding]:
+    out: List[Finding] = []
+    toks = lf.tokens
+    for fb in functions:
+        for k in range(fb.body_start + 1, fb.body_end - 1):
+            if not (toks[k].kind == IDENT and toks[k].text == "co_await"):
+                continue
+            first, last = _full_expression(toks, k, fb.body_start, fb.body_end - 1)
+            for j in range(first, last - 1):
+                t, nxt = toks[j], toks[j + 1]
+                if t.kind == IDENT and t.text in heavy_reqs \
+                        and nxt.kind == PUNCT and nxt.text == "{":
+                    out.append(Finding(
+                        path, t.line, "A5", "A5.braced-request-in-co_await",
+                        f"braced `{t.text}{{...}}` temporary inside a co_await "
+                        "full-expression: its struct owns a string, vector, "
+                        "Buffer or map, and gcc 12 has destroyed such "
+                        "temporaries twice (see sim/network.h Network::Call). "
+                        "Build the request as a named local and std::move it "
+                        "into the call.",
+                        function=fb.name, symbol=f"{t.text}@{t.line}"))
+    return out

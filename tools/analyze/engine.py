@@ -2,7 +2,7 @@
 
 Pass 1 lexes every file and collects the global table of Status/Result-
 returning function names (A4 needs it across translation units).
-Pass 2 runs the rule pass (R1-R6) and the hazard checks (A1-A4) per
+Pass 2 runs the rule pass (R1-R6) and the hazard checks (A1-A5) per
 file, drops findings carrying an `analyze:allow(<check>)` /
 `lint:allow(<token>)` comment on the finding line, and finally compares
 what is left against the committed baseline.
@@ -45,6 +45,13 @@ def analyze_tree(root: pathlib.Path,
 
     lexed: List[Tuple[pathlib.Path, lexer.LexedFile]] = []
     status_fns: Set[str] = set()
+    # A5 reads the struct layouts of the tree's headers (requests live in
+    # */messages.h), whichever files are being analyzed.
+    structs: Dict[str, Set[str]] = {}
+    for m in sorted(src.rglob("*.h")):
+        structs.update(checks.collect_heavy_structs(
+            lexer.lex(m.read_text(encoding="utf-8"))))
+    heavy_reqs = checks.heavy_request_names(structs)
     findings: List[Finding] = []
     for p in files:
         try:
@@ -69,6 +76,7 @@ def analyze_tree(root: pathlib.Path,
         per_file += checks.check_a2(lf, fns, rel)
         per_file += checks.check_a3(lf, fns, rel)
         per_file += checks.check_a4(lf, fns, rel, status_fns)
+        per_file += checks.check_a5(lf, fns, rel, heavy_reqs)
         # Lambda bodies are walked both standalone and as part of their
         # enclosing function; report each site once.
         seen: Set[Tuple[str, int, str, str]] = set()

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 class Finding:
     path: str        # repo-relative path
     line: int
-    check: str       # "A1".."A4", "R1".."R6"
+    check: str       # "A1".."A5", "R1".."R6"
     rule: str        # finer-grained rule id, e.g. "A1.range-for"
     message: str
     function: str = ""   # enclosing function (baseline fingerprint stability)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-stop local verification gate, mirroring the CI `analysis` job:
 #
-#   1. tools/analyze — suspension-point hazards A1-A4 + determinism lint
+#   1. tools/analyze — suspension-point hazards A1-A5 + determinism lint
 #      R1-R6 against tools/analyze/baseline.json (new findings AND stale
 #      baseline entries both fail),
 #   2. the fixture corpus that locks each check's behavior,
@@ -18,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
-echo "== analyzer: A1-A4 + R1-R6 vs tools/analyze/baseline.json =="
+echo "== analyzer: A1-A5 + R1-R6 vs tools/analyze/baseline.json =="
 python3 -m tools.analyze
 
 echo "== analyzer fixture corpus =="
