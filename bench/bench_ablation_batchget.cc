@@ -42,7 +42,9 @@ Sample Measure(Mode mode, int files, int scans) {
   if (!dir || !dir->ok()) std::abort();
   uint64_t dir_ino = (*dir)->id;
   for (int i = 0; i < kFiles; i++) {
-    auto f = RunTask(sched, c->Create(dir_ino, "f" + std::to_string(i), meta::FileType::kFile));
+    std::string name = "f";
+    name += std::to_string(i);
+    auto f = RunTask(sched, c->Create(dir_ino, name, meta::FileType::kFile));
     if (!f || !f->ok()) std::abort();
   }
   sched.RunFor(3 * kSec);  // cold caches at scan start

@@ -295,7 +295,6 @@ bool CephCluster::TouchOnode(int node_index, ObjectId object) {
     it->second = c.lru.begin();
     return false;
   }
-  onode_misses_++;
   c.lru.push_front(object);
   c.resident[object] = c.lru.begin();
   while (c.resident.size() > opts_.osd_onode_cache) {

@@ -236,8 +236,6 @@ class CephCluster {
 
   /// CRUSH-ish: object -> primary node + replica nodes.
   std::vector<sim::NodeId> PlaceObject(ObjectId object) const;
-  sim::Host* host_of(sim::NodeId id) { return net_->host(id); }
-
   uint64_t rebalances() const { return rebalances_; }
 
  private:
@@ -263,11 +261,6 @@ class CephCluster {
   /// Touch; returns true on miss.
   bool TouchOnode(int node_index, ObjectId object);
 
- public:
-  uint64_t onode_misses() const { return onode_misses_; }
-
- private:
-  uint64_t onode_misses_ = 0;
   std::map<InodeId, int> authority_override_;
   std::map<InodeId, SimTime> moved_at_;
   InodeId next_inode_ = 2;  // 1 = root
@@ -299,7 +292,6 @@ class CephClient {
 
   uint64_t meta_rpcs() const { return meta_rpcs_; }
   uint64_t data_rpcs() const { return data_rpcs_; }
-  sim::Scheduler* cluster_sched() { return cluster_->sched(); }
 
  private:
   sim::Task<Result<MdsResp>> CallMds(InodeId dir, MdsReq req);

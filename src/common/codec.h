@@ -26,7 +26,6 @@ class Encoder {
   }
 
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void PutU16(uint16_t v) { PutFixed(v); }
   void PutU32(uint32_t v) { PutFixed(v); }
   void PutU64(uint64_t v) { PutFixed(v); }
   void PutI64(int64_t v) { PutFixed(static_cast<uint64_t>(v)); }
@@ -81,7 +80,6 @@ class Decoder {
   explicit Decoder(std::string_view data) : data_(data) {}
 
   bool GetU8(uint8_t* v) { return GetFixed(v); }
-  bool GetU16(uint16_t* v) { return GetFixed(v); }
   bool GetU32(uint32_t* v) { return GetFixed(v); }
   bool GetU64(uint64_t* v) { return GetFixed(v); }
   bool GetI64(int64_t* v) { return GetFixed(v); }

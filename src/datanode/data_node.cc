@@ -7,20 +7,34 @@ namespace cfs::data {
 using sim::Spawn;
 using sim::Task;
 
+namespace {
+SimDuration OpCost(size_t payload) {
+  return kDataCpuPerOp + kDataCpuPerKib * static_cast<SimDuration>(payload / kKiB);
+}
+
+/// The read step ReadExtent and FetchRange share: the bytes, or the store's
+/// error.
+template <typename Resp>
+Resp ReadResp(Result<Buffer> r) {
+  if (!r.ok()) return Resp{r.status()};
+  return Resp{Status::OK(), std::move(*r)};
+}
+}  // namespace
+
 DataNode::DataNode(sim::Network* net, sim::Host* host, raft::RaftHost* raft,
-                   const DataNodeOptions& opts)
-    : net_(net), host_(host), raft_(raft), opts_(opts), channel_(net),
+                   bool track_contents, const DataNodeOptions& opts)
+    : net_(net), host_(host), raft_(raft), track_contents_(track_contents), channel_(net),
       admission_(net->scheduler(), host->metrics(), "qos.data") {
-  admission_.Configure(opts_.admission_slots);
+  admission_.Configure(opts.admission_slots);
   RegisterHandlers();
 }
 
-Status DataNode::CreatePartition(const DataPartitionConfig& config, bool recover) {
-  if (partitions_.count(config.id)) return Status::AlreadyExists("partition");
+Status DataNode::CreatePartition(const DataPartitionConfig& config) {
+  if (partitions_.Find(config.id)) return Status::AlreadyExists("partition");
   // Admission weights ride along with partition installs.
   admission_.SetWeight(config.volume, config.qos_weight);
   DataPartitionConfig cfg = config;
-  cfg.store.track_contents = opts_.track_contents;
+  cfg.store.track_contents = track_contents_;
   if (cfg.disk_index < 0) {
     // The resource manager leaves the disk choice to the node: pick the
     // least-utilized local disk (utilization-based placement, §2.3.1),
@@ -35,21 +49,8 @@ Status DataNode::CreatePartition(const DataPartitionConfig& config, bool recover
     }
     cfg.disk_index = best;
   }
-  auto dp = std::make_unique<DataPartition>(cfg, net_, host_, raft_);
-  DataPartition* ptr = dp.get();
-  partitions_[config.id] = std::move(dp);
-  if (recover) {
-    Spawn([](raft::RaftNode* n) -> Task<void> { (void)co_await n->Recover(); }(
-        ptr->raft_node()));
-  } else {
-    ptr->raft_node()->Start();
-  }
+  partitions_.Add(std::make_unique<DataPartition>(cfg, net_, host_, raft_))->raft_node()->Start();
   return Status::OK();
-}
-
-DataPartition* DataNode::GetPartition(PartitionId pid) {
-  auto it = partitions_.find(pid);
-  return it == partitions_.end() ? nullptr : it->second.get();
 }
 
 std::vector<DataPartitionReport> DataNode::Reports() const {
@@ -73,20 +74,18 @@ sim::Task<void> DataNode::RecoverAll() {
   // Snapshot the partition ids: recovery suspends on peer RPCs, and
   // partitions_ can gain entries (CreateDataPartition) while this coroutine
   // is parked, invalidating live iterators into the map (A1).
-  std::vector<PartitionId> pids;
-  for (const auto& [pid, dp] : partitions_) pids.push_back(pid);
+  const std::vector<PartitionId> pids = partitions_.Ids();
   // Phase 1 (§2.2.5): primary-backup recovery — check and align all extents.
   for (PartitionId pid : pids) {
-    auto it = partitions_.find(pid);
-    if (it == partitions_.end()) continue;
-    it->second->ReinitAfterRecovery();
-    co_await AlignPartition(it->second.get());
+    DataPartition* p = partitions_.Find(pid);
+    if (!p) continue;
+    p->ReinitAfterRecovery();
+    co_await AlignPartition(p);
   }
   // Phase 2: raft recovery of the overwrite groups.
   for (PartitionId pid : pids) {
-    auto it = partitions_.find(pid);
-    if (it == partitions_.end()) continue;
-    (void)co_await it->second->raft_node()->Recover();
+    DataPartition* p = partitions_.Find(pid);
+    if (p) (void)co_await p->raft_node()->Recover();
   }
 }
 
@@ -97,7 +96,7 @@ sim::Task<void> DataNode::AlignPartition(DataPartition* p) {
   for (sim::NodeId peer : replicas) {
     if (peer == host_->id()) continue;
     auto info = co_await channel_.Unary<ExtentInfoReq, ExtentInfoResp>(
-        host_->id(), peer, ExtentInfoReq{p->id()}, opts_.chain_rpc_timeout);
+        host_->id(), peer, ExtentInfoReq{p->id()}, kChainRpcTimeout);
     if (!info.ok() || !info->status.ok()) continue;
     for (const ExtentInfo& e : info->extents) {
       if (!p->store().Has(e.id)) {
@@ -108,7 +107,7 @@ sim::Task<void> DataNode::AlignPartition(DataPartition* p) {
       // Fetch the missing suffix from the longer peer.
       auto fetched = co_await channel_.Unary<FetchRangeReq, FetchRangeResp>(
           host_->id(), peer, FetchRangeReq{p->id(), e.id, local, e.size - local},
-          opts_.chain_rpc_timeout);
+          kChainRpcTimeout);
       if (!fetched.ok() || !fetched->status.ok()) continue;
       (void)co_await p->store().PlaceAt(e.id, local, fetched->data);
       p->set_committed(e.id, p->store().ExtentSize(e.id));
@@ -126,17 +125,16 @@ Task<Status> DataNode::ForwardChainImpl(DataPartition* p, Req req) {
   // "rpc:<chain op>" span per chain position.
   obs::TraceContext trace = req.trace;
   auto r = co_await channel_.Unary<Req, Resp>(host_->id(), target, std::move(req),
-                                              opts_.chain_rpc_timeout, trace);
+                                              kChainRpcTimeout, trace);
   if (!r.ok()) co_return r.status();
   co_return r->status;
 }
 
 Task<Status> DataNode::ProposeMutation(PartitionId pid, std::string head, Buffer payload,
                                        obs::TraceContext trace, const OverwriteReq* overwrite) {
-  DataPartition* p = GetPartition(pid);
-  if (!p) co_return Status::NotFound("data partition");
-  raft::RaftNode* rn = p->raft_node();
-  if (!rn->IsLeader()) co_return Status::NotLeader(std::to_string(rn->leader_hint()));
+  Result<DataPartition*> guard = partitions_.RaftLeader(pid);
+  if (!guard.ok()) co_return guard.status();
+  DataPartition* p = *guard;
   if (overwrite) {
     // Validate against local state before paying for consensus.
     const storage::Extent* e = p->store().Find(overwrite->extent_id);
@@ -146,7 +144,7 @@ Task<Status> DataNode::ProposeMutation(PartitionId pid, std::string head, Buffer
     }
   }
   raft::ApplyOutcome out;
-  Status st = co_await rn->Propose(std::move(head), std::move(payload), trace, &out);
+  Status st = co_await p->raft_node()->Propose(std::move(head), std::move(payload), trace, &out);
   co_return st.ok() ? out.status : st;
 }
 
@@ -160,21 +158,11 @@ void DataNode::RegisterHandlers() {
   host_->Register<CreateExtentReq, CreateExtentResp>(
       [this](CreateExtentReq req, sim::NodeId) -> Task<CreateExtentResp> {
         auto admit = co_await admission_.Serve(req.tenant, OpCost(0), &host_->cpu());
-        CreateExtentResp resp;
-        DataPartition* p = GetPartition(req.pid);
-        if (!p) {
-          resp.status = Status::NotFound("data partition");
-          co_return resp;
-        }
-        if (!p->IsChainLeader()) {
-          resp.status = Status::NotLeader(std::to_string(p->config().replicas.empty()
-                                                             ? 0
-                                                             : p->config().replicas[0]));
-          co_return resp;
-        }
+        Result<DataPartition*> guard = partitions_.ChainLeader(req.pid);
+        if (!guard.ok()) co_return CreateExtentResp{guard.status()};
+        DataPartition* p = *guard;
         if (p->read_only() || p->IsFull()) {
-          resp.status = Status::NoSpace("partition full or read-only");
-          co_return resp;
+          co_return CreateExtentResp{Status::NoSpace("partition full or read-only")};
         }
         storage::ExtentId id = p->AllocExtentId();
         Status st = p->store().CreateExtentWithId(id, false);
@@ -182,16 +170,15 @@ void DataNode::RegisterHandlers() {
           st = co_await ForwardChain<ChainCreateExtentResp>(
               p, ChainCreateExtentReq{req.pid, id, 0, req.trace});
         }
-        resp.status = st;
-        resp.extent_id = id;
-        co_return resp;
+        co_return CreateExtentResp{st, id};
       });
 
   host_->Register<ChainCreateExtentReq, ChainCreateExtentResp>(
       [this](ChainCreateExtentReq req, sim::NodeId) -> Task<ChainCreateExtentResp> {
         co_await host_->cpu().Use(OpCost(0));
-        DataPartition* p = GetPartition(req.pid);
-        if (!p) co_return ChainCreateExtentResp{Status::NotFound("data partition")};
+        Result<DataPartition*> guard = partitions_.Found(req.pid);
+        if (!guard.ok()) co_return ChainCreateExtentResp{guard.status()};
+        DataPartition* p = *guard;
         Status st = p->store().CreateExtentWithId(req.extent_id, false);
         if (st.IsAlreadyExists()) st = Status::OK();  // retried chain
         if (st.ok()) st = co_await ForwardChain<ChainCreateExtentResp>(p, std::move(req));
@@ -208,26 +195,15 @@ void DataNode::RegisterHandlers() {
       [this](WritePacketReq req, sim::NodeId) -> Task<WritePacketResp> {
         auto admit =
             co_await admission_.Serve(req.tenant, OpCost(req.data.size()), &host_->cpu());
-        WritePacketResp resp;
-        DataPartition* p = GetPartition(req.pid);
-        if (!p) {
-          resp.status = Status::NotFound("data partition");
-          co_return resp;
-        }
-        if (!p->IsChainLeader()) {
-          resp.status = Status::NotLeader("");
-          co_return resp;
-        }
+        Result<DataPartition*> guard = partitions_.ChainLeader(req.pid);
+        if (!guard.ok()) co_return WritePacketResp{guard.status()};
+        DataPartition* p = *guard;
         if (p->read_only()) {
-          resp.status = Status::Unavailable("read-only");
-          resp.committed_offset = p->committed(req.extent_id);
-          co_return resp;
+          co_return WritePacketResp{Status::Unavailable("read-only"), p->committed(req.extent_id)};
         }
         if (!storage::RangeFits(req.offset, req.data.size(),
                                 p->store().options().extent_size_limit)) {
-          resp.status = Status::NoSpace("extent full");
-          resp.committed_offset = p->committed(req.extent_id);
-          co_return resp;
+          co_return WritePacketResp{Status::NoSpace("extent full"), p->committed(req.extent_id)};
         }
         const uint64_t end_offset = req.offset + req.data.size();
         // A packet can (rarely) overtake its predecessor on the wire when the
@@ -238,15 +214,14 @@ void DataNode::RegisterHandlers() {
                            p->store().ExtentSize(req.extent_id) < req.offset;
              spin++) {
           sim::Notifier* gate = &p->placement_gate();
-          net_->scheduler()->After(opts_.chain_rpc_timeout, [gate] { gate->NotifyAll(); });
+          net_->scheduler()->After(kChainRpcTimeout, [gate] { gate->NotifyAll(); });
           co_await gate->Wait();
         }
         if (p->store().ExtentSize(req.extent_id) != req.offset) {
           // Missing extent, lost predecessor, or an overlapping retry: report
           // the committed offset so the client resends the suffix elsewhere.
-          resp.status = Status::Unavailable("packet out of order");
-          resp.committed_offset = p->committed(req.extent_id);
-          co_return resp;
+          co_return WritePacketResp{Status::Unavailable("packet out of order"),
+                                    p->committed(req.extent_id)};
         }
         // Overlap the local placement with the chain replication; the
         // request frame outlives both (we join below), so the local path
@@ -273,21 +248,17 @@ void DataNode::RegisterHandlers() {
           done();
         }(this, p, std::move(fwd), &fwd_st, join.Arrive()));
         co_await join.Wait();
-        if (local_st.ok() && fwd_st.ok()) {
-          p->MarkDurable(req.extent_id, req.offset, end_offset);
-          resp.status = Status::OK();
-        } else {
-          resp.status = local_st.ok() ? std::move(fwd_st) : std::move(local_st);
-        }
-        resp.committed_offset = p->committed(req.extent_id);
-        co_return resp;
+        Status st = local_st.ok() ? std::move(fwd_st) : std::move(local_st);
+        if (st.ok()) p->MarkDurable(req.extent_id, req.offset, end_offset);
+        co_return WritePacketResp{st, p->committed(req.extent_id)};
       });
 
   host_->Register<ChainAppendReq, ChainAppendResp>(
       [this](ChainAppendReq req, sim::NodeId) -> Task<ChainAppendResp> {
         co_await host_->cpu().Use(OpCost(req.data.size()));
-        DataPartition* p = GetPartition(req.pid);
-        if (!p) co_return ChainAppendResp{Status::NotFound("data partition")};
+        Result<DataPartition*> guard = partitions_.Found(req.pid);
+        if (!guard.ok()) co_return ChainAppendResp{guard.status()};
+        DataPartition* p = *guard;
         // Apply from a view of the request payload, then forward the same
         // buffer downstream: one buffer per hop (the apply only copies when
         // it has to park an out-of-order arrival).
@@ -303,25 +274,14 @@ void DataNode::RegisterHandlers() {
       [this](WriteSmallReq req, sim::NodeId) -> Task<WriteSmallResp> {
         auto admit =
             co_await admission_.Serve(req.tenant, OpCost(req.data.size()), &host_->cpu());
-        WriteSmallResp resp;
-        DataPartition* p = GetPartition(req.pid);
-        if (!p) {
-          resp.status = Status::NotFound("data partition");
-          co_return resp;
-        }
-        if (!p->IsChainLeader()) {
-          resp.status = Status::NotLeader("");
-          co_return resp;
-        }
+        Result<DataPartition*> guard = partitions_.ChainLeader(req.pid);
+        if (!guard.ok()) co_return WriteSmallResp{guard.status()};
+        DataPartition* p = *guard;
         if (p->read_only() || p->IsFull()) {
-          resp.status = Status::NoSpace("partition full or read-only");
-          co_return resp;
+          co_return WriteSmallResp{Status::NoSpace("partition full or read-only")};
         }
         auto placed = co_await p->store().WriteSmall(req.data, req.trace);
-        if (!placed.ok()) {
-          resp.status = placed.status();
-          co_return resp;
-        }
+        if (!placed.ok()) co_return WriteSmallResp{placed.status()};
         auto [extent, offset] = *placed;
         uint64_t len = req.data.size();
         ChainAppendReq fwd{req.pid, extent, offset, true, std::move(req.data), 0, req.trace};
@@ -329,10 +289,7 @@ void DataNode::RegisterHandlers() {
         // Durable-range commit (not a blind max): concurrent small writes
         // into the shared tiny extent can complete out of slot order.
         if (st.ok()) p->MarkDurable(extent, offset, offset + len);
-        resp.status = st;
-        resp.extent_id = extent;
-        resp.extent_offset = offset;
-        co_return resp;
+        co_return WriteSmallResp{st, extent, offset};
       });
 
   // Overwrite (Fig. 5): raft-replicated, in-place, no metadata update.
@@ -352,16 +309,9 @@ void DataNode::RegisterHandlers() {
   host_->Register<ReadExtentReq, ReadExtentResp>(
       [this](ReadExtentReq req, sim::NodeId) -> Task<ReadExtentResp> {
         auto admit = co_await admission_.Serve(req.tenant, OpCost(req.len), &host_->cpu());
-        ReadExtentResp resp;
-        DataPartition* p = GetPartition(req.pid);
-        if (!p) {
-          resp.status = Status::NotFound("data partition");
-          co_return resp;
-        }
-        if (!p->raft_node()->IsLeader()) {
-          resp.status = Status::NotLeader(std::to_string(p->raft_node()->leader_hint()));
-          co_return resp;
-        }
+        Result<DataPartition*> guard = partitions_.RaftLeader(req.pid);
+        if (!guard.ok()) co_return ReadExtentResp{guard.status()};
+        DataPartition* p = *guard;
         // Stale tails beyond the committed offset are never returned
         // (§2.2.5). The chain leader knows the committed offset; other
         // replicas bound by their local size (data at equal offsets is
@@ -370,17 +320,10 @@ void DataNode::RegisterHandlers() {
                                             : p->store().ExtentSize(req.extent_id);
         if (bound == 0) bound = p->store().ExtentSize(req.extent_id);
         if (!storage::RangeFits(req.offset, req.len, bound)) {
-          resp.status = Status::InvalidArgument("read beyond committed offset");
-          co_return resp;
+          co_return ReadExtentResp{Status::InvalidArgument("read beyond committed offset")};
         }
         auto r = co_await p->store().Read(req.extent_id, req.offset, req.len, req.trace);
-        if (!r.ok()) {
-          resp.status = r.status();
-          co_return resp;
-        }
-        resp.data = std::move(*r);
-        resp.status = Status::OK();
-        co_return resp;
+        co_return ReadResp<ReadExtentResp>(std::move(r));
       });
 
   host_->Register<DeleteExtentReq, DeleteExtentResp>(
@@ -405,36 +348,22 @@ void DataNode::RegisterHandlers() {
   host_->Register<ExtentInfoReq, ExtentInfoResp>(
       [this](ExtentInfoReq req, sim::NodeId) -> Task<ExtentInfoResp> {
         co_await host_->cpu().Use(OpCost(0));
+        Result<DataPartition*> guard = partitions_.Found(req.pid);
+        if (!guard.ok()) co_return ExtentInfoResp{guard.status()};
         ExtentInfoResp resp;
-        DataPartition* p = GetPartition(req.pid);
-        if (!p) {
-          resp.status = Status::NotFound("data partition");
-          co_return resp;
-        }
-        p->store().ForEach([&](const storage::Extent& e) {
+        (*guard)->store().ForEach([&](const storage::Extent& e) {
           resp.extents.push_back(ExtentInfo{e.id, e.size, e.tiny});
         });
-        resp.status = Status::OK();
         co_return resp;
       });
 
   host_->Register<FetchRangeReq, FetchRangeResp>(
       [this](FetchRangeReq req, sim::NodeId) -> Task<FetchRangeResp> {
         co_await host_->cpu().Use(OpCost(req.len));
-        FetchRangeResp resp;
-        DataPartition* p = GetPartition(req.pid);
-        if (!p) {
-          resp.status = Status::NotFound("data partition");
-          co_return resp;
-        }
-        auto r = co_await p->store().Read(req.extent_id, req.offset, req.len);
-        if (!r.ok()) {
-          resp.status = r.status();
-          co_return resp;
-        }
-        resp.data = std::move(*r);
-        resp.status = Status::OK();
-        co_return resp;
+        Result<DataPartition*> guard = partitions_.Found(req.pid);
+        if (!guard.ok()) co_return FetchRangeResp{guard.status()};
+        auto r = co_await (*guard)->store().Read(req.extent_id, req.offset, req.len);
+        co_return ReadResp<FetchRangeResp>(std::move(r));
       });
 }
 

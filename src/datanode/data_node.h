@@ -5,26 +5,24 @@
 // (extent alignment first, then raft).
 #pragma once
 
-#include <map>
-#include <memory>
-
 #include "datanode/data_partition.h"
 #include "datanode/messages.h"
 #include "qos/qos.h"
 #include "raft/multiraft.h"
+#include "raft/partition_table.h"
 #include "rpc/channel.h"
 #include "sim/network.h"
 
 namespace cfs::data {
 
+/// CPU charged per data RPC, plus a per-KiB component for payload handling.
+inline constexpr SimDuration kDataCpuPerOp = 8;
+inline constexpr SimDuration kDataCpuPerKib = 1;
+/// Timeout of the legs a data node issues itself (chain forwards, recovery
+/// aligns), and the longest a packet waits for its predecessor to land.
+inline constexpr SimDuration kChainRpcTimeout = 500 * kMsec;
+
 struct DataNodeOptions {
-  /// Applied to every partition's extent store: keep real bytes (tests) or
-  /// account sizes/timing only (benches).
-  bool track_contents = true;
-  /// CPU charged per data RPC, plus a per-KiB component for payload handling.
-  SimDuration cpu_per_op = 8;
-  SimDuration cpu_per_kib = 1;
-  SimDuration chain_rpc_timeout = 500 * kMsec;
   /// Weighted-fair admission in front of client-facing handlers: bound on
   /// concurrently serviced requests. 0 = disabled (admit synchronously, no
   /// events — the default, keeping pinned schedules byte-identical).
@@ -33,7 +31,9 @@ struct DataNodeOptions {
 
 class DataNode {
  public:
-  DataNode(sim::Network* net, sim::Host* host, raft::RaftHost* raft,
+  /// `track_contents` applies to every partition's extent store: keep real
+  /// bytes (tests) or account sizes and timing only (benches).
+  DataNode(sim::Network* net, sim::Host* host, raft::RaftHost* raft, bool track_contents,
            const DataNodeOptions& opts = {});
 
   DataNode(const DataNode&) = delete;
@@ -41,17 +41,13 @@ class DataNode {
 
   sim::Host* host() { return host_; }
 
-  Status CreatePartition(const DataPartitionConfig& config, bool recover = false);
-  DataPartition* GetPartition(PartitionId pid);
+  /// Create a partition replica and start its raft group.
+  Status CreatePartition(const DataPartitionConfig& config);
+  DataPartition* GetPartition(PartitionId pid) { return partitions_.Find(pid); }
   size_t num_partitions() const { return partitions_.size(); }
 
   /// Partition ids hosted here, in id order (deep checks).
-  std::vector<PartitionId> PartitionIds() const {
-    std::vector<PartitionId> ids;
-    ids.reserve(partitions_.size());
-    for (const auto& [pid, p] : partitions_) ids.push_back(pid);
-    return ids;
-  }
+  std::vector<PartitionId> PartitionIds() const { return partitions_.Ids(); }
 
   std::vector<DataPartitionReport> Reports() const;
 
@@ -68,10 +64,6 @@ class DataNode {
 
  private:
   void RegisterHandlers();
-  SimDuration OpCost(size_t payload) const {
-    return opts_.cpu_per_op +
-           opts_.cpu_per_kib * static_cast<SimDuration>(payload / kKiB);
-  }
 
   /// Forward a chain request (ChainAppendReq, ChainCreateExtentReq) to the
   /// next replica; returns OK at chain end. A plain wrapper over the Impl
@@ -84,8 +76,8 @@ class DataNode {
   sim::Task<Status> ForwardChainImpl(DataPartition* p, Req req);
 
   /// Shared body of the raft-routed mutations (overwrite, extent delete,
-  /// punch hole): require raft leadership of the partition, propose `head`
-  /// + `payload`, and return the apply outcome. An overwrite passes its
+  /// punch hole): the raft-leader guard, then propose `head` + `payload`,
+  /// and return the apply outcome. An overwrite passes its
   /// request as `overwrite`: the range it rewrites (its offset, the
   /// payload's length) must lie inside the local extent before the command
   /// pays for consensus.
@@ -98,12 +90,12 @@ class DataNode {
   sim::Network* net_;
   sim::Host* host_;
   raft::RaftHost* raft_;
-  DataNodeOptions opts_;
+  bool track_contents_;
   rpc::Channel channel_;
   // Weighted-fair admission in front of the client-facing handlers; weights
   // arrive with each partition's config.
   qos::AdmissionQueue admission_;
-  std::map<PartitionId, std::unique_ptr<DataPartition>> partitions_;
+  raft::PartitionTable<DataPartition> partitions_{"data partition"};
   uint64_t next_disk_ = 0;  // round-robin tie-break for fresh disks
 };
 

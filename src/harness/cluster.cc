@@ -34,10 +34,8 @@ Cluster::Cluster(const ClusterOptions& opts) : opts_(opts), sched_(opts.seed), n
     raft::RaftHost* rh = raft_hosts_[opts_.num_masters + i].get();
     meta_nodes_.push_back(
         std::make_unique<meta::MetaNode>(&net_, node_hosts_[i], rh, opts_.meta));
-    data::DataNodeOptions dopts = opts_.data;
-    dopts.track_contents = opts_.track_contents;
-    data_nodes_.push_back(
-        std::make_unique<data::DataNode>(&net_, node_hosts_[i], rh, dopts));
+    data_nodes_.push_back(std::make_unique<data::DataNode>(&net_, node_hosts_[i], rh,
+                                                           opts_.track_contents, opts_.data));
     meta_nodes_.back()->set_extent_purger(MakePurger(i));
   }
   // The shared admin/GC router counts on the first master host, where
@@ -71,7 +69,8 @@ void Cluster::WireHealth() {
     // members. Across nodes the equivalently-loaded disks form a real
     // population, and a gray disk detaches from their median.
     for (int d = 0; d < h->num_disks(); d++) {
-      std::string target = "n" + std::to_string(i) + ".disk" + std::to_string(d);
+      std::string target = "n";
+      target += std::to_string(i) + ".disk" + std::to_string(d);
       h->disk(d)->set_op_observer(
           [this, nh, scorer, target = std::move(target)](
               bool is_read, SimDuration lat, uint64_t trace) {
@@ -83,7 +82,8 @@ void Cluster::WireHealth() {
     }
     // Chain-forward RPC legs: one target per destination peer, cohort
     // "peer". Timeouts feed the error-rate outlier.
-    std::string peer_prefix = "n" + std::to_string(i) + ".peer";
+    std::string peer_prefix = "n";
+    peer_prefix += std::to_string(i) + ".peer";
     data_nodes_[i]->chain_channel().set_peer_observer(
         [this, nh, scorer, peer_prefix = std::move(peer_prefix)](
             sim::NodeId to, bool ok, SimDuration lat, uint64_t trace) {
@@ -131,8 +131,8 @@ std::string Cluster::HealthJson() {
   std::string out = "{\"nodes\":{";
   for (size_t i = 0; i < node_health_.size(); i++) {
     if (i) out += ",";
-    out += "\"" + std::to_string(i) + "\":{\"series\":" +
-           node_health_[i]->series.DumpJson() + "}";
+    out += "\"";
+    out += std::to_string(i) + "\":{\"series\":" + node_health_[i]->series.DumpJson() + "}";
   }
   out += "},\"scorer\":";
   out += health_scorer_ ? health_scorer_->DumpJson() : "null";

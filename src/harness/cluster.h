@@ -91,22 +91,14 @@ class Cluster {
   /// named volume (the first becomes the default mount).
   sim::Task<Result<client::Client*>> MountClient(std::vector<std::string> volumes);
 
-  /// Unmount every volume of `c`: its refresh loops stop at their next
-  /// wakeup and further ops fail Unavailable. The client object stays owned
-  /// by the cluster (detached coroutines may still land on the retired
-  /// contexts) and keeps contributing its accumulated metrics.
-  void UnmountClient(client::Client* c) { c->UnmountAll(); }
-
   // Accessors.
   master::MasterNode* master(int i) { return masters_[i].get(); }
   master::MasterNode* master_leader();
   meta::MetaNode* meta_node(int i) { return meta_nodes_[i].get(); }
   data::DataNode* data_node(int i) { return data_nodes_[i].get(); }
   sim::Host* node_host(int i) { return node_hosts_[i]; }
-  sim::Host* master_host(int i) { return master_hosts_[i]; }
   raft::RaftHost* raft_host_of(int i) { return raft_hosts_[i].get(); }
   int num_nodes() const { return static_cast<int>(node_hosts_.size()); }
-  std::vector<sim::NodeId> master_ids() const { return master_ids_; }
 
   /// Crash/restart storage node i (with full recovery: raft groups, extent
   /// alignment, CRC cache rebuild).
@@ -146,7 +138,6 @@ class Cluster {
   /// "obs.spans"). Counters sum, gauges merge as high-watermarks,
   /// histograms merge bucket-wise.
   obs::Registry Metrics();
-  std::string MetricsJson() { return Metrics().DumpJson(); }
 
   /// Deep check of every machine-checkable invariant in the cluster (see
   /// common/check.h and DESIGN.md "Invariant catalog"): per-group raft

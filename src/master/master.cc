@@ -813,7 +813,8 @@ std::string MasterNode::HealthViewJson() const {
     if (!first) out += ",";
     first = false;
     const bool alive = now - rt.last_heartbeat <= opts_.node_timeout;
-    out += "\"" + std::to_string(node) + "\":{\"alive\":";
+    out += "\"";
+    out += std::to_string(node) + "\":{\"alive\":";
     out += alive ? "true" : "false";
     out += ",\"last_heartbeat\":" + std::to_string(rt.last_heartbeat) +
            ",\"health\":" + rt.health.DumpJson() + "}";

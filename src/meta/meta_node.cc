@@ -17,42 +17,23 @@ constexpr size_t kMaxEvictBatch = 4096;
 
 MetaNode::MetaNode(sim::Network* net, sim::Host* host, raft::RaftHost* raft,
                    const MetaNodeOptions& opts)
-    : net_(net), host_(host), raft_(raft), opts_(opts), admission_(net->scheduler(), host->metrics(), "qos.meta") {
-  admission_.Configure(opts_.admission_slots);
+    : net_(net), host_(host), raft_(raft),
+      admission_(net->scheduler(), host->metrics(), "qos.meta") {
+  admission_.Configure(opts.admission_slots);
   RegisterHandlers();
   Spawn(PurgeLoop());
 }
 
 Status MetaNode::CreatePartition(const MetaPartitionConfig& config,
-                                 const std::vector<sim::NodeId>& peers, bool recover) {
-  if (partitions_.count(config.id)) return Status::AlreadyExists("partition");
+                                 const std::vector<sim::NodeId>& peers) {
+  if (partitions_.Find(config.id)) return Status::AlreadyExists("partition");
   // The volume's WFQ share rides along with every partition install, so the
   // admission queue learns tenant weights without a separate control RPC.
   admission_.SetWeight(config.volume, config.qos_weight);
-  auto mp = std::make_unique<MetaPartition>(config, host_);
-  MetaPartition* ptr = mp.get();
-  partitions_[config.id] = std::move(mp);
-  raft::RaftNode* node =
-      raft_->CreateGroup(RaftGid(config.id), peers, ptr, host_->disk(opts_.raft_disk));
-  if (recover) {
-    Spawn([](raft::RaftNode* n) -> Task<void> { (void)co_await n->Recover(); }(node));
-  } else {
-    node->Start();
-  }
-  return Status::OK();
-}
-
-MetaPartition* MetaNode::GetPartition(PartitionId pid) {
-  auto it = partitions_.find(pid);
-  return it == partitions_.end() ? nullptr : it->second.get();
-}
-
-Status MetaNode::CheckLeader(PartitionId pid) const {
-  auto it = partitions_.find(pid);
-  if (it == partitions_.end()) return Status::NotFound("meta partition");
-  raft::RaftNode* node = raft_->Get(RaftGid(pid));
-  if (!node) return Status::NotFound("raft group");
-  if (!node->IsLeader()) return Status::NotLeader(std::to_string(node->leader_hint()));
+  MetaPartition* mp = partitions_.Add(std::make_unique<MetaPartition>(config, host_));
+  mp->set_raft_node(
+      raft_->CreateGroup(RaftGid(config.id), peers, mp, host_->disk(kMetaRaftDisk)));
+  mp->raft_node()->Start();
   return Status::OK();
 }
 
@@ -60,21 +41,16 @@ Task<ApplyResult> MetaNode::Execute(PartitionId pid, std::string cmd,
                                     obs::TraceContext trace) {
   const SimTime exec_start = net_->scheduler()->Now();
   ApplyResult res;
-  MetaPartition* mp = GetPartition(pid);
-  if (!mp) {
-    res.status = Status::NotFound("meta partition " + std::to_string(pid));
+  Result<MetaPartition*> mp = partitions_.RaftLeader(pid);
+  if (!mp.ok()) {
+    res.status = mp.status();
     co_return res;
   }
-  raft::RaftNode* node = raft_->Get(RaftGid(pid));
-  if (!node || !node->IsLeader()) {
-    res.status = Status::NotLeader(node ? std::to_string(node->leader_hint()) : "0");
-    co_return res;
-  }
-  if (mp->read_only()) {
+  if ((*mp)->read_only()) {
     res.status = Status::Unavailable("partition is read-only");
     co_return res;
   }
-  Status st = co_await node->Propose(std::move(cmd), {}, trace, &res);
+  Status st = co_await (*mp)->raft_node()->Propose(std::move(cmd), {}, trace, &res);
   if (!st.ok()) {
     res.status = st;
     co_return res;
@@ -95,8 +71,7 @@ std::vector<MetaPartitionReport> MetaNode::Reports() const {
     r.end = mp->config().end;
     r.max_inode_id = mp->max_inode_id();
     r.item_count = mp->item_count();
-    raft::RaftNode* node = raft_->Get(RaftGid(pid));
-    r.is_leader = node && node->IsLeader();
+    r.is_leader = mp->raft_node()->IsLeader();
     r.full = mp->IsFull();
     out.push_back(r);
   }
@@ -104,7 +79,12 @@ std::vector<MetaPartitionReport> MetaNode::Reports() const {
 }
 
 sim::Task<void> MetaNode::RecoverAll() {
-  co_await raft_->RecoverAll();
+  // Iterate a snapshot of the ids: Recover() suspends, and partitions_ can
+  // gain entries while this coroutine is parked (A1).
+  for (PartitionId pid : partitions_.Ids()) {
+    MetaPartition* mp = partitions_.Find(pid);
+    if (mp) (void)co_await mp->raft_node()->Recover();
+  }
 }
 
 sim::Task<void> MetaNode::PurgeLoop() {
@@ -112,19 +92,14 @@ sim::Task<void> MetaNode::PurgeLoop() {
   // with the data node to delete the file content" (§2.7.3). Runs on the
   // raft leader of each partition.
   while (true) {
-    co_await sim::SleepFor{*net_->scheduler(), opts_.purge_interval};
+    co_await sim::SleepFor{*net_->scheduler(), kPurgeInterval};
     if (!host_->up()) continue;
     // Snapshot the partition ids: Execute suspends on raft, and partitions_
     // can gain entries (partition split/create) while this coroutine is
     // parked, invalidating a live iterator into the map (A1).
-    std::vector<PartitionId> pids;
-    for (const auto& [pid, mp] : partitions_) pids.push_back(pid);
-    for (PartitionId pid : pids) {
-      auto pit = partitions_.find(pid);
-      if (pit == partitions_.end()) continue;
-      MetaPartition* mp = pit->second.get();
-      raft::RaftNode* node = raft_->Get(RaftGid(pid));
-      if (!node || !node->IsLeader()) continue;
+    for (PartitionId pid : partitions_.Ids()) {
+      MetaPartition* mp = partitions_.Find(pid);
+      if (!mp || !mp->raft_node()->IsLeader()) continue;
       // One raft entry evicts the free list as it stands, up to the cap.
       const std::deque<InodeId>& free_list = mp->free_list();
       if (free_list.empty()) continue;
@@ -147,155 +122,106 @@ sim::Task<void> MetaNode::PurgeLoop() {
   }
 }
 
+template <typename Req, typename Resp, typename Cmd, typename Reply>
+void MetaNode::RegisterWrite(Cmd cmd, Reply reply) {
+  host_->Register<Req, Resp>([this, cmd, reply](Req req, sim::NodeId) -> Task<Resp> {
+    auto admit = co_await admission_.Serve(req.tenant, kMetaCpuPerOp, &host_->cpu());
+    ApplyResult res = co_await Execute(req.pid, cmd(req), req.trace);
+    co_return reply(res);
+  });
+}
+
 void MetaNode::RegisterHandlers() {
-  host_->Register<MetaCreateInodeReq, MetaCreateInodeResp>(
-      [this](MetaCreateInodeReq req, sim::NodeId) -> Task<MetaCreateInodeResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        ApplyResult res = co_await Execute(
-            req.pid,
-            MetaPartition::EncodeCreateInode(req.type, req.link_target,
-                                             net_->scheduler()->Now()),
-            req.trace);
-        co_return MetaCreateInodeResp{res.status, std::move(res.inode)};
+  RegisterWrite<MetaCreateInodeReq, MetaCreateInodeResp>(
+      [this](const auto& req) {
+        return MetaPartition::EncodeCreateInode(req.type, req.link_target,
+                                                net_->scheduler()->Now());
+      },
+      [](ApplyResult& res) { return MetaCreateInodeResp{res.status, std::move(res.inode)}; });
+  RegisterWrite<MetaUnlinkInodeReq, MetaUnlinkInodeResp>(
+      [](const auto& req) { return MetaPartition::EncodeUnlinkInode(req.ino); },
+      [](ApplyResult& res) {
+        return MetaUnlinkInodeResp{res.status, res.value, std::move(res.inode)};
       });
-
-  host_->Register<MetaUnlinkInodeReq, MetaUnlinkInodeResp>(
-      [this](MetaUnlinkInodeReq req, sim::NodeId) -> Task<MetaUnlinkInodeResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        ApplyResult res = co_await Execute(req.pid, MetaPartition::EncodeUnlinkInode(req.ino),
-                                           req.trace);
-        co_return MetaUnlinkInodeResp{res.status, res.value, std::move(res.inode)};
-      });
-
-  host_->Register<MetaLinkInodeReq, MetaLinkInodeResp>(
-      [this](MetaLinkInodeReq req, sim::NodeId) -> Task<MetaLinkInodeResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        ApplyResult res = co_await Execute(req.pid, MetaPartition::EncodeLinkInode(req.ino),
-                                           req.trace);
-        co_return MetaLinkInodeResp{res.status, std::move(res.inode)};
-      });
-
-  host_->Register<MetaEvictInodeReq, MetaEvictInodeResp>(
-      [this](MetaEvictInodeReq req, sim::NodeId) -> Task<MetaEvictInodeResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        ApplyResult res = co_await Execute(req.pid, MetaPartition::EncodeEvictInode(req.inos),
-                                           req.trace);
-        co_return MetaEvictInodeResp{res.status};
-      });
-
-  host_->Register<MetaCreateDentryReq, MetaCreateDentryResp>(
-      [this](MetaCreateDentryReq req, sim::NodeId) -> Task<MetaCreateDentryResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        ApplyResult res = co_await Execute(
-            req.pid, MetaPartition::EncodeCreateDentry(req.dentry), req.trace);
-        co_return MetaCreateDentryResp{res.status};
-      });
-
-  host_->Register<MetaDeleteDentryReq, MetaDeleteDentryResp>(
-      [this](MetaDeleteDentryReq req, sim::NodeId) -> Task<MetaDeleteDentryResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        ApplyResult res = co_await Execute(
-            req.pid, MetaPartition::EncodeDeleteDentry(req.parent, req.name), req.trace);
-        co_return MetaDeleteDentryResp{res.status, std::move(res.dentry)};
-      });
-
-  host_->Register<MetaAppendExtentReq, MetaAppendExtentResp>(
-      [this](MetaAppendExtentReq req, sim::NodeId) -> Task<MetaAppendExtentResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        ApplyResult res = co_await Execute(
-            req.pid, MetaPartition::EncodeAppendExtent(req.ino, req.key, req.new_size),
-            req.trace);
-        co_return MetaAppendExtentResp{res.status, std::move(res.inode)};
-      });
-
-  host_->Register<MetaSetAttrReq, MetaSetAttrResp>(
-      [this](MetaSetAttrReq req, sim::NodeId) -> Task<MetaSetAttrResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        ApplyResult res = co_await Execute(
-            req.pid, MetaPartition::EncodeSetAttr(req.ino, req.size, req.mtime), req.trace);
-        co_return MetaSetAttrResp{res.status};
-      });
-
-  host_->Register<MetaTruncateReq, MetaTruncateResp>(
-      [this](MetaTruncateReq req, sim::NodeId) -> Task<MetaTruncateResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        ApplyResult res = co_await Execute(
-            req.pid, MetaPartition::EncodeTruncate(req.ino, req.new_size), req.trace);
-        co_return MetaTruncateResp{res.status, std::move(res.inode)};
-      });
+  RegisterWrite<MetaLinkInodeReq, MetaLinkInodeResp>(
+      [](const auto& req) { return MetaPartition::EncodeLinkInode(req.ino); },
+      [](ApplyResult& res) { return MetaLinkInodeResp{res.status, std::move(res.inode)}; });
+  RegisterWrite<MetaEvictInodeReq, MetaEvictInodeResp>(
+      [](const auto& req) { return MetaPartition::EncodeEvictInode(req.inos); },
+      [](ApplyResult& res) { return MetaEvictInodeResp{res.status}; });
+  RegisterWrite<MetaCreateDentryReq, MetaCreateDentryResp>(
+      [](const auto& req) { return MetaPartition::EncodeCreateDentry(req.dentry); },
+      [](ApplyResult& res) { return MetaCreateDentryResp{res.status}; });
+  RegisterWrite<MetaDeleteDentryReq, MetaDeleteDentryResp>(
+      [](const auto& req) { return MetaPartition::EncodeDeleteDentry(req.parent, req.name); },
+      [](ApplyResult& res) { return MetaDeleteDentryResp{res.status, std::move(res.dentry)}; });
+  RegisterWrite<MetaAppendExtentReq, MetaAppendExtentResp>(
+      [](const auto& req) {
+        return MetaPartition::EncodeAppendExtent(req.ino, req.key, req.new_size);
+      },
+      [](ApplyResult& res) { return MetaAppendExtentResp{res.status, std::move(res.inode)}; });
+  RegisterWrite<MetaSetAttrReq, MetaSetAttrResp>(
+      [](const auto& req) { return MetaPartition::EncodeSetAttr(req.ino, req.size, req.mtime); },
+      [](ApplyResult& res) { return MetaSetAttrResp{res.status}; });
+  RegisterWrite<MetaTruncateReq, MetaTruncateResp>(
+      [](const auto& req) { return MetaPartition::EncodeTruncate(req.ino, req.new_size); },
+      [](ApplyResult& res) { return MetaTruncateResp{res.status, std::move(res.inode)}; });
 
   // --- Reads: served from leader memory, no consensus round (§2.7.4) ---
 
   host_->Register<MetaGetInodeReq, MetaGetInodeResp>(
       [this](MetaGetInodeReq req, sim::NodeId) -> Task<MetaGetInodeResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        MetaGetInodeResp resp;
-        resp.status = CheckLeader(req.pid);
-        if (!resp.status.ok()) co_return resp;
-        const Inode* ino = GetPartition(req.pid)->GetInode(req.ino);
-        if (!ino) {
-          resp.status = Status::NotFound("inode " + std::to_string(req.ino));
-          co_return resp;
-        }
-        resp.inode = *ino;
-        co_return resp;
+        auto admit = co_await admission_.Serve(req.tenant, kMetaCpuPerOp, &host_->cpu());
+        Result<MetaPartition*> mp = partitions_.RaftLeader(req.pid);
+        if (!mp.ok()) co_return MetaGetInodeResp{mp.status()};
+        const Inode* ino = (*mp)->GetInode(req.ino);
+        if (!ino) co_return MetaGetInodeResp{Status::NotFound("inode " + std::to_string(req.ino))};
+        co_return MetaGetInodeResp{Status::OK(), *ino};
       });
 
   host_->Register<MetaBatchInodeGetReq, MetaBatchInodeGetResp>(
       [this](MetaBatchInodeGetReq req, sim::NodeId) -> Task<MetaBatchInodeGetResp> {
         // One request amortizes the per-op cost across the batch.
         const SimDuration batch_cost =
-            opts_.cpu_per_op + static_cast<SimDuration>(req.inos.size()) / 4;
+            kMetaCpuPerOp + static_cast<SimDuration>(req.inos.size()) / 4;
         auto admit = co_await admission_.Serve(req.tenant, batch_cost, &host_->cpu());
-        MetaBatchInodeGetResp resp;
-        resp.status = CheckLeader(req.pid);
-        if (!resp.status.ok()) co_return resp;
-        resp.inodes = GetPartition(req.pid)->BatchInodeGet(req.inos);
-        co_return resp;
+        Result<MetaPartition*> mp = partitions_.RaftLeader(req.pid);
+        if (!mp.ok()) co_return MetaBatchInodeGetResp{mp.status()};
+        co_return MetaBatchInodeGetResp{Status::OK(), (*mp)->BatchInodeGet(req.inos)};
       });
 
   host_->Register<MetaLookupReq, MetaLookupResp>(
       [this](MetaLookupReq req, sim::NodeId) -> Task<MetaLookupResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        MetaLookupResp resp;
-        resp.status = CheckLeader(req.pid);
-        if (!resp.status.ok()) co_return resp;
-        const Dentry* d = GetPartition(req.pid)->Lookup(req.parent, req.name);
-        if (!d) {
-          resp.status = Status::NotFound(req.name);
-          co_return resp;
-        }
-        resp.dentry = *d;
-        co_return resp;
+        auto admit = co_await admission_.Serve(req.tenant, kMetaCpuPerOp, &host_->cpu());
+        Result<MetaPartition*> mp = partitions_.RaftLeader(req.pid);
+        if (!mp.ok()) co_return MetaLookupResp{mp.status()};
+        const Dentry* d = (*mp)->Lookup(req.parent, req.name);
+        if (!d) co_return MetaLookupResp{Status::NotFound(req.name)};
+        co_return MetaLookupResp{Status::OK(), *d};
       });
 
   host_->Register<MetaReadDirReq, MetaReadDirResp>(
       [this](MetaReadDirReq req, sim::NodeId) -> Task<MetaReadDirResp> {
-        auto admit = co_await admission_.Serve(req.tenant, opts_.cpu_per_op, &host_->cpu());
-        MetaReadDirResp resp;
-        resp.status = CheckLeader(req.pid);
-        if (!resp.status.ok()) co_return resp;
-        resp.dentries = GetPartition(req.pid)->ReadDir(req.parent);
-        co_return resp;
+        auto admit = co_await admission_.Serve(req.tenant, kMetaCpuPerOp, &host_->cpu());
+        Result<MetaPartition*> mp = partitions_.RaftLeader(req.pid);
+        if (!mp.ok()) co_return MetaReadDirResp{mp.status()};
+        co_return MetaReadDirResp{Status::OK(), (*mp)->ReadDir(req.parent)};
       });
 
   // --- Admin ---
 
   host_->Register<CreateMetaPartitionReq, CreateMetaPartitionResp>(
       [this](CreateMetaPartitionReq req, sim::NodeId) -> Task<CreateMetaPartitionResp> {
-        co_await host_->cpu().Use(opts_.cpu_per_op);
+        co_await host_->cpu().Use(kMetaCpuPerOp);
         co_return CreateMetaPartitionResp{CreatePartition(req.config, req.peers)};
       });
 
   host_->Register<SplitMetaPartitionReq, SplitMetaPartitionResp>(
       [this](SplitMetaPartitionReq req, sim::NodeId) -> Task<SplitMetaPartitionResp> {
-        co_await host_->cpu().Use(opts_.cpu_per_op);
-        SplitMetaPartitionResp resp;
+        co_await host_->cpu().Use(kMetaCpuPerOp);
         ApplyResult res = co_await Execute(req.pid, MetaPartition::EncodeSetEnd(req.end));
-        resp.status = res.status;
         MetaPartition* mp = GetPartition(req.pid);
-        if (mp) resp.max_inode_id = mp->max_inode_id();
-        co_return resp;
+        co_return SplitMetaPartitionResp{res.status, mp ? mp->max_inode_id() : 0};
       });
 }
 

@@ -5,24 +5,24 @@
 #pragma once
 
 #include <functional>
-#include <map>
-#include <memory>
 
 #include "meta/messages.h"
 #include "meta/meta_partition.h"
 #include "qos/qos.h"
 #include "raft/multiraft.h"
+#include "raft/partition_table.h"
 #include "sim/network.h"
 
 namespace cfs::meta {
 
+/// CPU charged per metadata RPC (request parse + btree op + respond).
+inline constexpr SimDuration kMetaCpuPerOp = 12;
+/// Background purge scan interval.
+inline constexpr SimDuration kPurgeInterval = 500 * kMsec;
+/// Raft groups of meta partitions are stored on this local disk.
+inline constexpr int kMetaRaftDisk = 0;
+
 struct MetaNodeOptions {
-  /// CPU charged per metadata RPC (request parse + btree op + respond).
-  SimDuration cpu_per_op = 12;
-  /// Background purge scan interval.
-  SimDuration purge_interval = 500 * kMsec;
-  /// Raft groups of meta partitions are stored on this local disk.
-  int raft_disk = 0;
   /// Weighted-fair admission in front of client-facing handlers: bound on
   /// concurrently serviced requests. 0 = disabled (admit synchronously, no
   /// events — the default, keeping pinned schedules byte-identical).
@@ -43,21 +43,19 @@ class MetaNode {
 
   sim::Host* host() { return host_; }
 
-  /// Create (or re-create during recovery) a partition replica.
+  /// Create a partition replica and start its raft group.
   Status CreatePartition(const MetaPartitionConfig& config,
-                         const std::vector<sim::NodeId>& peers, bool recover = false);
+                         const std::vector<sim::NodeId>& peers);
 
-  MetaPartition* GetPartition(PartitionId pid);
-  raft::RaftNode* GetRaft(PartitionId pid) { return raft_->Get(RaftGid(pid)); }
+  MetaPartition* GetPartition(PartitionId pid) { return partitions_.Find(pid); }
+  raft::RaftNode* GetRaft(PartitionId pid) {
+    MetaPartition* mp = partitions_.Find(pid);
+    return mp ? mp->raft_node() : nullptr;
+  }
   size_t num_partitions() const { return partitions_.size(); }
 
   /// Partition ids hosted here, in id order (deep checks).
-  std::vector<PartitionId> PartitionIds() const {
-    std::vector<PartitionId> ids;
-    ids.reserve(partitions_.size());
-    for (const auto& [pid, p] : partitions_) ids.push_back(pid);
-    return ids;
-  }
+  std::vector<PartitionId> PartitionIds() const { return partitions_.Ids(); }
 
   void set_extent_purger(ExtentPurger purger) { purger_ = std::move(purger); }
 
@@ -72,7 +70,8 @@ class MetaNode {
   /// the master through periodic communication).
   std::vector<MetaPartitionReport> Reports() const;
 
-  /// Restart-time recovery of all partitions from raft snapshots + logs.
+  /// Restart-time recovery of this node's partitions from raft snapshots +
+  /// logs. The data groups on the same RaftHost are DataNode::RecoverAll's.
   sim::Task<void> RecoverAll();
 
   uint64_t ops_served() const { return admission_.served(); }
@@ -83,23 +82,25 @@ class MetaNode {
  private:
   void RegisterHandlers();
 
-  /// Propose `cmd` on the partition's raft group and fetch the apply result.
+  /// A raft-backed write: admission, then `cmd(req)` through Execute, then
+  /// `reply(result)`.
+  template <typename Req, typename Resp, typename Cmd, typename Reply>
+  void RegisterWrite(Cmd cmd, Reply reply);
+
+  /// Propose `cmd` on the partition's raft group and fetch the apply result:
+  /// the raft-leader guard, then a read-only partition refuses the write.
   sim::Task<ApplyResult> Execute(PartitionId pid, std::string cmd,
                                  obs::TraceContext trace = {});
-
-  /// Leader check for serving reads.
-  Status CheckLeader(PartitionId pid) const;
 
   sim::Task<void> PurgeLoop();
 
   sim::Network* net_;
   sim::Host* host_;
   raft::RaftHost* raft_;
-  MetaNodeOptions opts_;
   // Weighted-fair admission in front of the client-facing handlers; weights
   // arrive with each partition's config.
   qos::AdmissionQueue admission_;
-  std::map<PartitionId, std::unique_ptr<MetaPartition>> partitions_;
+  raft::PartitionTable<MetaPartition> partitions_{"meta partition"};
   ExtentPurger purger_;
   ExecObserver exec_observer_;
 };

@@ -19,6 +19,10 @@
 #include "raft/types.h"
 #include "sim/network.h"
 
+namespace cfs::raft {
+class RaftNode;
+}  // namespace cfs::raft
+
 namespace cfs::meta {
 
 /// Raft command opcodes for meta partitions.
@@ -67,6 +71,9 @@ class MetaPartition : public raft::StateMachine {
 
   const MetaPartitionConfig& config() const { return config_; }
   PartitionId id() const { return config_.id; }
+  /// This replica's raft node (MetaNode attaches it when it creates the group).
+  raft::RaftNode* raft_node() const { return raft_node_; }
+  void set_raft_node(raft::RaftNode* rn) { raft_node_ = rn; }
 
   // --- Command encoding (client/meta-node side) ---
   static std::string EncodeCreateInode(FileType type, std::string_view link_target,
@@ -173,6 +180,7 @@ class MetaPartition : public raft::StateMachine {
 
   MetaPartitionConfig config_;
   sim::Host* host_;
+  raft::RaftNode* raft_node_ = nullptr;
   /// Host gauge "meta.free_list_len": deleted inodes awaiting eviction,
   /// summed over the host's partition replicas.
   int64_t& free_list_len_;

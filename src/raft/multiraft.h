@@ -55,8 +55,6 @@ class RaftHost {
     return it == groups_.end() ? nullptr : it->second.get();
   }
 
-  size_t num_groups() const { return groups_.size(); }
-
   /// Group ids of every replica hosted here, in id order (deep checks gather
   /// per-group replica snapshots across hosts with this).
   std::vector<GroupId> GroupIds() const {
@@ -66,24 +64,11 @@ class RaftHost {
     return ids;
   }
 
-  /// Recover every group from stable storage (host restart).
-  sim::Task<void> RecoverAll() {
-    // Iterate a snapshot: Recover() suspends, and groups_ can gain entries
-    // (CreateGroup) while this coroutine is parked, invalidating a live
-    // iterator into the map (A1).
-    for (GroupId gid : GroupIds()) {
-      auto it = groups_.find(gid);
-      if (it == groups_.end()) continue;
-      (void)co_await it->second->Recover();
-    }
-  }
-
   /// Ablation knob: when false, one heartbeat message is sent per group
   /// instead of one per peer node (i.e. plain Raft without MultiRaft).
   void set_coalesce_heartbeats(bool v) { coalesce_ = v; }
 
   uint64_t heartbeat_msgs_sent() const { return hb_msgs_; }
-  uint64_t heartbeat_items_sent() const { return hb_items_; }
 
  private:
   void RegisterHandlers() {
@@ -135,12 +120,10 @@ class RaftHost {
       for (auto& [peer, items] : outbox) {
         if (coalesce_) {
           hb_msgs_++;
-          hb_items_ += items.size();
           sim::Spawn(SendHeartbeat(peer, std::move(items)));
         } else {
           for (auto& item : items) {
             hb_msgs_++;
-            hb_items_++;
             sim::Spawn(SendHeartbeat(peer, {item}));
           }
         }
@@ -166,7 +149,6 @@ class RaftHost {
   std::map<GroupId, std::unique_ptr<RaftNode>> groups_;
   bool coalesce_ = true;
   uint64_t hb_msgs_ = 0;
-  uint64_t hb_items_ = 0;
 };
 
 }  // namespace cfs::raft

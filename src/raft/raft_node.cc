@@ -58,6 +58,7 @@ void RaftNode::Start() {
 }
 
 sim::Task<Status> RaftNode::Recover() {
+  host_->metrics().Add("raft.recoveries");
   gen_++;  // kill any loops from the previous incarnation
   running_ = false;
   FailPendingProposals(Status::Unavailable("raft node restarting"));

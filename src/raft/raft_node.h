@@ -51,7 +51,7 @@ class RaftNode {
   /// machine from the latest snapshot and re-applies nothing beyond it
   /// (commit is re-learned from the leader). A corrupt log or a snapshot the
   /// state machine cannot decode returns Corruption and the node stays
-  /// stopped.
+  /// stopped. Each call counts "raft.recoveries" in the host registry.
   sim::Task<Status> Recover();
 
   /// Replicate the command `head || payload`; resolves once it is committed

@@ -261,11 +261,6 @@ class StableStorage {
     }
     return names;
   }
-  uint64_t TotalBytes() const {
-    uint64_t n = 0;
-    for (const auto& [k, v] : blobs_) n += v.size;
-    return n;
-  }
 
  private:
   struct Blob {
@@ -497,15 +492,6 @@ class Host {
     }
     return cap ? static_cast<double>(used) / static_cast<double>(cap) : 0.0;
   }
-  /// Least-utilized local disk (data partitions are created there).
-  int PickDisk() const {
-    int best = 0;
-    for (int i = 1; i < static_cast<int>(disks_.size()); i++) {
-      if (disks_[i]->used_bytes() < disks_[best]->used_bytes()) best = i;
-    }
-    return best;
-  }
-
   /// Register the coroutine handler for request type Req. `h` is
   /// `Task<Resp>(Req, NodeId from)`. Handlers live in a flat vector indexed
   /// by the dense MsgTypeId — delivery dispatch is one bounds check and an

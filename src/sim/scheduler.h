@@ -124,15 +124,6 @@ class Scheduler {
 
   void RunFor(SimDuration d) { RunUntil(now_ + d); }
 
-  /// Run until the queue is empty or `max_events` have been processed.
-  /// Returns the number of events processed (guards against livelock in
-  /// tests).
-  uint64_t RunBounded(uint64_t max_events) {
-    uint64_t n = 0;
-    while (n < max_events && RunOne()) n++;
-    return n;
-  }
-
   bool empty() const { return wheel_.empty(); }
   size_t pending() const { return wheel_.live(); }
 

@@ -57,7 +57,9 @@ TEST_F(CephFixture, ReaddirPlusIssuesPerInodeGets) {
   auto dir = Run(client_->Mkdir(kCephRoot, "dir"));
   ASSERT_TRUE(dir.ok());
   for (int i = 0; i < 10; i++) {
-    ASSERT_TRUE(Run(client_->Create(*dir, "f" + std::to_string(i))).ok());
+    std::string name = "f";
+    name += std::to_string(i);
+    ASSERT_TRUE(Run(client_->Create(*dir, name)).ok());
   }
   uint64_t before = client_->meta_rpcs();
   auto listing = Run(client_->ReaddirPlus(*dir));
@@ -81,7 +83,9 @@ TEST_F(CephFixture, DirectoryLocalityRoutesToOneMds) {
   auto dir = Run(client_->Mkdir(kCephRoot, "hot"));
   ASSERT_TRUE(dir.ok());
   for (int i = 0; i < 20; i++) {
-    ASSERT_TRUE(Run(client_->Create(*dir, "f" + std::to_string(i))).ok());
+    std::string name = "f";
+    name += std::to_string(i);
+    ASSERT_TRUE(Run(client_->Create(*dir, name)).ok());
   }
   // All creates for this directory landed on its single authority MDS.
   int authority = cluster_->AuthorityOf(*dir);
@@ -104,7 +108,9 @@ TEST_F(CephFixture, CacheMissesGrowBeyondCapacity) {
   ASSERT_TRUE(dir->ok());
   std::vector<InodeId> files;
   for (int i = 0; i < 300; i++) {
-    auto f = RunTask(sched2, c.Create(**dir, "f" + std::to_string(i)));
+    std::string name = "f";
+    name += std::to_string(i);
+    auto f = RunTask(sched2, c.Create(**dir, name));
     ASSERT_TRUE(f->ok());
     files.push_back(**f);
   }
@@ -136,7 +142,9 @@ TEST_F(CephFixture, RebalancingMovesHotDirectory) {
   int initial_authority = small.AuthorityOf(**dir);
   // Hammer the one directory; every other MDS is idle -> imbalance.
   for (int i = 0; i < 2000; i++) {
-    ASSERT_TRUE(RunTask(sched2, c.Create(**dir, "f" + std::to_string(i)))->ok());
+    std::string name = "f";
+    name += std::to_string(i);
+    ASSERT_TRUE(RunTask(sched2, c.Create(**dir, name))->ok());
   }
   sched2.RunFor(3 * kSec);
   EXPECT_GT(small.rebalances(), 0u);

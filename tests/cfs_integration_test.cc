@@ -85,7 +85,9 @@ TEST_F(CfsCluster, CreateManyFilesAcrossPartitions) {
   Boot();
   std::set<uint64_t> ids;
   for (int i = 0; i < 60; i++) {
-    auto r = Run(client_->Create(kRootInode, "f" + std::to_string(i), FileType::kFile));
+    std::string name = "f";
+    name += std::to_string(i);
+    auto r = Run(client_->Create(kRootInode, name, FileType::kFile));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(ids.insert(r->id).second) << "duplicate inode id " << r->id;
   }
@@ -330,7 +332,7 @@ TEST_F(CfsCluster, PurgeKeepsPaceWithUnlinkBurst) {
     }
     return total;
   };
-  const SimDuration interval = meta::MetaNodeOptions{}.purge_interval;
+  const SimDuration interval = meta::kPurgeInterval;
   const SimDuration step = 10 * kMsec;
   bool drained = cluster_->RunUntil([&] { return free_list_total() == 0; }, step,
                                     static_cast<int>(2 * interval / step));
@@ -370,7 +372,9 @@ TEST_F(CfsCluster, RenameMovesDentry) {
 TEST_F(CfsCluster, ReadDirPlusBatchesAndCaches) {
   Boot();
   for (int i = 0; i < 20; i++) {
-    ASSERT_TRUE(Run(client_->Create(kRootInode, "e" + std::to_string(i), FileType::kFile)).ok());
+    std::string name = "e";
+    name += std::to_string(i);
+    ASSERT_TRUE(Run(client_->Create(kRootInode, name, FileType::kFile)).ok());
   }
   const uint64_t rpcs0 = client_->metrics().counter("client.meta_rpcs");
   auto first = Run(client_->ReadDirPlus(kRootInode));
@@ -460,10 +464,28 @@ TEST_F(CfsCluster, DataNodeCrashDoesNotLoseCommittedData) {
   EXPECT_EQ(*read2, content);
 }
 
+TEST_F(CfsCluster, RestartRecoversEachRaftGroupOnce) {
+  Boot();
+  const int node = 1;
+  ASSERT_GT(cluster_->data_node(node)->num_partitions(), 0u);
+  const size_t groups =
+      cluster_->raft_host_of(cluster_->options().num_masters + node)->GroupIds().size();
+  cluster_->CrashNode(node);
+  cluster_->sched().RunFor(2 * kSec);
+  ASSERT_TRUE(RunTaskVoid(cluster_->sched(), cluster_->RestartNode(node)));
+  // The data node recovers its groups after extent alignment and the meta
+  // node its own; a second pass would restart each data group's loops and
+  // fail the proposals queued in between.
+  EXPECT_EQ(cluster_->node_host(node)->metrics().counter("raft.recoveries"), groups);
+  cluster_->sched().RunFor(3 * kSec);
+}
+
 TEST_F(CfsCluster, MetaNodeCrashFailoverServesMetadata) {
   Boot();
   for (int i = 0; i < 10; i++) {
-    ASSERT_TRUE(Run(client_->Create(kRootInode, "m" + std::to_string(i), FileType::kFile)).ok());
+    std::string name = "m";
+    name += std::to_string(i);
+    ASSERT_TRUE(Run(client_->Create(kRootInode, name, FileType::kFile)).ok());
   }
   cluster_->CrashNode(0);
   cluster_->sched().RunFor(3 * kSec);  // raft failover on affected partitions
@@ -528,8 +550,9 @@ TEST_F(CfsCluster, MetaPartitionSplitsUnderLoad) {
   opts.master.split_delta = 50;
   Boot(opts, 1, 4);  // single meta partition owning [1, inf)
   for (int i = 0; i < 150; i++) {
-    ASSERT_TRUE(
-        Run(client_->Create(kRootInode, "s" + std::to_string(i), FileType::kFile)).ok());
+    std::string name = "s";
+    name += std::to_string(i);
+    ASSERT_TRUE(Run(client_->Create(kRootInode, name, FileType::kFile)).ok());
   }
   // 150 files -> 151 inodes + 150 dentries > 200 items: the admin loop cuts
   // the range (Algorithm 1) and creates a partition owning [end+1, inf).
@@ -664,7 +687,9 @@ TEST_F(NoSpacePlacement, SmallFileWriteSkipsFullPartition) {
   const uint64_t legs0 = client_->metrics().counter("rpc.WriteSmall.ok");
   const std::string content(4 * kKiB, 's');
   for (int i = 0; i < kFiles; i++) {
-    auto f = Run(client_->Create(kRootInode, "s" + std::to_string(i), FileType::kFile));
+    std::string name = "s";
+    name += std::to_string(i);
+    auto f = Run(client_->Create(kRootInode, name, FileType::kFile));
     ASSERT_TRUE(f.ok()) << f.status().ToString();
     ASSERT_TRUE(Run(client_->Write(f->id, 0, content)).ok());
     ASSERT_TRUE(Run(client_->Close(f->id)).ok());
@@ -685,7 +710,9 @@ TEST_F(NoSpacePlacement, AppendSkipsFullPartition) {
   const uint64_t legs0 = client_->metrics().counter("rpc.CreateExtent.ok");
   const std::string content(256 * kKiB, 'a');
   for (int i = 0; i < kFiles; i++) {
-    auto f = Run(client_->Create(kRootInode, "a" + std::to_string(i), FileType::kFile));
+    std::string name = "a";
+    name += std::to_string(i);
+    auto f = Run(client_->Create(kRootInode, name, FileType::kFile));
     ASSERT_TRUE(f.ok()) << f.status().ToString();
     ASSERT_TRUE(Run(client_->Open(f->id)).ok());
     ASSERT_TRUE(Run(client_->Write(f->id, 0, content)).ok());
@@ -755,7 +782,9 @@ TEST_F(Metrics, PerHostRegistriesSumToClusterView) {
 TEST_F(Metrics, RpcLegsMatchTransportWatchdogs) {
   Boot();
   for (int i = 0; i < 20; i++) {
-    ASSERT_TRUE(Run(client_->Create(kRootInode, "f" + std::to_string(i), FileType::kFile)).ok());
+    std::string name = "f";
+    name += std::to_string(i);
+    ASSERT_TRUE(Run(client_->Create(kRootInode, name, FileType::kFile)).ok());
   }
   auto f = Run(client_->Create(kRootInode, "data.bin", FileType::kFile));
   ASSERT_TRUE(f.ok()) << f.status().ToString();

@@ -97,7 +97,9 @@ TEST_F(LruTtlCacheTest, ChurnPastCapacityKeepsIndexAndRecencyInStep) {
   // rounds of that must keep evicting exactly the oldest key.
   cache_.set_capacity(3);
   for (int k = 1; k <= 20; k++) {
-    cache_.Put(k, "v" + std::to_string(k), 0);
+    std::string value = "v";
+    value += std::to_string(k);
+    cache_.Put(k, value, 0);
     EXPECT_EQ(cache_.size(), static_cast<size_t>(std::min(k, 3)));
     EXPECT_EQ(evictions_, static_cast<uint64_t>(std::max(k - 3, 0)));
   }
@@ -105,7 +107,9 @@ TEST_F(LruTtlCacheTest, ChurnPastCapacityKeepsIndexAndRecencyInStep) {
   for (int k = 18; k <= 20; k++) {
     std::string* v = cache_.Find(k, 0, kTtl);
     ASSERT_NE(v, nullptr) << k;
-    EXPECT_EQ(*v, "v" + std::to_string(k));
+    std::string want = "v";
+    want += std::to_string(k);
+    EXPECT_EQ(*v, want);
   }
 }
 

@@ -68,24 +68,20 @@ TEST(ResultTest, ReturnIfErrorMacro) {
 TEST(CodecTest, FixedWidthRoundTrip) {
   Encoder e;
   e.PutU8(0xab);
-  e.PutU16(0x1234);
   e.PutU32(0xdeadbeef);
   e.PutU64(0x0123456789abcdefull);
   e.PutI64(-42);
 
   Decoder d(e.data());
   uint8_t u8 = 0;
-  uint16_t u16 = 0;
   uint32_t u32 = 0;
   uint64_t u64 = 0;
   int64_t i64 = 0;
   ASSERT_TRUE(d.GetU8(&u8));
-  ASSERT_TRUE(d.GetU16(&u16));
   ASSERT_TRUE(d.GetU32(&u32));
   ASSERT_TRUE(d.GetU64(&u64));
   ASSERT_TRUE(d.GetI64(&i64));
   EXPECT_EQ(u8, 0xab);
-  EXPECT_EQ(u16, 0x1234);
   EXPECT_EQ(u32, 0xdeadbeefu);
   EXPECT_EQ(u64, 0x0123456789abcdefull);
   EXPECT_EQ(i64, -42);

@@ -42,9 +42,9 @@ TEST(Determinism, MetadataAndDataWorkloadReplaysIdentically) {
     MountContext* client = BootAndMount(cluster);
     ASSERT_NE(client, nullptr);
     for (int i = 0; i < 8; i++) {
-      auto f = RunTask(cluster.sched(),
-                       client->Create(kRootInode, "f" + std::to_string(i),
-                                      FileType::kFile));
+      std::string name = "f";
+      name += std::to_string(i);
+      auto f = RunTask(cluster.sched(), client->Create(kRootInode, name, FileType::kFile));
       ASSERT_TRUE(f && f->ok());
       ASSERT_TRUE(RunTask(cluster.sched(), client->Open((*f)->id))->ok());
       ASSERT_TRUE(RunTask(cluster.sched(),
@@ -105,8 +105,9 @@ void TracedScenario(Cluster& cluster) {
   MountContext* client = BootAndMount(cluster);
   ASSERT_NE(client, nullptr);
   for (int i = 0; i < 4; i++) {
-    auto f = RunTask(cluster.sched(),
-                     client->Create(kRootInode, "t" + std::to_string(i), FileType::kFile));
+    std::string name = "t";
+    name += std::to_string(i);
+    auto f = RunTask(cluster.sched(), client->Create(kRootInode, name, FileType::kFile));
     ASSERT_TRUE(f && f->ok());
     ASSERT_TRUE(RunTask(cluster.sched(),
                         client->Write((*f)->id, 0, std::string(192 * kKiB, 'x')))
@@ -143,7 +144,7 @@ TEST(Determinism, TracedRunsProduceByteIdenticalObservability) {
     Cluster cluster(opts);
     TracedScenario(cluster);
     *span_log = cluster.tracer().DumpLog();
-    *metrics_json = cluster.MetricsJson();
+    *metrics_json = cluster.Metrics().DumpJson();
     return cluster.tracer().num_spans();
   };
   std::string log1, log2, metrics1, metrics2;

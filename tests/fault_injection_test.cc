@@ -300,7 +300,9 @@ TEST_F(FaultFixture, MetaPartitionRecoversFromSnapshotAfterChurn) {
   client_ = (**c)->default_mount();
 
   for (int i = 0; i < 120; i++) {
-    ASSERT_TRUE(Run(client_->Create(kRootInode, "c" + std::to_string(i), FileType::kFile)).ok());
+    std::string name = "c";
+    name += std::to_string(i);
+    ASSERT_TRUE(Run(client_->Create(kRootInode, name, FileType::kFile)).ok());
   }
   cluster_->sched().RunFor(2 * kSec);  // let compaction run
 

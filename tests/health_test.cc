@@ -267,9 +267,10 @@ TEST(ClusterHealth, ObserversFeedSeriesScorerAndMasterView) {
   ASSERT_TRUE(c && c->ok());
   client::MountContext* client = (**c)->default_mount();
   for (int i = 0; i < 4; i++) {
-    auto f = harness::RunTask(
-        cluster.sched(),
-        client->Create(meta::kRootInode, "f" + std::to_string(i), meta::FileType::kFile));
+    std::string name = "f";
+    name += std::to_string(i);
+    auto f = harness::RunTask(cluster.sched(),
+                              client->Create(meta::kRootInode, name, meta::FileType::kFile));
     ASSERT_TRUE(f && f->ok());
     ASSERT_TRUE(harness::RunTask(cluster.sched(),
                                  client->Write((*f)->id, 0, std::string(256 * kKiB, 'h')))

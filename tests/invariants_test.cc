@@ -344,8 +344,9 @@ class ClusterInvariants : public ::testing::Test {
 TEST_F(ClusterInvariants, HealthyClusterWithTrafficPasses) {
   Boot();
   for (int i = 0; i < 10; i++) {
-    auto f = Run(client_->Create(kRootInode, "f" + std::to_string(i),
-                                 meta::FileType::kFile));
+    std::string name = "f";
+    name += std::to_string(i);
+    auto f = Run(client_->Create(kRootInode, name, meta::FileType::kFile));
     ASSERT_TRUE(f.ok());
     ASSERT_TRUE(Run(client_->Open(f->id)).ok());
     ASSERT_TRUE(Run(client_->Write(f->id, 0, std::string(32 * kKiB, 'd'))).ok());

@@ -183,7 +183,9 @@ TEST_F(MetaPartitionFixture, DeleteMissingDentryIsNotFound) {
 TEST_F(MetaPartitionFixture, ReadDirReturnsOnlyThatParent) {
   for (int i = 0; i < 5; i++) {
     Inode f = CreateFile();
-    Dentry d{kRootInode, "a" + std::to_string(i), f.id, FileType::kFile};
+    std::string name = "a";
+    name += std::to_string(i);
+    Dentry d{kRootInode, name, f.id, FileType::kFile};
     (void)Apply(MetaPartition::EncodeCreateDentry(d));
   }
   Inode sub = Apply(MetaPartition::EncodeCreateInode(FileType::kDir, "", 0)).inode;
@@ -258,7 +260,9 @@ TEST_F(MetaPartitionFixture, RangeExhaustionStopsAllocation) {
 TEST_F(MetaPartitionFixture, SnapshotRoundTripPreservesEverything) {
   for (int i = 0; i < 20; i++) {
     Inode f = CreateFile();
-    Dentry d{kRootInode, "f" + std::to_string(i), f.id, FileType::kFile};
+    std::string name = "f";
+    name += std::to_string(i);
+    Dentry d{kRootInode, name, f.id, FileType::kFile};
     (void)Apply(MetaPartition::EncodeCreateDentry(d));
   }
   (void)Apply(MetaPartition::EncodeUnlinkInode(3));

@@ -277,8 +277,8 @@ TEST(MultiMount, LifecycleAndInvariants) {
   ASSERT_TRUE(still_dead.has_value());
   EXPECT_FALSE(still_dead->ok());
 
-  // Full teardown through the harness: every mount retires.
-  cluster.UnmountClient(c);
+  // Full teardown: every mount retires.
+  c->UnmountAll();
   auto gone = harness::RunTask(cluster.sched(),
                                mb->Create(meta::kRootInode, "b3", meta::FileType::kFile));
   ASSERT_TRUE(gone.has_value());

@@ -197,7 +197,7 @@ TEST_F(RaftCluster, CrashedNodeRecoversStateFromDisk) {
   // Restart: state machine reset, log replayed, then caught up by leader.
   hosts_[victim]->Restart();
   sms_[victim]->applied.clear();  // simulate lost in-memory state
-  Spawn([](RaftHost* rh) -> Task<void> { co_await rh->RecoverAll(); }(rafts_[victim].get()));
+  Spawn([](RaftNode* n) -> Task<void> { (void)co_await n->Recover(); }(nodes_[victim]));
   sched_->RunFor(3 * kSec);
   ASSERT_EQ(sms_[victim]->applied.size(), 8u);
   for (int i = 0; i < 8; i++) {
@@ -237,7 +237,9 @@ TEST_F(RaftCluster, SnapshotCompactionTruncatesLog) {
   int leader = AwaitLeader();
   ASSERT_GE(leader, 0);
   for (int i = 0; i < 100; i++) {
-    ASSERT_TRUE(ProposeOn(leader, "e" + std::to_string(i)).ok());
+    std::string cmd = "e";
+    cmd += std::to_string(i);
+    ASSERT_TRUE(ProposeOn(leader, cmd).ok());
   }
   sched_->RunFor(1 * kSec);
   EXPECT_GT(nodes_[leader]->log().snapshot_index(), 0u);
@@ -311,13 +313,15 @@ TEST_F(RaftCluster, LaggingFollowerCatchesUpViaSnapshot) {
   hosts_[victim]->Crash();
   for (int i = 0; i < 80; i++) {
     leader = AwaitLeader();
-    ASSERT_TRUE(ProposeOn(leader, "v" + std::to_string(i)).ok());
+    std::string cmd = "v";
+    cmd += std::to_string(i);
+    ASSERT_TRUE(ProposeOn(leader, cmd).ok());
   }
   sched_->RunFor(1 * kSec);
   ASSERT_GT(nodes_[leader]->log().snapshot_index(), 0u);
   hosts_[victim]->Restart();
   sms_[victim]->applied.clear();
-  Spawn([](RaftHost* rh) -> Task<void> { co_await rh->RecoverAll(); }(rafts_[victim].get()));
+  Spawn([](RaftNode* n) -> Task<void> { (void)co_await n->Recover(); }(nodes_[victim]));
   sched_->RunFor(5 * kSec);
   ASSERT_EQ(sms_[victim]->applied.size(), 80u);
   EXPECT_EQ(sms_[victim]->applied[79].second, "v79");
@@ -626,7 +630,7 @@ TEST_F(RaftCluster, LeaderRestartedMidBatchWriteStillCommits) {
   wal->set_slow_factor(1);
   hosts_[leader]->Restart();
   wal->ResetQueue();
-  Spawn([](RaftHost* rh) -> Task<void> { co_await rh->RecoverAll(); }(rafts_[leader].get()));
+  Spawn([](RaftNode* n) -> Task<void> { (void)co_await n->Recover(); }(nodes_[leader]));
   sched_->RunFor(10 * kMsec);
   EXPECT_TRUE(in_flight.IsUnavailable()) << in_flight.ToString();
   // Win the next election on the restarted node: its new incarnation must

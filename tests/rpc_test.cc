@@ -81,9 +81,9 @@ TEST(RpcDeterminism, RetriesWithJitterReplayIdentically) {
     // fold into the same trace hash on both runs.
     cluster.net().SetDropProbability(0.05);
     for (int i = 0; i < 12; i++) {
-      auto f = RunTask(cluster.sched(),
-                       client->Create(kRootInode, "f" + std::to_string(i),
-                                      FileType::kFile));
+      std::string name = "f";
+      name += std::to_string(i);
+      auto f = RunTask(cluster.sched(), client->Create(kRootInode, name, FileType::kFile));
       if (!f || !f->ok()) continue;
       if (!RunTask(cluster.sched(), client->Open((*f)->id))->ok()) continue;
       (void)RunTask(cluster.sched(),
