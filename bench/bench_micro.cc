@@ -13,9 +13,10 @@
 // DESIGN.md "RPC transport" and "Simulator performance").
 //
 // `bench_micro --btree-footprint` measures, under the same allocator, the
-// live heap bytes per entry of the meta partitions' B-trees: a 100k-entry
-// inode tree built by monotone inserts, the same tree after FIFO churn
-// (insert right, erase left), and a 100k-entry dentry tree. It prints a
+// live heap bytes per entry of the meta partitions' B-trees, each holding
+// one memoized snapshot of itself as a partition does: a 100k-entry inode
+// tree built by monotone inserts, the same tree after FIFO churn (insert
+// right, erase left), and a 100k-entry dentry tree. It prints a
 // `bench_wallclock bench_micro {...}` line whose `btree_bytes_per_entry`
 // (the worst of the three) CI caps (DESIGN.md "Meta B-tree node layout").
 // Both flags may be given to one run.
@@ -96,19 +97,18 @@ void BM_BTreeVsStdMapLookup(benchmark::State& state) {
 BENCHMARK(BM_BTreeVsStdMapLookup)->Arg(262144);
 
 void BM_BTreeRangeScan(benchmark::State& state) {
-  meta::BTree<meta::DentryKey, meta::Dentry> tree;
+  meta::DentryTree tree;
   for (int dir = 0; dir < 64; dir++) {
     for (int f = 0; f < 256; f++) {
-      meta::Dentry d{static_cast<uint64_t>(dir), "file-" + std::to_string(f),
-                     static_cast<uint64_t>(dir * 1000 + f), meta::FileType::kFile};
-      tree.Insert(meta::DentryKey{d.parent, d.name}, d);
+      tree.Insert(meta::DentryKey{static_cast<uint64_t>(dir), "file-" + std::to_string(f)},
+                  meta::DentryValue{static_cast<uint64_t>(dir * 1000 + f), meta::FileType::kFile});
     }
   }
   uint64_t dir = 0;
   for (auto _ : state) {
     size_t n = 0;
     tree.AscendFrom(meta::DentryKey{dir % 64, ""}, [&](const meta::DentryKey& k,
-                                                       const meta::Dentry&) {
+                                                       const meta::DentryValue&) {
       if (k.parent != dir % 64) return false;
       n++;
       return true;
@@ -322,7 +322,7 @@ sim::Task<void> RpcChurnClient(sim::Network& net, uint64_t n, uint64_t* ok) {
 class NullSm : public raft::StateMachine {
  public:
   void Apply(raft::Index, const Buffer&, const Buffer&, raft::ApplyOutcome*) override {}
-  std::string TakeSnapshot() override { return {}; }
+  Buffer TakeSnapshot() override { return {}; }
   Status Restore(std::string_view) override { return Status::OK(); }
 };
 
@@ -500,18 +500,24 @@ int RunRpcChurn() {
 }
 
 /// Live heap bytes per entry of the tree `build` fills, the tree object
-/// itself included.
+/// itself and one memoized snapshot of it included: a meta partition keeps
+/// its last snapshot, shared with the raft log store, and its leaf memos.
 template <typename Tree, typename Build>
 double HeapBytesPerEntry(Build build) {
   const int64_t live0 = g_heap_live_bytes;
   auto tree = std::make_unique<Tree>();
   build(tree.get());
+  Encoder enc;
+  tree->EncodeValues(
+      &enc, {}, [](const auto& k, const auto& v, Encoder* e) { meta::EncodeTreePair(k, v, e); },
+      /*adopt=*/true);
+  const Buffer snapshot = Buffer::FromString(enc.Take());
   return static_cast<double>(g_heap_live_bytes - live0) / static_cast<double>(tree->size());
 }
 
 int RunBTreeFootprint() {
-  using InodeTree = meta::BTree<meta::InodeId, meta::Inode>;
-  using DentryTree = meta::BTree<meta::DentryKey, meta::Dentry>;
+  using meta::DentryTree;
+  using meta::InodeTree;
   constexpr uint64_t kEntries = 100000;
   constexpr uint64_t kChurnSteps = 300000;
   auto append = [](InodeTree* t, uint64_t id) {
@@ -534,9 +540,9 @@ int RunBTreeFootprint() {
   // One directory's entries, named as perfbench's meta_churn names them.
   const double dentry = HeapBytesPerEntry<DentryTree>([&](DentryTree* t) {
     for (uint64_t i = 0; i < kEntries; i++) {
-      meta::Dentry d{meta::kRootInode, "f", i + 2, meta::FileType::kFile};
-      d.name += std::to_string(i);
-      t->Insert(meta::DentryKey{d.parent, d.name}, d);
+      meta::DentryKey key{meta::kRootInode, "f"};
+      key.name += std::to_string(i);
+      t->Insert(std::move(key), meta::DentryValue{i + 2, meta::FileType::kFile});
     }
   });
   std::printf(

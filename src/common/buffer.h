@@ -89,6 +89,10 @@ class Buffer {
     return c;
   }
 
+  /// How many Buffers share this one's storage (tests: storage nobody else
+  /// holds any more has a count of 1 here, and is freed with this Buffer).
+  long UseCountForTest() const { return owner_.use_count(); }
+
   friend bool operator==(const Buffer& a, const Buffer& b) { return a.view() == b.view(); }
   friend bool operator==(const Buffer& a, std::string_view b) { return a.view() == b; }
 

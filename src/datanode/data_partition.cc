@@ -148,12 +148,12 @@ void DataPartition::Apply(raft::Index /*index*/, const Buffer& head, const Buffe
   if (out) out->status = std::move(st);
 }
 
-std::string DataPartition::TakeSnapshot() {
+Buffer DataPartition::TakeSnapshot() {
   // Marker only: extent contents are recovered via chain alignment, not
   // raft snapshots (see header comment).
   Encoder enc;
   enc.PutVarint(next_extent_id_);
-  return enc.Take();
+  return Buffer::FromString(enc.Take());
 }
 
 Status DataPartition::Restore(std::string_view snapshot) {

@@ -102,7 +102,7 @@ class DataPartition : public raft::StateMachine {
   /// Extent contents are NOT snapshotted through raft (they are recovered by
   /// the primary-backup alignment phase first, §2.2.5); the snapshot is a
   /// marker carrying only the allocation high-water mark.
-  std::string TakeSnapshot() override;
+  Buffer TakeSnapshot() override;
   Status Restore(std::string_view snapshot) override;
 
   /// Head of an overwrite command: the payload's `len` bytes follow it

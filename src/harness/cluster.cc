@@ -440,18 +440,18 @@ InvariantReport Cluster::CheckInvariants() {
     };
     std::map<meta::InodeId, uint32_t> refs;
     for (meta::MetaPartition* p : parts) {
-      p->ForEachDentry([&](const meta::DentryKey& key, const meta::Dentry& d) {
+      p->ForEachDentry([&](const meta::Dentry& d) {
         refs[d.inode]++;
         meta::MetaPartition* owner = owner_of(d.inode);
         if (!owner) return true;  // id range split mid-migration; unresolvable
         const meta::Inode* ino = owner->GetInode(d.inode);
         if (!ino) {
-          report.Violation("cluster", where + ": dentry (" + std::to_string(key.parent) +
-                                          ", " + key.name + ") dangles: inode " +
+          report.Violation("cluster", where + ": dentry (" + std::to_string(d.parent) +
+                                          ", " + d.name + ") dangles: inode " +
                                           std::to_string(d.inode) + " does not exist");
         } else if (ino->IsDeleted()) {
-          report.Violation("cluster", where + ": dentry (" + std::to_string(key.parent) +
-                                          ", " + key.name +
+          report.Violation("cluster", where + ": dentry (" + std::to_string(d.parent) +
+                                          ", " + d.name +
                                           ") references delete-marked inode " +
                                           std::to_string(d.inode));
         }

@@ -274,7 +274,7 @@ uint32_t MasterState::next_raft_set(uint32_t set_size) const {
   return set;
 }
 
-std::string MasterState::TakeSnapshot() {
+Buffer MasterState::TakeSnapshot() {
   Encoder enc;
   enc.PutVarint(next_volume_);
   enc.PutVarint(next_partition_);
@@ -303,7 +303,7 @@ std::string MasterState::TakeSnapshot() {
     enc.PutBool(dp.read_only);
     PutReplicas(&enc, dp.replicas);
   }
-  return enc.Take();
+  return Buffer::FromString(enc.Take());
 }
 
 Status MasterState::Restore(std::string_view snapshot) {

@@ -116,7 +116,7 @@ class MasterState : public raft::StateMachine {
   /// `out->value` carries the allocated volume/partition id.
   void Apply(raft::Index index, const Buffer& cmd, const Buffer& payload,
              raft::ApplyOutcome* out) override;
-  std::string TakeSnapshot() override;
+  Buffer TakeSnapshot() override;
   Status Restore(std::string_view snapshot) override;
 
   // Command encoders. Their node record, volume spec (name, replica factor,

@@ -3,10 +3,13 @@
 // supports point lookup, insert, delete with rebalancing, and ordered range
 // scans (ReadDir walks all dentries sharing a parent inode id).
 //
-// Leaves memoize the encoding of their values so a snapshot re-encodes only
-// what changed since the last one (EncodeValues). Every path that changes a
-// node's values marks that node dirty; a clean leaf's memo always equals a
-// fresh encode of its values (MetaPartition::CheckInvariants verifies it).
+// Leaves memoize the encoding of their pairs so a snapshot re-encodes only
+// what changed since the last one (EncodeValues). A memo is a view: the
+// (offset, length) of the leaf's bytes in the snapshot the tree was last
+// encoded into, which the caller keeps anyway (MetaPartition shares it with
+// the raft log store), so memos own no bytes. Every path that changes a
+// node's values marks that node dirty; a clean leaf's view always equals a
+// fresh encode of its pairs (MetaPartition::CheckInvariants verifies it).
 //
 // Nodes are dense (DESIGN.md "Meta B-tree node layout"). The right half of
 // a split is sized once for kMaxKeys pairs and never reallocates; only the
@@ -19,9 +22,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -109,23 +113,28 @@ class BTree {
     VisitAll(root_.get(), fn, &keep_going);
   }
 
-  /// Append `encode(value, enc)` for every value in key order, byte-identical
-  /// to doing so through Ascend. A clean leaf appends its memo; a dirty leaf
-  /// is encoded and its memo refreshed. Internal nodes hold ~1/MinDegree of
-  /// the values and are encoded fresh. The memo is a cache (hence const), so
-  /// every caller must pass the same `encode`.
+  /// Append `encode(key, value, enc)` for every pair in key order,
+  /// byte-identical to doing so through Ascend. A clean leaf copies its memo
+  /// view out of `memos`; a dirty leaf is encoded fresh. Internal nodes hold
+  /// ~1/MinDegree of the pairs and are encoded fresh. `memos` must be the
+  /// bytes of the last adopting call (empty before the first), and every
+  /// call must pass the same `encode`. With `adopt` the caller keeps what
+  /// `enc` holds afterwards as the next `memos`, so every leaf's view moves
+  /// there (offsets count from the start of `enc`) and no leaf is dirty;
+  /// without it no memo state changes. The views are a cache (hence const).
   template <typename F>
-  void EncodeValues(Encoder* enc, F encode) const {
-    EncodeNode(root_.get(), enc, encode);
+  void EncodeValues(Encoder* enc, std::string_view memos, F encode, bool adopt) const {
+    EncodeNode(root_.get(), enc, memos, encode, adopt);
   }
 
-  /// Negative-test hook: leave the leftmost leaf's memo out of step with its
-  /// values, as a missed invalidation would.
+  /// Negative-test hook: leave the leftmost leaf's memo view one byte short
+  /// of its pairs' encoding, as a missed invalidation would leave it stale.
+  /// The leaf must be clean and non-empty.
   void CorruptLeafMemoForTest() {
     Node* n = root_.get();
     while (!n->leaf()) n = n->kids.front().get();
-    n->memo.push_back('\x7f');
-    n->dirty = false;
+    assert(!n->dirty && n->memo_len > 0);
+    n->memo_len--;
   }
 
   /// Structural invariant check (tests): every node except the root has at
@@ -156,31 +165,37 @@ class BTree {
     std::vector<K> keys;
     std::vector<V> vals;
     std::vector<std::unique_ptr<Node>> kids;  // empty for leaves
-    // Leaves only: the encoding of `vals`, valid while !dirty. Mutating
-    // paths set `dirty` on every node whose values they change.
-    mutable std::string memo;
+    // Leaves only, valid while !dirty: where the encoding of the pairs sits
+    // in the last adopted snapshot. Mutating paths set `dirty` on every node
+    // whose values they change.
+    mutable size_t memo_off = 0;
+    mutable uint32_t memo_len = 0;
     mutable bool dirty = true;
     bool leaf() const { return kids.empty(); }
   };
 
   template <typename F>
-  void EncodeNode(const Node* n, Encoder* enc, F& encode) const {
+  void EncodeNode(const Node* n, Encoder* enc, std::string_view memos, F& encode,
+                  bool adopt) const {
     if (n->leaf()) {
-      if (!n->dirty) {
-        enc->PutBytes(n->memo.data(), n->memo.size());
-        return;
+      const size_t start = enc->size();
+      if (n->dirty) {
+        for (size_t i = 0; i < n->keys.size(); i++) encode(n->keys[i], n->vals[i], enc);
+      } else {
+        enc->PutBytes(memos.data() + n->memo_off, n->memo_len);
       }
-      size_t start = enc->size();
-      for (const V& v : n->vals) encode(v, enc);
-      n->memo.assign(enc->data(), start);
-      n->dirty = false;
+      if (adopt) {
+        n->memo_off = start;
+        n->memo_len = static_cast<uint32_t>(enc->size() - start);
+        n->dirty = false;
+      }
       return;
     }
     for (size_t i = 0; i < n->vals.size(); i++) {
-      EncodeNode(n->kids[i].get(), enc, encode);
-      encode(n->vals[i], enc);
+      EncodeNode(n->kids[i].get(), enc, memos, encode, adopt);
+      encode(n->keys[i], n->vals[i], enc);
     }
-    EncodeNode(n->kids.back().get(), enc, encode);
+    EncodeNode(n->kids.back().get(), enc, memos, encode, adopt);
   }
 
   /// The node holding `key` and its slot, or {nullptr, 0}.

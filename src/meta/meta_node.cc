@@ -195,9 +195,9 @@ void MetaNode::RegisterHandlers() {
         auto admit = co_await admission_.Serve(req.tenant, kMetaCpuPerOp, &host_->cpu());
         Result<MetaPartition*> mp = partitions_.RaftLeader(req.pid);
         if (!mp.ok()) co_return MetaLookupResp{mp.status()};
-        const Dentry* d = (*mp)->Lookup(req.parent, req.name);
+        std::optional<Dentry> d = (*mp)->Lookup(req.parent, req.name);
         if (!d) co_return MetaLookupResp{Status::NotFound(req.name)};
-        co_return MetaLookupResp{Status::OK(), *d};
+        co_return MetaLookupResp{Status::OK(), std::move(*d)};
       });
 
   host_->Register<MetaReadDirReq, MetaReadDirResp>(

@@ -226,9 +226,9 @@ void MetaPartition::ApplyCreateDentry(Decoder* dec, ApplyResult* res) {
     res->status = Status::AlreadyExists(d.name);
     return;
   }
-  AccountMemory(static_cast<int64_t>(d.MemoryFootprint()));
-  res->dentry = d;
-  dentry_tree_.Insert(std::move(key), std::move(d));
+  AccountMemory(static_cast<int64_t>(key.MemoryFootprint()));
+  dentry_tree_.Insert(std::move(key), DentryValue{d.inode, d.type});
+  res->dentry = std::move(d);
 }
 
 void MetaPartition::ApplyDeleteDentry(Decoder* dec, ApplyResult* res) {
@@ -237,14 +237,14 @@ void MetaPartition::ApplyDeleteDentry(Decoder* dec, ApplyResult* res) {
   dec->GetVarint(&parent);
   dec->GetString(&name);
   if (!dec->ok()) return;
-  DentryKey key{parent, name};
-  const Dentry* d = dentry_tree_.Find(key);
-  if (!d) {
-    res->status = Status::NotFound(name);
+  DentryKey key{parent, std::move(name)};
+  const DentryValue* v = dentry_tree_.Find(key);
+  if (!v) {
+    res->status = Status::NotFound(key.name);
     return;
   }
-  res->dentry = *d;  // caller unlinks this inode next (§2.6.3)
-  AccountMemory(-static_cast<int64_t>(d->MemoryFootprint()));
+  res->dentry = Dentry::Of(key, *v);  // caller unlinks this inode next (§2.6.3)
+  AccountMemory(-static_cast<int64_t>(key.MemoryFootprint()));
   dentry_tree_.Erase(key);
 }
 
@@ -322,15 +322,18 @@ void MetaPartition::ApplySetEnd(Decoder* dec, ApplyResult* res) {
 
 // --- Reads -----------------------------------------------------------------
 
-const Dentry* MetaPartition::Lookup(InodeId parent, const std::string& name) const {
-  return dentry_tree_.Find(DentryKey{parent, name});
+std::optional<Dentry> MetaPartition::Lookup(InodeId parent, const std::string& name) const {
+  DentryKey key{parent, name};
+  const DentryValue* v = dentry_tree_.Find(key);
+  if (!v) return std::nullopt;
+  return Dentry::Of(key, *v);
 }
 
 std::vector<Dentry> MetaPartition::ReadDir(InodeId parent) const {
   std::vector<Dentry> out;
-  dentry_tree_.AscendFrom(DentryKey{parent, ""}, [&](const DentryKey& k, const Dentry& d) {
+  dentry_tree_.AscendFrom(DentryKey{parent, ""}, [&](const DentryKey& k, const DentryValue& v) {
     if (k.parent != parent) return false;
-    out.push_back(d);
+    out.push_back(Dentry::Of(k, v));
     return true;
   });
   return out;
@@ -347,8 +350,8 @@ std::vector<Inode> MetaPartition::BatchInodeGet(const std::vector<InodeId>& inos
 
 std::vector<InodeId> MetaPartition::ReferencedInodes() const {
   std::vector<InodeId> out;
-  dentry_tree_.Ascend([&](const DentryKey&, const Dentry& d) {
-    out.push_back(d.inode);
+  dentry_tree_.Ascend([&](const DentryKey&, const DentryValue& v) {
+    out.push_back(v.inode);
     return true;
   });
   return out;
@@ -398,15 +401,9 @@ void MetaPartition::CheckInvariants(InvariantReport* report,
     }
     return true;
   });
-  dentry_tree_.Ascend([&](const DentryKey& key, const Dentry& d) {
-    footprint += d.MemoryFootprint();
-    if (d.parent != key.parent || d.name != key.name) {
-      report->Violation("meta", prefix + ": dentry key (" +
-                                    std::to_string(key.parent) + ", " + key.name +
-                                    ") disagrees with stored fields (" +
-                                    std::to_string(d.parent) + ", " + d.name + ")");
-    }
-    if (d.inode == 0) {
+  dentry_tree_.Ascend([&](const DentryKey& key, const DentryValue& v) {
+    footprint += key.MemoryFootprint();
+    if (v.inode == 0) {
       report->Violation("meta", prefix + ": dentry (" + std::to_string(key.parent) +
                                     ", " + key.name + ") references inode 0");
     }
@@ -419,7 +416,7 @@ void MetaPartition::CheckInvariants(InvariantReport* report,
                                   std::to_string(footprint));
   }
   // A missed memo invalidation would ship stale bytes in the next snapshot.
-  if (EncodeSnapshot(/*memoized=*/true) != EncodeSnapshot(/*memoized=*/false)) {
+  if (EncodeSnapshot(Leaves::kMemoized) != EncodeSnapshot(Leaves::kFresh)) {
     report->Violation("meta", prefix + ": memoized snapshot differs from a fresh encode");
   }
   // Free list <-> delete mark agreement, both directions, no duplicates.
@@ -449,8 +446,8 @@ void MetaPartition::CheckInvariants(InvariantReport* report,
 
 std::vector<InodeId> MetaPartition::FindOrphanInodes() const {
   std::set<InodeId> referenced;
-  dentry_tree_.Ascend([&](const DentryKey&, const Dentry& d) {
-    referenced.insert(d.inode);
+  dentry_tree_.Ascend([&](const DentryKey&, const DentryValue& v) {
+    referenced.insert(v.inode);
     return true;
   });
   std::vector<InodeId> orphans;
@@ -465,41 +462,44 @@ std::vector<InodeId> MetaPartition::FindOrphanInodes() const {
 
 // --- Snapshot --------------------------------------------------------------
 
-namespace {
-/// A tree's item count and values in key order, from the leaf memos
-/// (`memoized`) or by a fresh walk; both yield the same bytes.
-template <typename Tree>
-void PutTree(const Tree& tree, bool memoized, Encoder* enc) {
-  enc->PutVarint(tree.size());
-  if (memoized) {
-    tree.EncodeValues(enc, [](const auto& v, Encoder* e) { v.Encode(e); });
-    return;
-  }
-  tree.Ascend([&](const auto&, const auto& v) {
-    v.Encode(enc);
-    return true;
-  });
-}
-}  // namespace
-
-std::string MetaPartition::EncodeSnapshot(bool memoized) const {
+std::string MetaPartition::EncodeSnapshot(Leaves leaves) const {
   Encoder enc;
+  // A tree's item count and pairs in key order; every `leaves` mode yields
+  // the same bytes.
+  auto put_tree = [&](const auto& tree) {
+    enc.PutVarint(tree.size());
+    if (leaves != Leaves::kFresh) {
+      tree.EncodeValues(
+          &enc, snapshot_.view(),
+          [](const auto& k, const auto& v, Encoder* e) { EncodeTreePair(k, v, e); },
+          /*adopt=*/leaves == Leaves::kAdopt);
+      return;
+    }
+    tree.Ascend([&](const auto& k, const auto& v) {
+      EncodeTreePair(k, v, &enc);
+      return true;
+    });
+  };
   enc.PutVarint(config_.id);
   enc.PutVarint(config_.volume);
   enc.PutVarint(config_.start);
   enc.PutVarint(config_.end);
   enc.PutVarint(next_inode_);
-  PutTree(inode_tree_, memoized, &enc);
-  PutTree(dentry_tree_, memoized, &enc);
+  put_tree(inode_tree_);
+  put_tree(dentry_tree_);
   enc.PutVarint(free_list_.size());
   for (InodeId id : free_list_) enc.PutVarint(id);
   return enc.Take();
 }
 
-std::string MetaPartition::TakeSnapshot() { return EncodeSnapshot(/*memoized=*/true); }
+Buffer MetaPartition::TakeSnapshot() {
+  // The leaves copy out of the old snapshot before it is let go.
+  snapshot_ = Buffer::FromString(EncodeSnapshot(Leaves::kAdopt));
+  return snapshot_;
+}
 
 void MetaPartition::CorruptSnapshotMemoForTest() {
-  (void)EncodeSnapshot(/*memoized=*/true);  // every leaf memo clean
+  (void)TakeSnapshot();  // every leaf memo clean
   inode_tree_.CorruptLeafMemoForTest();
 }
 
@@ -507,8 +507,8 @@ Status MetaPartition::Restore(std::string_view snapshot) {
   // Decode into fresh trees and swap them in only if every record decoded.
   MetaPartitionConfig config = config_;
   InodeId next_inode = config_.start;
-  BTree<InodeId, Inode> inodes;
-  BTree<DentryKey, Dentry> dentries;
+  InodeTree inodes;
+  DentryTree dentries;
   std::deque<InodeId> free_list;
   int64_t mem = 0;
   if (!snapshot.empty()) {
@@ -529,9 +529,10 @@ Status MetaPartition::Restore(std::string_view snapshot) {
     dec.GetCount(&n);
     for (uint64_t i = 0; i < n && dec.ok(); i++) {
       Dentry d = Dentry::Decode(&dec);
-      mem += static_cast<int64_t>(d.MemoryFootprint());
-      DentryKey key{d.parent, d.name};  // build before moving d
-      dentries.Insert(std::move(key), std::move(d));
+      const DentryValue v{d.inode, d.type};
+      DentryKey key{d.parent, std::move(d.name)};
+      mem += static_cast<int64_t>(key.MemoryFootprint());
+      dentries.Insert(std::move(key), v);
     }
     dec.GetCount(&n);
     free_list.resize(n);
@@ -544,6 +545,7 @@ Status MetaPartition::Restore(std::string_view snapshot) {
   next_inode_ = next_inode;
   inode_tree_ = std::move(inodes);
   dentry_tree_ = std::move(dentries);
+  snapshot_ = {};  // the new trees' leaves are all dirty
   free_list_ = std::move(free_list);
   if (snapshot.empty()) InitRoot();
   AccountMemory(mem);

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <deque>
+#include <optional>
 #include <set>
 #include <span>
 
@@ -48,6 +49,17 @@ struct ApplyResult : raft::ApplyOutcome {
   /// leader still has to purge (§2.7.3).
   std::vector<Inode> evicted;
 };
+
+/// The partition's B-trees (§2.1.1). A dentry's key is not repeated in its
+/// value (DESIGN.md "Meta B-tree node layout").
+using InodeTree = BTree<InodeId, Inode>;
+using DentryTree = BTree<DentryKey, DentryValue>;
+
+/// How a snapshot encodes one pair of each tree (BTree::EncodeValues).
+inline void EncodeTreePair(const InodeId&, const Inode& ino, Encoder* enc) { ino.Encode(enc); }
+inline void EncodeTreePair(const DentryKey& key, const DentryValue& v, Encoder* enc) {
+  Dentry::Encode(key.parent, key.name, v.inode, v.type, enc);
+}
 
 struct MetaPartitionConfig {
   PartitionId id = 0;
@@ -93,13 +105,14 @@ class MetaPartition : public raft::StateMachine {
   /// non-null `out` is an ApplyResult (MetaNode::Execute proposes with one).
   void Apply(raft::Index index, const Buffer& cmd, const Buffer& payload,
              raft::ApplyOutcome* out) override;
-  /// Re-encodes only the B-tree leaves changed since the last snapshot.
-  std::string TakeSnapshot() override;
+  /// Re-encodes only the B-tree leaves changed since the last snapshot and
+  /// copies the rest out of it; the result becomes the memo views' storage.
+  Buffer TakeSnapshot() override;
   Status Restore(std::string_view snapshot) override;
 
   // --- Leader reads (no consensus; §2.7.4 reads happen at the leader) ---
   const Inode* GetInode(InodeId ino) const { return inode_tree_.Find(ino); }
-  const Dentry* Lookup(InodeId parent, const std::string& name) const;
+  std::optional<Dentry> Lookup(InodeId parent, const std::string& name) const;
   std::vector<Dentry> ReadDir(InodeId parent) const;
   std::vector<Inode> BatchInodeGet(const std::vector<InodeId>& inos) const;
 
@@ -131,28 +144,29 @@ class MetaPartition : public raft::StateMachine {
   std::vector<InodeId> LiveFileInodes() const;
 
   /// Deep checks / fsck: visit every inode or dentry on this partition in
-  /// key order. `fn(key, value)` returns false to stop.
+  /// key order. `fn(id, inode)` or `fn(dentry)` returns false to stop.
   template <typename F>
   void ForEachInode(F fn) const {
     inode_tree_.Ascend(fn);
   }
   template <typename F>
   void ForEachDentry(F fn) const {
-    dentry_tree_.Ascend(fn);
+    dentry_tree_.Ascend(
+        [&](const DentryKey& key, const DentryValue& v) { return fn(Dentry::Of(key, v)); });
   }
 
   /// Negative-test hook: direct mutable access so tests can seed a
   /// deliberate corruption (bad nlink, wrong id) and assert CheckInvariants
   /// fires. Not for production paths.
   Inode* MutableInodeForTest(InodeId id) { return inode_tree_.FindMutable(id); }
-  /// Negative-test hook: desynchronise an inodeTree leaf memo from its
-  /// values so the snapshot deep check fires.
+  /// Negative-test hook: take a snapshot, then leave an inodeTree leaf's
+  /// memo view out of step with its values so the snapshot deep check fires.
   void CorruptSnapshotMemoForTest();
 
   /// Deep check (see common/check.h): B-tree structure of both trees, inode
-  /// ids within the partition's allocated range, dentry key/value agreement,
-  /// memory accounting, free-list <-> delete-mark agreement, and local nlink
-  /// floors (live dirs >= 2, live files/symlinks >= 1), and the memoized
+  /// ids within the partition's allocated range, memory accounting,
+  /// free-list <-> delete-mark agreement, and local nlink floors (live
+  /// dirs >= 2, live files/symlinks >= 1), and the memoized
   /// snapshot against a fresh encode. Cross-partition
   /// dentry->inode referential integrity lives in
   /// harness::Cluster::CheckInvariants, because a file's dentry and inode may
@@ -175,8 +189,10 @@ class MetaPartition : public raft::StateMachine {
   Inode* FindInodeToApply(InodeId id, ApplyResult* res);
 
   void AccountMemory(int64_t delta);
-  /// The snapshot bytes, from the B-tree leaf memos or by a fresh walk.
-  std::string EncodeSnapshot(bool memoized) const;
+  /// How EncodeSnapshot gets the B-tree leaves' bytes: by a fresh walk,
+  /// from the memo views, or from the views and moving them to the result.
+  enum class Leaves { kFresh, kMemoized, kAdopt };
+  std::string EncodeSnapshot(Leaves leaves) const;
 
   MetaPartitionConfig config_;
   sim::Host* host_;
@@ -185,8 +201,11 @@ class MetaPartition : public raft::StateMachine {
   /// summed over the host's partition replicas.
   int64_t& free_list_len_;
 
-  BTree<InodeId, Inode> inode_tree_;
-  BTree<DentryKey, Dentry> dentry_tree_;
+  InodeTree inode_tree_;
+  DentryTree dentry_tree_;
+  /// The last snapshot TakeSnapshot returned, which the raft log store
+  /// shares; the trees' clean leaves are views into it.
+  Buffer snapshot_;
   InodeId next_inode_;
   std::deque<InodeId> free_list_;
   uint64_t memory_bytes_ = 0;

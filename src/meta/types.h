@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/codec.h"
@@ -116,11 +117,22 @@ struct DentryKey {
   InodeId parent = 0;
   std::string name;
 
+  /// Approximate resident memory of the dentry stored under this key, used
+  /// for utilization-based placement.
+  uint64_t MemoryFootprint() const { return 48 + name.size(); }
+
   bool operator<(const DentryKey& o) const {
     if (parent != o.parent) return parent < o.parent;
     return name < o.name;
   }
   bool operator==(const DentryKey&) const = default;
+};
+
+/// What the dentryTree stores under a DentryKey: the rest of the dentry,
+/// without repeating the key.
+struct DentryValue {
+  InodeId inode = 0;
+  FileType type = FileType::kFile;
 };
 
 struct Dentry {
@@ -129,9 +141,15 @@ struct Dentry {
   InodeId inode = 0;
   FileType type = FileType::kFile;
 
-  uint64_t MemoryFootprint() const { return 48 + name.size(); }
+  /// The dentry a dentryTree pair stands for.
+  static Dentry Of(const DentryKey& key, const DentryValue& v) {
+    return {key.parent, key.name, v.inode, v.type};
+  }
 
-  void Encode(Encoder* enc) const {
+  void Encode(Encoder* enc) const { Encode(parent, name, inode, type, enc); }
+  /// The one dentry encoding, for a Dentry and for a dentryTree pair alike.
+  static void Encode(InodeId parent, std::string_view name, InodeId inode, FileType type,
+                     Encoder* enc) {
     enc->PutVarint(parent);
     enc->PutString(name);
     enc->PutVarint(inode);

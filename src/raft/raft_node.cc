@@ -495,7 +495,7 @@ Task<void> RaftNode::MaybeCompact() {
   Index snap_at = applied_;
   Term snap_term = log_.TermAt(snap_at);
   // Synchronous: consistent at applied_.
-  Buffer snap = Buffer::FromString(sm_->TakeSnapshot());
+  Buffer snap = sm_->TakeSnapshot();
   (void)co_await log_.SaveSnapshot(snap_at, snap_term, std::move(snap));
   compacting_ = false;
 }

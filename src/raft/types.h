@@ -61,9 +61,10 @@ class StateMachine {
   virtual void Apply(Index index, const Buffer& head, const Buffer& payload,
                      ApplyOutcome* out) = 0;
   /// Serialize the complete state (for snapshots / log compaction). The
-  /// raft node wraps the result in a Buffer that its log store, stable
-  /// storage and every InstallSnapshot leg share without copying.
-  virtual std::string TakeSnapshot() = 0;
+  /// raft node's log store, stable storage and every InstallSnapshot leg
+  /// share the returned Buffer without copying; a state machine may keep it
+  /// too (MetaPartition's B-tree memos are views into it).
+  virtual Buffer TakeSnapshot() = 0;
   /// Replace the state from a snapshot. A snapshot that does not decode
   /// returns Corruption and leaves the state as it was.
   virtual Status Restore(std::string_view snapshot) = 0;

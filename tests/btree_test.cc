@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 
+#include "common/buffer.h"
 #include "common/codec.h"
 #include "common/rng.h"
 #include "meta/btree.h"
@@ -133,16 +134,21 @@ TEST(BTreeTest, StringKeysWithRangeScan) {
 }
 
 // The leaf-memoized encoding (what snapshots ship) against a fresh in-order
-// encode of the same values.
+// encode of the same pairs. `memos` holds the last adopted encoding; with
+// `adopt` this one replaces it, as a snapshot the caller keeps would.
 template <typename Tree>
-::testing::AssertionResult MemoMatchesFresh(const Tree& tree) {
-  auto encode = [](uint64_t v, Encoder* e) { e->PutVarint(v); };
+::testing::AssertionResult MemoMatchesFresh(const Tree& tree, Buffer* memos, bool adopt) {
+  auto encode = [](uint64_t k, uint64_t v, Encoder* e) {
+    e->PutVarint(k);
+    e->PutVarint(v);
+  };
   Encoder memo, fresh;
-  tree.EncodeValues(&memo, encode);
-  tree.Ascend([&](const uint64_t&, const uint64_t& v) {
-    encode(v, &fresh);
+  tree.EncodeValues(&memo, memos->view(), encode, adopt);
+  tree.Ascend([&](const uint64_t& k, const uint64_t& v) {
+    encode(k, v, &fresh);
     return true;
   });
+  if (adopt) *memos = Buffer::CopyOf(memo.data());
   if (memo.data() == fresh.data()) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
          << "memoized encoding (" << memo.size() << " B) differs from a fresh one ("
@@ -168,6 +174,7 @@ void ChurnAgainstModel(Tree& tree, uint64_t seed, uint64_t key_space, int steps,
                        int clear_every, KeyPattern pattern = KeyPattern::kRandom) {
   Rng rng(seed);
   std::map<uint64_t, uint64_t> model;
+  Buffer memos;  // leaves stay clean across steps that do not adopt
   uint64_t next_key = 0;  // kAppend / kFifo: the next key to insert
   for (int step = 1; step <= steps; step++) {
     uint64_t key = 0;
@@ -215,7 +222,7 @@ void ChurnAgainstModel(Tree& tree, uint64_t seed, uint64_t key_space, int steps,
       tree.Clear();
       model.clear();
     }
-    ASSERT_TRUE(MemoMatchesFresh(tree)) << "step " << step;
+    ASSERT_TRUE(MemoMatchesFresh(tree, &memos, /*adopt=*/step % 3 == 0)) << "step " << step;
     ASSERT_TRUE(tree.CheckInvariants()) << "step " << step;
     ASSERT_EQ(tree.size(), model.size()) << "step " << step;
   }

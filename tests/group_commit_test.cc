@@ -25,14 +25,14 @@ class ListSm : public StateMachine {
   void Apply(Index index, const Buffer& head, const Buffer& payload, ApplyOutcome*) override {
     applied.emplace_back(index, head.ToString() + payload.ToString());
   }
-  std::string TakeSnapshot() override {
+  Buffer TakeSnapshot() override {
     Encoder enc;
     enc.PutU64(applied.size());
     for (auto& [i, d] : applied) {
       enc.PutU64(i);
       enc.PutString(d);
     }
-    return enc.Take();
+    return Buffer::FromString(enc.Take());
   }
   Status Restore(std::string_view snap) override {
     applied.clear();

@@ -87,7 +87,7 @@ TEST(MasterStateFormat, CommandsAndSnapshotKeepTheirBytes) {
     EXPECT_TRUE(out.status.ok()) << out.status.ToString();
     EXPECT_EQ(out.value, step.value);
   }
-  EXPECT_EQ(Hex(state.TakeSnapshot()), kSnapshotHex);
+  EXPECT_EQ(Hex(state.TakeSnapshot().view()), kSnapshotHex);
 }
 
 TEST(MasterStateFormat, RestoreThenSnapshotRoundTrips) {
@@ -97,10 +97,10 @@ TEST(MasterStateFormat, RestoreThenSnapshotRoundTrips) {
     raft::ApplyOutcome out;
     state.Apply(++index, Buffer::FromString(step.cmd), {}, &out);
   }
-  const std::string snap = state.TakeSnapshot();
+  const Buffer snap = state.TakeSnapshot();
   MasterState restored(nullptr);
-  (void)restored.Restore(snap);
-  EXPECT_EQ(Hex(restored.TakeSnapshot()), Hex(snap));
+  (void)restored.Restore(snap.view());
+  EXPECT_EQ(Hex(restored.TakeSnapshot().view()), Hex(snap.view()));
   ASSERT_NE(restored.FindVolume("vol-b"), nullptr);
   EXPECT_EQ(restored.FindVolume("vol-b")->qos.weight, 4u);
   EXPECT_EQ(restored.FindVolume("vol-b")->replica_factor, 2u);

@@ -138,7 +138,7 @@ TEST_F(MetaPartitionFixture, BatchedEvictRemovesExactlyTheListedInodes) {
 
   // Replaying the entry changes nothing.
   const uint64_t mem_mid = host_->memory_used();
-  const std::string snap = mp_->TakeSnapshot();
+  const Buffer snap = mp_->TakeSnapshot();
   res = Apply(cmd);
   EXPECT_TRUE(res.status.ok());
   EXPECT_TRUE(res.evicted.empty());
@@ -165,15 +165,15 @@ TEST_F(MetaPartitionFixture, DentryCreateLookupDelete) {
   Inode f = CreateFile();
   Dentry d{kRootInode, "file.txt", f.id, FileType::kFile};
   EXPECT_TRUE(Apply(MetaPartition::EncodeCreateDentry(d)).status.ok());
-  const Dentry* found = mp_->Lookup(kRootInode, "file.txt");
-  ASSERT_NE(found, nullptr);
+  const std::optional<Dentry> found = mp_->Lookup(kRootInode, "file.txt");
+  ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->inode, f.id);
   // Duplicate create rejected.
   EXPECT_TRUE(Apply(MetaPartition::EncodeCreateDentry(d)).status.IsAlreadyExists());
   auto res = Apply(MetaPartition::EncodeDeleteDentry(kRootInode, "file.txt"));
   EXPECT_TRUE(res.status.ok());
   EXPECT_EQ(res.dentry.inode, f.id);  // returned for the follow-up unlink
-  EXPECT_EQ(mp_->Lookup(kRootInode, "file.txt"), nullptr);
+  EXPECT_FALSE(mp_->Lookup(kRootInode, "file.txt").has_value());
 }
 
 TEST_F(MetaPartitionFixture, DeleteMissingDentryIsNotFound) {
@@ -267,12 +267,12 @@ TEST_F(MetaPartitionFixture, SnapshotRoundTripPreservesEverything) {
   }
   (void)Apply(MetaPartition::EncodeUnlinkInode(3));
   (void)Apply(MetaPartition::EncodeSetEnd(1000));
-  std::string snap = mp_->TakeSnapshot();
+  const Buffer snap = mp_->TakeSnapshot();
 
   MetaPartitionConfig cfg;
   cfg.id = 1;
   MetaPartition copy(cfg, host_);
-  ASSERT_TRUE(copy.Restore(snap).ok());
+  ASSERT_TRUE(copy.Restore(snap.view()).ok());
   EXPECT_EQ(copy.inode_count(), 20u);
   EXPECT_EQ(copy.dentry_count(), 20u);
   EXPECT_EQ(copy.max_inode_id(), 20u);
@@ -282,10 +282,10 @@ TEST_F(MetaPartitionFixture, SnapshotRoundTripPreservesEverything) {
   // The host gauge sums both replicas' free lists; a second restore
   // replaces the copy's share instead of adding to it.
   EXPECT_EQ(host_->metrics().gauge("meta.free_list_len"), 2);
-  ASSERT_TRUE(copy.Restore(snap).ok());
+  ASSERT_TRUE(copy.Restore(snap.view()).ok());
   EXPECT_EQ(host_->metrics().gauge("meta.free_list_len"), 2);
-  const Dentry* d = copy.Lookup(kRootInode, "f7");
-  ASSERT_NE(d, nullptr);
+  const std::optional<Dentry> d = copy.Lookup(kRootInode, "f7");
+  ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->inode, 8u);
   // New allocations continue after the snapshot's maxInodeID.
   ApplyResult res;

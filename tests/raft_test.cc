@@ -29,14 +29,14 @@ class ListSm : public StateMachine {
       slotted.push_back(index);
     }
   }
-  std::string TakeSnapshot() override {
+  Buffer TakeSnapshot() override {
     Encoder enc;
     enc.PutU64(applied.size());
     for (auto& [i, d] : applied) {
       enc.PutU64(i);
       enc.PutString(d);
     }
-    return enc.Take();
+    return Buffer::FromString(enc.Take());
   }
   Status Restore(std::string_view snap) override {
     std::vector<std::pair<Index, std::string>> restored;

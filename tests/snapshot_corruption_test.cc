@@ -35,7 +35,7 @@ std::string MasterSnapshot() {
     state.Apply(++index, Buffer::FromString(cmd), {}, &out);
     EXPECT_TRUE(out.status.ok()) << out.status.ToString();
   }
-  return state.TakeSnapshot();
+  return state.TakeSnapshot().ToString();
 }
 
 TEST(SnapshotCorruption, TruncatedMasterSnapshotIsRejectedWhole) {
@@ -74,7 +74,7 @@ class MetaSnapshotCorruption : public ::testing::Test {
       apply(MetaPartition::EncodeAppendExtent(f.id, meta::ExtentKey{0, 3, 9, 0, 4096}, 4096));
     }
     apply(MetaPartition::EncodeUnlinkInode(3));  // one free-list entry
-    return mp.TakeSnapshot();
+    return mp.TakeSnapshot().ToString();
   }
 
   sim::Scheduler sched_;
