@@ -36,7 +36,6 @@ class RaftHost {
   RaftHost& operator=(const RaftHost&) = delete;
 
   sim::Host* host() { return host_; }
-  const RaftOptions& options() const { return opts_; }
 
   /// Create a replica of group `gid` on this host. The caller retains
   /// ownership of the state machine and must call Start() (fresh group) or
@@ -71,27 +70,24 @@ class RaftHost {
   uint64_t heartbeat_msgs_sent() const { return hb_msgs_; }
 
  private:
-  void RegisterHandlers() {
-    host_->Register<VoteReq, VoteResp>([this](VoteReq req, NodeId) -> sim::Task<VoteResp> {
+  /// Route a per-group raft RPC to this host's replica of its group. A group
+  /// not hosted here refuses at term 0.
+  template <typename Req, typename Resp>
+  void Route(sim::Task<Resp> (RaftNode::*handler)(Req)) {
+    host_->Register<Req, Resp>([this, handler](Req req, NodeId) -> sim::Task<Resp> {
       RaftNode* g = Get(req.gid);
-      if (!g) co_return VoteResp{req.gid, 0, false};
-      co_return co_await g->OnVote(std::move(req));
+      if (!g) co_return Resp{req.gid};
+      co_return co_await (g->*handler)(std::move(req));
     });
-    host_->Register<AppendReq, AppendResp>(
-        [this](AppendReq req, NodeId) -> sim::Task<AppendResp> {
-          RaftNode* g = Get(req.gid);
-          if (!g) co_return AppendResp{req.gid, 0, false, 0};
-          co_return co_await g->OnAppend(std::move(req));
-        });
-    host_->Register<InstallSnapshotReq, InstallSnapshotResp>(
-        [this](InstallSnapshotReq req, NodeId) -> sim::Task<InstallSnapshotResp> {
-          RaftNode* g = Get(req.gid);
-          if (!g) co_return InstallSnapshotResp{req.gid, 0, false};
-          co_return co_await g->OnInstallSnapshot(std::move(req));
-        });
+  }
+
+  void RegisterHandlers() {
+    Route(&RaftNode::OnVote);
+    Route(&RaftNode::OnAppend);
+    Route(&RaftNode::OnInstallSnapshot);
     host_->Register<MultiHeartbeatReq, MultiHeartbeatResp>(
         [this](MultiHeartbeatReq req, NodeId from) -> sim::Task<MultiHeartbeatResp> {
-          co_await host_->cpu().Use(opts_.cpu_per_message);
+          co_await host_->cpu().Use(kCpuPerMessage);
           MultiHeartbeatResp resp;
           for (const auto& item : req.items) {
             RaftNode* g = Get(item.gid);
@@ -106,7 +102,7 @@ class RaftHost {
 
   sim::Task<void> HeartbeatLoop() {
     while (true) {
-      co_await sim::SleepFor{*net_->scheduler(), opts_.heartbeat_interval};
+      co_await sim::SleepFor{*net_->scheduler(), kHeartbeatInterval};
       if (!host_->up()) continue;
       // peer -> heartbeat items for all groups this node currently leads.
       std::map<NodeId, std::vector<HeartbeatItem>> outbox;
@@ -134,7 +130,7 @@ class RaftHost {
   sim::Task<void> SendHeartbeat(NodeId peer, std::vector<HeartbeatItem> items) {
     MultiHeartbeatReq req{host_->id(), std::move(items)};
     auto r = co_await channel_.Unary<MultiHeartbeatReq, MultiHeartbeatResp>(
-        host_->id(), peer, std::move(req), opts_.rpc_timeout);
+        host_->id(), peer, std::move(req), kRpcTimeout);
     if (!r.ok()) co_return;
     for (const auto& [gid, term] : r->stale) {
       RaftNode* g = Get(gid);

@@ -13,8 +13,8 @@ using sim::Task;
 
 // Concurrency rule used throughout this file: all structural state mutation
 // happens synchronously (between awaits); co_await is used only for timing
-// (disk persistence, RPCs). After any await, leadership/term/generation are
-// re-checked before acting.
+// (disk persistence, RPCs). After any await, generation (Live) and
+// leadership/term (Leads) are re-checked before acting.
 //
 // Index-assignment rule (group commit): a log index is valid only if it is
 // computed and handed to LogStore::Append with NO intervening await —
@@ -45,8 +45,7 @@ RaftNode::RaftNode(const RaftOptions& opts, GroupId gid, NodeId self, std::vecto
 
 SimDuration RaftNode::RandomElectionTimeout() {
   return static_cast<SimDuration>(sched().rng().Range(
-      static_cast<uint64_t>(opts_.election_timeout_min),
-      static_cast<uint64_t>(opts_.election_timeout_max)));
+      static_cast<uint64_t>(kElectionTimeoutMin), static_cast<uint64_t>(kElectionTimeoutMax)));
 }
 
 void RaftNode::Start() {
@@ -91,10 +90,10 @@ void RaftNode::FailQueuedProposals(const Status& status) {
 // --- Election ------------------------------------------------------------
 
 Task<void> RaftNode::ElectionLoop(uint64_t gen) {
-  const SimDuration tick = opts_.election_timeout_min / 5;
-  while (running_ && gen_ == gen) {
+  const SimDuration tick = kElectionTimeoutMin / 5;
+  while (Live(gen)) {
     co_await SleepFor{sched(), tick};
-    if (!running_ || gen_ != gen) break;
+    if (!Live(gen)) break;
     if (!host_->up()) {
       election_deadline_ = sched().Now() + RandomElectionTimeout();
       continue;
@@ -112,7 +111,7 @@ Task<void> RaftNode::RunElection(uint64_t gen) {
   Term my_term = log_.term() + 1;
   election_deadline_ = sched().Now() + RandomElectionTimeout();
   co_await PersistTerm(my_term, self_);
-  if (!running_ || gen_ != gen || log_.term() != my_term) co_return;
+  if (!Live(gen) || log_.term() != my_term) co_return;
 
   struct Tally {
     int votes = 1;  // self
@@ -127,7 +126,7 @@ Task<void> RaftNode::RunElection(uint64_t gen) {
     Spawn([](RaftNode* self, NodeId peer, VoteReq req, std::shared_ptr<Tally> tally,
              sim::Promise<bool> won, Term my_term) -> Task<void> {
       auto r = co_await self->channel_->Unary<VoteReq, VoteResp>(
-          self->self_, peer, req, self->opts_.rpc_timeout);
+          self->self_, peer, req, kRpcTimeout);
       if (!r.ok() || tally->done) co_return;
       if (r->term > my_term) {
         tally->done = true;
@@ -146,27 +145,29 @@ Task<void> RaftNode::RunElection(uint64_t gen) {
   }
   if (Majority() == 1) won.Set(true);  // single-replica group
 
-  auto v = co_await won.future().WithTimeout(opts_.election_timeout_min);
+  auto v = co_await won.future().WithTimeout(kElectionTimeoutMin);
   tally->done = true;
-  if (!running_ || gen_ != gen) co_return;
+  if (!Live(gen)) co_return;
   if (v.value_or(false) && role_ == Role::kCandidate && log_.term() == my_term) {
     BecomeLeader();
   }
 }
 
-void RaftNode::BecomeFollower(Term term, NodeId leader) {
+void RaftNode::BecomeFollower(NodeId leader) {
   role_ = Role::kFollower;
   leader_ = leader;
   election_deadline_ = sched().Now() + RandomElectionTimeout();
-  (void)term;  // persisted by the caller where required
+}
+
+void RaftNode::AdoptTerm(Term term, NodeId leader) {
+  BecomeFollower(leader);
+  Spawn([](RaftNode* self, Term t) -> Task<void> {
+    if (t > self->log_.term()) co_await self->PersistTerm(t, sim::kInvalidNode);
+  }(this, term));
 }
 
 void RaftNode::StepDownIfStale(Term observed) {
-  if (observed <= log_.term()) return;
-  BecomeFollower(observed, sim::kInvalidNode);
-  Spawn([](RaftNode* self, Term t) -> Task<void> {
-    if (t > self->log_.term()) co_await self->PersistTerm(t, sim::kInvalidNode);
-  }(this, observed));
+  if (observed > log_.term()) AdoptTerm(observed, sim::kInvalidNode);
 }
 
 Task<void> RaftNode::PersistTerm(Term term, NodeId voted_for) {
@@ -179,21 +180,20 @@ void RaftNode::BecomeLeader() {
   LOG_DEBUG("raft group ", gid_, " node ", self_, " became leader, term ", log_.term());
   for (NodeId peer : peers_) {
     if (peer == self_) continue;
-    next_index_[peer] = log_.last_index() + 1;
-    match_index_[peer] = 0;
+    Peer& p = replicas_[peer];
+    p.next = log_.last_index() + 1;
+    p.match = 0;
   }
-  // Commit a no-op entry from the new term so earlier-term entries become
-  // committable (Raft §5.4.2).
-  Spawn([](RaftNode* self) -> Task<void> {
-    if (self->role_ != Role::kLeader) co_return;
-    LogEntry noop{self->log_.term(), self->log_.last_index() + 1, {}};
-    (void)co_await self->log_.Append(std::span<const LogEntry>(&noop, 1));
-    for (NodeId peer : self->peers_) {
-      if (peer != self->self_) self->KickPeer(peer);
-    }
-    self->AdvanceCommit();
-  }(this));
+  Spawn(AppendNoop());
   if (!propose_queue_.empty()) KickBatcher();
+}
+
+// Commit a no-op entry from the new term so earlier-term entries become
+// committable (Raft §5.4.2).
+Task<void> RaftNode::AppendNoop() {
+  LogEntry noop{log_.term(), log_.last_index() + 1, {}};
+  (void)co_await log_.Append(std::span<const LogEntry>(&noop, 1));
+  ReplicateAndCommit();
 }
 
 // --- Proposals -----------------------------------------------------------
@@ -247,16 +247,7 @@ void RaftNode::KickBatcher() {
 
 Task<void> RaftNode::BatcherLoop(uint64_t gen) {
   std::vector<LogEntry> entries;
-  while (running_ && gen_ == gen && role_ == Role::kLeader && host_->up() &&
-         !propose_queue_.empty()) {
-    if (opts_.batch_linger > 0) {
-      co_await SleepFor{sched(), opts_.batch_linger};
-      // Proposers that timed out during the linger have left the queue.
-      if (!running_ || gen_ != gen || role_ != Role::kLeader || !host_->up() ||
-          propose_queue_.empty()) {
-        break;
-      }
-    }
+  while (Leads(gen) && host_->up() && !propose_queue_.empty()) {
     // Drain one batch: assign contiguous indices and register the whole
     // batch in pending_ synchronously (batch-atomic bookkeeping), then
     // persist with ONE Append. New proposals arriving during that disk
@@ -269,7 +260,7 @@ Task<void> RaftNode::BatcherLoop(uint64_t gen) {
     while (!propose_queue_.empty() && entries.size() < cap) {
       QueuedProposal& q = propose_queue_.front();
       size_t size = q.head.size() + q.payload.size();
-      if (!entries.empty() && bytes + size > opts_.max_batch_bytes) break;
+      if (!entries.empty() && bytes + size > kMaxBatchBytes) break;
       Index idx = log_.last_index() + entries.size() + 1;
       bytes += size;
       q.waiter->index = idx;
@@ -303,7 +294,7 @@ Task<void> RaftNode::BatcherLoop(uint64_t gen) {
     tracer.End(batch_span);
     entries.clear();
     entries.swap(batch_entries_);
-    if (!running_ || gen_ != gen) break;
+    if (!Live(gen)) break;
     if (!st.ok()) {
       // Fail the batch's proposers that are still waiting (one that timed
       // out meanwhile has unregistered itself).
@@ -315,15 +306,10 @@ Task<void> RaftNode::BatcherLoop(uint64_t gen) {
       }
       continue;
     }
-    if (role_ == Role::kLeader && log_.term() == my_term) {
-      for (NodeId peer : peers_) {
-        if (peer != self_) KickPeer(peer);
-      }
-      AdvanceCommit();  // single-replica groups commit immediately
-    }
+    if (Leads(gen, my_term)) ReplicateAndCommit();
   }
   if (batcher_gen_ == gen) batcher_gen_ = 0;
-  if (!running_ || gen_ != gen) co_return;
+  if (!Live(gen)) co_return;
   // Leader-change failover: anything still queued never got an index here;
   // fail it so callers retry against the new leader.
   if (role_ != Role::kLeader) {
@@ -332,22 +318,35 @@ Task<void> RaftNode::BatcherLoop(uint64_t gen) {
 }
 
 void RaftNode::KickPeer(NodeId peer) {
-  if (pump_active_[peer]) return;
-  pump_active_[peer] = true;
+  Peer& p = replicas_[peer];
+  if (p.pumping) return;
+  p.pumping = true;
   Spawn(PeerPump(peer, log_.term(), gen_));
+}
+
+void RaftNode::ReplicateAndCommit() {
+  for (NodeId peer : peers_) {
+    if (peer != self_) KickPeer(peer);
+  }
+  AdvanceCommit();  // single-replica groups commit immediately
+}
+
+void RaftNode::Acked(NodeId peer, Index index) {
+  Peer& p = replicas_[peer];
+  p.match = std::max(p.match, index);
+  p.next = p.match + 1;
 }
 
 Task<void> RaftNode::PeerPump(NodeId peer, Term my_term, uint64_t gen) {
   rpc::Backoff backoff(&sched(), rpc::RetryPolicy::RaftPump());
-  while (running_ && gen_ == gen && role_ == Role::kLeader && log_.term() == my_term &&
-         host_->up()) {
-    Index next = next_index_[peer];
+  while (Leads(gen, my_term) && host_->up()) {
+    const Index next = replicas_[peer].next;
     if (next > log_.last_index()) break;  // caught up; pump goes idle
 
     if (next < log_.first_index()) {
       // Peer is behind the compacted prefix: ship the snapshot.
       bool ok = co_await SendSnapshotTo(peer, my_term);
-      if (!running_ || gen_ != gen || role_ != Role::kLeader || log_.term() != my_term) break;
+      if (!Leads(gen, my_term)) break;
       if (!ok) {
         backoff.NextAttempt();
         co_await backoff.Delay();
@@ -368,9 +367,9 @@ Task<void> RaftNode::PeerPump(NodeId peer, Term my_term, uint64_t gen) {
     req.entries.reserve(end - next + 1);
     for (Index i = next; i <= end; i++) req.entries.push_back(log_.At(i));
 
-    auto r = co_await channel_->Unary<AppendReq, AppendResp>(
-        self_, peer, std::move(req), opts_.rpc_timeout);
-    if (!running_ || gen_ != gen || role_ != Role::kLeader || log_.term() != my_term) break;
+    auto r = co_await channel_->Unary<AppendReq, AppendResp>(self_, peer, std::move(req),
+                                                              kRpcTimeout);
+    if (!Leads(gen, my_term)) break;
     if (!r.ok()) {
       backoff.NextAttempt();
       co_await backoff.Delay();
@@ -382,20 +381,19 @@ Task<void> RaftNode::PeerPump(NodeId peer, Term my_term, uint64_t gen) {
       break;
     }
     if (r->success) {
-      match_index_[peer] = std::max(match_index_[peer], r->match_hint);
-      next_index_[peer] = match_index_[peer] + 1;
+      Acked(peer, r->match_hint);
       AdvanceCommit();
     } else {
-      Index hint = std::max<Index>(1, std::min(next - 1, r->match_hint));
-      next_index_[peer] = hint;
+      replicas_[peer].next = std::max<Index>(1, std::min(next - 1, r->match_hint));
     }
   }
-  pump_active_[peer] = false;
-  // New entries may have arrived while we were finishing; re-arm if so. The
-  // host_->up() guard matters: without it a crashed leader would respawn a
-  // pump that exits immediately, recursing until the stack blows.
-  if (running_ && gen_ == gen && role_ == Role::kLeader && log_.term() == my_term &&
-      host_->up() && next_index_[peer] <= log_.last_index()) {
+  replicas_[peer].pumping = false;
+  // New entries may have arrived while we were finishing; re-arm if so,
+  // under the current incarnation and term: a pump that outlived `gen` or
+  // `my_term` kept KickPeer out while this node led again. Without the
+  // host_->up() guard a crashed leader would respawn pumps that exit at
+  // once, blowing the stack.
+  if (Leads(gen_) && host_->up() && replicas_[peer].next <= log_.last_index()) {
     KickPeer(peer);
   }
 }
@@ -409,16 +407,13 @@ Task<bool> RaftNode::SendSnapshotTo(NodeId peer, Term my_term) {
   req.snap_term = log_.snapshot_term();
   req.data = log_.snapshot_data();
   auto r = co_await channel_->Unary<InstallSnapshotReq, InstallSnapshotResp>(
-      self_, peer, std::move(req), opts_.rpc_timeout * 4);
+      self_, peer, std::move(req), kRpcTimeout * 4);
   if (!r.ok()) co_return false;
   if (r->term > my_term) {
     StepDownIfStale(r->term);
     co_return false;
   }
-  if (r->ok) {
-    match_index_[peer] = std::max(match_index_[peer], log_.snapshot_index());
-    next_index_[peer] = match_index_[peer] + 1;
-  }
+  if (r->ok) Acked(peer, log_.snapshot_index());
   co_return r->ok;
 }
 
@@ -427,7 +422,7 @@ void RaftNode::AdvanceCommit() {
   // The highest index a majority holds: the largest match with at least
   // Majority() replicas at or beyond it. Quadratic over a handful of
   // replicas, and free of heap traffic.
-  auto match_of = [this](NodeId p) { return p == self_ ? log_.last_index() : match_index_[p]; };
+  auto match_of = [this](NodeId p) { return p == self_ ? log_.last_index() : replicas_[p].match; };
   Index candidate = 0;
   for (NodeId p : peers_) {
     Index m = match_of(p);
@@ -447,8 +442,8 @@ void RaftNode::AdvanceCommit() {
 // parks on apply_notifier_. Decoupling apply from commit advance means the
 // state machine chews batch i while the batcher/pumps replicate batch i+1.
 Task<void> RaftNode::ApplyLoop(uint64_t gen) {
-  while (running_ && gen_ == gen) {
-    while (applied_ < commit_ && running_ && gen_ == gen) {
+  while (Live(gen)) {
+    while (applied_ < commit_ && Live(gen)) {
       Index idx = applied_ + 1;
       if (idx <= log_.snapshot_index()) {
         applied_ = log_.snapshot_index();
@@ -477,9 +472,9 @@ Task<void> RaftNode::ApplyLoop(uint64_t gen) {
       co_await host_->cpu().Use(2);  // apply cost
       sched().tracer().End(apply_span);
     }
-    if (!running_ || gen_ != gen) break;
+    if (!Live(gen)) break;
     co_await MaybeCompact();
-    if (!running_ || gen_ != gen) break;
+    if (!Live(gen)) break;
     // Re-check before parking: commit may have advanced during the awaits
     // above, and Notifier wakeups are not sticky.
     if (applied_ >= commit_ || !log_.Has(applied_ + 1)) {
@@ -503,7 +498,7 @@ Task<void> RaftNode::MaybeCompact() {
 // --- Handlers (called via RaftHost) --------------------------------------
 
 Task<VoteResp> RaftNode::OnVote(VoteReq req) {
-  co_await host_->cpu().Use(opts_.cpu_per_message);
+  co_await host_->cpu().Use(kCpuPerMessage);
   VoteResp resp;
   resp.gid = gid_;
   if (!running_) {
@@ -520,7 +515,7 @@ Task<VoteResp> RaftNode::OnVote(VoteReq req) {
   if (req.term > term) {
     term = req.term;
     voted_for = sim::kInvalidNode;
-    BecomeFollower(term, sim::kInvalidNode);
+    BecomeFollower(sim::kInvalidNode);
   }
   bool log_ok = req.last_log_term > log_.last_term() ||
                 (req.last_log_term == log_.last_term() && req.last_log_index >= log_.last_index());
@@ -537,22 +532,20 @@ Task<VoteResp> RaftNode::OnVote(VoteReq req) {
   co_return resp;
 }
 
+Task<bool> RaftNode::AcceptLeader(Term term, NodeId leader, Term* reply_term) {
+  co_await host_->cpu().Use(kCpuPerMessage);
+  *reply_term = log_.term();
+  if (!running_ || term < log_.term()) co_return false;
+  if (term > log_.term()) co_await PersistTerm(term, sim::kInvalidNode);
+  BecomeFollower(leader);
+  *reply_term = term;
+  co_return true;
+}
+
 Task<AppendResp> RaftNode::OnAppend(AppendReq req) {
-  co_await host_->cpu().Use(opts_.cpu_per_message);
   AppendResp resp;
   resp.gid = gid_;
-  resp.term = log_.term();
-  if (!running_) co_return resp;
-
-  if (req.term < log_.term()) {
-    resp.success = false;
-    co_return resp;
-  }
-  if (req.term > log_.term()) {
-    co_await PersistTerm(req.term, sim::kInvalidNode);
-  }
-  BecomeFollower(req.term, req.leader);
-  resp.term = req.term;
+  if (!co_await AcceptLeader(req.term, req.leader, &resp.term)) co_return resp;
 
   // Consistency check against prev_index/prev_term. Anything at or below the
   // snapshot boundary is known committed and therefore matches.
@@ -611,17 +604,9 @@ Task<AppendResp> RaftNode::OnAppend(AppendReq req) {
 }
 
 Task<InstallSnapshotResp> RaftNode::OnInstallSnapshot(InstallSnapshotReq req) {
-  co_await host_->cpu().Use(opts_.cpu_per_message);
   InstallSnapshotResp resp;
   resp.gid = gid_;
-  resp.term = log_.term();
-  if (!running_) co_return resp;
-  if (req.term < log_.term()) co_return resp;
-  if (req.term > log_.term()) {
-    co_await PersistTerm(req.term, sim::kInvalidNode);
-  }
-  BecomeFollower(req.term, req.leader);
-  resp.term = req.term;
+  if (!co_await AcceptLeader(req.term, req.leader, &resp.term)) co_return resp;
   if (req.snap_index <= log_.snapshot_index()) {
     resp.ok = true;  // already have it
     co_return resp;
@@ -640,14 +625,11 @@ bool RaftNode::OnHeartbeat(const HeartbeatItem& item, NodeId from) {
   if (!running_ || !host_->up()) return false;
   if (item.term < log_.term()) return true;  // stale leader
   if (item.term > log_.term()) {
-    BecomeFollower(item.term, from);
-    Spawn([](RaftNode* self, Term t) -> Task<void> {
-      if (t > self->log_.term()) co_await self->PersistTerm(t, sim::kInvalidNode);
-    }(this, item.term));
+    AdoptTerm(item.term, from);
     return false;  // don't advance commit until the term is persisted
   }
   if (role_ == Role::kLeader) return false;  // self heartbeat echo; ignore
-  BecomeFollower(item.term, from);
+  BecomeFollower(from);
   // Commit advance is safe only when our tail is from the leader's term
   // (log matching property guarantees our prefix equals the leader's).
   if (log_.last_term() == item.term && item.commit > commit_) {

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -111,11 +110,24 @@ class RaftNode {
   int Majority() const { return static_cast<int>(peers_.size() / 2 + 1); }
   SimDuration RandomElectionTimeout();
 
+  /// Incarnation `gen` still runs (and leads, in `term`): what each loop
+  /// re-checks after an await.
+  bool Live(uint64_t gen) const { return running_ && gen_ == gen; }
+  bool Leads(uint64_t gen) const { return Live(gen) && role_ == Role::kLeader; }
+  bool Leads(uint64_t gen, Term term) const { return Leads(gen) && log_.term() == term; }
+
   sim::Task<void> ElectionLoop(uint64_t gen);
   sim::Task<void> RunElection(uint64_t gen);
-  void BecomeFollower(Term term, NodeId leader);
+  void BecomeFollower(NodeId leader);
   void BecomeLeader();
+  sim::Task<void> AppendNoop();
   sim::Task<void> PersistTerm(Term term, NodeId voted_for);
+  /// Step down to a higher `term` seen in a message; persist it in the
+  /// background.
+  void AdoptTerm(Term term, NodeId leader);
+  /// Prologue of AppendEntries and InstallSnapshot: false refuses a stale
+  /// or stopped call; else persist a higher term and follow `leader`.
+  sim::Task<bool> AcceptLeader(Term term, NodeId leader, Term* reply_term);
 
   /// Ensure the batcher coroutine is draining the propose queue.
   void KickBatcher();
@@ -125,6 +137,9 @@ class RaftNode {
   void KickPeer(NodeId peer);
   sim::Task<void> PeerPump(NodeId peer, Term my_term, uint64_t gen);
   sim::Task<bool> SendSnapshotTo(NodeId peer, Term my_term);
+  void Acked(NodeId peer, Index index);  // `peer` holds the log up to `index`
+  /// Kick each peer's pump, then commit what a majority holds.
+  void ReplicateAndCommit();
 
   void AdvanceCommit();
   void KickApply() { apply_notifier_.NotifyAll(); }
@@ -152,9 +167,14 @@ class RaftNode {
   Index applied_ = 0;
   SimTime election_deadline_ = 0;
 
-  std::map<NodeId, Index> next_index_;
-  std::map<NodeId, Index> match_index_;
-  std::map<NodeId, bool> pump_active_;
+  /// The leader's view of each other replica. Entries appear when this
+  /// replica first leads, so a replica that never led holds none.
+  struct Peer {
+    Index next = 0;        // next index to send
+    Index match = 0;       // highest index known replicated there
+    bool pumping = false;  // a PeerPump toward it is running
+  };
+  std::map<NodeId, Peer> replicas_;
 
   /// Leader-side group commit: commands awaiting a batch slot. Heads are
   /// adopted into shared Buffers at Propose(), so the batcher, log store and

@@ -149,32 +149,32 @@ struct MultiHeartbeatResp {
   size_t WireBytes() const { return 16 + stale.size() * 16; }
 };
 
+// --- Protocol constants ----------------------------------------------------
+
+/// A leader's heartbeat period (one coalesced message per peer node).
+inline constexpr SimDuration kHeartbeatInterval = 50 * kMsec;
+/// A follower silent this long (drawn at random) stands for election.
+inline constexpr SimDuration kElectionTimeoutMin = 250 * kMsec;
+inline constexpr SimDuration kElectionTimeoutMax = 500 * kMsec;
+/// Deadline of one raft RPC leg; an InstallSnapshot leg gets four.
+inline constexpr SimDuration kRpcTimeout = 200 * kMsec;
+/// CPU cost charged per processed raft message.
+inline constexpr SimDuration kCpuPerMessage = 3;
+/// Max payload bytes per group-commit batch. A single command larger than
+/// this still ships, as a batch of one.
+inline constexpr size_t kMaxBatchBytes = 1 * kMiB;
+
 struct RaftOptions {
-  SimDuration heartbeat_interval = 50 * kMsec;
-  SimDuration election_timeout_min = 250 * kMsec;
-  SimDuration election_timeout_max = 500 * kMsec;
-  SimDuration rpc_timeout = 200 * kMsec;
   /// How long Propose() waits for commit+apply before returning TimedOut.
   SimDuration propose_timeout = 2 * kSec;
   /// Take a snapshot and truncate the log after this many applied entries.
   uint64_t compaction_threshold = 4096;
   /// Max entries per AppendEntries batch.
   size_t max_batch_entries = 64;
-  /// CPU cost charged per processed raft message.
-  SimDuration cpu_per_message = 3;
-  // --- Group commit (leader-side proposal batching) ---
   /// Max concurrent proposals folded into one leader log write (and one
   /// AppendEntries kick). 1 disables batching: every proposal pays its own
   /// log write, the pre-group-commit behaviour.
   size_t max_batch_proposals = 64;
-  /// Max payload bytes per proposal batch. A single command larger than this
-  /// still ships, as a batch of one.
-  size_t max_batch_bytes = 1 * kMiB;
-  /// Optional wait before the batcher drains its queue, trading latency for
-  /// larger batches. 0 (default) relies on natural batching only: the next
-  /// batch forms while the previous log write is in flight, so an
-  /// uncontended proposal is never delayed.
-  SimDuration batch_linger = 0;
 };
 
 }  // namespace cfs::raft

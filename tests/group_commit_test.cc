@@ -1,6 +1,6 @@
 // Group-commit tests: proposal batching on the raft leader (one log write
-// per batch), batch-size knobs (max_batch_proposals / max_batch_bytes /
-// batch_linger), batch atomicity across a leader crash mid-batch, and a
+// per batch), batch-size limits (max_batch_proposals and the kMaxBatchBytes
+// cap), batch atomicity across a leader crash mid-batch, and a
 // same-seed determinism audit of a 32-client batched metadata workload.
 #include <gtest/gtest.h>
 
@@ -196,42 +196,26 @@ TEST_F(GroupCommit, BatchSizeOneMatchesUnbatchedWriteCount) {
 }
 
 TEST_F(GroupCommit, MaxBatchBytesSplitsAndOversizedCommandStillShips) {
-  RaftOptions opts;
-  opts.max_batch_bytes = 256;
-  Build(kN, opts);
   int leader = AwaitLeader();
   ASSERT_GE(leader, 0);
   sched_->RunFor(500 * kMsec);
 
-  // 12 proposals of 100 bytes: at most two fit under the 256-byte cap.
-  auto results = ProposeConcurrent(leader, 12, "byte-", 100);
+  // 12 proposals of 400 KiB: at most two fit under the 1 MiB batch cap.
+  constexpr size_t kCommand = 400 * kKiB;
+  static_assert(2 * kCommand <= kMaxBatchBytes && 3 * kCommand > kMaxBatchBytes);
+  auto results = ProposeConcurrent(leader, 12, "byte-", kCommand);
   for (const auto& s : results) EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(Counter(leader, "raft.gc.proposals"), 12u);
   EXPECT_LE(MaxBatch(leader), 2u);
 
   // A single command larger than the cap ships anyway, as a batch of one.
-  auto big = ProposeConcurrent(leader, 1, "big-", 1000);
+  const uint64_t batches = Counter(leader, "raft.gc.batches");
+  auto big = ProposeConcurrent(leader, 1, "big-", 2 * kMaxBatchBytes);
   EXPECT_TRUE(big[0].ok()) << big[0].ToString();
   EXPECT_EQ(Counter(leader, "raft.gc.proposals"), 13u);
+  EXPECT_EQ(Counter(leader, "raft.gc.batches"), batches + 1);
   sched_->RunFor(1 * kSec);
   EXPECT_EQ(sms_[leader]->applied.size(), 13u);
-}
-
-TEST_F(GroupCommit, LingerCoalescesIntoFewerBatches) {
-  RaftOptions opts;
-  opts.batch_linger = 1 * kMsec;  // >> the 200us log write
-  Build(kN, opts);
-  int leader = AwaitLeader();
-  ASSERT_GE(leader, 0);
-  sched_->RunFor(500 * kMsec);
-
-  auto results = ProposeConcurrent(leader, 16, "linger-");
-  for (const auto& s : results) EXPECT_TRUE(s.ok()) << s.ToString();
-  // The linger holds the first drain until all 16 spawned proposals are
-  // queued, so the whole burst shares one log write.
-  EXPECT_EQ(Counter(leader, "raft.gc.proposals"), 16u);
-  EXPECT_EQ(Counter(leader, "raft.gc.batches"), 1u);
-  EXPECT_EQ(MaxBatch(leader), 16u);
 }
 
 TEST_F(GroupCommit, LeaderCrashMidBatchKeepsGroupConsistent) {

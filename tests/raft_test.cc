@@ -98,6 +98,17 @@ class RaftCluster : public ::testing::Test {
     return -1;
   }
 
+  /// Make node `i` stand for election until it leads (at most 100 ms). A
+  /// leader's heartbeat pushes a follower's election deadline back, so the
+  /// trigger is repeated until the election loop's tick sees it.
+  bool ForceElection(int i) {
+    for (int round = 0; round < 100'000 && !nodes_[i]->IsLeader(); round++) {
+      nodes_[i]->TriggerElection();
+      sched_->RunFor(1);
+    }
+    return nodes_[i]->IsLeader();
+  }
+
   /// Propose on the leader and run to completion. Returns the status.
   Status ProposeOn(int idx, std::string cmd) {
     Status result = Status::Retry("not finished");
@@ -645,18 +656,167 @@ TEST_F(RaftCluster, LeaderRestartedMidBatchWriteStillCommits) {
 
 TEST_F(RaftCluster, ProposalTimingOutInTheQueueNeverGetsAnIndex) {
   RaftOptions opts;
-  opts.batch_linger = 10 * kMsec;  // the batcher drains after the proposer gave up
-  opts.propose_timeout = 1 * kMsec;
+  opts.propose_timeout = 100;  // expires before the 200 us WAL write completes
   Build(kN, opts);
   int leader = AwaitLeader();
   ASSERT_GE(leader, 0);
   sched_->RunFor(100 * kMsec);  // the leader's no-op is in
   const Index last = nodes_[leader]->last_log_index();
-  Status st = ProposeOn(leader, "abandoned");
-  EXPECT_TRUE(st.IsTimedOut()) << st.ToString();
+  // "first" is drained at once and its WAL write goes in flight; "abandoned",
+  // proposed in the same instant, queues behind that write and gives up
+  // before the batcher comes back for it.
+  std::vector<Status> st(2, Status::Retry("not finished"));
+  const char* cmds[] = {"first", "abandoned"};
+  for (int k = 0; k < 2; k++) {
+    Spawn([](RaftNode* n, std::string cmd, Status* st) -> Task<void> {
+      *st = co_await n->Propose(std::move(cmd));
+    }(nodes_[leader], cmds[k], &st[k]));
+  }
   sched_->RunFor(100 * kMsec);
-  EXPECT_EQ(nodes_[leader]->last_log_index(), last);
+  EXPECT_TRUE(st[0].IsTimedOut()) << st[0].ToString();
+  EXPECT_TRUE(st[1].IsTimedOut()) << st[1].ToString();
+  EXPECT_EQ(nodes_[leader]->last_log_index(), last + 1);
+  EXPECT_EQ(nodes_[leader]->log().At(last + 1).head, "first");
   EXPECT_TRUE(nodes_[leader]->IsLeader());
+}
+
+TEST_F(RaftCluster, EveryEntryPointAdoptsAHigherTermAndRefusesALowerOne) {
+  enum Entry { kVote, kAppend, kInstallSnapshot, kHeartbeat, kHeartbeatResponse };
+  for (Entry entry : {kVote, kAppend, kInstallSnapshot, kHeartbeat, kHeartbeatResponse}) {
+    for (bool higher : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "entry " << entry << (higher ? " term+1" : " term-1"));
+      Build(kN, {});
+      const int l = AwaitLeader();
+      ASSERT_GE(l, 0);
+      sched_->RunFor(100 * kMsec);  // the no-op is in everywhere
+      RaftNode* node = nodes_[l];
+      const Term t = node->term();
+      const Term sent = higher ? t + 1 : t - 1;
+      const NodeId other = hosts_[(l + 1) % kN]->id();
+      bool refused = false;
+      switch (entry) {
+        case kVote: {
+          VoteResp r;
+          Spawn([](RaftNode* n, VoteReq req, VoteResp* r) -> Task<void> {
+            *r = co_await n->OnVote(req);
+          }(node, {1, sent, other, node->last_log_index(), node->log().last_term()}, &r));
+          sched_->RunFor(10 * kMsec);
+          refused = !r.granted;
+          EXPECT_EQ(r.term, higher ? sent : t);
+          break;
+        }
+        case kAppend: {
+          AppendResp r;
+          AppendReq req{1, sent, other, node->last_log_index(), node->log().last_term(),
+                        node->commit_index(), {}};
+          Spawn([](RaftNode* n, AppendReq req, AppendResp* r) -> Task<void> {
+            *r = co_await n->OnAppend(std::move(req));
+          }(node, std::move(req), &r));
+          sched_->RunFor(10 * kMsec);
+          refused = !r.success;
+          EXPECT_EQ(r.term, higher ? sent : t);
+          break;
+        }
+        case kInstallSnapshot: {
+          InstallSnapshotResp r;
+          Spawn([](RaftNode* n, InstallSnapshotReq req,
+                   InstallSnapshotResp* r) -> Task<void> {
+            *r = co_await n->OnInstallSnapshot(std::move(req));
+          }(node, {1, sent, other, 0, 0, {}}, &r));
+          sched_->RunFor(10 * kMsec);
+          refused = !r.ok;
+          EXPECT_EQ(r.term, higher ? sent : t);
+          break;
+        }
+        case kHeartbeat:
+          refused = node->OnHeartbeat({1, sent, node->commit_index()}, other);
+          sched_->RunFor(10 * kMsec);
+          break;
+        case kHeartbeatResponse:
+          if (higher) {
+            // A follower that moved on answers the leader's next heartbeat
+            // with its newer term.
+            nodes_[(l + 2) % kN]->OnHeartbeat({1, sent, 0}, other);
+            sched_->RunFor(100 * kMsec);
+          } else {
+            node->StepDownIfStale(sent);
+            sched_->RunFor(10 * kMsec);
+            refused = true;
+          }
+          break;
+      }
+      if (higher) {
+        EXPECT_FALSE(refused);
+        EXPECT_EQ(node->role(), Role::kFollower);
+        EXPECT_EQ(node->term(), sent);
+      } else {
+        EXPECT_TRUE(refused);
+        EXPECT_EQ(node->role(), Role::kLeader);
+        EXPECT_EQ(node->term(), t);
+      }
+      // What a restart would read back.
+      LogStore reloaded(hosts_[l], hosts_[l]->disk(0), 1);
+      Status st = Status::Retry("not finished");
+      Spawn([](LogStore* log, Status* st) -> Task<void> { *st = co_await log->Load(); }(
+          &reloaded, &st));
+      sched_->RunFor(10 * kMsec);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(reloaded.term(), node->term());
+    }
+  }
+}
+
+TEST_F(RaftCluster, ReelectedLeaderPumpsAPeerItsOldTermsPumpLeftBehind) {
+  const int l = AwaitLeader();
+  ASSERT_GE(l, 0);
+  sched_->RunFor(100 * kMsec);
+  const int p = (l + 1) % kN, q = (l + 2) % kN;
+  // The proposal commits through q; the pump toward p parks in an RPC that
+  // will time out (200 ms), then in a backoff.
+  net_->SetPartitioned(hosts_[l]->id(), hosts_[p]->id(), true);
+  ASSERT_TRUE(ProposeOn(l, "parked").ok());
+  const SimTime proposed = sched_->Now();
+  // q takes over, then l wins the term after, well before its old pump
+  // wakes up.
+  ASSERT_TRUE(ForceElection(q));
+  for (int round = 0; round < 20 && nodes_[l]->last_log_index() < nodes_[q]->last_log_index();
+       round++) {
+    sched_->RunFor(1 * kMsec);
+  }
+  ASSERT_TRUE(ForceElection(l));
+  EXPECT_LT(sched_->Now() - proposed, 200 * kMsec);
+  net_->SetPartitioned(hosts_[l]->id(), hosts_[p]->id(), false);
+  // No proposal follows: only the new term's pump can bring p its no-op.
+  sched_->RunFor(2 * kSec);
+  ASSERT_TRUE(nodes_[l]->IsLeader());
+  EXPECT_EQ(nodes_[p]->last_log_index(), nodes_[l]->last_log_index());
+  EXPECT_EQ(nodes_[p]->commit_index(), nodes_[l]->commit_index());
+}
+
+TEST_F(RaftCluster, RestartedLeaderPumpsAPeerItsOldIncarnationsPumpLeftBehind) {
+  const int l = AwaitLeader();
+  ASSERT_GE(l, 0);
+  sched_->RunFor(100 * kMsec);
+  const int p = (l + 1) % kN;
+  // As above, but l crashes and restarts while its pump toward p waits
+  // out the RPC timeout, and leads again in its new incarnation.
+  net_->SetPartitioned(hosts_[l]->id(), hosts_[p]->id(), true);
+  ASSERT_TRUE(ProposeOn(l, "parked").ok());
+  const SimTime proposed = sched_->Now();
+  hosts_[l]->Crash();
+  hosts_[l]->Restart();
+  Status recovered = Status::Retry("not finished");
+  Spawn([](RaftNode* n, Status* st) -> Task<void> { *st = co_await n->Recover(); }(nodes_[l],
+                                                                                  &recovered));
+  sched_->RunFor(1 * kMsec);
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  ASSERT_TRUE(ForceElection(l));
+  EXPECT_LT(sched_->Now() - proposed, 200 * kMsec);
+  net_->SetPartitioned(hosts_[l]->id(), hosts_[p]->id(), false);
+  sched_->RunFor(2 * kSec);
+  ASSERT_TRUE(nodes_[l]->IsLeader());
+  EXPECT_EQ(nodes_[p]->last_log_index(), nodes_[l]->last_log_index());
+  EXPECT_EQ(nodes_[p]->commit_index(), nodes_[l]->commit_index());
 }
 
 TEST(LogStoreTest, RopeEntryPersistsInFlatEncoding) {
