@@ -300,8 +300,8 @@ BENCHMARK(BM_KvStorePut);
 
 // --- RPC transport allocation gate (--rpc-churn) ----------------------------
 // Proves the zero-allocation-per-RPC claim end to end: after a warmup that
-// populates every slab (envelope pool, rpc slots, frame pool, event pool),
-// a measured run of unary echo RPCs must perform ~zero heap allocations.
+// populates the frame pool and the event slab, a measured run of unary echo
+// RPCs must perform ~zero heap allocations.
 
 struct RpcChurnReq {
   uint64_t x = 0;

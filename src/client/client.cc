@@ -56,8 +56,8 @@ MountContext::MountContext(sim::Network* net, sim::Host* host,
       [this](PartitionId pid) { return ReportFailure(pid, /*is_meta=*/true); });
   data_svc_.set_timeout_report(
       [this](PartitionId pid) { return ReportFailure(pid, /*is_meta=*/false); });
-  inode_cache_.set_capacity(opts_->metadata_cache_max_entries);
-  readdir_cache_.set_capacity(opts_->metadata_cache_max_entries);
+  inode_cache_.set_capacity(kMetadataCacheMaxEntries);
+  readdir_cache_.set_capacity(kMetadataCacheMaxEntries);
 }
 
 // --- Volume views (non-persistent master connections, §2.5.2) ----------------
@@ -130,7 +130,7 @@ sim::Task<Result<MountContext::Op>> MountContext::StartOp(std::string_view name,
   Op op;
   if (!name.empty()) op.span = BeginOp(name);
   if (ThrottleEnabled()) co_await Throttle(bytes);
-  co_await host_->cpu().Use(opts_->client_cpu_per_op);
+  co_await host_->cpu().Use(kClientCpuPerOp);
   op.dl = OpDeadline();
   co_return op;
 }
@@ -144,7 +144,7 @@ Task<void> MountContext::RefreshLoop(uint64_t gen) {
   policy.max_attempts = 1 << 30;  // the loop itself decides when to stop
   rpc::Backoff backoff(&sched(), policy);
   while (mounted_ && refresh_gen_ == gen) {
-    co_await sim::SleepFor{sched(), opts_->volume_refresh_interval};
+    co_await sim::SleepFor{sched(), kVolumeRefreshInterval};
     if (!mounted_ || refresh_gen_ != gen) break;
     Status st = co_await RefreshVolume();
     if (st.ok()) {
@@ -173,7 +173,7 @@ void MountContext::CacheInode(const Inode& ino) {
 
 const Inode* MountContext::CachedInode(InodeId ino) {
   if (!opts_->enable_metadata_cache) return nullptr;
-  return inode_cache_.Find(ino, sched().Now(), opts_->metadata_cache_ttl);
+  return inode_cache_.Find(ino, sched().Now(), kMetadataCacheTtl);
 }
 
 // --- Metadata workflows (Fig. 3) -----------------------------------------------
@@ -373,7 +373,7 @@ sim::Task<Result<Dentry>> MountContext::Lookup(InodeId parent, std::string name)
   // Serve from a fresh readdir cache when possible.
   if (opts_->enable_metadata_cache) {
     if (const std::vector<Dentry>* dents =
-            readdir_cache_.Find(parent, sched().Now(), opts_->metadata_cache_ttl)) {
+            readdir_cache_.Find(parent, sched().Now(), kMetadataCacheTtl)) {
       for (const auto& d : *dents) {
         if (d.name == name) {
           cache_hits_++;
@@ -416,7 +416,7 @@ sim::Task<Result<std::vector<Dentry>>> MountContext::ReadDir(InodeId parent) {
   if (!op.ok()) co_return op.status();
   if (opts_->enable_metadata_cache) {
     if (const std::vector<Dentry>* dents =
-            readdir_cache_.Find(parent, sched().Now(), opts_->metadata_cache_ttl)) {
+            readdir_cache_.Find(parent, sched().Now(), kMetadataCacheTtl)) {
       cache_hits_++;
       co_return *dents;
     }
@@ -735,7 +735,7 @@ sim::Task<Status> MountContext::AppendData(OpenFile& of, uint64_t file_offset,
         ctl->sem.Release();
         break;
       }
-      uint64_t chunk = std::min({data.size() - send_pos, opts_->packet_size,
+      uint64_t chunk = std::min({data.size() - send_pos, kPacketSize,
                                  extent_limit - next_off});
       data::WritePacketReq pkt;
       pkt.pid = of.append_pid;

@@ -69,6 +69,20 @@ using meta::Inode;
 using meta::InodeId;
 using meta::PartitionId;
 
+/// Fixed packet size for sequential writes (§2.7.1). The small-file
+/// threshold t is storage::kSmallFileThreshold.
+constexpr uint64_t kPacketSize = 128 * kKiB;
+/// Periodic re-sync of the cached partition views with the master (§2.4).
+constexpr SimDuration kVolumeRefreshInterval = 5 * kSec;
+/// TTL of cached inodes/dentries/readdir results.
+constexpr SimDuration kMetadataCacheTtl = 2 * kSec;
+/// LRU capacity of each metadata cache (inode and readdir, separately).
+/// TTL alone only evicts on lookup, so a client scanning a large namespace
+/// would grow its caches without bound.
+constexpr size_t kMetadataCacheMaxEntries = 4096;
+/// CPU charged on the client host per operation (FUSE + client path).
+constexpr SimDuration kClientCpuPerOp = 6;
+
 struct ClientOptions {
   /// Per-leg RPC timeout of every stub; replaces the timeout of
   /// RetryPolicy::Control() (master/meta traffic and placement loops) and
@@ -78,25 +92,12 @@ struct ClientOptions {
   /// all of its nested RPC workflows (0 = unbounded). Propagated as an
   /// rpc::Deadline through every meta/data leg underneath the op.
   SimDuration op_deadline = 0;
-  /// Fixed packet size for sequential writes (§2.7.1). The small-file
-  /// threshold t is storage::kSmallFileThreshold.
-  uint64_t packet_size = 128 * kKiB;
   /// Sliding-window depth of the sequential-write pipeline: how many
   /// WritePacketReqs may be in flight per open file before the writer
   /// blocks. 1 degenerates to stop-and-wait (one full
   /// client→primary→backups→ack round-trip per packet).
   int write_window_packets = 4;
-  /// Periodic re-sync of the cached partition views with the master (§2.4).
-  SimDuration volume_refresh_interval = 5 * kSec;
-  /// TTL of cached inodes/dentries/readdir results.
-  SimDuration metadata_cache_ttl = 2 * kSec;
   bool enable_metadata_cache = true;
-  /// LRU capacity of each metadata cache (inode and readdir, separately).
-  /// TTL alone only evicts on lookup, so a client scanning a large namespace
-  /// would grow its caches without bound. 0 = unbounded.
-  size_t metadata_cache_max_entries = 4096;
-  /// CPU charged on the client host per operation (FUSE + client path).
-  SimDuration client_cpu_per_op = 6;
 };
 
 /// Bounded metadata cache: TTL on read plus an LRU capacity cap. A hash
@@ -316,7 +317,7 @@ class MountContext {
   /// The prologue every public operation runs first, in this order: fail
   /// when unmounted, count the op for the tenant, open the "op:<name>" root
   /// span (none when `name` is empty), charge the QoS buckets for one op
-  /// plus `bytes`, charge client_cpu_per_op, then take the deadline.
+  /// plus `bytes`, charge kClientCpuPerOp, then take the deadline.
   /// Awaiting it is a symmetric transfer, so it adds no scheduler event.
   sim::Task<Result<Op>> StartOp(std::string_view name, uint64_t bytes);
 

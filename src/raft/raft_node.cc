@@ -105,6 +105,10 @@ Task<void> RaftNode::ElectionLoop(uint64_t gen) {
   }
 }
 
+void RaftNode::TriggerElection() {
+  if (running_ && role_ == Role::kFollower) Spawn(RunElection(gen_));
+}
+
 Task<void> RaftNode::RunElection(uint64_t gen) {
   role_ = Role::kCandidate;
   leader_ = sim::kInvalidNode;

@@ -89,8 +89,8 @@ class RaftNode {
   /// Leader-side: peer observed a higher term via heartbeat response.
   void StepDownIfStale(Term observed);
 
-  /// Test hook: force an immediate election attempt.
-  void TriggerElection() { election_deadline_ = 0; }
+  /// Test hook: a running follower stands for election now.
+  void TriggerElection();
 
  private:
   /// A waiting proposer, living in its Propose() frame. propose_queue_

@@ -1,8 +1,8 @@
 // Dense message-type registry: every RPC request/response struct gets a
 // small integer MsgTypeId the first time the transport sees it, assigned
 // through a function-local static in MsgTypeIdOf<T>(). Handler dispatch and
-// envelope typing index flat arrays with it — no std::type_index, no RTTI
-// hashing on the hot path.
+// the per-type RPC meters index flat arrays with it — no std::type_index, no
+// RTTI hashing on the hot path.
 //
 // Determinism: ids are assigned in first-use order, which is stable for a
 // given binary + workload but NOT across builds — so ids never feed the

@@ -8,28 +8,26 @@
 // latency-bound — exactly the distinction the paper's sequential-vs-random
 // results hinge on.
 //
-// The transport is zero-heap-allocation per RPC in steady state (DESIGN.md
-// "RPC transport"): requests/responses travel in slab-pooled Envelopes with
-// inline storage, dispatch indexes a flat per-host handler table by the
-// dense MsgTypeId (sim/msg_type.h) instead of probing a type_index map, and
-// the caller's pending-call state lives in a generation-checked RpcSlot
-// slab instead of a shared_ptr promise. The reply path cancels the timeout
-// watchdog, so a call that is answered in time leaves no event behind
-// (golden schedule hashes: tests/schedule_hash_test.cc,
-// tests/network_test.cc).
+// A call is a sim::Promise<Resp> (DESIGN.md "RPC transport"). The request
+// event carries the request and the promise by value to the callee, whose
+// handler table is indexed by the dense MsgTypeId (sim/msg_type.h); the
+// reply event carries the promise and the response back and Sets it, which
+// cancels the caller's timeout watchdog, so a call answered in time leaves
+// no event behind. A message lives only in its scheduler closure: a drop, a
+// dead host or a torn-down scheduler destroys it with the event. Closures,
+// coroutine frames and promise states recycle through the FramePool, so a
+// call allocates nothing in steady state (golden schedule hashes:
+// tests/schedule_hash_test.cc, tests/network_test.cc).
 #pragma once
 
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <cstring>
-#include <deque>
+#include <functional>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -75,142 +73,6 @@ size_t WireBytesOf(const T& v) {
 template <typename T>
 concept HasTraceContext = requires(const T& t) {
   { t.trace } -> std::convertible_to<obs::TraceContext>;
-};
-
-/// Type-erased message payload in a pooled, fixed-size node. Small payloads
-/// (nearly every RPC struct: the big data-path Buffers are shared-ownership
-/// handles, not byte arrays) are constructed inline; oversized ones live in
-/// a FramePool cell referenced from the node. Envelopes are pinned — never
-/// relocated — and recycled LIFO through the owning pool's free list, so a
-/// raw Envelope* must NOT be held across a co_await (the analyzer's
-/// A1.pooled check enforces this; see tests/analyze/fixtures/envelope_bad.cc).
-struct Envelope {
-  static constexpr size_t kInlineBytes = 192;
-
-  template <typename T>
-  static constexpr bool IsInline() {
-    return sizeof(T) <= kInlineBytes && alignof(T) <= alignof(std::max_align_t);
-  }
-
-  template <typename T>
-  T* Payload() {
-    if constexpr (IsInline<T>()) {
-      return std::launder(reinterpret_cast<T*>(buf));
-    } else {
-      return static_cast<T*>(heap);
-    }
-  }
-
-  template <typename T>
-  static void DestroyPayload(Envelope* e) {
-    if constexpr (IsInline<T>()) {
-      std::launder(reinterpret_cast<T*>(e->buf))->~T();
-    } else {
-      static_cast<T*>(e->heap)->~T();
-      detail::FramePool::Free(e->heap, sizeof(T));
-      e->heap = nullptr;
-    }
-  }
-
-  MsgTypeId type = 0;
-  uint32_t next = kNilIndex;             // pool free-list link
-  void (*destroy)(Envelope*) = nullptr;  // non-null while a payload is held
-  void* heap = nullptr;                  // oversize payload cell (FramePool)
-  alignas(std::max_align_t) unsigned char buf[kInlineBytes];
-};
-
-/// Slab allocator for Envelopes: chunked storage, LIFO free list, no
-/// deallocation until the pool dies. Steady-state Make/Take/Free cycles
-/// touch only the free list — zero heap traffic.
-class EnvelopePool {
- public:
-  EnvelopePool() = default;
-  EnvelopePool(const EnvelopePool&) = delete;
-  EnvelopePool& operator=(const EnvelopePool&) = delete;
-
-  /// Tear-down safety: envelopes parked in never-dispatched delivery events
-  /// (a simulation cut off mid-flight) still hold payloads; destroy them so
-  /// owning resources (strings, buffers) are released.
-  ~EnvelopePool() {
-    for (auto& chunk : chunks_) {
-      for (uint32_t i = 0; i < kChunk; i++) {
-        Envelope& e = chunk[i];
-        if (e.destroy != nullptr) e.destroy(&e);
-      }
-    }
-  }
-
-  template <typename T>
-  Envelope* Make(T v) {
-    Envelope* e = Alloc();
-    e->type = MsgTypeIdOf<T>();
-    if constexpr (Envelope::IsInline<T>()) {
-      new (e->buf) T(std::move(v));
-    } else {
-      void* cell = detail::FramePool::Alloc(sizeof(T));
-      e->heap = new (cell) T(std::move(v));
-    }
-    e->destroy = &Envelope::DestroyPayload<T>;
-    return e;
-  }
-
-  /// Move the payload out and recycle the envelope.
-  template <typename T>
-  T Take(Envelope* e) {
-    T v = std::move(*e->Payload<T>());
-    Free(e);
-    return v;
-  }
-
-  /// Destroy the payload (if any) and recycle the node — every drop path
-  /// (dead destination, partition, message loss, stale reply) ends here.
-  void Free(Envelope* e) {
-    if (e->destroy != nullptr) {
-      e->destroy(e);
-      e->destroy = nullptr;
-    }
-    const uint32_t idx = IndexOf(e);
-    e->next = free_head_;
-    free_head_ = idx;
-    in_use_--;
-  }
-
-  size_t capacity() const { return chunks_.size() * kChunk; }
-  size_t in_use() const { return in_use_; }
-
- private:
-  static constexpr uint32_t kChunk = 128;
-
-  Envelope* Alloc() {
-    if (free_head_ == kNilIndex) {
-      const uint32_t base = static_cast<uint32_t>(chunks_.size() * kChunk);
-      chunks_.push_back(std::make_unique<Envelope[]>(kChunk));
-      for (uint32_t i = kChunk; i-- > 0;) {
-        Envelope& e = chunks_.back()[i];
-        e.next = free_head_;
-        free_head_ = base + i;
-      }
-    }
-    Envelope* e = At(free_head_);
-    free_head_ = e->next;
-    e->next = kNilIndex;
-    in_use_++;
-    return e;
-  }
-
-  Envelope* At(uint32_t idx) { return &chunks_[idx / kChunk][idx % kChunk]; }
-  uint32_t IndexOf(const Envelope* e) const {
-    for (uint32_t c = 0; c < chunks_.size(); c++) {
-      if (e >= chunks_[c].get() && e < chunks_[c].get() + kChunk) {
-        return static_cast<uint32_t>(c * kChunk + (e - chunks_[c].get()));
-      }
-    }
-    return kNilIndex;
-  }
-
-  std::vector<std::unique_ptr<Envelope[]>> chunks_;
-  uint32_t free_head_ = kNilIndex;
-  size_t in_use_ = 0;
 };
 
 /// Durable per-node blob store: stands in for the node's local file system
@@ -316,107 +178,14 @@ struct RpcMeter {
   obs::Histogram& latency;
 };
 
-/// The caller's claim on a pending-call slot, handed to the handler side so
-/// the reply can find its way back. A 16-byte POD — replaces the per-call
-/// heap-allocated std::function reply closure of the boxing transport.
-struct ReplyTicket {
-  uint32_t slot = 0;
-  uint32_t gen = 0;
-  NodeId caller = kInvalidNode;  // the node awaiting the response
-  NodeId callee = kInvalidNode;  // the node running the handler
-};
-
-/// Move-only type-erased handler entry with small-buffer storage:
-/// `void(Network*, Envelope* request, NodeId from, ReplyTicket)`. The
-/// registered closure (Host* + the user handler functor) almost always fits
-/// inline; a larger one costs one heap cell at Register() time — never per
-/// message.
-class HandlerFn {
- public:
-  static constexpr size_t kInlineBytes = 64;
-
-  HandlerFn() = default;
-
-  template <typename F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, HandlerFn>)
-  explicit HandlerFn(F&& f) {
-    using Fn = std::remove_cvref_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      new (buf_) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::kOps;
-    } else {
-      *reinterpret_cast<Fn**>(static_cast<void*>(buf_)) = new Fn(std::forward<F>(f));
-      ops_ = &HeapOps<Fn>::kOps;
-    }
-  }
-
-  HandlerFn(HandlerFn&& o) noexcept : ops_(o.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(buf_, o.buf_);
-      o.ops_ = nullptr;
-    }
-  }
-  HandlerFn& operator=(HandlerFn&& o) noexcept {
-    if (this != &o) {
-      Reset();
-      ops_ = o.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(buf_, o.buf_);
-        o.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-  HandlerFn(const HandlerFn&) = delete;
-  HandlerFn& operator=(const HandlerFn&) = delete;
-  ~HandlerFn() { Reset(); }
-
-  void Reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-  explicit operator bool() const { return ops_ != nullptr; }
-  void operator()(Network* net, Envelope* req, NodeId from, ReplyTicket ticket) const {
-    ops_->invoke(const_cast<unsigned char*>(buf_), net, req, from, ticket);
-  }
-
- private:
-  struct Ops {
-    void (*invoke)(void*, Network*, Envelope*, NodeId, ReplyTicket);
-    void (*relocate)(void* dst, void* src);
-    void (*destroy)(void*);
-  };
-
-  template <typename Fn>
-  struct InlineOps {
-    static void Invoke(void* p, Network* net, Envelope* req, NodeId from, ReplyTicket t) {
-      (*std::launder(reinterpret_cast<Fn*>(p)))(net, req, from, t);
-    }
-    static void Relocate(void* dst, void* src) {
-      Fn* s = std::launder(reinterpret_cast<Fn*>(src));
-      new (dst) Fn(std::move(*s));
-      s->~Fn();
-    }
-    static void Destroy(void* p) { std::launder(reinterpret_cast<Fn*>(p))->~Fn(); }
-    static constexpr Ops kOps = {&Invoke, &Relocate, &Destroy};
-  };
-
-  template <typename Fn>
-  struct HeapOps {
-    static Fn* Get(void* p) { return *reinterpret_cast<Fn**>(p); }
-    static void Invoke(void* p, Network* net, Envelope* req, NodeId from, ReplyTicket t) {
-      (*Get(p))(net, req, from, t);
-    }
-    static void Relocate(void* dst, void* src) { std::memcpy(dst, src, sizeof(Fn*)); }
-    static void Destroy(void* p) { delete Get(p); }
-    static constexpr Ops kOps = {&Invoke, &Relocate, &Destroy};
-  };
-
-  const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+/// What a request event carries to the callee: the request and the
+/// caller's promise, both by value. The handler that Host::Register stores
+/// casts the type-erased delivery back to this one type, so Register and
+/// Call must name the same Resp for a request type.
+template <typename Req, typename Resp>
+struct Delivery {
+  Req req;
+  Promise<Resp> reply;
 };
 
 /// A simulated machine: CPU, NIC accounting, disks, durable storage, and the
@@ -492,6 +261,10 @@ class Host {
     }
     return cap ? static_cast<double>(used) / static_cast<double>(cap) : 0.0;
   }
+  /// A registered handler: `delivery` points at the Delivery<Req, Resp> of
+  /// the request type it was registered for.
+  using Handler = std::function<void(Network*, void* delivery, NodeId from)>;
+
   /// Register the coroutine handler for request type Req. `h` is
   /// `Task<Resp>(Req, NodeId from)`. Handlers live in a flat vector indexed
   /// by the dense MsgTypeId — delivery dispatch is one bounds check and an
@@ -503,7 +276,7 @@ class Host {
   /// Remove all handlers (a decommissioned node).
   void ClearHandlers() { handlers_.clear(); }
 
-  const HandlerFn* FindHandler(MsgTypeId t) const {
+  const Handler* FindHandler(MsgTypeId t) const {
     if (t >= handlers_.size() || !handlers_[t]) return nullptr;
     return &handlers_[t];
   }
@@ -513,13 +286,13 @@ class Host {
 
   /// Every registered handler runs under a "handler:<rpc>" span when the
   /// request is traced: the one interception point that covers master, meta
-  /// and data services alike. The request payload is moved OUT of its pooled
-  /// envelope before this coroutine starts, so handler code never touches
-  /// recycled storage. `h` arrives by value (copied into the frame):
+  /// and data services alike. The request and the caller's promise are
+  /// moved into this frame before it starts, so nothing it touches lives in
+  /// the delivery event. `h` arrives by value (copied into the frame):
   /// ClearHandlers() while the handler is suspended cannot dangle it.
   template <typename Req, typename Resp, typename F>
   static Task<void> InvokeHandler(Host* self, Network* net, F h, Req req, NodeId from,
-                                  ReplyTicket ticket);
+                                  Promise<Resp> reply);
 
   template <typename Req>
   obs::SpanScope OpenHandlerSpan(const Req& req) {
@@ -547,7 +320,7 @@ class Host {
   /// Flat handler table indexed by MsgTypeId. Ids are first-use-ordered and
   /// never iterated here — only point-indexed — so the (build-dependent)
   /// assignment order can't leak into scheduling decisions.
-  std::vector<HandlerFn> handlers_;
+  std::vector<Handler> handlers_;
 };
 
 struct NetworkOptions {
@@ -595,25 +368,34 @@ class Network {
   uint64_t rpc_timeouts_cancelled() const { return rpc_timeouts_cancelled_; }
   uint64_t rpc_timeouts_fired() const { return rpc_timeouts_fired_; }
 
-  /// Pool/slab introspection (tests pin reuse and leak-freedom on these).
-  EnvelopePool& envelope_pool() { return pool_; }
-  size_t rpc_slots_in_use() const { return slots_in_use_; }
-  size_t rpc_slot_capacity() const { return slots_.size(); }
+  /// Calls issued and not yet resumed (answered or timed out).
+  size_t rpc_calls_in_flight() const { return calls_in_flight_; }
 
-  /// Awaitable returned by Call(): resolves to Result<Resp> (TimedOut on
-  /// network-level failure). Holds only the slot coordinates — the pending
-  /// state itself lives in the Network's recycled slab.
+  /// Awaitable returned by Call(): the caller's side of the call's promise,
+  /// awaited with the call's timeout. Resolves to Result<Resp>, TimedOut on
+  /// network-level failure, and settles the watchdog accounting.
   template <typename Resp>
   struct RpcAwaitable {
-    Network* net;
-    uint32_t slot;
-    uint32_t gen;
-    SimDuration timeout;
-    NodeId to;
+    using Wait = decltype(std::declval<Future<Resp>&>().WithTimeout(SimDuration{}));
 
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { net->ArmRpc(slot, gen, h, timeout); }
-    Result<Resp> await_resume() { return net->FinishRpc<Resp>(slot, gen, to); }
+    Network* net;
+    NodeId to;
+    Wait wait;
+
+    bool await_ready() const noexcept { return wait.await_ready(); }
+    void await_suspend(std::coroutine_handle<> h) { wait.await_suspend(h); }
+    Result<Resp> await_resume() {
+      net->calls_in_flight_--;
+      std::optional<Resp> resp = wait.await_resume();
+      if (resp.has_value()) {
+        net->rpc_timeouts_cancelled_++;
+        return std::move(*resp);
+      }
+      net->rpc_timeouts_fired_++;
+      // Built lazily: the timeout path is the only one that pays for the
+      // message string.
+      return Status::TimedOut("rpc to node " + std::to_string(to));
+    }
   };
 
   /// Issue a typed RPC. Network-level failures (timeout, drop, dead or
@@ -638,54 +420,58 @@ class Network {
   template <typename Req, typename Resp>
   RpcAwaitable<Resp> Call(NodeId from, NodeId to, Req req,
                           SimDuration timeout = kDefaultRpcTimeout) {
-    const uint32_t slot = AllocSlot();
-    const uint32_t gen = slots_[slot].gen;
-    const size_t req_bytes = WireBytesOf(req);
-    SendRequest(from, to, pool_.Make<Req>(std::move(req)), req_bytes,
-                ReplyTicket{slot, gen, from, to});
-    return RpcAwaitable<Resp>{this, slot, gen, timeout, to};
+    Promise<Resp> reply(sched_);
+    RpcAwaitable<Resp> call{this, to, reply.future().WithTimeout(timeout)};
+    calls_in_flight_++;
+    const size_t bytes = WireBytesOf(req);
+    if (ShouldDrop(from, to)) return call;
+    const SimTime at = TransferFinish(from, to, bytes);
+    MixTrace<Req>(from, to, bytes, at);
+    Delivery<Req, Resp> d{std::move(req), std::move(reply)};
+    // The Network is a sim-lifetime singleton owned by the harness: it
+    // strictly outlives every scheduled delivery, so capturing `this` into
+    // the deferred event cannot dangle (crash schedules kill Hosts, checked
+    // via h->up() below, never the Network itself).
+    sched_->At(at, [this, from, to, d = std::move(d)]() mutable {  // analyze:allow(A2)
+      Host* h = host(to);
+      const Host::Handler* handler = h->up() ? h->FindHandler(MsgTypeIdOf<Req>()) : nullptr;
+      // Dead node or no service registered: the request dies with this
+      // event and the caller's watchdog fires for real.
+      if (handler != nullptr) (*handler)(this, &d, from);
+    });
+    return call;
   }
 
   /// Reply-path entry (Host::InvokeHandler): charge the reverse transfer,
-  /// then deliver into the caller's slot. Transfer metering and the audit
-  /// mix happen before the drop check — the exact (odd, but golden-hashed)
-  /// order of the transport this replaced.
-  void Reply(ReplyTicket ticket, Envelope* resp, size_t resp_bytes) {
-    SimTime at = TransferFinish(ticket.callee, ticket.caller, resp_bytes);
-    MixTrace(ticket.callee, ticket.caller, resp_bytes, resp->type, at);
-    if (ShouldDrop(ticket.callee, ticket.caller)) {
-      pool_.Free(resp);
-      return;
-    }
-    // Network is a sim-lifetime singleton owned by the harness (see
-    // SendRequest): `this` in a deferred event cannot dangle.
-    sched_->At(at, [this, ticket, resp] { DeliverReply(ticket, resp); });  // analyze:allow(A2)
+  /// then carry the response to the caller's promise. Transfer metering and
+  /// the audit mix happen before the drop check — the exact (odd, but
+  /// golden-hashed) order of the transport this replaced.
+  template <typename Resp>
+  void Reply(NodeId callee, NodeId caller, Promise<Resp> reply, Resp resp) {
+    const size_t bytes = WireBytesOf(resp);
+    const SimTime at = TransferFinish(callee, caller, bytes);
+    MixTrace<Resp>(callee, caller, bytes, at);
+    if (ShouldDrop(callee, caller)) return;
+    // A reply after the caller timed out is stored in the orphaned promise
+    // and dies with it; Set resumes nobody.
+    sched_->At(at, [reply = std::move(reply), resp = std::move(resp)]() mutable {
+      reply.Set(std::move(resp));
+    });
   }
 
  private:
-  /// One pending unary call. Slots are recycled through a free list; `gen`
-  /// distinguishes the current occupant from stale replies/timeouts aimed at
-  /// a previous one (the same trick TimerWheel plays with TimerIds).
-  struct RpcSlot {
-    std::coroutine_handle<> waiter = nullptr;
-    Envelope* resp = nullptr;
-    Scheduler::TimerId timer{};
-    uint32_t gen = 0;
-    uint32_t next_free = kNilIndex;
-    bool delivered = false;  // waiter resumption initiated (reply or timeout)
-  };
-
   /// Determinism auditor: fold one message into the trace hash. The
   /// registry's stored RTTI name (not the dense id, which is assignment-
   /// order-dependent) feeds the digest, so iteration-order or wall-clock
   /// bugs change the hash while ASLR and registration order do not.
-  void MixTrace(NodeId from, NodeId to, size_t bytes, MsgTypeId type, SimTime at) {
+  template <typename T>
+  void MixTrace(NodeId from, NodeId to, size_t bytes, SimTime at) {
     TraceHasher& t = sched_->trace();
     t.Mix(from);
     t.Mix(to);
     t.Mix(bytes);
     t.Mix(at);
-    const MsgTypeRegistry::Info& info = MsgTypeRegistry::Instance().info(type);
+    const MsgTypeRegistry::Info& info = MsgTypeRegistry::Instance().info(MsgTypeIdOf<T>());
     t.MixBytes(info.trace_name, info.trace_len);
   }
 
@@ -711,111 +497,6 @@ class Network {
     return std::max(arrive, in_free);
   }
 
-  void SendRequest(NodeId from, NodeId to, Envelope* req, size_t bytes, ReplyTicket ticket) {
-    if (ShouldDrop(from, to)) {
-      pool_.Free(req);
-      return;
-    }
-    SimTime at = TransferFinish(from, to, bytes);
-    MixTrace(from, to, bytes, req->type, at);
-    // The Network is a sim-lifetime singleton owned by the harness: it
-    // strictly outlives every scheduled delivery, so capturing `this` into
-    // the deferred event cannot dangle (crash schedules kill Hosts, checked
-    // via h->up() below, never the Network itself).
-    sched_->At(at, [this, to, from, req, ticket] {  // analyze:allow(A2)
-      Host* h = host(to);
-      const HandlerFn* handler = h->up() ? h->FindHandler(req->type) : nullptr;
-      if (handler == nullptr) {
-        // Dead node or no service registered: the request vanishes and the
-        // caller's watchdog fires for real.
-        pool_.Free(req);
-        return;
-      }
-      (*handler)(this, req, from, ticket);
-    });
-  }
-
-  void ArmRpc(uint32_t slot, uint32_t gen, std::coroutine_handle<> h, SimDuration timeout) {
-    RpcSlot& s = slots_[slot];
-    s.waiter = h;
-    // Same singleton-lifetime argument as SendRequest for the `this` capture.
-    s.timer = sched_->ScheduleAfter(timeout, [this, slot, gen] {  // analyze:allow(A2)
-      TimeoutFire(slot, gen);
-    });
-  }
-
-  void TimeoutFire(uint32_t slot, uint32_t gen) {
-    RpcSlot& s = slots_[slot];
-    if (s.gen != gen || s.delivered) return;
-    rpc_timeouts_fired_++;
-    s.delivered = true;
-    s.timer = {};
-    auto w = std::exchange(s.waiter, nullptr);
-    if (w) w.resume();
-  }
-
-  void DeliverReply(ReplyTicket ticket, Envelope* resp) {
-    RpcSlot& s = slots_[ticket.slot];
-    if (s.gen != ticket.gen || s.delivered) {
-      pool_.Free(resp);  // caller already timed out: late reply drops
-      return;
-    }
-    s.resp = resp;
-    s.delivered = true;
-    // The watchdog leaves the wheel now: its closure is released and it
-    // never executes.
-    if (sched_->Cancel(s.timer)) rpc_timeouts_cancelled_++;
-    s.timer = {};
-    // Resume via the scheduler at the current timestamp to bound recursion —
-    // the same two-event delivery (store + resume) the promise path used.
-    sched_->After(0, [this, slot = ticket.slot, gen = ticket.gen] {  // analyze:allow(A2)
-      RpcSlot& s2 = slots_[slot];
-      if (s2.gen != gen) return;
-      auto w = std::exchange(s2.waiter, nullptr);
-      if (w) w.resume();
-    });
-  }
-
-  template <typename Resp>
-  Result<Resp> FinishRpc(uint32_t slot, uint32_t gen, NodeId to) {
-    RpcSlot& s = slots_[slot];
-    (void)gen;  // the waiter is the slot's only consumer; gens match by construction
-    if (s.resp != nullptr) {
-      Envelope* e = std::exchange(s.resp, nullptr);
-      FreeSlot(slot);
-      return pool_.Take<Resp>(e);
-    }
-    FreeSlot(slot);
-    // Built lazily: the timeout path is the only one that pays for the
-    // message string.
-    return Status::TimedOut("rpc to node " + std::to_string(to));
-  }
-
-  uint32_t AllocSlot() {
-    uint32_t idx;
-    if (slot_free_ != kNilIndex) {
-      idx = slot_free_;
-      slot_free_ = slots_[idx].next_free;
-    } else {
-      idx = static_cast<uint32_t>(slots_.size());
-      slots_.emplace_back();
-    }
-    slots_in_use_++;
-    return idx;
-  }
-
-  void FreeSlot(uint32_t idx) {
-    RpcSlot& s = slots_[idx];
-    s.gen++;  // stale tickets/timers aimed at the old occupant miss
-    s.waiter = nullptr;
-    s.resp = nullptr;
-    s.timer = {};
-    s.delivered = false;
-    s.next_free = slot_free_;
-    slot_free_ = idx;
-    slots_in_use_--;
-  }
-
   Scheduler* sched_;
   NetworkOptions opts_;
   std::vector<std::unique_ptr<Host>> hosts_;
@@ -825,12 +506,7 @@ class Network {
   uint64_t bytes_sent_ = 0;
   uint64_t rpc_timeouts_cancelled_ = 0;
   uint64_t rpc_timeouts_fired_ = 0;
-  EnvelopePool pool_;
-  /// Pending-call slab: deque for reference stability under growth; slots
-  /// are recycled LIFO via the embedded free list.
-  std::deque<RpcSlot> slots_;
-  uint32_t slot_free_ = kNilIndex;
-  size_t slots_in_use_ = 0;
+  size_t calls_in_flight_ = 0;
 };
 
 // --- Host template definitions (need the complete Network type) -------------
@@ -839,23 +515,19 @@ template <typename Req, typename Resp, typename F>
 void Host::Register(F h) {
   const MsgTypeId id = MsgTypeIdOf<Req>();
   if (handlers_.size() <= id) handlers_.resize(id + 1);
-  handlers_[id] = HandlerFn(
-      [this, h = std::move(h)](Network* net, Envelope* req, NodeId from, ReplyTicket ticket) {
-        // Take() moves the payload out and recycles the envelope BEFORE the
-        // handler coroutine can suspend — no pooled storage crosses a
-        // co_await.
-        Spawn(InvokeHandler<Req, Resp, F>(this, net, h, net->envelope_pool().Take<Req>(req),
-                                          from, ticket));
-      });
+  handlers_[id] = [this, h = std::move(h)](Network* net, void* delivery, NodeId from) {
+    auto* d = static_cast<Delivery<Req, Resp>*>(delivery);
+    Spawn(InvokeHandler<Req, Resp, F>(this, net, h, std::move(d->req), from,
+                                      std::move(d->reply)));
+  };
 }
 
 template <typename Req, typename Resp, typename F>
 Task<void> Host::InvokeHandler(Host* self, Network* net, F h, Req req, NodeId from,
-                               ReplyTicket ticket) {
+                               Promise<Resp> reply) {
   obs::SpanScope span = self->OpenHandlerSpan(req);
   Resp resp = co_await h(std::move(req), from);
-  const size_t bytes = WireBytesOf(resp);
-  net->Reply(ticket, net->envelope_pool().Make<Resp>(std::move(resp)), bytes);
+  net->Reply(self->id_, from, std::move(reply), std::move(resp));
 }
 
 }  // namespace cfs::sim

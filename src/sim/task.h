@@ -16,6 +16,7 @@
 #include <optional>
 #include <utility>
 
+#include "sim/frame_pool.h"
 #include "sim/scheduler.h"
 
 namespace cfs::sim {
@@ -25,63 +26,7 @@ class Task;
 
 namespace detail {
 
-/// Size-class recycler for coroutine frames (DESIGN.md "Simulator
-/// performance"). Every simulated op spawns a handful of short-lived
-/// coroutines, so frame allocation is a hot malloc/free pair; this keeps
-/// freed frames on per-size free lists (64-byte classes up to 4 KiB) and
-/// hands them back LIFO — still-warm memory, no allocator round trip.
-/// The RPC transport reuses the same pool for the rare message payload too
-/// large for an Envelope's inline buffer (sim/network.h), so oversize
-/// requests also recycle instead of round-tripping malloc.
-/// Sized operator delete gives the class back without a header byte.
-/// Single-threaded by simulator convention; frames larger than the largest
-/// class (rare: big inline locals) fall through to the global allocator.
-class FramePool {
- public:
-  static void* Alloc(size_t n) {
-    size_t cls = (n + kGran - 1) / kGran;
-    if (cls >= kClasses) return ::operator new(n);
-    void*& head = Buckets()[cls];
-    if (head != nullptr) {
-      void* p = head;
-      head = *static_cast<void**>(p);
-      return p;
-    }
-    return ::operator new(cls * kGran);
-  }
-  static void Free(void* p, size_t n) {
-    size_t cls = (n + kGran - 1) / kGran;
-    if (cls >= kClasses) {
-      ::operator delete(p);
-      return;
-    }
-    *static_cast<void**>(p) = Buckets()[cls];
-    Buckets()[cls] = p;
-  }
-
- private:
-  static constexpr size_t kGran = 64;
-  static constexpr size_t kClasses = 64;  // pools frames up to 4 KiB
-
-  static void** Buckets() {
-    static void* buckets[kClasses] = {};
-    return buckets;
-  }
-};
-
-/// Standard allocator over FramePool, for shared state that lives about as
-/// long as a coroutine frame (a Promise's State).
-template <typename T>
-struct FramePoolAllocator {
-  using value_type = T;
-  FramePoolAllocator() = default;
-  template <typename U>
-  FramePoolAllocator(const FramePoolAllocator<U>&) noexcept {}  // NOLINT(google-explicit-constructor)
-  T* allocate(size_t n) { return static_cast<T*>(FramePool::Alloc(n * sizeof(T))); }
-  void deallocate(T* p, size_t n) noexcept { FramePool::Free(p, n * sizeof(T)); }
-  friend bool operator==(const FramePoolAllocator&, const FramePoolAllocator&) { return true; }
-};
-
+/// Every coroutine frame recycles through FramePool (sim/frame_pool.h).
 template <typename T>
 struct TaskPromiseBase {
   std::coroutine_handle<> continuation;

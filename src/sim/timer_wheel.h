@@ -8,8 +8,9 @@
 // pending). The wheel gives O(1) insert, O(1) amortized pop, and recycles
 // fixed-size event nodes through a slab free list so steady-state scheduling
 // performs no allocation at all; callbacks live in a small-buffer-optimized
-// move-only EventFn, so typical closures (coroutine resumptions, delivery
-// thunks) stay inline in the node.
+// move-only EventFn, so typical closures (coroutine resumptions, timeouts)
+// stay inline in the node and larger ones (RPC request and reply events,
+// which carry their message by value) recycle through the FramePool.
 //
 // Layout: 8 levels x 256 slots, keyed on the *absolute* event tick — the
 // slot of an event at level L is byte L of its 64-bit virtual time. An event
@@ -44,15 +45,16 @@
 #include <vector>
 
 #include "common/units.h"
+#include "sim/frame_pool.h"
 
 namespace cfs::sim {
 
 constexpr uint32_t kNilIndex = 0xffffffffu;
 
 /// Move-only type-erased callable with small-buffer optimization. Most
-/// scheduler callbacks (coroutine resumptions, RPC delivery thunks) fit the
-/// inline buffer, so scheduling an event allocates nothing; larger closures
-/// fall back to one heap cell.
+/// scheduler callbacks (coroutine resumptions, timeouts) fit the inline
+/// buffer; larger closures (an RPC event carrying its message) take one
+/// FramePool cell, so steady-state scheduling allocates nothing either way.
 class EventFn {
  public:
   static constexpr size_t kInlineBytes = 80;
@@ -69,7 +71,9 @@ class EventFn {
       new (buf_) Fn(std::forward<F>(f));
       ops_ = &InlineOps<Fn>::kOps;
     } else {
-      *reinterpret_cast<Fn**>(static_cast<void*>(buf_)) = new Fn(std::forward<F>(f));
+      static_assert(alignof(Fn) <= alignof(std::max_align_t));
+      *reinterpret_cast<Fn**>(static_cast<void*>(buf_)) =
+          new (detail::FramePool::Alloc(sizeof(Fn))) Fn(std::forward<F>(f));
       ops_ = &HeapOps<Fn>::kOps;
     }
   }
@@ -129,7 +133,11 @@ class EventFn {
     static Fn* Get(void* p) { return *reinterpret_cast<Fn**>(p); }
     static void Invoke(void* p) { (*Get(p))(); }
     static void Relocate(void* dst, void* src) { std::memcpy(dst, src, sizeof(Fn*)); }
-    static void Destroy(void* p) { delete Get(p); }
+    static void Destroy(void* p) {
+      Fn* f = Get(p);
+      f->~Fn();
+      detail::FramePool::Free(f, sizeof(Fn));
+    }
     static constexpr Ops kOps = {&Invoke, &Relocate, &Destroy};
   };
 

@@ -635,7 +635,7 @@ TEST_F(CfsCluster, OpRootSpanCarriesClientCpu) {
     reach = std::max(reach, end);
   }
   const SimDuration self = (root->end - root->start) - covered;
-  EXPECT_GE(self, cluster_->options().client.client_cpu_per_op);
+  EXPECT_GE(self, client::kClientCpuPerOp);
 }
 
 TEST_F(CfsCluster, UtilizationPlacementPrefersEmptyNodes) {
@@ -792,7 +792,7 @@ TEST_F(Metrics, RpcLegsMatchTransportWatchdogs) {
   ASSERT_TRUE(Run(client_->Fsync(f->id)).ok());
   // Stop between events with no call pending, so every issued call has been
   // metered and its watchdog resolved.
-  while (cluster_->net().rpc_slots_in_use() > 0) ASSERT_TRUE(cluster_->sched().RunOne());
+  while (cluster_->net().rpc_calls_in_flight() > 0) ASSERT_TRUE(cluster_->sched().RunOne());
 
   const obs::Registry m = cluster_->Metrics();
   const uint64_t legs = m.SumCounters("rpc.", ".ok") + m.SumCounters("rpc.", ".timeout") +

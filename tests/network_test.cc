@@ -1,6 +1,7 @@
-// Transport-level tests for the zero-allocation RPC engine (sim/network.h):
-// pooled envelopes, slab promise slots, dense-id dispatch, audited watchdog
-// cancellation, and the fault paths (drops, partitions, dead nodes).
+// Transport-level tests for the RPC engine (sim/network.h): dense-id
+// dispatch, audited watchdog cancellation, the fault paths (drops,
+// partitions, dead nodes), and the lifetime of a message payload on every
+// path that drops it.
 //
 // TransportGoldenHash pins the determinism digest of a mixed fault workload
 // to the value captured from the pre-registry boxing transport: the rebuild
@@ -70,8 +71,7 @@ struct GoldenResult {
   uint64_t failed = 0;
   uint64_t timeouts_cancelled = 0;
   uint64_t timeouts_fired = 0;
-  size_t envelopes_in_use = 0;
-  size_t slots_in_use = 0;
+  size_t calls_in_flight = 0;
 };
 
 /// Mixed transport workload: concurrent clients, message loss (RNG-driven
@@ -115,8 +115,7 @@ GoldenResult TransportGoldenScenario() {
   res.hash = sched.trace_hash();
   res.timeouts_cancelled = net.rpc_timeouts_cancelled();
   res.timeouts_fired = net.rpc_timeouts_fired();
-  res.envelopes_in_use = net.envelope_pool().in_use();
-  res.slots_in_use = net.rpc_slots_in_use();
+  res.calls_in_flight = net.rpc_calls_in_flight();
   return res;
 }
 
@@ -134,11 +133,10 @@ TEST(NetworkTransport, TransportGoldenHash) {
   EXPECT_EQ(r.ok, kGoldenOk);
   EXPECT_EQ(r.failed, kGoldenFailed);
   // Every successful call cancelled its watchdog; every failed call let it
-  // fire. Nothing pooled leaks once the run drains.
+  // fire. No call is left pending once the run drains.
   EXPECT_EQ(r.timeouts_cancelled, r.ok);
   EXPECT_EQ(r.timeouts_fired, r.failed);
-  EXPECT_EQ(r.envelopes_in_use, 0u);
-  EXPECT_EQ(r.slots_in_use, 0u);
+  EXPECT_EQ(r.calls_in_flight, 0u);
 }
 
 TEST(NetworkTransport, SameSeedSameHash) {
@@ -175,9 +173,7 @@ TEST(NetworkTransport, DeadNodeDropsRequestAndFiresWatchdog) {
   EXPECT_EQ(failed, 1u);
   EXPECT_EQ(net.rpc_timeouts_fired(), 1u);
   EXPECT_EQ(net.rpc_timeouts_cancelled(), 0u);
-  // The dropped request's envelope went back to the pool.
-  EXPECT_EQ(net.envelope_pool().in_use(), 0u);
-  EXPECT_EQ(net.rpc_slots_in_use(), 0u);
+  EXPECT_EQ(net.rpc_calls_in_flight(), 0u);
 }
 
 TEST(NetworkTransport, PartitionIsSymmetric) {
@@ -240,32 +236,6 @@ TEST(NetworkTransport, ClearHandlersDecommissionsNode) {
   sched.Run();
   EXPECT_EQ(ok, 1u);
   EXPECT_EQ(failed, 1u);
-  EXPECT_EQ(net.envelope_pool().in_use(), 0u);
-}
-
-Task<void> SequentialEchoes(Network& net, int n, uint64_t* ok, uint64_t* failed) {
-  for (int i = 0; i < n; i++) {
-    co_await OneEcho(net, 1, 2, 200 * kMsec, ok, failed);
-  }
-}
-
-TEST(NetworkTransport, EnvelopeAndSlotSlabsAreRecycled) {
-  Scheduler sched(7);
-  Network net(&sched);
-  net.AddHost();
-  net.AddHost();
-  RegisterGoldenHandlers(net.host(2));
-  uint64_t ok = 0, failed = 0;
-  Spawn(SequentialEchoes(net, 500, &ok, &failed));
-  sched.Run();
-  EXPECT_EQ(ok, 500u);
-  EXPECT_EQ(failed, 0u);
-  // 500 sequential calls reuse the same handful of nodes: one pool chunk and
-  // a couple of slots, never one-per-call.
-  EXPECT_EQ(net.envelope_pool().in_use(), 0u);
-  EXPECT_LE(net.envelope_pool().capacity(), 128u);
-  EXPECT_EQ(net.rpc_slots_in_use(), 0u);
-  EXPECT_LE(net.rpc_slot_capacity(), 4u);
 }
 
 TEST(NetworkTransport, SpanLabelsAreInterned) {
@@ -277,6 +247,142 @@ TEST(NetworkTransport, SpanLabelsAreInterned) {
   EXPECT_EQ(MsgSpanHandler<NetEchoReq>().substr(0, 8), "handler:");
   EXPECT_EQ(MsgSpanCall<NetEchoReq>().substr(0, 5), "call:");
   EXPECT_EQ(MsgTypeIdOf<NetEchoReq>(), MsgTypeIdOf<NetEchoReq>());
+}
+
+// --- Payload lifetime ------------------------------------------------------
+// A message lives only in the scheduler closure that carries it (and, for a
+// response, in the caller's promise), so every path that drops one must
+// destroy it exactly once.
+
+/// Live-instance counter: up on construct, copy and move, down on destroy.
+struct LiveCount {
+  static inline int live = 0;
+  LiveCount() { live++; }
+  LiveCount(const LiveCount&) { live++; }
+  LiveCount(LiveCount&&) noexcept { live++; }
+  LiveCount& operator=(const LiveCount&) = default;
+  LiveCount& operator=(LiveCount&&) noexcept = default;
+  ~LiveCount() { live--; }
+};
+
+/// The request event fits EventFn's inline buffer; the reply event, with
+/// its padded response, takes the FramePool path. Both storage paths are
+/// covered.
+struct CountedReq {
+  LiveCount count;
+  SimDuration work = 0;  // the handler sleeps this long before replying
+};
+struct CountedResp {
+  LiveCount count;
+  char pad[96] = {};
+};
+
+void RegisterCounted(Scheduler* sched, Host* h) {
+  h->Register<CountedReq, CountedResp>([sched](CountedReq r, NodeId) -> Task<CountedResp> {
+    co_await SleepFor{*sched, r.work};
+    co_return CountedResp{};
+  });
+}
+
+Task<void> CountedCall(Network& net, SimDuration work, SimDuration timeout, bool* ok) {
+  CountedReq req;
+  req.work = work;
+  auto r = co_await net.Call<CountedReq, CountedResp>(1, 2, std::move(req), timeout);
+  *ok = r.ok();
+}
+
+class PayloadLifetime : public ::testing::Test {
+ protected:
+  PayloadLifetime() {
+    net_.AddHost();
+    net_.AddHost();
+    RegisterCounted(&sched_, net_.host(2));
+  }
+  ~PayloadLifetime() override { EXPECT_EQ(net_.rpc_calls_in_flight(), 0u); }
+
+  /// One call from host 1 to host 2, run to quiescence.
+  bool CallOnce(SimDuration work = 0, SimDuration timeout = 200 * kMsec) {
+    bool ok = false;
+    Spawn(CountedCall(net_, work, timeout, &ok));
+    sched_.Run();
+    return ok;
+  }
+
+  Scheduler sched_{7};
+  Network net_{&sched_};
+};
+
+TEST_F(PayloadLifetime, AnsweredCall) {
+  EXPECT_TRUE(CallOnce());
+  EXPECT_EQ(LiveCount::live, 0);
+}
+
+TEST_F(PayloadLifetime, PartitionedRequest) {
+  net_.SetPartitioned(1, 2, true);
+  EXPECT_FALSE(CallOnce());
+  EXPECT_EQ(LiveCount::live, 0);
+}
+
+TEST_F(PayloadLifetime, RngLostRequestAndReply) {
+  // A lost request is dropped before it is metered; a lost reply after both
+  // legs were metered — messages_sent() tells the two apart.
+  net_.SetDropProbability(0.5);
+  int lost_requests = 0, lost_replies = 0;
+  for (int i = 0; i < 64; i++) {
+    const uint64_t sent = net_.messages_sent();
+    const bool ok = CallOnce();
+    EXPECT_EQ(LiveCount::live, 0) << "call " << i;
+    if (!ok && net_.messages_sent() == sent) lost_requests++;
+    if (!ok && net_.messages_sent() == sent + 2) lost_replies++;
+  }
+  EXPECT_GT(lost_requests, 0);
+  EXPECT_GT(lost_replies, 0);
+}
+
+TEST_F(PayloadLifetime, DeadHost) {
+  net_.host(2)->Crash();
+  EXPECT_FALSE(CallOnce());
+  EXPECT_EQ(LiveCount::live, 0);
+}
+
+TEST_F(PayloadLifetime, ClearedHandlers) {
+  net_.host(2)->ClearHandlers();
+  EXPECT_FALSE(CallOnce());
+  EXPECT_EQ(LiveCount::live, 0);
+}
+
+TEST_F(PayloadLifetime, LateReplyAfterTimeout) {
+  EXPECT_FALSE(CallOnce(/*work=*/300 * kMsec, /*timeout=*/200 * kMsec));
+  EXPECT_EQ(net_.messages_sent(), 2u);  // the reply did come back, too late
+  EXPECT_EQ(net_.rpc_timeouts_fired(), 1u);
+  EXPECT_EQ(LiveCount::live, 0);
+}
+
+TEST(PayloadLifetimeTeardown, QueuedDeliveriesDieWithTheScheduler) {
+  {
+    // The request is still in flight when the simulation is torn down.
+    Scheduler sched(7);
+    Network net(&sched);
+    net.AddHost();
+    net.AddHost();
+    RegisterCounted(&sched, net.host(2));
+    auto call = net.Call<CountedReq, CountedResp>(1, 2, CountedReq{});
+    EXPECT_EQ(LiveCount::live, 1);
+  }
+  EXPECT_EQ(LiveCount::live, 0);
+  {
+    // The handler ran; its reply is still in flight.
+    Scheduler sched(7);
+    Network net(&sched);
+    net.AddHost();
+    net.AddHost();
+    RegisterCounted(&sched, net.host(2));
+    auto call = net.Call<CountedReq, CountedResp>(1, 2, CountedReq{});
+    ASSERT_TRUE(sched.RunOne());
+    EXPECT_EQ(net.messages_sent(), 2u);
+    EXPECT_EQ(LiveCount::live, 1);
+  }
+  EXPECT_EQ(LiveCount::live, 0);
 }
 
 }  // namespace

@@ -98,13 +98,12 @@ class RaftCluster : public ::testing::Test {
     return -1;
   }
 
-  /// Make node `i` stand for election until it leads (at most 100 ms). A
-  /// leader's heartbeat pushes a follower's election deadline back, so the
-  /// trigger is repeated until the election loop's tick sees it.
+  /// Make node `i` stand for election now; true once it leads (within
+  /// 100 ms).
   bool ForceElection(int i) {
-    for (int round = 0; round < 100'000 && !nodes_[i]->IsLeader(); round++) {
-      nodes_[i]->TriggerElection();
-      sched_->RunFor(1);
+    nodes_[i]->TriggerElection();
+    for (int round = 0; round < 100 && !nodes_[i]->IsLeader(); round++) {
+      sched_->RunFor(1 * kMsec);
     }
     return nodes_[i]->IsLeader();
   }

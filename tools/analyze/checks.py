@@ -46,12 +46,6 @@ PTRINT_TYPES = {"uintptr_t", "intptr_t", "size_t", "ptrdiff_t",
                 "uint64_t", "uint32_t", "unsigned"}
 ORDERED_CONTAINERS = {"map", "set", "multimap", "multiset",
                       "FlatMap", "FlatSet"}
-# Types whose instances live in a recycling slab: a raw pointer to one is a
-# loan from the pool, invalidated (payload destroyed, node reused) as soon as
-# anything frees it — which can happen while this coroutine is suspended.
-# Unlike plain `T*` locals (a pointer VALUE copy, exempt from A1), holding one
-# of these across a co_await is a use-after-recycle hazard.
-POOLED_TYPES = {"Envelope"}
 
 
 def _brace_depths(tokens: List[Token], start: int, end: int) -> List[int]:
@@ -479,26 +473,15 @@ def _a1_bindings(fa: FunctionAnalysis, path: str) -> List[Finding]:
                     break
             if use is None:
                 continue
-            if kind == "pooled":
-                msg = (
-                    f"`{name}` points at pool-recycled `{container}` "
-                    "storage, which is not owned by this coroutine frame, "
-                    "and is used after a co_await at line "
-                    f"{toks[first_suspend].line} (use at line "
-                    f"{toks[use].line}): the pool can free and reuse the "
-                    "node while suspended (payload destroyed, storage "
-                    "handed to another message). Move the payload out by "
-                    "value (EnvelopePool::Take) before suspending.")
-            else:
-                what = ("an iterator into" if kind == "iterator"
-                        else "a reference/pointer to an element of")
-                msg = (
-                    f"`{name}` is {what} `{container}`, which is not owned "
-                    "by this coroutine frame, and is used after a co_await "
-                    f"at line {toks[first_suspend].line} (use at line "
-                    f"{toks[use].line}): the container can be mutated while "
-                    "suspended, invalidating it. Copy the element by value "
-                    "before suspending, or re-look it up after resumption.")
+            what = ("an iterator into" if kind == "iterator"
+                    else "a reference/pointer to an element of")
+            msg = (
+                f"`{name}` is {what} `{container}`, which is not owned "
+                "by this coroutine frame, and is used after a co_await "
+                f"at line {toks[first_suspend].line} (use at line "
+                f"{toks[use].line}): the container can be mutated while "
+                "suspended, invalidating it. Copy the element by value "
+                "before suspending, or re-look it up after resumption.")
             out.append(Finding(
                 path, toks[idx].line, "A1", f"A1.{kind}",
                 msg, function=fa.fb.name, symbol=name))
@@ -521,13 +504,6 @@ def _classify_binding(fa: FunctionAnalysis, toks: List[Token], name_idx: int,
     # when the lambda body itself is walked.
     if init[0].kind == PUNCT and init[0].text == "[":
         return None, ""
-    # Pool-recycled types: `Envelope* e = ...` is a loan from the slab, not a
-    # plain pointer-value copy — the pointee is destroyed/reused on Free().
-    if name_idx >= 2 and toks[name_idx - 1].kind == PUNCT \
-            and toks[name_idx - 1].text == "*" \
-            and toks[name_idx - 2].kind == IDENT \
-            and toks[name_idx - 2].text in POOLED_TYPES:
-        return "pooled", toks[name_idx - 2].text
     # Iterator-yielding member call spanning the WHOLE initializer:
     # `<base> .|-> method ( ... )` — a method result buried inside a larger
     # expression (static_cast<int>(std::max_element(v.begin(), ...))) does
